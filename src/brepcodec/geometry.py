@@ -587,6 +587,42 @@ class Poly2:
         return (self.points[i + 1] - self.points[i]) * nseg
 
 
+def pcurve_points(pcurves, t, tangent: bool = False) -> np.ndarray:
+    """``point(t)`` (or ``tangent(t)``) of several pcurves at shared t -> (K, T, 2).
+
+    Segment2 and Arc2 curves are evaluated together, one array pass per
+    kind, with the same arithmetic as their own methods, so every value is
+    bit-identical to the per-curve call; other kinds are called one by one.
+    """
+    t = np.asarray(t, dtype=float).reshape(-1)
+    out = np.empty((len(pcurves), t.size, 2))
+    by_kind: dict = {}
+    for i, pc in enumerate(pcurves):
+        by_kind.setdefault(type(pc), []).append(i)
+    for kind, idx in by_kind.items():
+        group = [pcurves[i] for i in idx]
+        if kind is Segment2:
+            a = np.array([pc.a for pc in group])
+            d = np.array([pc.b for pc in group]) - a
+            out[idx] = d[:, None, :] if tangent else a[:, None, :] + t[:, None] * d[:, None, :]
+        elif kind is Arc2:
+            phi0 = np.array([pc.phi0 for pc in group])
+            dphi = np.array([pc.phi1 for pc in group]) - phi0
+            phi = phi0[:, None] + t * dphi[:, None]
+            if tangent:
+                scale = np.array([pc.radius for pc in group]) * dphi
+                out[idx, :, 0] = scale[:, None] * -np.sin(phi)
+                out[idx, :, 1] = scale[:, None] * np.cos(phi)
+            else:
+                center = np.array([pc.center for pc in group])
+                radius = np.array([pc.radius for pc in group])[:, None]
+                out[idx, :, 0] = center[:, :1] + radius * np.cos(phi)
+                out[idx, :, 1] = center[:, 1:] + radius * np.sin(phi)
+        else:
+            out[idx] = [pc.tangent(t) if tangent else pc.point(t) for pc in group]
+    return out
+
+
 PCURVE_KINDS = {
     "seg2": Segment2,
     "arc2": Arc2,

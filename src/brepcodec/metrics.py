@@ -45,9 +45,11 @@ class MetricReport:
 # Surface sampling
 # ---------------------------------------------------------------------------
 
-def _face_cell_weights(model: BrepModel, face: int, cfg: SamplingConfig):
+JITTER_REDRAWS = 16   # redraws of a jitter that leaves the trim, then the cell centre
+
+
+def _face_cell_weights(chart: FaceChart, cfg: SamplingConfig):
     """In-trim UV cells with their area-element weights."""
-    chart = FaceChart(model, face, cfg)
     res = cfg.uv_grid
     u0, u1, v0, v1 = chart.domain
     du = (u1 - u0) / res
@@ -74,30 +76,41 @@ def surface_sample(model: BrepModel, n: int = POINTS_PER_CLOUD, seed: int = 0,
         raise ValueError("model has no faces to sample")
     cells = []
     for f in range(len(model.faces)):
-        uv, area, steps = _face_cell_weights(model, f, cfg)
+        chart = FaceChart(model, f, cfg)
+        uv, area, steps = _face_cell_weights(chart, cfg)
         if area.size:
-            cells.append((f, uv, area, steps))
+            cells.append((chart, uv, area, steps))
     total = sum(c[2].sum() for c in cells)
     if total <= 0:
         raise ValueError("model has zero total surface area")
 
     rng = np.random.default_rng(seed)
+    redraw = rng.spawn(1)[0]
     weights = np.concatenate([c[2] for c in cells]) / total
     counts = rng.multinomial(n, weights)
     pts = np.empty((n, 3))
     nrm = np.empty((n, 3)) if with_normals else None
     out = 0
     offset = 0
-    for f, uv, area, (du, dv) in cells:
+    for chart, uv, area, (du, dv) in cells:
         take = counts[offset: offset + area.size]
         offset += area.size
         m = int(take.sum())
         if m == 0:
             continue
         idx = np.repeat(np.arange(area.size), take)
-        jit = rng.uniform(-0.5, 0.5, (m, 2)) * np.array([du, dv])
-        suv = uv[idx] + jit
-        surf = model.faces[f].surface
+        # a cell straddling the trim boundary must not jitter off the face;
+        # redraws come from their own stream, so in-trim samples keep theirs
+        step = np.array([du, dv])
+        suv = uv[idx] + rng.uniform(-0.5, 0.5, (m, 2)) * step
+        off = ~chart.in_region(chart.to_norm(suv))
+        for _ in range(JITTER_REDRAWS):
+            if not off.any():
+                break
+            suv[off] = uv[idx[off]] + redraw.uniform(-0.5, 0.5, (int(off.sum()), 2)) * step
+            off[off] = ~chart.in_region(chart.to_norm(suv[off]))
+        suv[off] = uv[idx[off]]
+        surf = chart.surface
         pts[out: out + m] = surf.point(suv[:, 0], suv[:, 1])
         if with_normals:
             pu, pv = surf.partials(suv[:, 0], suv[:, 1])

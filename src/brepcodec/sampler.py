@@ -13,16 +13,28 @@ Every half-edge of a model yields one record holding:
 Distances for the Voronoi partition are measured in each face's parameter
 rectangle after rescaling both axes to a common arclength-based unit, so
 unlike parameter units (radians vs. axial lengths) compare fairly.
+
+Each ray is marched in ``max(16, uv_grid // 2)`` equal steps out to the
+face's normalized diagonal; the first failing step is then refined by 10
+rounds of bisection.  So ``SamplingConfig.uv_grid`` sets the march as well
+as the ``voronoi_assign`` grid.
+
+All faces of a model share one walk.  ``FaceCharts`` packs every face's
+boundary chords and trim polygons into flat tables, and one kernel runs the
+even-odd trim test and the "nearest half-edge is my owner" test over ragged
+(point x same-face chord) pairs.  A single-face ``FaceChart`` is the same
+tables over one face.
 """
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from contextlib import contextmanager
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import GeometryError
-from .model import BrepModel, ModelError, halfedge_curve_samples, halfedge_params, validate
+from .geometry import GeometryError, Poly2, Segment2, pcurve_points
+from .model import BrepModel, ModelError, halfedge_curve_samples, validate
 
 
 class ZeroDepthWarning(UserWarning):
@@ -34,7 +46,9 @@ class SamplingConfig:
     n_curve: int = 6          # curve samples per half-edge
     n_surface: int = 4        # samples per row, column 0 on the curve
     n_next: int = 4           # successor samples stored per record
-    uv_grid: int = 64         # Voronoi grid resolution per axis
+    uv_grid: int = 64         # Voronoi grid resolution per axis; the walk
+                              # marches max(16, uv_grid // 2) steps, then
+                              # bisects 10 times
     pcurve_samples: int = 33  # polyline resolution for parametric distances
 
     def __post_init__(self):
@@ -76,135 +90,341 @@ class VhpRecord:
 
 
 # ---------------------------------------------------------------------------
-# Per-face chart: normalized UV metric, boundary polylines, trim test
+# Face charts: normalized UV metric, boundary chords, trim polygons
 # ---------------------------------------------------------------------------
 
-def _sq_point_segment_distance(points, seg_a, seg_d, inv_l2):
-    """Squared distances with precomputed segment direction and 1/len^2."""
-    ap = points[:, None, :] - seg_a
-    t = (ap * seg_d).sum(axis=-1) * inv_l2
-    np.clip(t, 0.0, 1.0, out=t)
-    dx = ap - t[:, :, None] * seg_d
-    return (dx * dx).sum(axis=-1)
+_MARCH_CHUNK = 8        # march steps tested per round; failed rays then drop out
+_PAIR_BLOCK = 1 << 13   # (point, chord) pairs per kernel block; larger blocks
+                        # leave more transient heap behind (resident set)
+_BISECTIONS = 10
 
 
-def _pcurve_knots(pc, n_default: int) -> np.ndarray:
-    """Parameter knots whose chords represent the pcurve without waste.
+@contextmanager
+def _face_errors(face: int):
+    """Re-raise any failure as a GeometryError naming the face."""
+    try:
+        yield
+    except Exception as exc:
+        raise GeometryError(f"sampling failed on face {face}: {exc}") from exc
+
+
+def _ragged_arange(starts, counts) -> np.ndarray:
+    """Concatenated ranges ``starts[i] : starts[i] + counts[i]``."""
+    ends = np.cumsum(counts)
+    return np.repeat(starts - (ends - counts), counts) + np.arange(ends[-1] if ends.size else 0)
+
+
+def _pcurve_knots(pc, n_default: int) -> int:
+    """Number of equally spaced knots whose chords represent the pcurve.
 
     Straight pcurves are exact with a single chord; Poly2 breakpoints are
     exact by construction; curved pcurves fall back to dense sampling.
     """
-    from .geometry import Poly2, Segment2
-
     if isinstance(pc, Segment2):
-        return np.array([0.0, 1.0])
+        return 2
     if isinstance(pc, Poly2):
-        return np.linspace(0.0, 1.0, pc.points.shape[0])
-    return np.linspace(0.0, 1.0, n_default)
+        return pc.points.shape[0]
+    return n_default
 
 
-class FaceChart:
-    """Cached per-face machinery for parametric-domain queries."""
+class FaceCharts:
+    """Charts of several faces of one model, packed into flat tables.
+
+    Face slot ``k`` is model face ``faces[k]``.  Its bounding half-edges, in
+    increasing id so that distance ties break to the lowest id, occupy half-
+    edge table rows ``he_start[k]:he_start[k] + nhe[k]``.  Their pcurve
+    polylines give the face's chords, grouped by half-edge in the same
+    order, and its loops' closed polygons give the same number of trim
+    edges; both sit in rows ``seg_start[k]:seg_start[k] + nseg[k]`` of their
+    tables.  Queries take points as x and y arrays in normalized UV plus the
+    face slot of every point.
+    """
+
+    def __init__(self, model: BrepModel, faces, cfg: SamplingConfig):
+        self.model = model
+        self.cfg = cfg
+        self.faces = list(faces)
+        self.surfaces = []
+        domains, scales, he_lists, loop_lists = [], [], [], []
+        for f in self.faces:
+            with _face_errors(f):
+                surf = model.faces[f].surface
+                u0, u1, v0, v1 = surf.domain()
+                pu, pv = surf.partials(0.5 * (u0 + u1), 0.5 * (v0 + v1))
+                lu = float(np.linalg.norm(pu)) * (u1 - u0)
+                lv = float(np.linalg.norm(pv)) * (v1 - v0)
+                lmax = max(lu, lv, 1e-12)
+                hes = sorted(model.face_halfedges(f))
+                for h in hes:
+                    if model.halfedges[h].pcurve is None:
+                        raise GeometryError(f"halfedge {h} has no pcurve on face {f}")
+            self.surfaces.append(surf)
+            domains.append((u0, u1, v0, v1))
+            scales.append((max(lu / lmax, 1e-9), max(lv / lmax, 1e-9)))
+            he_lists.append(hes)
+            loop_lists.append([model.loops[li].halfedges for li in model.face_loops(f)])
+        self.domains = domains
+        dom = np.array(domains, dtype=float).reshape(-1, 4)
+        self._u0, self._u1, self._v0, self._v1 = dom.T
+        self._du, self._dv = dom[:, 1] - dom[:, 0], dom[:, 3] - dom[:, 2]
+        self._su, self._sv = np.array(scales, dtype=float).reshape(-1, 2).T
+        self._diag = np.hypot(self._su, self._sv)
+
+        # half-edge table: face-major, increasing id within a face
+        self._nhe = np.array([len(hes) for hes in he_lists], dtype=int)
+        self._he_start = np.cumsum(self._nhe) - self._nhe
+        self._he_id = np.array([h for hes in he_lists for h in hes], dtype=int)
+        self._he_face = np.repeat(np.arange(len(self.faces)), self._nhe)
+        self._he_row = np.full(len(model.halfedges), -1)
+        self._he_row[self._he_id] = np.arange(self._he_id.size)
+        self._pcurves = [model.halfedges[h].pcurve for h in self._he_id]
+
+        # polylines: rows off[r] : off[r] + npts[r] of pts belong to table row r
+        npts = np.array([_pcurve_knots(pc, cfg.pcurve_samples) for pc in self._pcurves],
+                        dtype=int)
+        off = np.cumsum(npts) - npts
+        uv = np.empty((int(npts.sum()), 2))
+        for n in np.unique(npts):
+            rows = np.flatnonzero(npts == n)
+            uv[_ragged_arange(off[rows], npts[rows])] = self._eval_pcurves(
+                rows, np.linspace(0.0, 1.0, n)).reshape(-1, 2)
+        x, y = self._to_norm(uv[:, 0], uv[:, 1], np.repeat(self._he_face, npts))
+        self._pts = np.stack([x, y], axis=-1)
+        self._pts_off, self._npts = off, npts
+
+        # chords, grouped by half-edge table row
+        nch = npts - 1
+        a = _ragged_arange(off, nch)
+        self._ax, self._ay = x[a], y[a]
+        self._dx, self._dy = x[a + 1] - self._ax, y[a + 1] - self._ay
+        self._inv_l2 = 1.0 / np.maximum(self._dx * self._dx + self._dy * self._dy, 1e-300)
+        self._nseg = np.add.reduceat(nch, self._he_start) if nch.size else nch
+        self._seg_start = np.cumsum(self._nseg) - self._nseg
+        self._he_seg_off = np.cumsum(nch) - nch - np.repeat(self._seg_start, self._nhe)
+
+        # trim edges: each loop's chained polylines, closed
+        loop_rows = [self._he_row[list(hes)] for loops in loop_lists for hes in loops]
+        chain = [np.zeros(0, int)] + [_ragged_arange(off[rows], nch[rows]) for rows in loop_rows]
+        a = np.concatenate(chain)
+        b = np.concatenate([np.roll(c, -1) for c in chain])
+        self._pax, self._pay = x[a], y[a]
+        self._pby = y[b]
+        self._pdx, self._pdy = x[b] - self._pax, self._pby - self._pay
+
+    def _eval_pcurves(self, rows, t, tangent: bool = False) -> np.ndarray:
+        return pcurve_points([self._pcurves[r] for r in rows], t, tangent)
+
+    # -- coordinates --------------------------------------------------------
+
+    def _to_norm(self, u, v, fk):
+        return ((u - self._u0[fk]) / self._du[fk] * self._su[fk],
+                (v - self._v0[fk]) / self._dv[fk] * self._sv[fk])
+
+    def _from_norm(self, x, y, fk):
+        return (x / self._su[fk] * self._du[fk] + self._u0[fk],
+                y / self._sv[fk] * self._dv[fk] + self._v0[fk])
+
+    # -- kernel -------------------------------------------------------------
+
+    def _blocks(self, fk):
+        """Slices of consecutive points holding about _PAIR_BLOCK pairs each."""
+        if not fk.size:
+            return []
+        cum = np.cumsum(self._nseg[fk])
+        cuts = np.searchsorted(cum, np.arange(_PAIR_BLOCK, cum[-1], _PAIR_BLOCK))
+        bounds = np.unique(np.concatenate(([0], cuts, [fk.size])))
+        return [slice(i, j) for i, j in zip(bounds[:-1], bounds[1:])]
+
+    def _query(self, x, y, fk, owner=None, nearest=False) -> np.ndarray:
+        """Run the kernel over (point x same-face row) pairs, block by block.
+
+        Returns the even-odd trim test, that test and "owner is the nearest
+        half-edge" when ``owner`` is given, or the nearest half-edge id when
+        ``nearest`` is set.
+        """
+        x, y, fk = np.asarray(x, float), np.asarray(y, float), np.asarray(fk, int)
+        out = np.empty(fk.size, dtype=int if nearest else bool)
+        for sl in self._blocks(fk):
+            f = fk[sl]
+            cnt = self._nseg[f]
+            first = np.cumsum(cnt) - cnt
+            seg = _ragged_arange(self._seg_start[f], cnt)
+            pt = np.repeat(np.arange(f.size), cnt)
+            px, py = x[sl][pt], y[sl][pt]
+            if not nearest:
+                ay = self._pay[seg]
+                straddle = (ay > py) != (self._pby[seg] > py)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    xi = self._pax[seg] + (py - ay) / self._pdy[seg] * self._pdx[seg]
+                out[sl] = np.logical_xor.reduceat(straddle & (px < xi), first)
+                if owner is None:
+                    continue
+
+            # squared distance to every chord, then the minimum per half-edge
+            apx, apy = px - self._ax[seg], py - self._ay[seg]
+            dx, dy = self._dx[seg], self._dy[seg]
+            t = (apx * dx + apy * dy) * self._inv_l2[seg]
+            np.clip(t, 0.0, 1.0, out=t)
+            ex, ey = apx - t * dx, apy - t * dy
+            d = ex * ex + ey * ey
+            gcnt = self._nhe[f]
+            gfirst = np.cumsum(gcnt) - gcnt
+            rows = _ragged_arange(self._he_start[f], gcnt)
+            if d.size != rows.size:   # some half-edge has several chords
+                d = np.minimum.reduceat(d, np.repeat(first, gcnt) + self._he_seg_off[rows])
+
+            if nearest:   # first minimum = lowest id, as np.argmin
+                hit = (d == np.repeat(np.minimum.reduceat(d, gfirst), gcnt)) | np.isnan(d)
+                pick = np.minimum.reduceat(np.where(hit, np.arange(d.size), d.size), gfirst)
+                out[sl] = self._he_id[rows[pick]]
+            else:         # own < every lower id and own <= every higher id
+                own_row = self._he_row[owner[sl]]
+                ref = np.repeat(d[gfirst + own_row - self._he_start[f]], gcnt)
+                own_row = np.repeat(own_row, gcnt)
+                beaten = np.where(rows < own_row, d <= ref, d < ref)
+                out[sl] &= ~np.logical_or.reduceat(beaten, gfirst)
+        return out
+
+    def in_trim(self, x, y, fk) -> np.ndarray:
+        """Even-odd trim test of each point against its face's loops."""
+        return self._query(x, y, fk)
+
+    def in_own_cell(self, x, y, fk, owner) -> np.ndarray:
+        """In the trim and nearest to ``owner`` (ties to the lowest id)."""
+        return self._query(x, y, fk, owner=np.asarray(owner, int))
+
+    def nearest(self, x, y, fk) -> np.ndarray:
+        """Nearest bounding half-edge id of each point (ties to the lowest id)."""
+        return self._query(x, y, fk, nearest=True)
+
+    # -- the walk -----------------------------------------------------------
+
+    def _walk_extents(self, sx, sy, nx, ny, fk, owner):
+        """First-exit distance along each ray from its own half-edge cell.
+
+        Rays march in chunks of steps and drop out at their first failing
+        step; the last good step and the first bad one are then bisected.
+        """
+        steps = max(16, self.cfg.uv_grid // 2)
+        ts = np.zeros((len(self.faces), steps))
+        for k in np.unique(fk):
+            ts[k] = np.linspace(0.0, self._diag[k], steps + 1)[1:]   # exclude t = 0
+        r = fk.size
+        first_bad = np.full(r, steps)
+        live = np.arange(r)
+        for c0 in range(0, steps, _MARCH_CHUNK):
+            if not live.size:
+                break
+            t = ts[fk[live], c0:c0 + _MARCH_CHUNK]
+            n = t.shape[1]
+            good = self.in_own_cell(
+                (sx[live, None] + t * nx[live, None]).ravel(),
+                (sy[live, None] + t * ny[live, None]).ravel(),
+                np.repeat(fk[live], n), np.repeat(owner[live], n)).reshape(-1, n)
+            failed = ~good.all(axis=1)
+            first_bad[live[failed]] = c0 + np.argmin(good[failed], axis=1)
+            live = live[~failed]
+
+        lo = np.where(first_bad == 0, 0.0, ts[fk, np.maximum(first_bad - 1, 0)])
+        hi = np.where(first_bad == steps, self._diag[fk], ts[fk, np.minimum(first_bad, steps - 1)])
+        live = np.flatnonzero(first_bad < steps)
+        if live.size:
+            lo_l, hi_l = lo[live], hi[live]
+            sx, sy, nx, ny = sx[live], sy[live], nx[live], ny[live]
+            fk, owner = fk[live], owner[live]
+            for _ in range(_BISECTIONS):
+                mid = 0.5 * (lo_l + hi_l)
+                good = self.in_own_cell(sx + mid * nx, sy + mid * ny, fk, owner)
+                lo_l = np.where(good, mid, lo_l)
+                hi_l = np.where(good, hi_l, mid)
+            lo[live] = lo_l
+        return lo
+
+    def half_patches(self, he_ids, on_curve) -> np.ndarray:
+        """(K, N_c, N_s, 3) half-patches of half-edges of these faces.
+
+        ``on_curve`` (K, N_c, 3) holds each half-edge's curve samples, which
+        become column 0.  Rays of zero depth collapse onto the curve, with
+        one ZeroDepthWarning per affected half-edge.
+        """
+        nc, ns = self.cfg.n_curve, self.cfg.n_surface
+        he = np.asarray(he_ids, dtype=int)
+        samples = np.empty((he.size, nc, ns, 3))
+        samples[:, :, 0, :] = on_curve
+        if ns == 1 or not he.size:
+            return samples
+        rows = self._he_row[he]
+        t_he = np.arange(1, nc + 1, dtype=float) / (nc + 1)
+        uv = self._eval_pcurves(rows, t_he).reshape(-1, 2)
+        g = self._eval_pcurves(rows, t_he, tangent=True).reshape(-1, 2)
+        fk = np.repeat(self._he_face[rows], nc)
+        owner = np.repeat(he, nc)
+        sx, sy = self._to_norm(uv[:, 0], uv[:, 1], fk)
+        tx = g[:, 0] / self._du[fk] * self._su[fk]
+        ty = g[:, 1] / self._dv[fk] * self._sv[fk]
+        norm = np.maximum(np.sqrt(tx * tx + ty * ty), 1e-300)
+        nx, ny = -(ty / norm), tx / norm                # interior on the left
+
+        # defensive orientation probe
+        eps = 1e-4 * self._diag[fk]
+        probe = self.in_trim(np.concatenate([sx + eps * nx, sx - eps * nx]),
+                             np.concatenate([sy + eps * ny, sy - eps * ny]),
+                             np.concatenate([fk, fk]))
+        flip = ~probe[:fk.size] & probe[fk.size:]
+        nx[flip] *= -1.0
+        ny[flip] *= -1.0
+
+        extents = self._walk_extents(sx, sy, nx, ny, fk, owner)
+        step = extents[:, None] * (np.arange(1, ns, dtype=float) / (ns - 1))
+        pfk = np.repeat(fk, ns - 1)
+        u, v = self._from_norm((sx[:, None] + step * nx[:, None]).ravel(),
+                               (sy[:, None] + step * ny[:, None]).ravel(), pfk)
+        np.clip(u, self._u0[pfk], self._u1[pfk], out=u)
+        np.clip(v, self._v0[pfk], self._v1[pfk], out=v)
+        pts = np.empty((u.size, 3))
+        for k in np.unique(fk):
+            sel = np.flatnonzero(pfk == k)
+            with _face_errors(self.faces[k]):
+                pts[sel] = self.surfaces[k].point(u[sel], v[sel])
+        samples[:, :, 1:, :] = pts.reshape(he.size, nc, ns - 1, 3)
+
+        degenerate = extents.reshape(he.size, nc) < 1e-9
+        for i in np.flatnonzero(degenerate.any(axis=1)):
+            warnings.warn(
+                f"halfedge {he[i]}: zero-depth walk on face {self.faces[self._he_face[rows[i]]]}; "
+                f"surface samples collapse onto the curve",
+                ZeroDepthWarning,
+                stacklevel=3,
+            )
+            samples[i, degenerate[i], 1:, :] = samples[i, degenerate[i], :1, :]
+        return samples
+
+
+class FaceChart(FaceCharts):
+    """The chart of one face: the single-face case of ``FaceCharts``."""
 
     def __init__(self, model: BrepModel, face: int, cfg: SamplingConfig):
-        self.model = model
+        super().__init__(model, [face], cfg)
         self.face = face
-        self.cfg = cfg
-        surf = model.faces[face].surface
-        self.surface = surf
-        self.domain = surf.domain()
-        u0, u1, v0, v1 = self.domain
-        uc, vc = 0.5 * (u0 + u1), 0.5 * (v0 + v1)
-        pu, pv = surf.partials(uc, vc)
-        lu = float(np.linalg.norm(pu)) * (u1 - u0)
-        lv = float(np.linalg.norm(pv)) * (v1 - v0)
-        lmax = max(lu, lv, 1e-12)
-        self.su = max(lu / lmax, 1e-9)
-        self.sv = max(lv / lmax, 1e-9)
-
-        # bounding half-edges sorted by id so distance ties break low
-        self.halfedges = sorted(model.face_halfedges(face))
-        self.polylines = {}
-        seg_a, seg_b, seg_owner_sizes = [], [], []
-        for h in self.halfedges:
-            pc = model.halfedges[h].pcurve
-            if pc is None:
-                raise GeometryError(f"halfedge {h} has no pcurve on face {face}")
-            pts = self.to_norm(pc.point(_pcurve_knots(pc, cfg.pcurve_samples)))
-            self.polylines[h] = pts
-            seg_a.append(pts[:-1])
-            seg_b.append(pts[1:])
-            seg_owner_sizes.append(pts.shape[0] - 1)
-        self._seg_a = np.concatenate(seg_a)
-        self._seg_b = np.concatenate(seg_b)
-        self._seg_d = self._seg_b - self._seg_a
-        self._seg_inv_l2 = 1.0 / np.maximum((self._seg_d ** 2).sum(axis=1), 1e-300)
-        self._owner_starts = np.concatenate([[0], np.cumsum(seg_owner_sizes)[:-1]])
-        self._he_ids = np.array(self.halfedges, dtype=int)
-
-        # closed polygons per loop for the even-odd trim test
-        polys = []
-        for li in model.face_loops(face):
-            chain = [self.polylines[h][:-1] for h in model.loops[li].halfedges]
-            polys.append(np.concatenate(chain))
-        edges_a = []
-        edges_b = []
-        for poly in polys:
-            edges_a.append(poly)
-            edges_b.append(np.roll(poly, -1, axis=0))
-        self._poly_a = np.concatenate(edges_a)
-        self._poly_b = np.concatenate(edges_b)
+        self.surface = self.surfaces[0]
+        self.domain = self.domains[0]
+        self.su, self.sv = float(self._su[0]), float(self._sv[0])
+        self.halfedges = self._he_id.tolist()
+        self.polylines = {h: self._pts[o:o + n]
+                          for h, o, n in zip(self.halfedges, self._pts_off, self._npts)}
 
     def to_norm(self, uv):
         uv = np.asarray(uv, dtype=float)
-        u0, u1, v0, v1 = self.domain
-        return np.stack(
-            [(uv[..., 0] - u0) / (u1 - u0) * self.su,
-             (uv[..., 1] - v0) / (v1 - v0) * self.sv], axis=-1)
-
-    def from_norm(self, xy):
-        xy = np.asarray(xy, dtype=float)
-        u0, u1, v0, v1 = self.domain
-        return np.stack(
-            [xy[..., 0] / self.su * (u1 - u0) + u0,
-             xy[..., 1] / self.sv * (v1 - v0) + v0], axis=-1)
-
-    def norm_tangent(self, pcurve, t):
-        """Pcurve tangent mapped into normalized UV coordinates."""
-        g = np.asarray(pcurve.tangent(t), dtype=float)
-        u0, u1, v0, v1 = self.domain
-        return np.stack([g[..., 0] / (u1 - u0) * self.su,
-                         g[..., 1] / (v1 - v0) * self.sv], axis=-1)
+        return np.stack(self._to_norm(uv[..., 0], uv[..., 1], 0), axis=-1)
 
     def in_region(self, pts_norm) -> np.ndarray:
         """Even-odd trim test against all loop polygons (N, 2) -> (N,)."""
         p = np.asarray(pts_norm, dtype=float).reshape(-1, 2)
-        a, b = self._poly_a, self._poly_b
-        ay, by = a[:, 1], b[:, 1]
-        py = p[:, 1][:, None]
-        straddle = (ay[None, :] > py) != (by[None, :] > py)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xi = a[:, 0] + (py - ay) / (by - ay) * (b[:, 0] - a[:, 0])
-        crossing = straddle & (p[:, 0][:, None] < xi)
-        return (crossing.sum(axis=1) % 2).astype(bool)
-
-    def halfedge_distances(self, pts_norm) -> np.ndarray:
-        """Distance from each point to each bounding half-edge -> (N, H)."""
-        return np.sqrt(self._sq_halfedge_distances(pts_norm))
-
-    def _sq_halfedge_distances(self, pts_norm) -> np.ndarray:
-        p = np.asarray(pts_norm, dtype=float).reshape(-1, 2)
-        d2 = _sq_point_segment_distance(p, self._seg_a, self._seg_d, self._seg_inv_l2)
-        return np.minimum.reduceat(d2, self._owner_starts, axis=1)
+        return self.in_trim(p[:, 0], p[:, 1], np.zeros(len(p), dtype=int))
 
     def nearest_halfedge(self, pts_norm) -> np.ndarray:
-        d = self._sq_halfedge_distances(pts_norm)
-        idx = np.argmin(d, axis=1)   # ties pick the first = lowest halfedge id
-        return self._he_ids[idx]
-
-    @property
-    def diag(self) -> float:
-        return float(np.hypot(self.su, self.sv))
+        p = np.asarray(pts_norm, dtype=float).reshape(-1, 2)
+        return self.nearest(p[:, 0], p[:, 1], np.zeros(len(p), dtype=int))
 
 
 # ---------------------------------------------------------------------------
@@ -261,96 +481,6 @@ def voronoi_assign(model: BrepModel, face: int, cfg: SamplingConfig | None = Non
                           labels=labels.reshape(res, res))
 
 
-def _walk_extents(chart: FaceChart, ray_he, starts, normals, steps: int):
-    """First-exit distance along each ray from its own half-edge cell.
-
-    ray_he (R,) owns each ray; starts/normals are (R, 2) in normalized UV.
-    """
-    tmax = chart.diag
-    r = starts.shape[0]
-
-    def ok(points, owners):
-        return chart.in_region(points) & (chart.nearest_halfedge(points) == owners)
-
-    steps = max(16, steps // 2)
-    ts = np.linspace(0.0, tmax, steps + 1)[1:]          # exclude t = 0
-    pts = starts[:, None, :] + ts[None, :, None] * normals[:, None, :]
-    good = ok(pts.reshape(-1, 2), np.repeat(ray_he, steps)).reshape(r, steps)
-    first_bad = np.where(good.all(axis=1), steps, np.argmin(good, axis=1))
-    lo = np.where(first_bad == 0, 0.0, ts[np.maximum(first_bad - 1, 0)])
-    hi = np.where(first_bad == steps, tmax, ts[np.minimum(first_bad, steps - 1)])
-
-    live = first_bad < steps
-    if live.any():
-        for _ in range(10):
-            mid = 0.5 * (lo + hi)
-            good = ok(starts + mid[:, None] * normals, ray_he)
-            lo = np.where(live & good, mid, lo)
-            hi = np.where(live & ~good, mid, hi)
-    return lo
-
-
-def _face_half_patches(model: BrepModel, chart: FaceChart, he_ids,
-                       cfg: SamplingConfig):
-    """Half-patches for several half-edges of one face, with batched walks."""
-    nc, ns = cfg.n_curve, cfg.n_surface
-    t_he = np.arange(1, nc + 1, dtype=float) / (nc + 1)
-    starts = []
-    normals = []
-    on_curves = []
-    for h in he_ids:
-        he = model.halfedges[h]
-        curve = model.edges[he.edge].curve
-        on_curves.append(curve.point(halfedge_params(model, h, nc)))
-        st = chart.to_norm(he.pcurve.point(t_he))
-        tang = chart.norm_tangent(he.pcurve, t_he)
-        tang = tang / np.maximum(np.linalg.norm(tang, axis=-1, keepdims=True), 1e-300)
-        nrm = np.stack([-tang[:, 1], tang[:, 0]], axis=-1)  # interior on the left
-        starts.append(st)
-        normals.append(nrm)
-    starts = np.concatenate(starts)
-    normals = np.concatenate(normals)
-    ray_he = np.repeat(np.array(he_ids, dtype=int), nc)
-
-    # defensive orientation probe
-    eps = 1e-4 * chart.diag
-    flip = ~chart.in_region(starts + eps * normals) \
-        & chart.in_region(starts - eps * normals)
-    normals[flip] *= -1.0
-
-    patches = {}
-    if ns > 1:
-        extents = _walk_extents(chart, ray_he, starts, normals, cfg.uv_grid)
-        frac = np.arange(1, ns, dtype=float) / (ns - 1)
-        offs = starts[:, None, :] + (extents[:, None] * frac[None, :])[..., None] \
-            * normals[:, None, :]
-        uv = chart.from_norm(offs.reshape(-1, 2))
-        u0, u1, v0, v1 = chart.domain
-        uv[:, 0] = np.clip(uv[:, 0], u0, u1)
-        uv[:, 1] = np.clip(uv[:, 1], v0, v1)
-        surf_pts = chart.surface.point(uv[:, 0], uv[:, 1]).reshape(len(he_ids), nc,
-                                                                   ns - 1, 3)
-        extents = extents.reshape(len(he_ids), nc)
-    for k, h in enumerate(he_ids):
-        samples = np.empty((nc, ns, 3))
-        samples[:, 0, :] = on_curves[k]
-        if ns > 1:
-            pts = surf_pts[k]
-            degenerate = extents[k] < 1e-9
-            if degenerate.any():
-                warnings.warn(
-                    f"halfedge {h}: zero-depth walk on face {chart.face}; "
-                    f"surface samples collapse onto the curve",
-                    ZeroDepthWarning,
-                    stacklevel=3,
-                )
-                pts = pts.copy()
-                pts[degenerate] = on_curves[k][degenerate][:, None, :]
-            samples[:, 1:, :] = pts
-        patches[h] = HalfPatch(samples=samples)
-    return patches
-
-
 def sample_half_patch(model: BrepModel, halfedge: int, cfg: SamplingConfig | None = None,
                       chart: FaceChart | None = None) -> HalfPatch:
     """Sample the (N_c, N_s, 3) half-patch of one half-edge."""
@@ -358,7 +488,8 @@ def sample_half_patch(model: BrepModel, halfedge: int, cfg: SamplingConfig | Non
     he = model.halfedges[halfedge]
     face = model.loops[he.loop].face
     chart = chart or FaceChart(model, face, cfg)
-    return _face_half_patches(model, chart, [halfedge], cfg)[halfedge]
+    on_curve = halfedge_curve_samples(model, halfedge, cfg.n_curve)
+    return HalfPatch(samples=chart.half_patches([halfedge], on_curve[None])[0])
 
 
 def sample_next_pointers(model: BrepModel, halfedge: int,
@@ -376,23 +507,24 @@ def extract_vhp(model: BrepModel, cfg: SamplingConfig | None = None):
     if not (report.twin_consistent and report.loops_closed):
         raise ModelError(f"model fails twin/loop validation: {report.defects[:3]}")
 
-    records: list = [None] * len(model.halfedges)
-    for face in range(len(model.faces)):
-        try:
-            chart = FaceChart(model, face, cfg)
-            he_ids = [h for li in model.face_loops(face)
-                      for h in model.loops[li].halfedges]
-            patches = _face_half_patches(model, chart, he_ids, cfg)
-        except Exception as exc:
-            raise GeometryError(f"sampling failed on face {face}: {exc}") from exc
+    faces = range(len(model.faces))
+    charts = FaceCharts(model, faces, cfg)
+    he_ids, labels, on_curve = [], [], {}
+    for face in faces:
         for li in model.face_loops(face):
             loop = model.loops[li]
-            label = 1 if loop.kind == "outer" else 0
             for h in loop.halfedges:
-                try:
-                    nxt = sample_next_pointers(model, h, cfg)
-                except Exception as exc:
-                    raise GeometryError(f"sampling failed on halfedge {h}: {exc}") from exc
-                records[h] = VhpRecord(halfedge=h, half_patch=patches[h],
-                                       next_samples=nxt, label=label)
+                with _face_errors(face):
+                    on_curve[h] = halfedge_curve_samples(model, h, cfg.n_curve)
+                he_ids.append(h)
+                labels.append(1 if loop.kind == "outer" else 0)
+    samples = charts.half_patches(
+        he_ids, np.array([on_curve[h] for h in he_ids]).reshape(-1, cfg.n_curve, 3))
+
+    records: list = [None] * len(model.halfedges)
+    for h, s, label in zip(he_ids, samples, labels):
+        nxt = model.next_in_loop(h)
+        records[h] = VhpRecord(halfedge=h, half_patch=HalfPatch(samples=s),
+                               next_samples=on_curve[nxt][: cfg.n_next].copy(),
+                               label=label)
     return records

@@ -16,6 +16,7 @@ from brepcodec.geometry import (
     PolylineCurve,
     Segment2,
     SpherePatch,
+    pcurve_points,
 )
 
 
@@ -127,6 +128,19 @@ class TestPcurves:
     def test_poly2(self):
         pc = Poly2([(0, 0), (1, 0), (1, 1)])
         assert np.allclose(pc.point(0.75), [1, 0.5])
+
+    def test_batched_points_match_each_curve_bitwise(self):
+        rng = np.random.default_rng(5)
+        pcs = []
+        for _ in range(6):
+            pcs.append(Segment2(rng.normal(size=2), rng.normal(size=2)))
+            pcs.append(Arc2(rng.normal(size=2), rng.uniform(0.1, 2.0),
+                            rng.uniform(-TAU, TAU), rng.uniform(-TAU, TAU)))
+            pcs.append(Poly2(rng.normal(size=(int(rng.integers(2, 6)), 2))))
+        t = np.concatenate([np.linspace(0.0, 1.0, 33), rng.uniform(0, 1, 7)])
+        assert np.array_equal(pcurve_points(pcs, t), np.stack([pc.point(t) for pc in pcs]))
+        assert np.array_equal(pcurve_points(pcs, t, tangent=True),
+                              np.stack([pc.tangent(t) for pc in pcs]))
 
 
 @given(st.floats(0, 1), st.floats(0, 1))

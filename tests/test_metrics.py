@@ -13,7 +13,7 @@ from brepcodec.metrics import (
     surface_sample,
 )
 from brepcodec.model import normalize, validate
-from brepcodec.primitives import box, seam_cylinder
+from brepcodec.primitives import box, seam_cylinder, through_hole_box
 from conftest import as_polyline_model
 
 
@@ -141,6 +141,24 @@ class TestSurfaceSample:
         sigma = np.sqrt(6000 * (1 / 6) * (5 / 6))
         for c in counts:
             assert abs(c - 1000) <= 3 * sigma
+
+    def test_samples_stay_on_the_trimmed_faces(self):
+        # the plane patches reach past their faces: a jittered sample from a
+        # boundary cell must be re-tested against the trim to stay on the solid
+        cube, _ = normalize(box())
+        pts = surface_sample(cube, 4000, seed=0).points
+        lo, hi = cube.vertices.min(axis=0), cube.vertices.max(axis=0)
+        assert np.all(pts >= lo - 1e-12) and np.all(pts <= hi + 1e-12)
+
+        holed, _ = normalize(through_hole_box())
+        pts = surface_sample(holed, 4000, seed=0).points
+        lo, hi = holed.vertices.min(axis=0), holed.vertices.max(axis=0)
+        assert np.all(pts >= lo - 1e-12) and np.all(pts <= hi + 1e-12)
+        inner = [h for loop in holed.loops if loop.kind == "inner" for h in loop.halfedges]
+        hole = holed.vertices[[holed.halfedges[h].origin for h in inner]]
+        hlo, hhi = hole.min(axis=0), hole.max(axis=0)
+        in_hole = np.all((pts[:, :2] > hlo[:2] + 1e-12) & (pts[:, :2] < hhi[:2] - 1e-12), axis=1)
+        assert not in_hole.any()
 
     def test_determinism(self):
         m, _ = normalize(box())

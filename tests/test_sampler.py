@@ -1,11 +1,16 @@
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
+from brepcodec import sampler
 from brepcodec.geometry import GeometryError, Segment2
 from brepcodec.model import halfedge_curve_samples, normalize
-from brepcodec.primitives import box, ngon_prism, seam_cylinder, through_hole_box
+from brepcodec.primitives import box, l_bracket, ngon_prism, seam_cylinder, through_hole_box
 from brepcodec.sampler import (
     FaceChart,
+    FaceCharts,
     SamplingConfig,
     ZeroDepthWarning,
     boundary_pcurves,
@@ -31,6 +36,18 @@ def brute_force_distances(chart, pts_norm):
                 d = min(d, float(np.linalg.norm(p - (a + t * ab))))
             out[i, k] = d
     return out
+
+
+def even_odd_oracle(chart, p):
+    """Plain-loop even-odd test of one point against the face's loop polygons."""
+    crossings = 0
+    for li in chart.model.face_loops(chart.face):
+        poly = [q for h in chart.model.loops[li].halfedges for q in chart.polylines[h][:-1]]
+        for a, b in zip(poly, poly[1:] + poly[:1]):
+            if (a[1] > p[1]) != (b[1] > p[1]):
+                if p[0] < a[0] + (p[1] - a[1]) / (b[1] - a[1]) * (b[0] - a[0]):
+                    crossings += 1
+    return crossings % 2 == 1
 
 
 def assert_voronoi_optimal(chart, pts_norm, labels, tol=1e-12):
@@ -169,6 +186,63 @@ class TestVoronoiAssign:
         assert inner_hes & set(labels[inside].tolist())  # hole owns a band
 
 
+class TestFaceChartsKernel:
+    """The batched trim and owner kernel against per-face loop oracles."""
+
+    @pytest.mark.parametrize("make", [through_hole_box, l_bracket])
+    def test_all_faces_at_once_match_oracles(self, make, monkeypatch):
+        m, _ = normalize(make())
+        nf = len(m.faces)
+        charts = FaceCharts(m, range(nf), CFG)
+        one = [FaceChart(m, f, CFG) for f in range(nf)]
+        rng = np.random.default_rng(11)
+        xs, ys, fks = [], [], []
+        for f, chart in enumerate(one):
+            n = 40
+            x = rng.uniform(-0.05, chart.su + 0.05, n)
+            y = rng.uniform(-0.05, chart.sv + 0.05, n)
+            # points on the line of every horizontal chord hit the tie rule
+            flat = [p[0, 1] for p in chart.polylines.values()
+                    if p.shape[0] == 2 and p[0, 1] == p[1, 1]]
+            assert flat
+            y[: len(flat) * 3] = np.repeat(flat, 3)
+            xs.append(x)
+            ys.append(y)
+            fks.append(np.full(n, f))
+        x, y, fk = np.concatenate(xs), np.concatenate(ys), np.concatenate(fks)
+        trim = charts.in_trim(x, y, fk)
+        near = charts.nearest(x, y, fk)
+        assert np.array_equal(charts.in_own_cell(x, y, fk, near), trim)
+        # blocks of a few pairs give the same answers as one block
+        monkeypatch.setattr(sampler, "_PAIR_BLOCK", 5)
+        assert np.array_equal(charts.in_trim(x, y, fk), trim)
+        assert np.array_equal(charts.nearest(x, y, fk), near)
+        monkeypatch.undo()
+        for f, chart in enumerate(one):
+            sel = fk == f
+            pts = np.stack([x[sel], y[sel]], axis=-1)
+            expect = np.array([even_odd_oracle(chart, p) for p in pts])
+            assert np.array_equal(trim[sel], expect), f
+            assert np.array_equal(chart.in_region(pts), expect), f
+            assert np.array_equal(chart.nearest_halfedge(pts), near[sel]), f
+            assert_voronoi_optimal(chart, pts, near[sel])
+            # any half-edge clearly farther than the nearest does not own
+            dists = brute_force_distances(chart, pts)
+            far = np.array(chart.halfedges)[np.argmax(dists, axis=1)]
+            clearly = dists.max(axis=1) > dists.min(axis=1) + 1e-9
+            assert not charts.in_own_cell(x[sel], y[sel], fk[sel], far)[clearly].any()
+
+    def test_exact_tie_owner_is_lowest_id(self):
+        m, _ = normalize(box())
+        chart = FaceChart(m, 0, CFG)
+        # the centre of the square face is equidistant from all four sides
+        c = chart.to_norm(np.array([0.5, 0.5]))
+        x, y, fk = np.full(4, c[0]), np.full(4, c[1]), np.zeros(4, dtype=int)
+        low = min(chart.halfedges)
+        owns = chart.in_own_cell(x, y, fk, np.array(chart.halfedges))
+        assert owns.tolist() == [h == low for h in chart.halfedges]
+
+
 class TestSampleHalfPatch:
     def test_planar_face_markers(self, cube_normed):
         chart = FaceChart(cube_normed, 0, CFG)
@@ -218,6 +292,23 @@ class TestSampleHalfPatch:
                               - r.half_patch.samples[:, :1, :], axis=-1).max() < 1e-6
         ]
         assert collapsed
+
+    def test_sliver_warns_once_per_collapsed_halfedge(self):
+        # 16, the count before the walk was batched across faces
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            extract_vhp(box(size=(1.0, 1e-10, 1.0)), CFG)
+        assert sum(issubclass(w.category, ZeroDepthWarning) for w in caught) == 16
+
+    def test_missing_pcurve_names_its_face(self, cube_normed):
+        m = cube_normed
+        for k in (0, 3, 5):
+            h = m.face_halfedges(k)[1]
+            hes = list(m.halfedges)
+            hes[h] = dataclasses.replace(hes[h], pcurve=None)
+            bad = dataclasses.replace(m, halfedges=hes)
+            with pytest.raises(GeometryError, match=rf"sampling failed on face {k}:"):
+                extract_vhp(bad, CFG)
 
 
 class TestNextPointers:
@@ -328,6 +419,26 @@ class TestExtractVhp:
                     radial = rel - np.outer(rel @ ax, ax)
                     assert np.abs(np.linalg.norm(radial, axis=1)
                                   - surf.radius).max() < 1e-6, name
+
+    def test_records_match_one_face_walks(self, all_primitives):
+        # batching every face into one walk must not let faces see each other
+        for name, src in all_primitives.items():
+            m, _ = normalize(src)
+            records = extract_vhp(m, CFG)
+            charts = {}
+            for h, r in enumerate(records):
+                face = m.loops[m.halfedges[h].loop].face
+                chart = charts.setdefault(face, FaceChart(m, face, CFG))
+                one = sample_half_patch(m, h, CFG, chart).samples
+                assert np.array_equal(r.half_patch.samples, one), (name, h)
+                assert np.array_equal(r.next_samples, sample_next_pointers(m, h, CFG)), (name, h)
+
+    def test_model_without_faces_has_no_records(self):
+        from brepcodec.model import BrepModel
+
+        empty = BrepModel(vertices=np.zeros((0, 3)), edges=[], halfedges=[], loops=[],
+                          faces=[])
+        assert extract_vhp(empty, CFG) == []
 
     def test_descriptor_payload_size(self):
         assert CFG.descriptor_length == 85
