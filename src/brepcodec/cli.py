@@ -109,7 +109,7 @@ def cmd_validate(args) -> int:
 
 def cmd_tokenize(args) -> int:
     cb = bio.load_codebook(args.codebook)
-    cfg = CodecConfig(layout_variant=args.layout)
+    cfg = CodecConfig()
     seqs = [encode_model(m, cb, cfg) for _, m in _load_models(args.models)]
     bio.save_tokens(seqs, args.out)
     print(f"wrote {len(seqs)} sequences to {args.out}")
@@ -132,7 +132,7 @@ def cmd_train_codebook(args) -> int:
 
 def cmd_detokenize(args) -> int:
     cb = bio.load_codebook(args.codebook)
-    cfg = CodecConfig(layout_variant=args.layout)
+    cfg = CodecConfig()
     _, seqs = bio.load_tokens(args.tokens)
     os.makedirs(args.out, exist_ok=True)
     reports = {}
@@ -345,8 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("models", nargs="+")
     s.add_argument("--codebook", required=True)
     s.add_argument("--out", required=True)
-    s.add_argument("--layout", default="vertex",
-                   choices=["vertex", "coordinate-first", "topology-first"])
     s.set_defaults(func=cmd_tokenize)
 
     s = sub.add_parser("train-codebook", help="stacked k-means codebook")
@@ -362,8 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--codebook", required=True)
     s.add_argument("--out", required=True)
     s.add_argument("--report")
-    s.add_argument("--layout", default="vertex",
-                   choices=["vertex", "coordinate-first", "topology-first"])
     s.set_defaults(func=cmd_detokenize)
 
     s = sub.add_parser("roundtrip", help="encode/decode/compare models")

@@ -1,7 +1,7 @@
 """Token-sequence codec for B-rep models.
 
-Default ('vertex') sequence layout, one connected component at a time in
-canonical order with ``<sep>`` between components::
+Sequence layout, one connected component at a time in canonical order with
+``<sep>`` between components::
 
     <start>
       x y z                                  # vertex 0 of the component
@@ -13,15 +13,19 @@ Each undirected edge appears exactly once, at its later endpoint, as a
 pointer token naming the earlier endpoint followed by the residual
 quantizer codes of both directed half-edge descriptors (earlier-to-later
 direction first).  Self-loops point at the vertex's own index and order
-the curve-forward half-edge first.  Two alternative component layouts
-('coordinate-first' and 'topology-first') rearrange the same records and
-round-trip identically; the stepwise validity-mask machinery covers the
-default layout, which is the one the sampling harness generates.
+the curve-forward half-edge first.
+
+The grammar is one transition table per `VocabLayout`: `transitions` maps
+a `GrammarState` to the ascending token-id ranges legal there, each with
+the state it leads to.  `step`, `validity_mask`, `allowed_tokens`, `parse`
+and the sampler all read that table.
 """
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,8 +34,6 @@ from .rq import Codebook, rq_decode, rq_encode_many
 from .sampler import SamplingConfig, VhpRecord, extract_vhp
 
 COORD_BINS = 128
-
-LAYOUT_VARIANTS = ("vertex", "coordinate-first", "topology-first")
 
 
 class CodecError(ValueError):
@@ -128,17 +130,22 @@ class VocabLayout:
     def for_codebook(cb: Codebook, pointer_max: int = 256) -> "VocabLayout":
         return VocabLayout(COORD_BINS, pointer_max, cb.depth, cb.level_size)
 
+    @cached_property
+    def _transitions(self) -> dict:
+        """GrammarState -> transition ranges, filled lazily by `transitions`."""
+        return {}
+
+    @cached_property
+    def _allowed(self) -> dict:
+        """GrammarState or span tuple -> allowed ids, filled by `allowed_tokens`."""
+        return {}
+
 
 @dataclass
 class CodecConfig:
     sampling: SamplingConfig = field(default_factory=SamplingConfig)
     pointer_max: int = 256
     max_tokens: int = 3072
-    layout_variant: str = "vertex"
-
-    def __post_init__(self):
-        if self.layout_variant not in LAYOUT_VARIANTS:
-            raise ValueError(f"unknown layout variant {self.layout_variant!r}")
 
 
 @dataclass
@@ -275,25 +282,26 @@ def descriptor_dim_weights(cfg: SamplingConfig | None = None,
 
 
 # ---------------------------------------------------------------------------
-# Grammar state machine (default 'vertex' layout)
+# Grammar
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GrammarState:
-    """Parser position within the vertex-layout grammar.
+MODE_COORD, MODE_ADJ, MODE_RQ, MODE_DONE = range(4)
 
-    mode 'coord': expecting coordinate coord_pos of the current vertex;
-    mode 'adj':   after a complete vertex, expecting a pointer, a new
-                  vertex's first coordinate, or a delimiter;
-    mode 'rq':    inside an edge group, expecting code rq_pos of 2 * D;
-    mode 'done':  after <end>.
-    comp_count counts complete vertices in the current component.
+
+class GrammarState(NamedTuple):
+    """Parser position within the grammar.
+
+    MODE_COORD: expecting coordinate ``pos`` (0..2) of the current vertex;
+    MODE_ADJ:   after a complete vertex, expecting a pointer, a new
+                vertex's first coordinate, or a delimiter;
+    MODE_RQ:    inside an edge group, expecting code ``pos`` of 2 * D;
+    MODE_DONE:  after <end>.
+    ``count`` counts complete vertices in the current component.
     """
 
-    mode: str = "coord"
-    coord_pos: int = 0
-    rq_pos: int = 0
-    comp_count: int = 0
+    mode: int = MODE_COORD
+    pos: int = 0
+    count: int = 0
 
 
 def initial_state() -> GrammarState:
@@ -301,100 +309,106 @@ def initial_state() -> GrammarState:
     return GrammarState()
 
 
+def transitions(state: GrammarState, layout: VocabLayout) -> tuple:
+    """Ascending ``(lo, hi, next_state)`` token-id ranges legal in ``state``.
+
+    This is the only definition of token legality; it is built once per
+    state and cached on the layout.
+    """
+    hit = layout._transitions.get(state)
+    if hit is not None:
+        return hit
+    mode, pos, count = state
+    if mode == MODE_COORD:
+        nxt = (GrammarState(MODE_ADJ, 0, count + 1) if pos == 2
+               else GrammarState(MODE_COORD, pos + 1, count))
+        hit = ((0, layout.coord_bins, nxt),)
+    elif mode == MODE_ADJ:
+        hit = ((layout.pointer_base, layout.pointer_base + count,
+                GrammarState(MODE_RQ, 0, count)),
+               (layout.sep, layout.sep + 1, GrammarState()),
+               (layout.end, layout.end + 1, GrammarState(MODE_DONE)))
+        if count < layout.pointer_max:       # room for one more vertex
+            hit = ((0, layout.coord_bins, GrammarState(MODE_COORD, 1, count)),) + hit
+    elif mode == MODE_RQ:
+        lo = layout.rq_base + (pos % layout.rq_levels) * layout.rq_level_size
+        nxt = (GrammarState(MODE_ADJ, 0, count) if pos + 1 == 2 * layout.rq_levels
+               else GrammarState(MODE_RQ, pos + 1, count))
+        hit = ((lo, lo + layout.rq_level_size, nxt),)
+    else:                                    # nothing follows <end>
+        hit = ()
+    layout._transitions[state] = hit
+    return hit
+
+
 def step(state: GrammarState, token: int, layout: VocabLayout) -> GrammarState:
     """Advance the grammar by one token; raises GrammarError when illegal."""
+    for lo, hi, nxt in transitions(state, layout):
+        if token < hi:
+            if token >= lo:
+                return nxt
+            break
+    raise _rejection(state, token, layout)
+
+
+def _rejection(state: GrammarState, token: int, layout: VocabLayout) -> GrammarError:
+    """Why ``step`` refused ``token``; off-vocabulary ids raise CodecError."""
     kind = layout.classify(token)
-    m = state.mode
-    if m == "done":
-        raise GrammarError("token after <end>", found=kind[0], reason="trailing-token")
+    mode, pos, count = state
+    if mode == MODE_DONE:
+        return GrammarError("token after <end>", found=kind[0], reason="trailing-token")
     if kind[0] == "start":
-        raise GrammarError("<start> can only open a sequence",
-                           found="start", reason="misplaced-start")
-
-    if m == "coord":
-        if kind[0] != "coord":
-            want = "coordinate"
-            reason = "expected-coordinate"
-            if kind[0] in ("sep", "end") and state.coord_pos > 0:
-                reason = "delimiter-position"
-            elif kind[0] in ("sep", "end"):
-                reason = "delimiter-position" if state.comp_count else "empty-component"
-            raise GrammarError(f"expected {want}, got {kind[0]}",
-                               expected=[want], found=kind[0], reason=reason)
-        if state.coord_pos == 2:
-            return GrammarState("adj", 0, 0, state.comp_count + 1)
-        return GrammarState("coord", state.coord_pos + 1, 0, state.comp_count)
-
-    if m == "adj":
+        return GrammarError("<start> can only open a sequence",
+                            found="start", reason="misplaced-start")
+    delimiter = kind[0] in ("sep", "end")
+    if mode == MODE_COORD:
+        reason = "expected-coordinate"
+        if delimiter:
+            reason = "delimiter-position" if pos or count else "empty-component"
+        return GrammarError(f"expected coordinate, got {kind[0]}",
+                            expected=["coordinate"], found=kind[0], reason=reason)
+    if mode == MODE_ADJ:
         if kind[0] == "coord":
-            if state.comp_count >= layout.pointer_max:
-                raise GrammarError(
-                    f"component exceeds {layout.pointer_max} vertices",
-                    expected=["pointer", "sep", "end"], found="coord",
-                    reason="component-capacity")
-            return GrammarState("coord", 1, 0, state.comp_count)
+            return GrammarError(
+                f"component exceeds {layout.pointer_max} vertices",
+                expected=["pointer", "sep", "end"], found="coord",
+                reason="component-capacity")
         if kind[0] == "pointer":
-            if kind[1] >= state.comp_count:
-                raise GrammarError(
-                    f"pointer {kind[1]} references a vertex not yet emitted "
-                    f"(component has {state.comp_count})",
-                    expected=[f"pointer < {state.comp_count}"], found="pointer",
-                    reason="forward-reference")
-            return GrammarState("rq", 0, 0, state.comp_count)
-        if kind[0] == "sep":
-            return GrammarState("coord", 0, 0, 0)
-        if kind[0] == "end":
-            return GrammarState("done", 0, 0, 0)
-        raise GrammarError(f"expected pointer, coordinate, or delimiter, got {kind[0]}",
-                           expected=["coord", "pointer", "sep", "end"],
-                           found=kind[0], reason="expected-adjacency")
-
-    if m == "rq":
-        level = state.rq_pos % layout.rq_levels
-        if kind[0] != "rq" or kind[1] != level:
-            reason = ("delimiter-position" if kind[0] in ("sep", "end")
-                      else "expected-rq")
-            raise GrammarError(
-                f"expected quantizer code for level {level}, got {kind}",
-                expected=[f"rq level {level}"], found=kind[0], reason=reason)
-        nxt = state.rq_pos + 1
-        if nxt == 2 * layout.rq_levels:
-            return GrammarState("adj", 0, 0, state.comp_count)
-        return GrammarState("rq", 0, nxt, state.comp_count)
-
-    raise GrammarError(f"unknown grammar mode {m!r}", reason="internal")
+            return GrammarError(
+                f"pointer {kind[1]} references a vertex not yet emitted "
+                f"(component has {count})",
+                expected=[f"pointer < {count}"], found="pointer",
+                reason="forward-reference")
+        return GrammarError(f"expected pointer, coordinate, or delimiter, got {kind[0]}",
+                            expected=["coord", "pointer", "sep", "end"],
+                            found=kind[0], reason="expected-adjacency")
+    level = pos % layout.rq_levels
+    return GrammarError(
+        f"expected quantizer code for level {level}, got {kind}",
+        expected=[f"rq level {level}"], found=kind[0],
+        reason="delimiter-position" if delimiter else "expected-rq")
 
 
 def validity_mask(state: GrammarState, layout: VocabLayout) -> np.ndarray:
     """Boolean mask over the vocabulary: exactly the tokens step() accepts."""
     mask = np.zeros(layout.vocab_size, dtype=bool)
-    if state.mode == "coord":
-        mask[: layout.coord_bins] = True
-    elif state.mode == "adj":
-        if state.comp_count < layout.pointer_max:
-            mask[: layout.coord_bins] = True
-        mask[layout.pointer_base: layout.pointer_base + state.comp_count] = True
-        mask[layout.sep] = True
-        mask[layout.end] = True
-    elif state.mode == "rq":
-        level = state.rq_pos % layout.rq_levels
-        base = layout.rq_base + level * layout.rq_level_size
-        mask[base: base + layout.rq_level_size] = True
+    for lo, hi, _ in transitions(state, layout):
+        mask[lo:hi] = True
     return mask
 
 
-def replay_masks(tokens, layout: VocabLayout) -> GrammarState:
-    """Check every token against its predecessor state's mask."""
-    if not tokens or tokens[0] != layout.start:
-        raise GrammarError("sequence must begin with <start>", position=0,
-                           reason="missing-start")
-    state = initial_state()
-    for pos, tok in enumerate(tokens[1:], start=1):
-        if not validity_mask(state, layout)[tok]:
-            raise GrammarError("token rejected by validity mask", position=pos,
-                               found=layout.classify(tok)[0], reason="masked")
-        state = step(state, tok, layout)
-    return state
+def allowed_tokens(state: GrammarState, layout: VocabLayout) -> np.ndarray:
+    """Ascending ids of the tokens step() accepts, cached on the layout."""
+    cache = layout._allowed
+    hit = cache.get(state)
+    if hit is None:
+        # states that differ only in where they lead share one array
+        spans = tuple((lo, hi) for lo, hi, _ in transitions(state, layout))
+        hit = cache.get(spans)
+        if hit is None:
+            hit = cache[spans] = np.flatnonzero(validity_mask(state, layout))
+        cache[state] = hit
+    return hit
 
 
 # ---------------------------------------------------------------------------
@@ -461,30 +475,11 @@ def tokenize(model: BrepModel, codebook: Codebook, cfg: CodecConfig | None = Non
     for ci, comp in enumerate(comps):
         if ci:
             tokens.append(layout.sep)
-        comp_glob = {li: v for li, v in enumerate(comp)}
-        if cfg.layout_variant == "vertex":
-            for li, v in enumerate(comp):
-                tokens.extend(layout.coord_token(k) for k in qcoords[v])
-                for earlier, eid in groups[ci].get(li, []):
-                    h_ij, h_ji = _edge_descriptor_ids(model, eid, comp_glob[earlier])
-                    tokens.append(layout.pointer_token(earlier))
-                    tokens.extend(rq_tokens(h_ij))
-                    tokens.extend(rq_tokens(h_ji))
-        else:
-            edge_list = [(later, earlier, eid)
-                         for later in sorted(groups[ci])
-                         for earlier, eid in groups[ci][later]]
-            if cfg.layout_variant == "topology-first":
-                for later, earlier, eid in edge_list:
-                    tokens.append(layout.pointer_token(earlier))
-                    tokens.append(layout.pointer_token(later))
-            for v in comp:
-                tokens.extend(layout.coord_token(k) for k in qcoords[v])
-            for later, earlier, eid in edge_list:
-                h_ij, h_ji = _edge_descriptor_ids(model, eid, comp_glob[earlier])
-                if cfg.layout_variant == "coordinate-first":
-                    tokens.append(layout.pointer_token(earlier))
-                    tokens.append(layout.pointer_token(later))
+        for li, v in enumerate(comp):
+            tokens.extend(layout.coord_token(k) for k in qcoords[v])
+            for earlier, eid in groups[ci].get(li, []):
+                h_ij, h_ji = _edge_descriptor_ids(model, eid, comp[earlier])
+                tokens.append(layout.pointer_token(earlier))
                 tokens.extend(rq_tokens(h_ij))
                 tokens.extend(rq_tokens(h_ji))
     tokens.append(layout.end)
@@ -563,151 +558,39 @@ def parse(seq, codebook: Codebook | None = None, cfg: CodecConfig | None = None,
     if len(tokens) == 2 and tokens[1] == layout.end:
         return VertexRecordSet(components=[], header=header)
 
-    if cfg.layout_variant == "vertex":
-        comps = _parse_vertex_layout(tokens, layout, codebook)
-    else:
-        comps = _parse_sectioned_layout(tokens, layout, codebook, cfg.layout_variant)
-    return VertexRecordSet(components=comps, header=header)
-
-
-def _parse_vertex_layout(tokens, layout, codebook):
     state = initial_state()
-    comps = []
-    coords: list = []
-    edges: list = []
-    pending = None     # (i, j, codes) while inside an rq group
+    comps, coords, edges = [], [], []
+    depth = layout.rq_levels
     for pos in range(1, len(tokens)):
         tok = tokens[pos]
         try:
-            kind = layout.classify(tok)
-            new_state = step(state, tok, layout)
+            nxt = step(state, tok, layout)
         except GrammarError as err:
             err.position = pos
             raise
-        if kind[0] == "coord":
-            coords.append(kind[1])
-        elif kind[0] == "pointer":
-            pending = (kind[1], state.comp_count - 1, [])
-        elif kind[0] == "rq":
-            pending[2].append(kind[2])
-            if len(pending[2]) == 2 * layout.rq_levels:
-                i, j, cs = pending
-                edges.append((i, j, cs[: layout.rq_levels], cs[layout.rq_levels:]))
-                pending = None
-        elif kind[0] == "sep":
+        if state.mode == MODE_RQ:
+            codes.append((tok - layout.rq_base) % layout.rq_level_size)
+            if nxt.mode == MODE_ADJ:
+                edges.append((i, j, codes[:depth], codes[depth:]))
+        elif nxt.mode == MODE_RQ:            # a pointer opens an edge group
+            i, j, codes = tok - layout.pointer_base, state.count - 1, []
+        elif tok < layout.coord_bins:
+            coords.append(tok)
+        else:                                # <sep> or <end> closes a component
             comps.append(_finish_component(coords, edges, codebook, layout))
             coords, edges = [], []
-        elif kind[0] == "end":
-            comps.append(_finish_component(coords, edges, codebook, layout))
-            if pos != len(tokens) - 1:
-                raise GrammarError("tokens after <end>", position=pos + 1,
-                                   reason="trailing-token")
-            return comps
-        state = new_state
+            if nxt.mode == MODE_DONE:
+                if pos != len(tokens) - 1:
+                    raise GrammarError("tokens after <end>", position=pos + 1,
+                                       reason="trailing-token")
+                return VertexRecordSet(components=comps, header=header)
+        state = nxt
     raise GrammarError("sequence ended without <end>", position=len(tokens),
-                       reason="incomplete-vertex" if state.mode == "rq"
+                       reason="incomplete-vertex" if state.mode == MODE_RQ
                        else "incomplete-sequence")
-
-
-def _parse_sectioned_layout(tokens, layout, codebook, variant):
-    """Parse the coordinate-first / topology-first component layouts."""
-    comps = []
-    pos = 1
-    n = len(tokens)
-
-    def fail(msg, p, reason, expected=None, found=None):
-        raise GrammarError(msg, position=p, reason=reason, expected=expected,
-                           found=found)
-
-    while True:
-        coords = []
-        pointer_pairs = []
-        rq_groups = []
-        if variant == "topology-first":
-            # pointer section: pairs (i, j)
-            while pos < n and layout.classify(tokens[pos])[0] == "pointer":
-                pointer_pairs.append(layout.classify(tokens[pos])[1])
-                pos += 1
-            if len(pointer_pairs) % 2:
-                fail("dangling pointer in topology section", pos,
-                     "incomplete-edge")
-            pointer_pairs = [(pointer_pairs[k], pointer_pairs[k + 1])
-                             for k in range(0, len(pointer_pairs), 2)]
-        # coordinate section
-        while pos < n and layout.classify(tokens[pos])[0] == "coord":
-            coords.append(layout.classify(tokens[pos])[1])
-            pos += 1
-        if len(coords) % 3:
-            fail("coordinate count is not a multiple of 3", pos,
-                 "incomplete-vertex")
-        nverts = len(coords) // 3
-        if nverts == 0:
-            fail("component has no vertices", pos, "empty-component")
-        if nverts > layout.pointer_max:
-            fail("component exceeds the pointer range", pos, "component-capacity")
-
-        if variant == "coordinate-first":
-            while pos < n and layout.classify(tokens[pos])[0] == "pointer":
-                i = layout.classify(tokens[pos])[1]
-                pos += 1
-                if pos >= n or layout.classify(tokens[pos])[0] != "pointer":
-                    fail("edge group needs two pointers", pos, "incomplete-edge",
-                         expected=["pointer"])
-                j = layout.classify(tokens[pos])[1]
-                pos += 1
-                codes = _read_rq_group(tokens, pos, layout, fail)
-                pos += 2 * layout.rq_levels
-                pointer_pairs.append((i, j))
-                rq_groups.append(codes)
-        else:
-            for _ in pointer_pairs:
-                codes = _read_rq_group(tokens, pos, layout, fail)
-                pos += 2 * layout.rq_levels
-                rq_groups.append(codes)
-
-        for i, j in pointer_pairs:
-            if i > j:
-                fail(f"edge pointers ({i}, {j}) must be ordered", pos,
-                     "unordered-edge")
-            if j >= nverts:
-                fail(f"pointer {j} references a vertex beyond the component",
-                     pos, "forward-reference")
-        edges = [(i, j, g[: layout.rq_levels], g[layout.rq_levels:])
-                 for (i, j), g in zip(pointer_pairs, rq_groups)]
-        comps.append(_finish_component(coords, edges, codebook, layout))
-
-        if pos >= n:
-            fail("sequence ended without <end>", n, "incomplete-sequence")
-        kind = layout.classify(tokens[pos])[0]
-        if kind == "sep":
-            pos += 1
-            continue
-        if kind == "end":
-            if pos != n - 1:
-                fail("tokens after <end>", pos + 1, "trailing-token")
-            return comps
-        fail(f"expected <sep> or <end>, got {kind}", pos, "expected-delimiter",
-             expected=["sep", "end"], found=kind)
-
-
-def _read_rq_group(tokens, pos, layout, fail):
-    codes = []
-    for t in range(2 * layout.rq_levels):
-        level = t % layout.rq_levels
-        if pos + t >= len(tokens):
-            fail("sequence ended inside a quantizer group", len(tokens),
-                 "incomplete-vertex")
-        kind = layout.classify(tokens[pos + t])
-        if kind[0] != "rq" or kind[1] != level:
-            reason = ("delimiter-position" if kind[0] in ("sep", "end")
-                      else "expected-rq")
-            fail(f"expected quantizer code for level {level}, got {kind[0]}",
-                 pos + t, reason, expected=[f"rq level {level}"], found=kind[0])
-        codes.append(kind[2])
-    return codes
 
 
 def sequence_token_count(n_vertices: int, n_edges: int, rq_levels: int = 4,
                          n_components: int = 1) -> int:
-    """Exact length of a default-layout sequence."""
+    """Exact length of the token sequence of a model with these counts."""
     return 2 + 3 * n_vertices + (1 + 2 * rq_levels) * n_edges + (n_components - 1)

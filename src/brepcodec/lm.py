@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import GrammarState, VocabLayout, initial_state, step, validity_mask
+from .codec import GrammarState, VocabLayout, allowed_tokens, initial_state, step, validity_mask
 
 PAD = -1
 
@@ -22,7 +22,6 @@ class SamplerConfig:
     seed: int = 0
     temperature: float = 1.0
     max_length: int = 3072
-    max_vertices: int = 256   # per-component cap, at most the pointer range
 
     def __post_init__(self):
         if self.temperature <= 0:
@@ -101,37 +100,10 @@ def fit_ngram(sequences, order: int = 4, smoothing: float = 0.1,
     return model
 
 
-class _MaskIndexCache:
-    """Allowed-token index arrays per grammar state, built lazily."""
-
-    def __init__(self, layout: VocabLayout, max_vertices: int):
-        self.layout = layout
-        self.cap = min(max_vertices, layout.pointer_max)
-        self._cache = {}
-
-    def key(self, state: GrammarState):
-        if state.mode == "rq":
-            return ("rq", state.rq_pos % self.layout.rq_levels)
-        if state.mode == "adj":
-            return ("adj", state.comp_count)
-        return (state.mode,)
-
-    def indices(self, state: GrammarState) -> np.ndarray:
-        k = self.key(state)
-        hit = self._cache.get(k)
-        if hit is None:
-            mask = validity_mask(state, self.layout)
-            if state.mode == "adj" and state.comp_count >= self.cap:
-                mask[: self.layout.coord_bins] = False
-            hit = np.flatnonzero(mask)
-            self._cache[k] = hit
-        return hit
-
-
-def _draw(model: NGramModel, cache: _MaskIndexCache, state: GrammarState,
+def _draw(model: NGramModel, layout: VocabLayout, state: GrammarState,
           context, cfg: SamplerConfig, rng: np.random.Generator,
           greedy: bool = False) -> int:
-    idx = cache.indices(state)
+    idx = allowed_tokens(state, layout)
     if idx.size == 0:
         raise RuntimeError("empty validity mask; grammar invariant broken")
     hits = model._hit_arrays(model.context_key(context))
@@ -154,10 +126,9 @@ def _draw(model: NGramModel, cache: _MaskIndexCache, state: GrammarState,
 
 def _continue_sampling(model, layout, cfg, tokens, state, rng,
                        greedy: bool = False) -> SampleResult:
-    cache = _MaskIndexCache(layout, cfg.max_vertices)
     tokens = list(tokens)
     while len(tokens) < cfg.max_length:
-        tok = _draw(model, cache, state, tokens, cfg, rng, greedy)
+        tok = _draw(model, layout, state, tokens, cfg, rng, greedy)
         tokens.append(tok)
         state = step(state, tok, layout)
         if tok == layout.end:
@@ -194,7 +165,7 @@ def autocomplete(prefix, model: NGramModel, layout: VocabLayout,
     state = initial_state()
     for tok in tokens[1:]:
         state = step(state, tok, layout)
-    if state != GrammarState("coord", 0, 0, 0):
+    if state != initial_state():
         raise ValueError("prefix must stop at a component boundary "
                          "(immediately after <start> or a <sep>)")
     rng = np.random.default_rng(cfg.seed)

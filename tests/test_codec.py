@@ -5,19 +5,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from brepcodec.codec import (
+    MODE_DONE,
+    MODE_RQ,
     CapacityError,
     CodecConfig,
     DuplicateVertexError,
     GrammarError,
     GrammarState,
     VocabLayout,
+    allowed_tokens,
     canonical_order,
     dequantize_coord,
     initial_state,
-    model_descriptors,
     parse,
     quantize_coord,
-    replay_masks,
     sequence_token_count,
     step,
     tokenize,
@@ -26,8 +27,7 @@ from brepcodec.codec import (
 from brepcodec.geometry import LineSegment
 from brepcodec.model import BrepModel, Edge, normalize
 from brepcodec.pipeline import lossless_codebook
-from brepcodec.primitives import box, merge_models, seam_cylinder
-from brepcodec.rq import train_codebook
+from brepcodec.primitives import box, merge_models
 
 LAYOUT = VocabLayout()  # 128 coords, 256 pointers, 4 x 257 rq, 3 specials
 
@@ -237,53 +237,61 @@ class TestMasks:
         assert mask[LAYOUT.sep] and mask[LAYOUT.end]
 
     def test_mask_equals_step_domain(self):
-        states = [initial_state()]
-        s = initial_state()
-        for tok in [3, 4, 5, LAYOUT.pointer_token(0)] + \
-                [LAYOUT.rq_token(l % 4, 0) for l in range(8)] + [9, 9, 9]:
-            s = step(s, tok, LAYOUT)
-            states.append(s)
-        for state in states:
-            mask = validity_mask(state, LAYOUT)
-            for tid in range(LAYOUT.vocab_size):
-                ok = True
-                try:
-                    step(state, tid, LAYOUT)
-                except GrammarError:
-                    ok = False
-                assert ok == bool(mask[tid]), (state, LAYOUT.classify(tid))
+        def walk(layout, tokens):
+            states = [initial_state()]
+            for tok in tokens:
+                states.append(step(states[-1], tok, layout))
+            return states
+
+        def group(layout):
+            return [layout.rq_token(l % layout.rq_levels, 0)
+                    for l in range(2 * layout.rq_levels)]
+
+        L = LAYOUT
+        states = walk(L, [3, 4, 5, L.pointer_token(0)] + group(L)
+                      + [9, 9, 9, L.pointer_token(1)] + group(L)
+                      + [L.sep, 7, 7, 7, 8, 8, 8, L.pointer_token(0)] + group(L)
+                      + [L.end])
+        assert {s.pos for s in states if s.mode == MODE_RQ} == set(range(8))
+        assert states[-1] == GrammarState(MODE_DONE)
+        small = VocabLayout(pointer_max=2)
+        full = walk(small, [3, 4, 5, 6, 6, 6, small.pointer_token(1)] + group(small)
+                    + [small.sep, 1, 1, 1, small.end])
+        at_capacity = full[6]
+        assert at_capacity.count == small.pointer_max
+        with pytest.raises(GrammarError) as err:
+            step(at_capacity, 0, small)
+        assert err.value.reason == "component-capacity"
+
+        for layout, walked in ((L, states), (small, full)):
+            for state in walked:
+                mask = validity_mask(state, layout)
+                for tid in range(layout.vocab_size):
+                    try:
+                        step(state, tid, layout)
+                        ok = True
+                    except GrammarError as err:
+                        ok = False
+                        if state.mode == MODE_DONE:
+                            assert err.reason == "trailing-token"
+                    assert ok == bool(mask[tid]), (state, layout.classify(tid))
+                allowed = allowed_tokens(state, layout)
+                assert np.array_equal(allowed, np.flatnonzero(mask))
+                assert np.all(np.diff(allowed) > 0)
+            assert not validity_mask(walked[-1], layout).any()
 
     def test_tokenized_sequences_pass_masks(self, all_primitives):
         for src in all_primitives.values():
             m, _ = normalize(src)
             cb = lossless_codebook(m)
             seq = tokenize(m, cb)
-            final = replay_masks(seq.tokens, VocabLayout.for_codebook(cb))
-            assert final.mode == "done"
-
-
-class TestLayoutVariants:
-    @pytest.mark.parametrize("variant", ["coordinate-first", "topology-first"])
-    def test_record_level_roundtrip(self, variant):
-        m, _ = normalize(merge_models([box(), seam_cylinder(at=(2, 0, 0))]))
-        descs = model_descriptors(m)
-        cb = train_codebook(descs, 2, min(32, descs.shape[0]), seed=1)
-        ref = parse(tokenize(m, cb), cb)
-        cfg = CodecConfig(layout_variant=variant)
-        got = parse(tokenize(m, cb, cfg), cb, cfg)
-        assert len(ref.components) == len(got.components)
-        for a, b in zip(ref.components, got.components):
-            assert np.array_equal(a.coords_q, b.coords_q)
-            ea = sorted((e.i, e.j, e.codes_ij, e.codes_ji) for e in a.edges)
-            eb = sorted((e.i, e.j, e.codes_ij, e.codes_ji) for e in b.edges)
-            assert ea == eb
-
-    def test_variant_grammar_errors(self):
-        cfg = CodecConfig(layout_variant="coordinate-first")
-        toks = [LAYOUT.start, 1, 2, LAYOUT.end]   # coords not a multiple of 3
-        with pytest.raises(GrammarError) as err:
-            parse(toks, layout=LAYOUT, cfg=cfg)
-        assert err.value.reason == "incomplete-vertex"
+            layout = VocabLayout.for_codebook(cb)
+            assert seq.tokens[0] == layout.start
+            state = initial_state()
+            for tok in seq.tokens[1:]:
+                assert validity_mask(state, layout)[tok]
+                state = step(state, tok, layout)
+            assert state == GrammarState(MODE_DONE)
 
 
 class TestHeaders:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -135,3 +137,43 @@ class TestAutocomplete:
                 parse(res.tokens, layout=layout)
             outs.add(tuple(res.tokens))
         assert len(outs) >= 2
+
+
+def _digest(tokens) -> str:
+    return hashlib.sha256(np.asarray(tokens, dtype=np.int64).tobytes()).hexdigest()[:16]
+
+
+# (length, sha256 prefix of the int64 token ids) per seed 0-9, pinned so that
+# any change to the grammar, the masks or the draw that moves a token shows
+GOLDEN_SAMPLES = {
+    (2, 0.7): [(158, "7762e7ee662d621e"), (317, "ed058e77fba7b1ca"),
+               (176, "bbd3cbeaa7974855"), (158, "c7e88be2a7ec7e01"),
+               (143, "a450db07fb85edcd"), (11, "9ae3377ce73d563c"),
+               (83, "b054f7c4592f78b0"), (209, "c388982ba339906f"),
+               (158, "3a4dc95311aaaf05"), (116, "e9ec015cd9e5e6d2")],
+    (4, 1.0): [(801, "3726b259db15fc1a"), (1475, "1e509d29b6846be5"),
+               (1373, "9b2ed191531d94b4"), (158, "dfa268124dbb2de0"),
+               (2355, "47e51dcf8446dff2"), (11, "3dfd132e6f48d521"),
+               (83, "f49026554ea70f74"), (347, "74018dd05ec6fb1c"),
+               (679, "6665cb9df0c4bcf0"), (116, "3c4b82e4c0b5a129")],
+}
+GOLDEN_AUTOCOMPLETE = (291, "9f70abfe57d09f27")
+
+
+class TestGoldenStreams:
+    @pytest.mark.parametrize("order,temperature", sorted(GOLDEN_SAMPLES))
+    def test_sample_sequence(self, cube_lm, order, temperature):
+        _, layout, seq, _ = cube_lm
+        lm = fit_ngram([seq] * 4, order=order, vocab_size=layout.vocab_size)
+        got = []
+        for seed in range(10):
+            res = sample_sequence(lm, layout, SamplerConfig(seed=seed,
+                                                            temperature=temperature))
+            got.append((len(res.tokens), _digest(res.tokens)))
+        assert got == GOLDEN_SAMPLES[(order, temperature)]
+
+    def test_autocomplete(self, cube_lm):
+        lm, layout, seq, _ = cube_lm
+        prefix = seq.tokens[:-1] + [layout.sep]
+        res = autocomplete(prefix, lm, layout, SamplerConfig(seed=3))
+        assert (len(res.tokens), _digest(res.tokens)) == GOLDEN_AUTOCOMPLETE
