@@ -424,15 +424,15 @@ def _edge_descriptor_ids(model: BrepModel, eid: int, earlier_global: int):
     return (hf, hr) if e.v0 == earlier_global else (hr, hf)
 
 
-def _component_records(model: BrepModel, comps, codes: np.ndarray):
-    """Per-component vertex orders and edge groups with their RQ codes."""
+def _component_records(model: BrepModel, comps):
+    """Per-component edge groups: later local index -> [(earlier local, eid)]."""
     local = {}
     comp_of = {}
     for ci, comp in enumerate(comps):
         for li, v in enumerate(comp):
             local[v] = li
             comp_of[v] = ci
-    groups = [dict() for _ in comps]    # later_local -> [(earlier_local, eid)]
+    groups = [dict() for _ in comps]
     for eid, e in enumerate(model.edges):
         ci = comp_of[e.v0]
         a, b = local[e.v0], local[e.v1]
@@ -441,7 +441,7 @@ def _component_records(model: BrepModel, comps, codes: np.ndarray):
     for g in groups:
         for later in g:
             g[later].sort()
-    return local, comp_of, groups
+    return groups
 
 
 def tokenize(model: BrepModel, codebook: Codebook, cfg: CodecConfig | None = None,
@@ -464,7 +464,7 @@ def tokenize(model: BrepModel, codebook: Codebook, cfg: CodecConfig | None = Non
         if records else np.zeros((0, cfg.sampling.descriptor_length))
     codes = rq_encode_many(descs, codebook) if len(records) else np.zeros((0, 0), int)
 
-    local, _, groups = _component_records(model, comps, codes)
+    groups = _component_records(model, comps)
     qcoords = quantize_coord(model.vertices) if model.num_vertices else None
 
     def rq_tokens(he_id):
@@ -520,17 +520,17 @@ class VertexRecordSet:
     header: SequenceHeader | None = None
 
 
-def _finish_component(coords, edges, codebook, layout):
+def _finish_component(coords, edges, codebook):
     coords_q = np.array(coords, dtype=int).reshape(-1, 3)
     positions = dequantize_coord(coords_q) if coords_q.size else coords_q.astype(float)
-    parsed = []
-    for i, j, cij, cji in edges:
-        desc_ij = desc_ji = None
-        if codebook is not None:
-            desc_ij = rq_decode(np.array(cij), codebook)
-            desc_ji = rq_decode(np.array(cji), codebook)
-        parsed.append(ParsedEdge(i=i, j=j, codes_ij=tuple(cij), codes_ji=tuple(cji),
-                                 desc_ij=desc_ij, desc_ji=desc_ji))
+    descs = [None] * (2 * len(edges))
+    if codebook is not None and edges:
+        # one call for every half-edge: rows 2k, 2k + 1 are edge k's ij, ji
+        descs = rq_decode(np.array([c for _, _, cij, cji in edges for c in (cij, cji)]),
+                          codebook)
+    parsed = [ParsedEdge(i=i, j=j, codes_ij=tuple(cij), codes_ji=tuple(cji),
+                         desc_ij=descs[2 * k], desc_ji=descs[2 * k + 1])
+              for k, (i, j, cij, cji) in enumerate(edges)]
     return ParsedComponent(coords_q=coords_q, positions=positions, edges=parsed)
 
 
@@ -577,7 +577,7 @@ def parse(seq, codebook: Codebook | None = None, cfg: CodecConfig | None = None,
         elif tok < layout.coord_bins:
             coords.append(tok)
         else:                                # <sep> or <end> closes a component
-            comps.append(_finish_component(coords, edges, codebook, layout))
+            comps.append(_finish_component(coords, edges, codebook))
             coords, edges = [], []
             if nxt.mode == MODE_DONE:
                 if pos != len(tokens) - 1:

@@ -5,6 +5,16 @@ drive the generation-to-reconstruction path end to end.  Every sampled
 token is drawn from the renormalized intersection of the model's
 conditional distribution with the grammar's validity mask, so any
 non-truncated sample parses by construction.
+
+Draw tables: in a coordinate or quantizer-code state the legal tokens are
+one fixed id range, whatever the vertex count, so the cumulative tempered
+weights of that range after a given context are built once and cached on
+the model, keyed by temperature, range and context.  Such a draw is one
+dict lookup, one ``rng.random()`` and one ``searchsorted``.  Pointer
+states (whose range grows with the vertex count) and greedy decoding
+build their weights per draw.  Tables and hit arrays are both read from
+the counts once, so a fitted model's counts must not change after
+sampling starts.
 """
 from __future__ import annotations
 
@@ -12,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import GrammarState, VocabLayout, allowed_tokens, initial_state, step, validity_mask
+from .codec import (MODE_COORD, MODE_RQ, GrammarState, VocabLayout, allowed_tokens,
+                    initial_state, step, transitions, validity_mask)
 
 PAD = -1
 
@@ -50,6 +61,20 @@ class NGramModel:
             hit = (toks[srt], vals[srt])
             cache[ctx] = hit
         return hit
+
+    def _draw_table(self, lo: int, hi: int, ctx, temperature: float) -> np.ndarray:
+        """Cumulative tempered weights of tokens lo..hi-1 after ``ctx``, cached.
+
+        Keyed by value: the weights depend only on the counts, the token
+        range, the context and the temperature.
+        """
+        tables = self.__dict__.setdefault("_tables", {})
+        key = (temperature, lo, hi, ctx)
+        cum = tables.get(key)
+        if cum is None:
+            weights = _masked_weights(self, np.arange(lo, hi), ctx)
+            cum = tables[key] = _tempered_cumsum(weights, temperature)
+        return cum
 
     def context_key(self, context) -> tuple:
         """The trailing order-1 tokens, left-padded like the training pass."""
@@ -100,28 +125,45 @@ def fit_ngram(sequences, order: int = 4, smoothing: float = 0.1,
     return model
 
 
-def _draw(model: NGramModel, layout: VocabLayout, state: GrammarState,
-          context, cfg: SamplerConfig, rng: np.random.Generator,
-          greedy: bool = False) -> int:
-    idx = allowed_tokens(state, layout)
-    if idx.size == 0:
-        raise RuntimeError("empty validity mask; grammar invariant broken")
-    hits = model._hit_arrays(model.context_key(context))
+def _masked_weights(model: NGramModel, idx: np.ndarray, ctx) -> np.ndarray:
+    """Smoothed counts of the ascending token ids ``idx`` after ``ctx``."""
     weights = np.full(idx.size, model.smoothing)
+    hits = model._hit_arrays(ctx)
     if hits is not None:
         toks, vals = hits
         pos = np.searchsorted(idx, toks)
         pos_ok = pos < idx.size
         match = np.zeros(toks.size, dtype=bool)
         match[pos_ok] = idx[pos[pos_ok]] == toks[pos_ok]
-        np.add.at(weights, pos[match], vals[match])
+        weights[pos[match]] += vals[match]     # hit tokens are unique
+    return weights
+
+
+def _tempered_cumsum(weights: np.ndarray, temperature: float) -> np.ndarray:
+    if temperature != 1.0:
+        weights = weights ** (1.0 / temperature)
+    return np.cumsum(weights)
+
+
+def _pick(cum: np.ndarray, rng: np.random.Generator) -> int:
+    """Index drawn in proportion to the increments of ``cum``."""
+    return min(int(cum.searchsorted(rng.random() * cum[-1], side="right")), cum.size - 1)
+
+
+def _draw(model: NGramModel, layout: VocabLayout, state: GrammarState,
+          context, cfg: SamplerConfig, rng: np.random.Generator,
+          greedy: bool = False) -> int:
+    ctx = model.context_key(context)
+    if not greedy and state.mode in (MODE_COORD, MODE_RQ):
+        (lo, hi, _), = transitions(state, layout)
+        return lo + _pick(model._draw_table(lo, hi, ctx, cfg.temperature), rng)
+    idx = allowed_tokens(state, layout)
+    if idx.size == 0:
+        raise RuntimeError("empty validity mask; grammar invariant broken")
+    weights = _masked_weights(model, idx, ctx)
     if greedy:
         return int(idx[int(np.argmax(weights))])
-    if cfg.temperature != 1.0:
-        weights = weights ** (1.0 / cfg.temperature)
-    cum = np.cumsum(weights)
-    r = rng.random() * cum[-1]
-    return int(idx[min(int(np.searchsorted(cum, r, side="right")), idx.size - 1)])
+    return int(idx[_pick(_tempered_cumsum(weights, cfg.temperature), rng)])
 
 
 def _continue_sampling(model, layout, cfg, tokens, state, rng,

@@ -176,9 +176,20 @@ def candidate_samples(draft: HalfEdgeDraft, n_next: int) -> np.ndarray:
     return draft.curve_pts[1: 1 + n_next]
 
 
-def build_assignment(vertex: int, drafts, n_next: int) -> AssignmentProblem | None:
-    incoming = [d.index for d in drafts if d.dest == vertex]
-    outgoing = [d.index for d in drafts if d.origin == vertex]
+def vertex_stars(drafts) -> dict:
+    """vertex -> (incoming, outgoing) draft ids, each in ascending draft order."""
+    stars = {}
+    for d in drafts:
+        stars.setdefault(d.dest, ([], []))[0].append(d.index)
+        stars.setdefault(d.origin, ([], []))[1].append(d.index)
+    return stars
+
+
+def build_assignment(vertex: int, drafts, n_next: int,
+                     star: tuple | None = None) -> AssignmentProblem | None:
+    """The vertex's cost matrix; ``star`` is its `vertex_stars` entry if known."""
+    incoming, outgoing = star if star is not None else \
+        vertex_stars(drafts).get(vertex, ([], []))
     if not incoming:
         return None
     cost = np.zeros((len(incoming), len(outgoing)))
@@ -216,8 +227,10 @@ def solve_next_map(drafts, n_vertices: int, cfg: ReconstructConfig):
     total = 0.0
     infeasible = []
     elevated = []
+    stars = vertex_stars(drafts)
     for v in range(n_vertices):
-        problem = build_assignment(v, drafts, cfg.sampling.n_next)
+        problem = build_assignment(v, drafts, cfg.sampling.n_next,
+                                   stars.get(v, ([], [])))
         if problem is None:
             continue
         pairs, cost, bad = solve_assignment(problem)

@@ -1,3 +1,11 @@
+import os
+
+# One BLAS/OpenMP thread, set before numpy is first imported: unpinned
+# OpenBLAS threads slow the small matrix products of `rq` by an order of
+# magnitude when another process holds the second core.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import numpy as np
 import pytest
 

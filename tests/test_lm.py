@@ -3,11 +3,13 @@ import hashlib
 import numpy as np
 import pytest
 
-from brepcodec.codec import CodecConfig, VocabLayout, initial_state, parse, step, tokenize
+from brepcodec.codec import (CodecConfig, VocabLayout, descriptor_dim_weights, initial_state,
+                             model_descriptors, parse, step, tokenize)
 from brepcodec.lm import NGramModel, SamplerConfig, autocomplete, fit_ngram, sample_sequence
 from brepcodec.model import normalize
 from brepcodec.pipeline import lossless_codebook
 from brepcodec.primitives import box, merge_models, ngon_prism
+from brepcodec.rq import train_codebook
 
 CFG = CodecConfig()
 
@@ -177,3 +179,58 @@ class TestGoldenStreams:
         prefix = seq.tokens[:-1] + [layout.sep]
         res = autocomplete(prefix, lm, layout, SamplerConfig(seed=3))
         assert (len(res.tokens), _digest(res.tokens)) == GOLDEN_AUTOCOMPLETE
+
+
+@pytest.fixture(scope="module")
+def primitives_corpus(all_primitives):
+    """The six primitives tokenized under one small trained codebook."""
+    normed = [normalize(m)[0] for m in all_primitives.values()]
+    descs = np.concatenate([model_descriptors(m, CFG.sampling) for m in normed])
+    cb = train_codebook(descs, 4, 16, seed=0,
+                        dim_weights=descriptor_dim_weights(CFG.sampling))
+    layout = VocabLayout.for_codebook(cb)
+    return [tokenize(m, cb, CFG) for m in normed], layout
+
+
+# as GOLDEN_SAMPLES, for order 2 on a corpus of six distinct models, where
+# contexts have many hits
+GOLDEN_PRIMITIVES = {
+    0.7: [(239, "7c6903820a5ba1e9"), (468, "62d419230d159332"),
+          (458, "ce06183cb5e17120"), (861, "9c3b3bcac860d754"),
+          (143, "e161a150d80faeca"), (11, "133337be21595f35"),
+          (83, "d3e22d8b2a210a25"), (326, "7ff4ff8b97e7dbb4"),
+          (639, "d404964c8297d72e"), (116, "f62f0e3f8514071e")],
+    1.3: [(281, "e58585afec8c10cc"), (771, "de5dde62ddc2f987"),
+          (1846, "7be4aa6840400c13"), (158, "b44faadcb9cf8aa8"),
+          (2355, "4f9153c69058a956"), (11, "5cadbaca0df700d7"),
+          (83, "eb17a71f675f99e5"), (347, "876b9e6dac297330"),
+          (679, "24eb02361113e545"), (116, "f62aba08aa4fb6ae")],
+}
+
+
+class TestDrawTables:
+    @pytest.mark.parametrize("temperature", sorted(GOLDEN_PRIMITIVES))
+    def test_golden_multi_model_corpus(self, primitives_corpus, temperature):
+        seqs, layout = primitives_corpus
+        lm = fit_ngram(seqs, order=2, vocab_size=layout.vocab_size)
+        got = []
+        for seed in range(10):
+            res = sample_sequence(lm, layout, SamplerConfig(seed=seed,
+                                                            temperature=temperature))
+            got.append((len(res.tokens), _digest(res.tokens)))
+        assert got == GOLDEN_PRIMITIVES[temperature]
+
+    def test_tables_do_not_leak_across_temperatures_or_layouts(self, primitives_corpus):
+        seqs, layout = primitives_corpus
+        small = VocabLayout(layout.coord_bins, 8, layout.rq_levels, layout.rq_level_size)
+        runs = [(lay, t, seed) for seed in range(4) for lay in (layout, small)
+                for t in (0.7, 1.0)]
+
+        def fitted():
+            return fit_ngram(seqs, order=2, vocab_size=layout.vocab_size)
+
+        shared = fitted()
+        for lay, t, seed in runs:
+            cfg = SamplerConfig(seed=seed, temperature=t, max_length=400)
+            got = sample_sequence(shared, lay, cfg).tokens
+            assert got == sample_sequence(fitted(), lay, cfg).tokens

@@ -30,6 +30,7 @@ from brepcodec.reconstruct import (
     solve_assignment,
     solve_next_map,
     trace_loops,
+    vertex_stars,
 )
 from brepcodec.rq import train_codebook
 from brepcodec.codec import model_descriptors, descriptor_dim_weights
@@ -164,8 +165,9 @@ class TestAssignmentAtVertices:
             drafts, verts, _ = materialize_half_edges(rs, RCFG)
             clean, *_ = solve_next_map(drafts, verts.shape[0], RCFG)
             nn = RCFG.sampling.n_next
+            stars = vertex_stars(drafts)
             for v in range(verts.shape[0]):
-                problem = build_assignment(v, drafts, nn)
+                problem = build_assignment(v, drafts, nn, stars.get(v, ([], [])))
                 if problem is None:
                     continue
                 cands = [drafts[j].curve_pts[1:1 + nn] for j in problem.outgoing]

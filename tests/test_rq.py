@@ -114,6 +114,14 @@ class TestEncodeDecode:
             oracle = [oracle_quantizer_error(q, cb, d) for q in corpus[:20]]
             assert np.allclose(errs[d - 1][:20], oracle)
 
+    def test_batch_decode_matches_rows_bitwise(self):
+        # the parser decodes all half-edges of a component in one call
+        rng = np.random.default_rng(8)
+        cb = train_codebook(rng.random((96, 10)), depth=4, size=8, seed=0)
+        codes = rng.integers(0, cb.level_size, size=(7, cb.depth))
+        batch = rq_decode(codes, cb)
+        assert np.array_equal(batch, np.stack([rq_decode(c, cb) for c in codes]))
+
     def test_token_range_validation(self):
         rng = np.random.default_rng(7)
         cb = train_codebook(rng.random((32, 4)), depth=2, size=4, seed=0)
