@@ -9,10 +9,11 @@ non-truncated sample parses by construction.
 Draw tables: in a coordinate or quantizer-code state the legal tokens are
 one fixed id range, whatever the vertex count, so the cumulative tempered
 weights of that range after a given context are built once and cached on
-the model, keyed by temperature, range and context.  Such a draw is one
-dict lookup, one ``rng.random()`` and one ``searchsorted``.  Pointer
-states (whose range grows with the vertex count) and greedy decoding
-build their weights per draw.  Tables and hit arrays are both read from
+the model, keyed by temperature, range and context; contexts the corpus
+never saw share one table.  Such a draw is one dict lookup, one
+``rng.random()`` and one ``searchsorted``.  Pointer states (whose range
+grows with the vertex count) and greedy decoding build their weights per
+draw.  Tables and hit arrays are both read from
 the counts once, so a fitted model's counts must not change after
 sampling starts.
 """
@@ -66,10 +67,12 @@ class NGramModel:
         """Cumulative tempered weights of tokens lo..hi-1 after ``ctx``, cached.
 
         Keyed by value: the weights depend only on the counts, the token
-        range, the context and the temperature.
+        range, the context and the temperature.  Every context without
+        counts gets the plain smoothing weights, so those share one table
+        (context ``None``) and the cache stays bounded by the corpus.
         """
         tables = self.__dict__.setdefault("_tables", {})
-        key = (temperature, lo, hi, ctx)
+        key = (temperature, lo, hi, ctx if ctx in self.counts else None)
         cum = tables.get(key)
         if cum is None:
             weights = _masked_weights(self, np.arange(lo, hi), ctx)

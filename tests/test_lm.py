@@ -234,3 +234,14 @@ class TestDrawTables:
             cfg = SamplerConfig(seed=seed, temperature=t, max_length=400)
             got = sample_sequence(shared, lay, cfg).tokens
             assert got == sample_sequence(fitted(), lay, cfg).tokens
+
+    def test_tables_only_for_contexts_the_corpus_saw(self, primitives_corpus):
+        # Unseen contexts share one table, so sampling that wanders off the
+        # corpus (most draws at order 4) does not grow the cache per token.
+        seqs, layout = primitives_corpus
+        lm = fit_ngram(seqs, order=4, vocab_size=layout.vocab_size)
+        for seed in range(5):
+            sample_sequence(lm, layout, SamplerConfig(seed=seed, max_length=400))
+        contexts = {key[3] for key in lm._tables}
+        assert None in contexts
+        assert contexts - {None} <= set(lm.counts)
