@@ -1,14 +1,13 @@
 """Minimum-cost perfect matching with forbidden entries.
 
-Shortest-augmenting-path Hungarian algorithm on square cost matrices;
-forbidden pairs are passed as +inf costs.  Raises when the forbidden mask
-leaves no perfect matching.  Stars at B-rep vertices are small (degree is
-the vertex valence), so the O(n^3) bound is irrelevant in practice, but
-optimality is exact and is cross-checked against brute force in the tests.
+scipy ``linear_sum_assignment`` with forbidden pairs passed as +inf costs.
+Raises when the forbidden mask leaves no perfect matching; optimality is
+cross-checked against brute force in the tests.
 """
 from __future__ import annotations
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 
 class InfeasibleAssignmentError(RuntimeError):
@@ -28,52 +27,11 @@ def solve_square(cost: np.ndarray):
         return np.zeros(0, dtype=int), 0.0
     if np.isnan(c).any():
         raise ValueError("cost matrix contains NaN")
-
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
-    p = np.full(n + 1, -1, dtype=int)     # p[j] = row matched to column j
-    way = np.zeros(n, dtype=int)
-
-    for i in range(n):
-        p[n] = i
-        j0 = n
-        minv = np.full(n, np.inf)
-        used = np.zeros(n + 1, dtype=bool)
-        while True:
-            used[j0] = True
-            i0 = p[j0]
-            delta = np.inf
-            j1 = -1
-            for j in range(n):
-                if used[j]:
-                    continue
-                cur = c[i0, j] - u[i0] - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
-                    way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
-                    j1 = j
-            if not np.isfinite(delta):
-                raise InfeasibleAssignmentError(
-                    "forbidden entries leave no perfect matching")
-            for j in range(n + 1):
-                if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
-                elif j < n:
-                    minv[j] -= delta
-            j0 = j1
-            if p[j0] == -1:
-                break
-        while j0 != n:
-            j0prev = way[j0]
-            p[j0] = p[j0prev]
-            j0 = j0prev
-
-    columns = np.empty(n, dtype=int)
-    for j in range(n):
-        columns[p[j]] = j
+    try:
+        _, columns = linear_sum_assignment(c)
+    except ValueError as exc:   # scipy's "cost matrix is infeasible"
+        raise InfeasibleAssignmentError(
+            "forbidden entries leave no perfect matching") from exc
     total = float(c[np.arange(n), columns].sum())
     if not np.isfinite(total):
         raise InfeasibleAssignmentError("matching uses a forbidden entry")

@@ -4,6 +4,11 @@ A codebook holds D ordered levels trained by stacked k-means: level 1
 clusters the standardized descriptors, each deeper level clusters the
 running residuals.  Every level carries one extra all-zero centroid, so
 adding a level can never increase a vector's reconstruction error.
+
+A level trains by k-means++ seeding (one matrix-vector product per new
+centre), then Lloyd steps: each row goes to the argmin of ``‖c‖² − 2p·c``
+(the row-constant ``‖p‖²`` drops out; one GEMM per block of rows), and
+centroids move to ``np.bincount`` means.  Encoding takes the same argmin.
 """
 from __future__ import annotations
 
@@ -43,51 +48,85 @@ class Codebook:
         return h.hexdigest()[:16]
 
 
+def _nearest(points: np.ndarray, centers: np.ndarray, block: int = 2048) -> np.ndarray:
+    """Index of each row's nearest centre: the argmin of ``‖c‖² − 2p·c``.
+
+    One GEMM per block of rows, so no n×k matrix is allocated whole.
+    """
+    c2 = (centers ** 2).sum(axis=1)
+    neg2ct = -2.0 * centers.T
+    idx = np.empty(points.shape[0], dtype=np.intp)
+    for i in range(0, points.shape[0], block):
+        s = points[i:i + block] @ neg2ct
+        s += c2
+        idx[i:i + block] = s.argmin(axis=1)
+    return idx
+
+
 def _kmeans(points: np.ndarray, k: int, rng: np.random.Generator,
             max_iter: int = 50) -> np.ndarray:
     """Deterministic Lloyd k-means with k-means++ seeding."""
-    n = points.shape[0]
-    centers = np.empty((k, points.shape[1]))
+    n, dim = points.shape
+    p2 = np.einsum("ij,ij->i", points, points)
+    centers = np.empty((k, dim))
     d2 = np.full(n, np.inf)
-    idx = int(rng.integers(0, n))
-    centers[0] = points[idx]
+    centers[0] = points[int(rng.integers(0, n))]
     for c in range(1, k):
-        d2 = np.minimum(d2, ((points - centers[c - 1]) ** 2).sum(axis=1))
+        prev = centers[c - 1]
+        d = points @ (-2.0 * prev)
+        d += p2 + prev @ prev
+        # ‖p‖² − 2p·c + ‖c‖² cancels to rounding noise for a row on ``prev``;
+        # take those rows exactly, so repeats of a centre stay at distance 0
+        # and are never drawn
+        near = d <= 1e-9 * p2
+        d[near] = ((points[near] - prev) ** 2).sum(axis=1)
+        np.minimum(d2, d, out=d2)
         total = d2.sum()
-        if total <= 0.0:
-            centers[c] = points[int(rng.integers(0, n))]
-            continue
-        r = rng.random() * total
-        idx = int(np.searchsorted(np.cumsum(d2), r))
+        idx = (int(rng.integers(0, n)) if total <= 0.0
+               else int(np.searchsorted(np.cumsum(d2), rng.random() * total)))
         centers[c] = points[min(idx, n - 1)]
 
     assign = np.full(n, -1)
+    cols = np.arange(dim)
     for _ in range(max_iter):
-        dist = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2) \
-            if n * k * points.shape[1] < 4_000_000 else _chunked_sqdist(points, centers)
-        new_assign = dist.argmin(axis=1)
-        for c in range(k):
-            mask = new_assign == c
-            if mask.any():
-                centers[c] = points[mask].mean(axis=0)
-            else:
-                far = int(dist[np.arange(n), new_assign].argmax())
-                centers[c] = points[far]
-                new_assign[far] = c
+        new_assign = _nearest(points, centers)
+        members, reseeded = _reseed_empty(points, centers, new_assign)
+        sums = np.bincount((members[:, None] * dim + cols).ravel(),
+                           weights=points.ravel(), minlength=(k + 1) * dim)
+        counts = np.bincount(members, minlength=k + 1)[:k, None]
+        centers = sums[:k * dim].reshape(k, dim) / np.maximum(counts, 1)
+        centers[list(reseeded)] = points[list(reseeded.values())]
         if np.array_equal(new_assign, assign):
             break
         assign = new_assign
     return centers
 
 
-def _chunked_sqdist(points, centers, chunk: int = 2048):
-    out = np.empty((points.shape[0], centers.shape[0]))
-    c2 = (centers ** 2).sum(axis=1)
-    for i in range(0, points.shape[0], chunk):
-        p = points[i:i + chunk]
-        out[i:i + chunk] = ((p ** 2).sum(axis=1)[:, None]
-                            - 2.0 * p @ centers.T + c2[None, :])
-    return np.maximum(out, 0.0)
+def _reseed_empty(points, centers, assign):
+    """Move the row farthest from its centre into each empty cluster.
+
+    Clusters take their means in order, so a row moved into cluster ``c``
+    still counts in its old cluster's mean if that one is below ``c``, and
+    not if it is above.  Returns each row's mean cluster (``k`` for none)
+    and the row that seeds each empty cluster; updates ``assign``.
+    """
+    k = centers.shape[0]
+    counts = np.bincount(assign, minlength=k)
+    members, reseeded = assign.copy(), {}
+    if counts.all():
+        return members, reseeded
+    dist = ((points - centers[assign]) ** 2).sum(axis=1)
+    for c in range(k):
+        if counts[c]:
+            continue
+        far = int(dist.argmax())
+        if assign[far] > c:
+            counts[assign[far]] -= 1
+            members[far] = k
+        assign[far] = c
+        dist[far] = ((points[far] - centers[c]) ** 2).sum()
+        reseeded[c] = far
+    return members, reseeded
 
 
 def train_codebook(corpus: np.ndarray, depth: int = 4, size: int = 256,
@@ -112,13 +151,15 @@ def train_codebook(corpus: np.ndarray, depth: int = 4, size: int = 256,
             f"corpus of {n} descriptors is smaller than codebook size {size}; "
             f"use a size of at most {n}"
         )
+    if not np.isfinite(corpus).all():
+        raise CodebookError("corpus contains non-finite values")
     mean = corpus.mean(axis=0)
     std = corpus.std(axis=0)
     scale = np.where(std > 1e-12, std, 1.0)
     if dim_weights is not None:
         w = np.asarray(dim_weights, dtype=float).reshape(dim)
-        if np.any(w <= 0):
-            raise CodebookError("dim_weights must be positive")
+        if not np.all(np.isfinite(w) & (w > 0)):
+            raise CodebookError("dim_weights must be positive and finite")
         scale = scale / w
 
     rng = np.random.default_rng(seed)
@@ -128,8 +169,7 @@ def train_codebook(corpus: np.ndarray, depth: int = 4, size: int = 256,
         centers = _kmeans(residual, size, rng, max_iter=max_iter)
         levels[d, :size] = centers
         # levels[d, size] stays zero
-        dist = _chunked_sqdist(residual, levels[d])
-        residual = residual - levels[d][dist.argmin(axis=1)]
+        residual = residual - levels[d][_nearest(residual, levels[d])]
     return Codebook(levels=levels, mean=mean, scale=scale)
 
 
@@ -139,28 +179,31 @@ def rq_encode(descriptor: np.ndarray, cb: Codebook) -> np.ndarray:
 
 
 def rq_encode_many(descriptors: np.ndarray, cb: Codebook) -> np.ndarray:
+    return _descend(descriptors, cb, cb.depth)[0]
+
+
+def _descend(descriptors, cb: Codebook, depth: int):
+    """Greedy nearest-centroid codes of the first ``depth`` levels, and the residuals."""
     d = np.asarray(descriptors, dtype=float)
     if d.ndim != 2 or d.shape[1] != cb.dim:
         raise CodebookError(f"descriptor length {d.shape[-1]} != codebook dim {cb.dim}")
+    if not np.isfinite(d).all():
+        raise CodebookError("descriptors contain non-finite values")
     residual = (d - cb.mean) / cb.scale
-    codes = np.empty((d.shape[0], cb.depth), dtype=int)
-    for lvl in range(cb.depth):
-        dist = _chunked_sqdist(residual, cb.levels[lvl])
-        idx = dist.argmin(axis=1)
-        codes[:, lvl] = idx
-        residual = residual - cb.levels[lvl][idx]
-    return codes
+    codes = np.empty((d.shape[0], depth), dtype=int)
+    for lvl in range(depth):
+        codes[:, lvl] = _nearest(residual, cb.levels[lvl])
+        residual = residual - cb.levels[lvl][codes[:, lvl]]
+    return codes, residual
 
 
 def rq_decode(codes, cb: Codebook) -> np.ndarray:
     codes = np.asarray(codes, dtype=int)
     if codes.shape[-1] != cb.depth:
         raise CodebookError(f"expected {cb.depth} codes, got {codes.shape[-1]}")
-    if codes.min() < 0 or codes.max() >= cb.level_size:
+    if np.any((codes < 0) | (codes >= cb.level_size)):
         raise CodebookError(f"code outside level range [0, {cb.level_size})")
-    z = np.zeros(cb.dim) if codes.ndim == 1 else np.zeros((codes.shape[0], cb.dim))
-    for lvl in range(cb.depth):
-        z = z + cb.levels[lvl][codes[..., lvl]]
+    z = sum(cb.levels[lvl][codes[..., lvl]] for lvl in range(cb.depth))
     return z * cb.scale + cb.mean
 
 
@@ -179,12 +222,7 @@ def encoding_errors(corpus: np.ndarray, cb: Codebook,
     This is the objective the greedy encoder minimizes, so the zero
     centroid makes it non-increasing in the number of levels used.
     """
-    corpus = np.asarray(corpus, dtype=float)
     depth = cb.depth if depth is None else depth
     if not 1 <= depth <= cb.depth:
         raise CodebookError(f"depth must be in [1, {cb.depth}]")
-    residual = (corpus - cb.mean) / cb.scale
-    for lvl in range(depth):
-        dist = _chunked_sqdist(residual, cb.levels[lvl])
-        residual = residual - cb.levels[lvl][dist.argmin(axis=1)]
-    return np.linalg.norm(residual, axis=1)
+    return np.linalg.norm(_descend(corpus, cb, depth)[1], axis=1)

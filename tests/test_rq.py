@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from brepcodec.codec import CodecConfig, descriptor_dim_weights, model_descriptors
+from brepcodec.model import normalize
 from brepcodec.rq import (
     Codebook,
     CodebookError,
@@ -12,6 +14,7 @@ from brepcodec.rq import (
     rq_encode_many,
     train_codebook,
 )
+from brepcodec.synth import FAMILIES, CorpusSpec, synth_corpus
 
 
 def partial_decode(codes, cb, depth):
@@ -67,6 +70,30 @@ class TestTraining:
         c3 = train_codebook(corpus, depth=3, size=16, seed=43)
         assert c3.content_id() != c1.content_id()
 
+    def test_non_finite_corpus_rejected(self):
+        corpus = np.random.default_rng(9).random((32, 4))
+        corpus[5, 2] = np.nan
+        with pytest.raises(CodebookError, match="non-finite"):
+            train_codebook(corpus, depth=1, size=4)
+
+    def test_content_ids_pinned(self):
+        # Codebooks are fixed by their seed; these ids were recorded before
+        # k-means moved to the blocked ``‖c‖² − 2p·c`` kernel, on numpy's
+        # bundled OpenBLAS (another BLAS may round the products differently).
+        # The first corpus has 1,818 rows x 64 centroids x 85 dims, above the
+        # 4M-entry size at which the old code switched distance formulas;
+        # the second is below it.
+        cfg = CodecConfig().sampling
+        spec = CorpusSpec(counts={f: 5 for f in FAMILIES}, components=(1, 5), seed=11)
+        descs = np.concatenate([model_descriptors(normalize(m)[0], cfg)
+                                for _, m in synth_corpus(spec)])
+        cb = train_codebook(descs, depth=4, size=64, seed=0, max_iter=25,
+                            dim_weights=descriptor_dim_weights(cfg))
+        assert cb.content_id() == "01695d761decae87"
+        small = train_codebook(np.random.default_rng(12).random((300, 12)),
+                               depth=3, size=32, seed=5)
+        assert small.content_id() == "37f54b8f2d07c71b"
+
     def test_zero_centroid_present(self):
         rng = np.random.default_rng(1)
         cb = train_codebook(rng.random((64, 8)), depth=2, size=8, seed=0)
@@ -113,6 +140,17 @@ class TestEncodeDecode:
         for d in range(1, 5):
             oracle = [oracle_quantizer_error(q, cb, d) for q in corpus[:20]]
             assert np.allclose(errs[d - 1][:20], oracle)
+
+    def test_non_finite_descriptor_rejected(self):
+        rng = np.random.default_rng(10)
+        cb = train_codebook(rng.random((32, 4)), depth=2, size=4, seed=0)
+        with pytest.raises(CodebookError, match="non-finite"):
+            rq_encode_many(np.array([[0.1, np.nan, 0.3, 0.4]]), cb)
+
+    def test_decode_empty_code_array(self):
+        rng = np.random.default_rng(11)
+        cb = train_codebook(rng.random((32, 4)), depth=2, size=4, seed=0)
+        assert rq_decode(np.zeros((0, cb.depth), dtype=int), cb).shape == (0, cb.dim)
 
     def test_batch_decode_matches_rows_bitwise(self):
         # the parser decodes all half-edges of a component in one call
