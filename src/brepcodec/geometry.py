@@ -10,6 +10,10 @@ direction.
 All variants support an exact similarity transform ``transformed(offset,
 scale)`` mapping points p to (p - offset) * scale without touching
 parameter domains, so model normalization never invalidates pcurves.
+
+``KINDS`` maps each variant's ``kind`` tag to its class; it is the one
+list of the kinds that exist.  Constructors reject non-finite numbers
+with GeometryError.
 """
 from __future__ import annotations
 
@@ -24,11 +28,25 @@ class GeometryError(ValueError):
     """Degenerate geometry or evaluation outside a valid parameter domain."""
 
 
-def _vec(p, dim: int = 3) -> np.ndarray:
-    a = np.asarray(p, dtype=float).reshape(dim)
-    if not np.all(np.isfinite(a)):
-        raise GeometryError(f"non-finite coordinates: {a!r}")
+def _finite(a, what: str):
+    """``a`` itself, or GeometryError when any entry is NaN or infinite."""
+    if not np.isfinite(a).all():
+        raise GeometryError(f"non-finite {what}: {a!r}")
     return a
+
+
+def _points(p, shape, what: str) -> np.ndarray:
+    return _finite(np.asarray(p, dtype=float).reshape(shape), what)
+
+
+def _vec(p, dim: int = 3) -> np.ndarray:
+    return _points(p, dim, "coordinates")
+
+
+def _set_reals(obj, *names) -> None:
+    """Store the named fields of a frozen dataclass as finite floats."""
+    for name in names:
+        object.__setattr__(obj, name, _finite(float(getattr(obj, name)), name))
 
 
 def _unit(v) -> np.ndarray:
@@ -123,9 +141,7 @@ class CircularArc:
         object.__setattr__(self, "center", _vec(self.center))
         object.__setattr__(self, "x_axis", _unit(self.x_axis))
         object.__setattr__(self, "y_axis", _unit(self.y_axis))
-        object.__setattr__(self, "radius", float(self.radius))
-        object.__setattr__(self, "theta0", float(self.theta0))
-        object.__setattr__(self, "theta1", float(self.theta1))
+        _set_reals(self, "radius", "theta0", "theta1")
         if self.radius <= 0:
             raise GeometryError("arc radius must be positive")
         if abs(np.dot(self.x_axis, self.y_axis)) > 1e-9:
@@ -186,40 +202,6 @@ class CircularArc:
 
 
 @dataclass(frozen=True, eq=False)
-class CubicBezier:
-    """Cubic Bezier curve with four 3D control points."""
-
-    control: np.ndarray  # (4, 3)
-
-    kind = "bezier"
-
-    def __post_init__(self):
-        c = np.asarray(self.control, dtype=float).reshape(4, 3)
-        if not np.all(np.isfinite(c)):
-            raise GeometryError("non-finite control points")
-        object.__setattr__(self, "control", c)
-
-    def point(self, u):
-        return _bernstein3(u) @ self.control
-
-    def derivative(self, u):
-        return _bernstein3_deriv(u) @ self.control
-
-    def length(self) -> float:
-        # chord-sum estimate; exact arclength not required anywhere
-        pts = self.point(np.linspace(0.0, 1.0, 65))
-        return float(np.linalg.norm(np.diff(pts, axis=0), axis=1).sum())
-
-    def bbox(self):
-        # control-hull bound (conservative)
-        return self.control.min(axis=0), self.control.max(axis=0)
-
-    def transformed(self, offset, scale: float) -> "CubicBezier":
-        o = _vec(offset)
-        return CubicBezier((self.control - o) * scale)
-
-
-@dataclass(frozen=True, eq=False)
 class PolylineCurve:
     """Piecewise-linear curve; u is uniform in segment index."""
 
@@ -228,11 +210,9 @@ class PolylineCurve:
     kind = "polyline"
 
     def __post_init__(self):
-        p = np.asarray(self.points, dtype=float).reshape(-1, 3)
+        p = _points(self.points, (-1, 3), "polyline points")
         if p.shape[0] < 2:
             raise GeometryError("polyline needs at least 2 points")
-        if not np.all(np.isfinite(p)):
-            raise GeometryError("non-finite polyline points")
         object.__setattr__(self, "points", p)
 
     def point(self, u):
@@ -259,14 +239,6 @@ class PolylineCurve:
     def transformed(self, offset, scale: float) -> "PolylineCurve":
         o = _vec(offset)
         return PolylineCurve((self.points - o) * scale)
-
-
-CURVE_KINDS = {
-    "line": LineSegment,
-    "arc": CircularArc,
-    "bezier": CubicBezier,
-    "polyline": PolylineCurve,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -350,9 +322,7 @@ class CylinderPatch:
         object.__setattr__(self, "x_axis", _unit(self.x_axis))
         object.__setattr__(self, "y_axis", _unit(self.y_axis))
         object.__setattr__(self, "axis", _vec(self.axis))
-        object.__setattr__(self, "radius", float(self.radius))
-        object.__setattr__(self, "u0", float(self.u0))
-        object.__setattr__(self, "u1", float(self.u1))
+        _set_reals(self, "radius", "u0", "u1")
         if self.radius <= 0:
             raise GeometryError("cylinder radius must be positive")
 
@@ -394,75 +364,6 @@ class CylinderPatch:
 
 
 @dataclass(frozen=True, eq=False)
-class SpherePatch:
-    """Spherical patch; u is longitude, v latitude in (-pi/2, pi/2)."""
-
-    center: np.ndarray
-    radius: float
-    x_axis: np.ndarray
-    y_axis: np.ndarray
-    z_axis: np.ndarray
-    u0: float
-    u1: float
-    v0: float
-    v1: float
-
-    kind = "sphere"
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", _vec(self.center))
-        object.__setattr__(self, "x_axis", _unit(self.x_axis))
-        object.__setattr__(self, "y_axis", _unit(self.y_axis))
-        object.__setattr__(self, "z_axis", _unit(self.z_axis))
-        for name in ("radius", "u0", "u1", "v0", "v1"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if self.radius <= 0:
-            raise GeometryError("sphere radius must be positive")
-
-    def domain(self):
-        return (self.u0, self.u1, self.v0, self.v1)
-
-    def point(self, u, v):
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        ring = np.multiply.outer(np.cos(u), self.x_axis) + np.multiply.outer(
-            np.sin(u), self.y_axis
-        )
-        return self.center + self.radius * (
-            np.cos(v)[..., None] * ring + np.multiply.outer(np.sin(v), self.z_axis)
-        )
-
-    def partials(self, u, v):
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        dring = np.multiply.outer(-np.sin(u), self.x_axis) + np.multiply.outer(
-            np.cos(u), self.y_axis
-        )
-        ring = np.multiply.outer(np.cos(u), self.x_axis) + np.multiply.outer(
-            np.sin(u), self.y_axis
-        )
-        pu = self.radius * np.cos(v)[..., None] * dring
-        pv = self.radius * (
-            -np.sin(v)[..., None] * ring + np.multiply.outer(np.cos(v), self.z_axis)
-        )
-        return pu, pv
-
-    def transformed(self, offset, scale: float) -> "SpherePatch":
-        o = _vec(offset)
-        return SpherePatch(
-            (self.center - o) * scale,
-            self.radius * scale,
-            self.x_axis,
-            self.y_axis,
-            self.z_axis,
-            self.u0,
-            self.u1,
-            self.v0,
-            self.v1,
-        )
-
-
-@dataclass(frozen=True, eq=False)
 class BicubicPatch:
     """Bicubic tensor-product Bezier patch over [0,1]^2."""
 
@@ -471,9 +372,7 @@ class BicubicPatch:
     kind = "bicubic"
 
     def __post_init__(self):
-        c = np.asarray(self.control, dtype=float).reshape(4, 4, 3)
-        if not np.all(np.isfinite(c)):
-            raise GeometryError("non-finite control points")
+        c = _points(self.control, (4, 4, 3), "control points")
         object.__setattr__(self, "control", c)
 
     def domain(self):
@@ -496,14 +395,6 @@ class BicubicPatch:
     def transformed(self, offset, scale: float) -> "BicubicPatch":
         o = _vec(offset)
         return BicubicPatch((self.control - o) * scale)
-
-
-SURFACE_KINDS = {
-    "plane": Plane,
-    "cylinder": CylinderPatch,
-    "sphere": SpherePatch,
-    "bicubic": BicubicPatch,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -543,9 +434,7 @@ class Arc2:
 
     def __post_init__(self):
         object.__setattr__(self, "center", _vec(self.center, 2))
-        object.__setattr__(self, "radius", float(self.radius))
-        object.__setattr__(self, "phi0", float(self.phi0))
-        object.__setattr__(self, "phi1", float(self.phi1))
+        _set_reals(self, "radius", "phi0", "phi1")
 
     def point(self, t):
         t = np.asarray(t, dtype=float)
@@ -566,7 +455,7 @@ class Poly2:
     kind = "poly2"
 
     def __post_init__(self):
-        p = np.asarray(self.points, dtype=float).reshape(-1, 2)
+        p = _points(self.points, (-1, 2), "poly2 points")
         if p.shape[0] < 2:
             raise GeometryError("poly2 needs at least 2 points")
         object.__setattr__(self, "points", p)
@@ -623,8 +512,8 @@ def pcurve_points(pcurves, t, tangent: bool = False) -> np.ndarray:
     return out
 
 
-PCURVE_KINDS = {
-    "seg2": Segment2,
-    "arc2": Arc2,
-    "poly2": Poly2,
-}
+# kind -> class, for every geometry a model file may name.  The dataclass
+# fields, in declaration order, are a record's keys after "kind".
+KINDS = {cls.kind: cls for cls in (LineSegment, CircularArc, PolylineCurve,
+                                   Plane, CylinderPatch, BicubicPatch,
+                                   Segment2, Arc2, Poly2)}

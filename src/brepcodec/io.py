@@ -48,72 +48,24 @@ def atomic_write_text(path, text: str):
 # ---------------------------------------------------------------------------
 
 def _geom_to_dict(g) -> dict:
-    if isinstance(g, G.LineSegment):
-        return {"kind": "line", "p0": g.p0.tolist(), "p1": g.p1.tolist()}
-    if isinstance(g, G.CircularArc):
-        return {"kind": "arc", "center": g.center.tolist(), "radius": g.radius,
-                "x_axis": g.x_axis.tolist(), "y_axis": g.y_axis.tolist(),
-                "theta0": g.theta0, "theta1": g.theta1}
-    if isinstance(g, G.CubicBezier):
-        return {"kind": "bezier", "control": g.control.tolist()}
-    if isinstance(g, G.PolylineCurve):
-        return {"kind": "polyline", "points": g.points.tolist()}
-    if isinstance(g, G.Plane):
-        return {"kind": "plane", "origin": g.origin.tolist(),
-                "u_vec": g.u_vec.tolist(), "v_vec": g.v_vec.tolist()}
-    if isinstance(g, G.CylinderPatch):
-        return {"kind": "cylinder", "center": g.center.tolist(), "radius": g.radius,
-                "x_axis": g.x_axis.tolist(), "y_axis": g.y_axis.tolist(),
-                "axis": g.axis.tolist(), "u0": g.u0, "u1": g.u1}
-    if isinstance(g, G.SpherePatch):
-        return {"kind": "sphere", "center": g.center.tolist(), "radius": g.radius,
-                "x_axis": g.x_axis.tolist(), "y_axis": g.y_axis.tolist(),
-                "z_axis": g.z_axis.tolist(), "u0": g.u0, "u1": g.u1,
-                "v0": g.v0, "v1": g.v1}
-    if isinstance(g, G.BicubicPatch):
-        return {"kind": "bicubic", "control": g.control.tolist()}
-    if isinstance(g, G.Segment2):
-        return {"kind": "seg2", "a": g.a.tolist(), "b": g.b.tolist()}
-    if isinstance(g, G.Arc2):
-        return {"kind": "arc2", "center": g.center.tolist(), "radius": g.radius,
-                "phi0": g.phi0, "phi1": g.phi1}
-    if isinstance(g, G.Poly2):
-        return {"kind": "poly2", "points": g.points.tolist()}
-    raise FormatError(f"unsupported geometry type {type(g).__name__}")
+    """{"kind": ..., then each dataclass field in order}; arrays as lists."""
+    if G.KINDS.get(getattr(g, "kind", None)) is not type(g):
+        raise FormatError(f"unsupported geometry type {type(g).__name__}")
+    d = {"kind": g.kind}
+    for f in dataclasses.fields(g):
+        v = getattr(g, f.name)
+        d[f.name] = v.tolist() if isinstance(v, np.ndarray) else v
+    return d
 
 
 def _geom_from_dict(d: dict):
     try:
-        kind = d["kind"]
-        if kind == "line":
-            return G.LineSegment(d["p0"], d["p1"])
-        if kind == "arc":
-            return G.CircularArc(d["center"], d["radius"], d["x_axis"],
-                                 d["y_axis"], d["theta0"], d["theta1"])
-        if kind == "bezier":
-            return G.CubicBezier(d["control"])
-        if kind == "polyline":
-            return G.PolylineCurve(d["points"])
-        if kind == "plane":
-            return G.Plane(d["origin"], d["u_vec"], d["v_vec"])
-        if kind == "cylinder":
-            return G.CylinderPatch(d["center"], d["radius"], d["x_axis"],
-                                   d["y_axis"], d["axis"], d["u0"], d["u1"])
-        if kind == "sphere":
-            return G.SpherePatch(d["center"], d["radius"], d["x_axis"],
-                                 d["y_axis"], d["z_axis"], d["u0"], d["u1"],
-                                 d["v0"], d["v1"])
-        if kind == "bicubic":
-            return G.BicubicPatch(d["control"])
-        if kind == "seg2":
-            return G.Segment2(d["a"], d["b"])
-        if kind == "arc2":
-            return G.Arc2(d["center"], d["radius"], d["phi0"], d["phi1"])
-        if kind == "poly2":
-            return G.Poly2(d["points"])
+        cls = G.KINDS.get(d["kind"])
+        if cls is None:
+            raise FormatError(f"unknown geometry kind {d['kind']!r}")
+        return cls(*[d[f.name] for f in dataclasses.fields(cls)])
     except KeyError as exc:
         raise FormatError(f"geometry record missing field {exc}") from exc
-    raise FormatError(f"unknown geometry kind {d.get('kind')!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,12 @@ classify them by their labels, fit a surface to every outer loop (plane
 first, bicubic tensor patch when the planar residual is too large), and
 attach each inner loop to the face whose surface it sits closest to.
 
+One projector, ``_project``, finds the parameters of points on a fitted
+surface: it places interior samples in a bicubic fit, measures the
+distance of an inner loop to each face, and gives inner loops their
+pcurves.  A plane inverts exactly; a bicubic patch takes the nearest node
+of a ``UV_PROBE_GRID`` x ``UV_PROBE_GRID`` grid.
+
 "Too large" is measured against the noise of the decoded samples, not a
 fixed tolerance.  Two sources add to it: vertices are rounded to the
 centres of coordinate bins (RMS error ``bin / sqrt(12)`` per coordinate),
@@ -49,26 +55,26 @@ VERTEX_BIN_RMS = 1.0 / (COORD_BINS * np.sqrt(12.0))
 # On every 5th acceptance-corpus model, under the acceptance codebook,
 # planar loops stay below 2.5 units and cylinder walls above 4.7.
 PLANE_GATE = 3.0
+# Least-squares weight of boundary samples against interior ones in a
+# bicubic fit.
+BOUNDARY_WEIGHT = 10.0
+# A vertex whose assignment costs more than this is reported as elevated.
+ELEVATED_COST = 0.8
+# Per-axis node count of the grid `_project` searches on a bicubic patch.
+UV_PROBE_GRID = 33
 
 
 @dataclass
 class ReconstructConfig:
-    """Reconstruction settings.
+    """Reconstruction settings: ``sampling``, which must match the encoder's.
 
-    ``sampling`` must match the encoder's.  ``boundary_weight`` is the
-    least-squares weight of boundary samples against interior ones in a
-    bicubic fit.  A vertex whose assignment costs more than
-    ``elevated_cost_threshold`` is reported as elevated.  ``uv_probe_grid``
-    is the per-axis probe count used to find parameters on bicubic
-    patches.  The plane-versus-bicubic test has no setting: its threshold
-    follows from the coordinate bin and the measured RQ noise
+    Everything else is a module constant (``BOUNDARY_WEIGHT``,
+    ``ELEVATED_COST``, ``UV_PROBE_GRID``), and the plane-versus-bicubic
+    test follows from the coordinate bin and the measured RQ noise
     (``plane_gate``).
     """
 
     sampling: SamplingConfig = field(default_factory=SamplingConfig)
-    boundary_weight: float = 10.0
-    elevated_cost_threshold: float = 0.8
-    uv_probe_grid: int = 33
 
 
 @dataclass(eq=False)
@@ -238,7 +244,7 @@ def solve_next_map(drafts, n_vertices: int, cfg: ReconstructConfig):
         total += cost
         if bad:
             infeasible.append(v)
-        if cost > cfg.elevated_cost_threshold:
+        if cost > ELEVATED_COST:
             elevated.append(v)
     return next_map, total, infeasible, elevated
 
@@ -270,6 +276,30 @@ def classify_loops(loops, drafts) -> None:
     for loop in loops:
         votes = sum(drafts[d].label for d in loop.drafts)
         loop.kind = "outer" if 2 * votes >= len(loop.drafts) else "inner"
+
+
+# ---------------------------------------------------------------------------
+# Projection onto a fitted surface
+# ---------------------------------------------------------------------------
+
+# The nodes of the probe grid, (UV_PROBE_GRID**2, 2), u-major.
+_PROBE_UV = np.stack([a.ravel() for a in np.meshgrid(
+    np.linspace(0.0, 1.0, UV_PROBE_GRID), np.linspace(0.0, 1.0, UV_PROBE_GRID),
+    indexing="ij")], axis=-1)
+
+
+def _project(points: np.ndarray, surface) -> np.ndarray:
+    """Parameters (N, 2) of the points of ``surface`` nearest ``points`` (N, 3).
+
+    A Plane inverts exactly and unclipped; a bicubic patch (the only other
+    surface ``fit_face`` builds) takes the nearest node of the
+    ``UV_PROBE_GRID`` x ``UV_PROBE_GRID`` grid over [0, 1]^2.
+    """
+    if isinstance(surface, Plane):
+        return surface.uv_of_point(points)
+    probes = surface.point(_PROBE_UV[:, 0], _PROBE_UV[:, 1])
+    d = ((points[:, None, :] - probes[None, :, :]) ** 2).sum(axis=2)
+    return _PROBE_UV[d.argmin(axis=1)]
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +353,12 @@ def _plane_face(loop_runs, interior, centroid, normal):
     return flipped, uv_flip
 
 
+def _side_params(points: np.ndarray) -> np.ndarray:
+    seg = np.linalg.norm(np.diff(points, axis=0), axis=1)
+    t = np.concatenate([[0.0], np.cumsum(seg)])
+    return t / max(t[-1], 1e-12)
+
+
 def _fit_side_bezier(points: np.ndarray) -> np.ndarray:
     """Least-squares cubic through fixed endpoints; (M, 3) -> (4, 3)."""
     if points.shape[0] == 2:
@@ -330,20 +366,11 @@ def _fit_side_bezier(points: np.ndarray) -> np.ndarray:
                          points[0] + (points[1] - points[0]) / 3.0,
                          points[0] + 2.0 * (points[1] - points[0]) / 3.0,
                          points[1]])
-    seg = np.linalg.norm(np.diff(points, axis=0), axis=1)
-    t = np.concatenate([[0.0], np.cumsum(seg)])
-    t = t / max(t[-1], 1e-12)
-    basis = _bernstein3(t)
+    basis = _bernstein3(_side_params(points))
     rhs = points - np.outer(basis[:, 0], points[0]) - np.outer(basis[:, 3], points[-1])
     a = basis[:, 1:3]
     sol, *_ = np.linalg.lstsq(a, rhs, rcond=None)
     return np.stack([points[0], sol[0], sol[1], points[-1]])
-
-
-def _side_params(points: np.ndarray) -> np.ndarray:
-    seg = np.linalg.norm(np.diff(points, axis=0), axis=1)
-    t = np.concatenate([[0.0], np.cumsum(seg)])
-    return t / max(t[-1], 1e-12)
 
 
 _SIDE_UV = (
@@ -356,7 +383,6 @@ _SIDE_UV = (
 
 def _split_cycle_quarters(runs):
     """Regroup a loop's per-draft point runs into exactly four sides."""
-    counts = [r.shape[0] - 1 for r in runs]
     cycle = np.concatenate([r[:-1] for r in runs])
     m = cycle.shape[0]
     closed = np.vstack([cycle, cycle[:1]])
@@ -368,28 +394,15 @@ def _split_cycle_quarters(runs):
         idx = int(np.searchsorted(cum, q * total))
         idx = min(max(idx, cuts[-1] + 1), m - (3 - len(cuts)))
         cuts.append(idx)
-    sides = []
-    for k in range(4):
-        a = cuts[k]
-        b = cuts[k + 1] if k < 3 else m
-        side = closed[a: b + 1]
-        sides.append(side)
-    owner = []
-    for ri, c in enumerate(counts):
-        owner.extend([ri] * c)
-    return sides, cuts, owner, closed
+    cuts.append(m)
+    return [closed[cuts[k]: cuts[k + 1] + 1] for k in range(4)]
 
 
-def _bicubic_face(loop_ids, runs, interior, boundary_weight, probe_grid):
+def _bicubic_face(loop_ids, runs, interior):
     """Coons-initialized bicubic least squares with boundary weighting."""
     notes = []
-    if len(runs) == 4:
-        sides = [r.copy() for r in runs]
-        per_draft_side = [(k, None) for k in range(4)]
-        cuts = None
-    else:
-        sides, cuts, owner, closed = _split_cycle_quarters(runs)
-        per_draft_side = None
+    one_side_per_draft = len(runs) == 4
+    sides = runs if one_side_per_draft else _split_cycle_quarters(runs)
 
     grid = np.zeros((4, 4, 3))
     cps = [_fit_side_bezier(s) for s in sides]
@@ -416,20 +429,12 @@ def _bicubic_face(loop_ids, runs, interior, boundary_weight, probe_grid):
     bnd_pts = np.concatenate(bnd_pts)
     bnd_uv = np.concatenate(bnd_uv)
 
-    # interior UVs via nearest probe on the Coons patch
-    if interior.size:
-        g = np.linspace(0.0, 1.0, probe_grid)
-        gu, gv = np.meshgrid(g, g, indexing="ij")
-        probes = coons.point(gu.ravel(), gv.ravel())
-        d = ((interior[:, None, :] - probes[None, :, :]) ** 2).sum(axis=2)
-        nearest = d.argmin(axis=1)
-        int_uv = np.stack([gu.ravel()[nearest], gv.ravel()[nearest]], axis=-1)
-    else:
-        int_uv = np.zeros((0, 2))
+    # interior UVs: the samples projected onto the Coons patch
+    int_uv = _project(interior, coons) if interior.size else np.zeros((0, 2))
 
     pts = np.vstack([bnd_pts, interior.reshape(-1, 3)]) if interior.size else bnd_pts
     uvs = np.vstack([bnd_uv, int_uv])
-    w = np.concatenate([np.full(len(bnd_pts), boundary_weight),
+    w = np.concatenate([np.full(len(bnd_pts), BOUNDARY_WEIGHT),
                         np.ones(len(uvs) - len(bnd_pts))])
     if pts.shape[0] < 16:
         return None, notes + ["bicubic fit under-determined"]
@@ -445,7 +450,7 @@ def _bicubic_face(loop_ids, runs, interior, boundary_weight, probe_grid):
 
     # per-draft pcurves from the boundary UV assignment
     pcurves = {}
-    if per_draft_side is not None:
+    if one_side_per_draft:
         for k, d in enumerate(loop_ids):
             pcurves[d] = Poly2(side_point_uvs[k])
     else:
@@ -474,9 +479,9 @@ def fit_face(loop: LoopDraft, drafts, cfg: ReconstructConfig | None = None) -> F
     """Fit a plane, else a bicubic patch, to a loop's boundary and samples.
 
     The plane is kept when its residual is within ``plane_gate``; otherwise
-    a bicubic is fitted and kept only if its residual is lower.
+    a bicubic is fitted and kept only if its residual is lower.  ``cfg``
+    is accepted for symmetry with the other stages; fitting has no setting.
     """
-    cfg = cfg or ReconstructConfig()
     runs = [drafts[d].curve_pts for d in loop.drafts]
     interior = np.concatenate([drafts[d].surface_pts.reshape(-1, 3)
                                for d in loop.drafts])
@@ -484,8 +489,7 @@ def fit_face(loop: LoopDraft, drafts, cfg: ReconstructConfig | None = None) -> F
     centroid, normal, rms = _plane_fit(allpts)
     notes = []
     if rms > plane_gate(loop, drafts):
-        fitted, notes = _bicubic_face(loop.drafts, runs, interior,
-                                      cfg.boundary_weight, cfg.uv_probe_grid)
+        fitted, notes = _bicubic_face(loop.drafts, runs, interior)
         if fitted is not None and fitted.rms <= rms:
             return fitted
         notes = notes + ["bicubic fit rejected; plane kept"]
@@ -499,50 +503,31 @@ def fit_face(loop: LoopDraft, drafts, cfg: ReconstructConfig | None = None) -> F
 # Stage 5: inner-loop attachment
 # ---------------------------------------------------------------------------
 
-def _surface_distances(points: np.ndarray, surface, probe_grid: int) -> np.ndarray:
-    if isinstance(surface, Plane):
-        uv = np.clip(surface.uv_of_point(points), 0.0, 1.0)
-        closest = surface.point(uv[:, 0], uv[:, 1])
-        return np.linalg.norm(points - closest, axis=1)
-    g = np.linspace(0.0, 1.0, probe_grid)
-    gu, gv = np.meshgrid(g, g, indexing="ij")
-    probes = surface.point(gu.ravel(), gv.ravel())
-    d = np.sqrt(((points[:, None, :] - probes[None, :, :]) ** 2).sum(axis=2))
-    return d.min(axis=1)
+def _surface_distances(points: np.ndarray, surface) -> np.ndarray:
+    """Distance of each point to its projection, clipped to the patch."""
+    uv = np.clip(_project(points, surface), 0.0, 1.0)
+    return np.linalg.norm(points - surface.point(uv[:, 0], uv[:, 1]), axis=1)
 
 
 def attach_inner_loops(inner_loops, faces, drafts, cfg: ReconstructConfig | None = None):
     """Assign each inner loop to the face minimizing mean sample distance.
 
-    Returns a list of face indices aligned with ``inner_loops``.
+    Returns a list of face indices aligned with ``inner_loops``.  ``cfg``
+    is accepted for symmetry with the other stages; attachment has no
+    setting.
     """
-    cfg = cfg or ReconstructConfig()
     if inner_loops and not faces:
         raise ValueError("cannot attach inner loops: no faces were built")
     assignments = []
     for loop in inner_loops:
         pts = np.concatenate([drafts[d].curve_pts[:-1] for d in loop.drafts])
-        means = [float(_surface_distances(pts, f.surface, cfg.uv_probe_grid).mean())
-                 for f in faces]
+        means = [float(_surface_distances(pts, f.surface).mean()) for f in faces]
         assignments.append(int(np.argmin(means)))
     return assignments
 
 
-def _inner_pcurves(loop: LoopDraft, face: FittedFace, drafts, probe_grid: int):
-    surface = face.surface
-    out = {}
-    for d in loop.drafts:
-        pts = drafts[d].curve_pts
-        if isinstance(surface, Plane):
-            uv = surface.uv_of_point(pts)
-        else:
-            g = np.linspace(0.0, 1.0, probe_grid)
-            gu, gv = np.meshgrid(g, g, indexing="ij")
-            probes = surface.point(gu.ravel(), gv.ravel())
-            idx = ((pts[:, None, :] - probes[None, :, :]) ** 2).sum(axis=2).argmin(axis=1)
-            uv = np.stack([gu.ravel()[idx], gv.ravel()[idx]], axis=-1)
-        out[d] = Poly2(uv)
-    return out
+def _inner_pcurves(loop: LoopDraft, face: FittedFace, drafts):
+    return {d: Poly2(_project(drafts[d].curve_pts, face.surface)) for d in loop.drafts}
 
 
 # ---------------------------------------------------------------------------
@@ -587,8 +572,7 @@ def reconstruct(records: VertexRecordSet, cfg: ReconstructConfig | None = None):
         return None, report
 
     try:
-        model = _assemble(drafts, verts, edge_verts, loops, outer, inner,
-                          faces, attach, cfg)
+        model = _assemble(drafts, verts, edge_verts, outer, inner, faces, attach)
     except Exception as exc:
         report.notes.append(f"assembly failed: {exc}")
         return None, report
@@ -600,13 +584,9 @@ def reconstruct(records: VertexRecordSet, cfg: ReconstructConfig | None = None):
     return model, report
 
 
-def _assemble(drafts, verts, edge_verts, loops, outer, inner, faces, attach, cfg):
-    loop_index = {}
+def _assemble(drafts, verts, edge_verts, outer, inner, faces, attach):
     loop_objs = []
-    face_of_loop = {}
     inners_per_face = [[] for _ in faces]
-    for fi, loop in enumerate(outer):
-        loop_index[id(loop)] = fi
     for loop, fi in zip(inner, attach):
         inners_per_face[fi].append(loop)
 
@@ -621,7 +601,7 @@ def _assemble(drafts, verts, edge_verts, loops, outer, inner, faces, attach, cfg
         for il in inners_per_face[fi]:
             inner_ids.append(len(ordered_loops))
             ordered_loops.append((il, "inner", fi))
-            pcurve_of.update(_inner_pcurves(il, fitted, drafts, cfg.uv_probe_grid))
+            pcurve_of.update(_inner_pcurves(il, fitted, drafts))
         face_objs.append(Face(surface=fitted.surface, outer=outer_id,
                               inners=tuple(inner_ids)))
 

@@ -7,7 +7,6 @@ from brepcodec.geometry import (
     Arc2,
     BicubicPatch,
     CircularArc,
-    CubicBezier,
     CylinderPatch,
     GeometryError,
     LineSegment,
@@ -15,7 +14,6 @@ from brepcodec.geometry import (
     Poly2,
     PolylineCurve,
     Segment2,
-    SpherePatch,
     pcurve_points,
 )
 
@@ -52,13 +50,6 @@ class TestCurves:
         assert np.isclose(hi2[0], 1.0)
         assert lo2[0] > 0.9
 
-    def test_bezier_endpoints_and_planarity(self):
-        cps = [(0, 0, 1), (0.3, 0.1, 1), (0.7, -0.1, 1), (1, 0, 1)]
-        c = CubicBezier(cps)
-        assert np.allclose(c.point(0.0), cps[0])
-        assert np.allclose(c.point(1.0), cps[3])
-        assert np.abs(c.point(np.linspace(0, 1, 33))[:, 2] - 1.0).max() < 1e-12
-
     def test_polyline_evaluation(self):
         c = PolylineCurve([(0, 0, 0), (1, 0, 0), (1, 1, 0)])
         assert np.allclose(c.point(0.25), [0.5, 0, 0])
@@ -93,13 +84,6 @@ class TestSurfaces:
         pu, pv = s.partials(0.0, 0.2)
         n = np.cross(pu, pv)
         assert np.allclose(n / np.linalg.norm(n), [1, 0, 0])
-
-    def test_sphere_point(self):
-        s = SpherePatch((0, 0, 0), 1.0, (1, 0, 0), (0, 1, 0), (0, 0, 1),
-                        0, TAU, -1.0, 1.0)
-        assert np.allclose(s.point(0.0, 0.0), [1, 0, 0])
-        pu, pv = s.partials(0.0, np.pi / 2 - 1e-12)
-        assert np.linalg.norm(np.cross(pu, pv)) < 1e-9  # degenerate at the pole
 
     def test_bicubic_planar_degeneracy(self):
         grid = np.zeros((4, 4, 3))
@@ -141,6 +125,28 @@ class TestPcurves:
         assert np.array_equal(pcurve_points(pcs, t), np.stack([pc.point(t) for pc in pcs]))
         assert np.array_equal(pcurve_points(pcs, t, tangent=True),
                               np.stack([pc.tangent(t) for pc in pcs]))
+
+
+# Scalar fields and point lists reject NaN and infinity like vectors do.
+@pytest.mark.parametrize("make", [
+    lambda x: CircularArc((0, 0, 0), x, (1, 0, 0), (0, 1, 0), 0, 1),
+    lambda x: CircularArc((0, 0, 0), 1, (1, 0, 0), (0, 1, 0), x, 1),
+    lambda x: CircularArc((0, 0, 0), 1, (1, 0, 0), (0, 1, 0), 0, x),
+    lambda x: CylinderPatch((0, 0, 0), x, (1, 0, 0), (0, 1, 0), (0, 0, 1), 0, 1),
+    lambda x: CylinderPatch((0, 0, 0), 1, (1, 0, 0), (0, 1, 0), (0, 0, 1), x, 1),
+    lambda x: CylinderPatch((0, 0, 0), 1, (1, 0, 0), (0, 1, 0), (0, 0, 1), 0, x),
+    lambda x: Arc2((0, 0), x, 0, 1),
+    lambda x: Arc2((0, 0), 1, x, 1),
+    lambda x: Arc2((0, 0), 1, 0, x),
+    lambda x: Poly2([(0, 0), (x, 1)]),
+], ids=["arc.radius", "arc.theta0", "arc.theta1", "cylinder.radius",
+        "cylinder.u0", "cylinder.u1", "arc2.radius", "arc2.phi0", "arc2.phi1",
+        "poly2.points"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_fields_raise(make, bad):
+    make(0.5)
+    with pytest.raises(GeometryError, match="non-finite"):
+        make(bad)
 
 
 @given(st.floats(0, 1), st.floats(0, 1))

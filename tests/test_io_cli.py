@@ -5,18 +5,59 @@ import numpy as np
 import pytest
 
 import brepcodec.io as bio
+import brepcodec.geometry as G
 from brepcodec.cli import main
 from brepcodec.codec import CodecConfig, VocabLayout, tokenize
 from brepcodec.lm import fit_ngram, sample_sequence, SamplerConfig
 from brepcodec.model import normalize
-from brepcodec.pipeline import encode_model, lossless_codebook
+from brepcodec.pipeline import decode_tokens, encode_model, lossless_codebook
 from brepcodec.primitives import box, l_bracket, ngon_prism, seam_cylinder, through_hole_box
 from brepcodec.rq import train_codebook
 
 
+def rebuilt_seam_cylinder():
+    """A decoded model: polyline edges, poly2 pcurves, a bicubic wall."""
+    normed = normalize(seam_cylinder())[0]
+    cb = lossless_codebook(normed)
+    rebuilt, _ = decode_tokens(encode_model(normed, cb), cb)
+    return rebuilt
+
+
+# One record per geometry kind, as the model file stores it.
+PINNED_RECORDS = [
+    (G.LineSegment((0, 0, 0), (1, 0.5, -2)),
+     '{"kind": "line", "p0": [0.0, 0.0, 0.0], "p1": [1.0, 0.5, -2.0]}'),
+    (G.CircularArc((1, 2, 3), 0.5, (1, 0, 0), (0, 0, 1), 0.25, 1.75),
+     '{"kind": "arc", "center": [1.0, 2.0, 3.0], "radius": 0.5, "x_axis": [1.0, 0.0, 0.0], '
+     '"y_axis": [0.0, 0.0, 1.0], "theta0": 0.25, "theta1": 1.75}'),
+    (G.PolylineCurve([(0, 0, 0), (1, 0, 0), (1, 1, 0.5)]),
+     '{"kind": "polyline", "points": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0, 0.5]]}'),
+    (G.Plane((0, 0, 1), (2, 0, 0), (0, 0.5, 0)),
+     '{"kind": "plane", "origin": [0.0, 0.0, 1.0], "u_vec": [2.0, 0.0, 0.0], '
+     '"v_vec": [0.0, 0.5, 0.0]}'),
+    (G.CylinderPatch((0, 0, 0), 0.5, (1, 0, 0), (0, 1, 0), (0, 0, 2), 0, 3.5),
+     '{"kind": "cylinder", "center": [0.0, 0.0, 0.0], "radius": 0.5, '
+     '"x_axis": [1.0, 0.0, 0.0], "y_axis": [0.0, 1.0, 0.0], "axis": [0.0, 0.0, 2.0], '
+     '"u0": 0.0, "u1": 3.5}'),
+    (G.BicubicPatch(np.arange(48).reshape(4, 4, 3) / 4),
+     '{"kind": "bicubic", "control": '
+     '[[[0.0, 0.25, 0.5], [0.75, 1.0, 1.25], [1.5, 1.75, 2.0], [2.25, 2.5, 2.75]], '
+     '[[3.0, 3.25, 3.5], [3.75, 4.0, 4.25], [4.5, 4.75, 5.0], [5.25, 5.5, 5.75]], '
+     '[[6.0, 6.25, 6.5], [6.75, 7.0, 7.25], [7.5, 7.75, 8.0], [8.25, 8.5, 8.75]], '
+     '[[9.0, 9.25, 9.5], [9.75, 10.0, 10.25], [10.5, 10.75, 11.0], [11.25, 11.5, 11.75]]]}'),
+    (G.Segment2((0, 0.25), (1, 0.75)),
+     '{"kind": "seg2", "a": [0.0, 0.25], "b": [1.0, 0.75]}'),
+    (G.Arc2((0.5, 0.5), 0.25, 0, 1.5),
+     '{"kind": "arc2", "center": [0.5, 0.5], "radius": 0.25, "phi0": 0.0, "phi1": 1.5}'),
+    (G.Poly2([(0, 0), (1, 0), (1, 0.5)]),
+     '{"kind": "poly2", "points": [[0.0, 0.0], [1.0, 0.0], [1.0, 0.5]]}'),
+]
+
+
 class TestModelFiles:
     @pytest.mark.parametrize("maker", [box, ngon_prism, seam_cylinder,
-                                       through_hole_box, l_bracket])
+                                       through_hole_box, l_bracket,
+                                       rebuilt_seam_cylinder])
     def test_exact_roundtrip(self, tmp_path, maker):
         src = maker()
         path = tmp_path / "m.json"
@@ -37,6 +78,32 @@ class TestModelFiles:
         path = tmp_path / "bad.json"
         path.write_text('{"format": "brepcodec-model/1", "vertices": [[0,')
         with pytest.raises(bio.FormatError, match="line"):
+            bio.load_model(path)
+
+    def test_geometry_records_are_pinned(self):
+        assert sorted(g.kind for g, _ in PINNED_RECORDS) == sorted(G.KINDS)
+        for g, text in PINNED_RECORDS:
+            assert json.dumps(bio._geom_to_dict(g)) == text
+            back = bio._geom_from_dict(json.loads(text))
+            assert type(back) is type(g)
+            assert json.dumps(bio._geom_to_dict(back)) == text
+
+    @pytest.mark.parametrize("kind", ["sphere", "bezier"])
+    def test_unknown_geometry_kind(self, tmp_path, kind):
+        d = bio.model_to_dict(box())
+        d["faces"][0]["surface"]["kind"] = kind
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(d))
+        with pytest.raises(bio.FormatError, match="unknown geometry kind"):
+            bio.load_model(path)
+
+    def test_non_finite_pcurve_rejected(self, tmp_path):
+        d = bio.model_to_dict(seam_cylinder())
+        arc = next(h["pcurve"] for h in d["halfedges"] if h["pcurve"]["kind"] == "arc2")
+        arc["radius"] = float("nan")
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(d))
+        with pytest.raises(bio.FormatError, match="non-finite radius"):
             bio.load_model(path)
 
     def test_wrong_format_tag(self, tmp_path):

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from brepcodec.geometry import GeometryError, LineSegment, Plane, SpherePatch, TAU
+from brepcodec.geometry import BicubicPatch, GeometryError, LineSegment, Plane
 from brepcodec.model import (
     BrepModel,
     Edge,
@@ -150,11 +150,17 @@ class TestEvalSurface:
         assert np.allclose(p, [0.5, 0, 0.2])
         assert np.allclose(n, [1, 0, 0])
 
-    def test_sphere_pole_raises(self):
-        m = self._face_only(SpherePatch((0, 0, 0), 1.0, (1, 0, 0), (0, 1, 0),
-                                        (0, 0, 1), 0, TAU, 0, np.pi / 2))
-        with pytest.raises(GeometryError):
-            eval_surface(m, 0, 0.0, np.pi / 2)
+    def test_collapsed_side_raises(self):
+        # the v = 1 side collapses to one point, a pole: no normal there
+        g = np.linspace(0.0, 1.0, 4)
+        control = np.zeros((4, 4, 3))
+        control[..., 0] = g[:, None] * (1.0 - g[None, :])
+        control[..., 1] = g[None, :]
+        m = self._face_only(BicubicPatch(control))
+        _, n = eval_surface(m, 0, 0.5, 0.5)
+        assert np.allclose(n, [0, 0, 1])
+        with pytest.raises(GeometryError, match="degenerate surface normal"):
+            eval_surface(m, 0, 0.5, 1.0)
 
     def test_outside_domain_raises(self, unit_cube):
         with pytest.raises(GeometryError):

@@ -333,9 +333,7 @@ class TestAttachInner:
 
         for loop, fi in zip(inner, assign):
             pts = np.concatenate([drafts[d].curve_pts[:-1] for d in loop.drafts])
-            means = [float(_surface_distances(pts, f.surface,
-                                              RCFG.uv_probe_grid).mean())
-                     for f in faces]
+            means = [float(_surface_distances(pts, f.surface).mean()) for f in faces]
             assert fi == int(np.argmin(means))
             # the loop lies on its host plate up to quantized endpoints
             assert means[fi] < 1.0 / 256.0
