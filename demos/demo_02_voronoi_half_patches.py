@@ -16,7 +16,7 @@ model, _ = normalize(through_hole_box())
 
 print("=== Voronoi cells on the plate with the hole ===")
 face = next(f for f in range(len(model.faces)) if model.faces[f].inners)
-cells = voronoi_assign(model, face, cfg)
+cells = voronoi_assign(model, face)
 ids, counts = np.unique(cells.labels[cells.labels >= 0], return_counts=True)
 print(f"face {face}: {len(ids)} half-edges own "
       f"{(cells.labels >= 0).sum()} of {cells.labels.size} grid samples")
@@ -25,7 +25,7 @@ for he, n in zip(ids, counts):
     print(f"  half-edge {he:3d} ({kind:5s} loop): {n:5d} cells")
 
 print()
-print("=== one record per half-edge: (6+1) x 4 x 3 + 1 = 85 scalars ===")
+print(f"=== one record per half-edge: (6 x 4 + 4) x 3 + 1 = {cfg.descriptor_length} scalars ===")
 records = extract_vhp(model, cfg)
 r = records[0]
 print(f"records: {len(records)} (= 2 x {len(model.edges)} edges)")

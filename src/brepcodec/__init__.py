@@ -35,7 +35,7 @@ from .model import (
     validate,
 )
 from .pipeline import decode_tokens, encode_model, lossless_codebook, roundtrip_check
-from .reconstruct import ReconstructConfig, reconstruct
+from .reconstruct import reconstruct
 from .rq import Codebook, rq_decode, rq_encode, train_codebook
 from .sampler import (
     SamplingConfig,
@@ -55,7 +55,6 @@ __all__ = [
     "CorpusSpec",
     "ModelBuilder",
     "NGramModel",
-    "ReconstructConfig",
     "SamplerConfig",
     "SamplingConfig",
     "TokenSequence",

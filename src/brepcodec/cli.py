@@ -17,7 +17,6 @@ import numpy as np
 from . import io as bio
 from .codec import (
     CapacityError,
-    CodecConfig,
     CodecError,
     GrammarError,
     VocabLayout,
@@ -39,7 +38,7 @@ from .metrics import (
 from .model import normalize, validate
 from .pipeline import canonical_token_key, decode_tokens, encode_model, roundtrip_check
 from .rq import CodebookError, train_codebook
-from .sampler import SamplingConfig, ZeroDepthWarning
+from .sampler import ZeroDepthWarning
 from .synth import CorpusSpec, PlacementError, synth_corpus
 
 EXIT_OK = 0
@@ -109,22 +108,20 @@ def cmd_validate(args) -> int:
 
 def cmd_tokenize(args) -> int:
     cb = bio.load_codebook(args.codebook)
-    cfg = CodecConfig()
-    seqs = [encode_model(m, cb, cfg) for _, m in _load_models(args.models)]
+    seqs = [encode_model(m, cb) for _, m in _load_models(args.models)]
     bio.save_tokens(seqs, args.out)
     print(f"wrote {len(seqs)} sequences to {args.out}")
     return EXIT_OK
 
 
 def cmd_train_codebook(args) -> int:
-    cfg = CodecConfig()
     descs = []
     for _, model in _load_models(args.inputs):
         normed, _ = normalize(model)
-        descs.append(model_descriptors(normed, cfg.sampling))
+        descs.append(model_descriptors(normed))
     corpus = np.concatenate(descs)
     cb = train_codebook(corpus, depth=args.levels, size=args.size, seed=args.seed,
-                        dim_weights=descriptor_dim_weights(cfg.sampling))
+                        dim_weights=descriptor_dim_weights())
     bio.save_codebook(cb, args.out)
     print(f"trained codebook {cb.content_id()} on {corpus.shape[0]} descriptors")
     return EXIT_OK
@@ -132,14 +129,13 @@ def cmd_train_codebook(args) -> int:
 
 def cmd_detokenize(args) -> int:
     cb = bio.load_codebook(args.codebook)
-    cfg = CodecConfig()
     _, seqs = bio.load_tokens(args.tokens)
     os.makedirs(args.out, exist_ok=True)
     reports = {}
     failed = 0
     for i, seq in enumerate(seqs):
         try:
-            model, rep = decode_tokens(seq, cb, cfg)
+            model, rep = decode_tokens(seq, cb)
         except GrammarError as exc:
             raise bio.FormatError(
                 f"{args.tokens}: line {i + 2}: {exc} "
@@ -159,10 +155,9 @@ def cmd_detokenize(args) -> int:
 
 def cmd_roundtrip(args) -> int:
     cb = bio.load_codebook(args.codebook) if args.codebook else None
-    cfg = CodecConfig()
     failures = 0
     for path, model in _load_models(args.models):
-        res = roundtrip_check(model, cb, cfg)
+        res = roundtrip_check(model, cb)
         status = "ok" if res.ok else f"FAIL ({'; '.join(res.notes)})"
         print(f"{path}: {status} vertex_err={res.max_vertex_error:.2e}")
         failures += not res.ok
@@ -190,7 +185,6 @@ def cmd_generate(args) -> int:
     layout = VocabLayout.for_codebook(cb)
     if layout_hash and layout_hash != layout.layout_hash():
         raise bio.FormatError("codebook does not match the model's vocabulary")
-    cfg = CodecConfig()
     os.makedirs(args.out, exist_ok=True)
     log = []
     sequences = []
@@ -203,7 +197,7 @@ def cmd_generate(args) -> int:
         entry = {"index": i, "seed": seed, "length": len(res.tokens),
                  "truncated": res.truncated, "parsed": False, "watertight": False}
         if res.parseable and not res.truncated:
-            model, rep = decode_tokens(res.tokens, cb, cfg)
+            model, rep = decode_tokens(res.tokens, cb)
             entry["parsed"] = True
             entry["watertight"] = bool(rep.success)
             if model is not None and rep.success:
@@ -226,7 +220,6 @@ def cmd_autocomplete(args) -> int:
     _, seqs = bio.load_tokens(args.prefix)
     if not seqs:
         raise bio.FormatError("prefix token file holds no sequences")
-    cfg = CodecConfig()
     os.makedirs(args.out, exist_ok=True)
     outputs = []
     for i, seq in enumerate(seqs):
@@ -234,7 +227,7 @@ def cmd_autocomplete(args) -> int:
             seed=args.seed + i, temperature=args.temperature))
         outputs.append(res.tokens)
         if res.parseable and not res.truncated:
-            model, rep = decode_tokens(res.tokens, cb, cfg)
+            model, rep = decode_tokens(res.tokens, cb)
             if model is not None:
                 bio.save_model(model, os.path.join(args.out, f"completed_{i:04d}.json"))
     bio.save_tokens(outputs, os.path.join(args.out, "completed.tokens"),
@@ -246,18 +239,15 @@ def cmd_autocomplete(args) -> int:
 def cmd_eval(args) -> int:
     gen = _load_models([args.gen])
     ref = _load_models([args.ref])
-    cfg = SamplingConfig()
     rng_base = args.seed
     gen_clouds = []
     ref_clouds = []
     for i, (_, m) in enumerate(gen):
         normed, _ = normalize(m)
-        gen_clouds.append(surface_sample(normed, args.points, seed=rng_base + i,
-                                         cfg=cfg))
+        gen_clouds.append(surface_sample(normed, args.points, seed=rng_base + i))
     for i, (_, m) in enumerate(ref):
         normed, _ = normalize(m)
-        ref_clouds.append(surface_sample(normed, args.points,
-                                         seed=rng_base + 10_000 + i, cfg=cfg))
+        ref_clouds.append(surface_sample(normed, args.points, seed=rng_base + 10_000 + i))
     coverage, mmd = cov_mmd(gen_clouds, ref_clouds)
     report = MetricReport(coverage=coverage, mmd=mmd,
                           jsd=jsd(gen_clouds, ref_clouds, args.voxels),

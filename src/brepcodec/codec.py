@@ -127,8 +127,8 @@ class VocabLayout:
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
     @staticmethod
-    def for_codebook(cb: Codebook, pointer_max: int = 256) -> "VocabLayout":
-        return VocabLayout(COORD_BINS, pointer_max, cb.depth, cb.level_size)
+    def for_codebook(cb: Codebook) -> "VocabLayout":
+        return VocabLayout(rq_levels=cb.depth, rq_level_size=cb.level_size)
 
     @cached_property
     def _transitions(self) -> dict:
@@ -144,7 +144,6 @@ class VocabLayout:
 @dataclass
 class CodecConfig:
     sampling: SamplingConfig = field(default_factory=SamplingConfig)
-    pointer_max: int = 256
     max_tokens: int = 3072
 
 
@@ -223,28 +222,32 @@ def canonical_order(model: BrepModel):
 # Descriptor packing
 # ---------------------------------------------------------------------------
 
-def pack_descriptor(record: VhpRecord, cfg: SamplingConfig) -> np.ndarray:
-    """Flatten a record: half-patch row-major, next samples, then label."""
-    flat = np.concatenate([
-        record.half_patch.samples.reshape(-1),
-        record.next_samples.reshape(-1),
-        [float(record.label)],
-    ])
-    if flat.shape[0] != cfg.descriptor_length:
-        raise CodecError(f"descriptor length {flat.shape[0]} != "
+def _pack(half_patch, next_samples, label) -> np.ndarray:
+    """The record order: half-patch row-major, next samples, then label."""
+    return np.concatenate([np.reshape(half_patch, -1), np.reshape(next_samples, -1),
+                           [float(label)]])
+
+
+def _check_length(desc: np.ndarray, cfg: SamplingConfig) -> None:
+    if desc.shape[0] != cfg.descriptor_length:
+        raise CodecError(f"descriptor length {desc.shape[0]} != "
                          f"configured {cfg.descriptor_length}")
+
+
+def pack_descriptor(record: VhpRecord, cfg: SamplingConfig) -> np.ndarray:
+    """Flatten a record into one descriptor row."""
+    flat = _pack(record.half_patch.samples, record.next_samples, record.label)
+    _check_length(flat, cfg)
     return flat
 
 
 def unpack_descriptor(desc: np.ndarray, cfg: SamplingConfig):
     """Inverse of pack_descriptor -> (half_patch, next_samples, label)."""
     desc = np.asarray(desc, dtype=float).reshape(-1)
-    if desc.shape[0] != cfg.descriptor_length:
-        raise CodecError(f"descriptor length {desc.shape[0]} != "
-                         f"configured {cfg.descriptor_length}")
-    nc, ns, nn = cfg.n_curve, cfg.n_surface, cfg.n_next
-    hp = desc[: nc * ns * 3].reshape(nc, ns, 3)
-    nxt = desc[nc * ns * 3: nc * ns * 3 + nn * 3].reshape(nn, 3)
+    _check_length(desc, cfg)
+    split = cfg.n_curve * cfg.n_surface * 3
+    hp = desc[:split].reshape(cfg.n_curve, cfg.n_surface, 3)
+    nxt = desc[split:-1].reshape(-1, 3)
     label = 1 if desc[-1] >= 0.5 else 0
     return hp, nxt, label
 
@@ -260,10 +263,7 @@ LABEL_EMPHASIS = 4.0
 TOPOLOGY_EMPHASIS = 2.0
 
 
-def descriptor_dim_weights(cfg: SamplingConfig | None = None,
-                           label_emphasis: float = LABEL_EMPHASIS,
-                           topology_emphasis: float = TOPOLOGY_EMPHASIS
-                           ) -> np.ndarray:
+def descriptor_dim_weights(cfg: SamplingConfig | None = None) -> np.ndarray:
     """Clustering emphasis for descriptor corpora.
 
     The binary label and the dimensions that carry topology through
@@ -272,13 +272,9 @@ def descriptor_dim_weights(cfg: SamplingConfig | None = None,
     surface samples, which no discrete decision depends on.
     """
     cfg = cfg or SamplingConfig()
-    nc, ns, nn = cfg.n_curve, cfg.n_surface, cfg.n_next
-    w = np.ones(cfg.descriptor_length)
-    for row in range(nc):
-        w[row * ns * 3: row * ns * 3 + 3] = topology_emphasis   # column 0
-    w[nc * ns * 3: nc * ns * 3 + nn * 3] = topology_emphasis    # next samples
-    w[-1] = label_emphasis
-    return w
+    half_patch = np.ones((cfg.n_curve, cfg.n_surface, 3))
+    half_patch[:, 0] = TOPOLOGY_EMPHASIS                         # column 0
+    return _pack(half_patch, np.full((cfg.n_next, 3), TOPOLOGY_EMPHASIS), LABEL_EMPHASIS)
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +420,11 @@ def _edge_descriptor_ids(model: BrepModel, eid: int, earlier_global: int):
     return (hf, hr) if e.v0 == earlier_global else (hr, hf)
 
 
-def _component_records(model: BrepModel, comps):
-    """Per-component edge groups: later local index -> [(earlier local, eid)]."""
+def component_edges(model: BrepModel, comps):
+    """Per-component edge groups: later local index -> [(earlier local, eid)].
+
+    ``comps`` are the per-component vertex-id lists of `canonical_order`.
+    """
     local = {}
     comp_of = {}
     for ci, comp in enumerate(comps):
@@ -448,23 +447,23 @@ def tokenize(model: BrepModel, codebook: Codebook, cfg: CodecConfig | None = Non
              transform: TransformRecord | None = None) -> TokenSequence:
     """Encode a normalized, validated model as a token sequence."""
     cfg = cfg or CodecConfig()
-    layout = VocabLayout.for_codebook(codebook, cfg.pointer_max)
+    layout = VocabLayout.for_codebook(codebook)
     if model.num_vertices and (model.vertices.min() < 0.0 or model.vertices.max() >= 1.0):
         raise CodecError("model must be normalized into the unit box before tokenizing")
 
     flat_order, comps = canonical_order(model)
     for comp in comps:
-        if len(comp) > cfg.pointer_max:
+        if len(comp) > layout.pointer_max:
             raise CapacityError(
                 f"component with {len(comp)} vertices exceeds the pointer "
-                f"range of {cfg.pointer_max}")
+                f"range of {layout.pointer_max}")
 
     records = extract_vhp(model, cfg.sampling)
     descs = np.stack([pack_descriptor(r, cfg.sampling) for r in records]) \
         if records else np.zeros((0, cfg.sampling.descriptor_length))
     codes = rq_encode_many(descs, codebook) if len(records) else np.zeros((0, 0), int)
 
-    groups = _component_records(model, comps)
+    groups = component_edges(model, comps)
     qcoords = quantize_coord(model.vertices) if model.num_vertices else None
 
     def rq_tokens(he_id):
@@ -540,14 +539,13 @@ def parse(seq, codebook: Codebook | None = None, cfg: CodecConfig | None = None,
 
     Grammar violations raise GrammarError with the token position and the
     expected token kinds.  Descriptors are decoded when a codebook is
-    supplied, otherwise left as raw codes.
+    supplied, otherwise left as raw codes.  ``cfg`` is accepted for
+    symmetry with `tokenize`; parsing has no setting.
     """
-    cfg = cfg or CodecConfig()
     header = seq.header if isinstance(seq, TokenSequence) else None
     tokens = list(seq.tokens) if isinstance(seq, TokenSequence) else list(seq)
     if layout is None:
-        layout = (VocabLayout.for_codebook(codebook, cfg.pointer_max)
-                  if codebook is not None else VocabLayout(pointer_max=cfg.pointer_max))
+        layout = VocabLayout.for_codebook(codebook) if codebook is not None else VocabLayout()
     if header is not None and header.layout_hash and \
             header.layout_hash != layout.layout_hash():
         raise CodecError("sequence header layout hash does not match the layout")

@@ -435,6 +435,8 @@ class Arc2:
     def __post_init__(self):
         object.__setattr__(self, "center", _vec(self.center, 2))
         _set_reals(self, "radius", "phi0", "phi1")
+        if self.radius <= 0:
+            raise GeometryError("arc radius must be positive")
 
     def point(self, t):
         t = np.asarray(t, dtype=float)

@@ -18,7 +18,7 @@ from . import geometry as G
 from .codec import SequenceHeader, TokenSequence
 from .model import BrepModel, Edge, Face, HalfEdge, Loop, TransformRecord, compute_shells
 from .rq import Codebook
-from .sampler import FaceChart, SamplingConfig, extract_vhp, voronoi_assign
+from .sampler import FaceChart, extract_vhp, voronoi_assign
 
 MODEL_FORMAT = "brepcodec-model/1"
 TOKENS_FORMAT = "brepcodec-tokens/1"
@@ -313,11 +313,10 @@ def save_table(rows, path, columns):
 
 def export_obj(model: BrepModel, path, resolution: int = 32):
     """Tessellate faces at a fixed UV resolution (viewing only, lossy)."""
-    cfg = SamplingConfig()
     lines = ["# brepcodec OBJ export (tessellated; not exact geometry)"]
     base = 1
     for f in range(len(model.faces)):
-        chart = FaceChart(model, f, cfg)
+        chart = FaceChart(model, f)
         u0, u1, v0, v1 = chart.domain
         us = np.linspace(u0, u1, resolution + 1)
         vs = np.linspace(v0, v1, resolution + 1)
@@ -342,13 +341,12 @@ def export_obj(model: BrepModel, path, resolution: int = 32):
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def export_vhp_debug(model: BrepModel, path, cfg: SamplingConfig | None = None):
+def export_vhp_debug(model: BrepModel, path):
     """Voronoi cell maps and VHP sample points for visualization."""
-    cfg = cfg or SamplingConfig()
-    records = extract_vhp(model, cfg)
+    records = extract_vhp(model)
     doc = {"format": "brepcodec-vhp-debug/1", "faces": [], "records": []}
     for f in range(len(model.faces)):
-        cells = voronoi_assign(model, f, cfg)
+        cells = voronoi_assign(model, f)
         doc["faces"].append({"face": f, "domain": list(cells.domain),
                              "resolution": cells.resolution,
                              "labels": cells.labels.tolist()})

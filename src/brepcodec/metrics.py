@@ -12,7 +12,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .model import BrepModel, validate
-from .sampler import FaceChart, SamplingConfig
+from .sampler import UV_GRID, FaceChart
 
 JSD_DEFAULT_RESOLUTION = 28
 POINTS_PER_CLOUD = 2000
@@ -48,9 +48,9 @@ class MetricReport:
 JITTER_REDRAWS = 16   # redraws of a jitter that leaves the trim, then the cell centre
 
 
-def _face_cell_weights(chart: FaceChart, cfg: SamplingConfig):
-    """In-trim UV cells with their area-element weights."""
-    res = cfg.uv_grid
+def _face_cell_weights(chart: FaceChart):
+    """In-trim cells of the ``UV_GRID`` x ``UV_GRID`` grid, with area weights."""
+    res = UV_GRID
     u0, u1, v0, v1 = chart.domain
     du = (u1 - u0) / res
     dv = (v1 - v0) / res
@@ -68,16 +68,14 @@ def _face_cell_weights(chart: FaceChart, cfg: SamplingConfig):
 
 
 def surface_sample(model: BrepModel, n: int = POINTS_PER_CLOUD, seed: int = 0,
-                   cfg: SamplingConfig | None = None, with_normals: bool = False
-                   ) -> PointCloud:
+                   with_normals: bool = False) -> PointCloud:
     """Area-weighted uniform surface sampling, deterministic per seed."""
-    cfg = cfg or SamplingConfig()
     if not model.faces:
         raise ValueError("model has no faces to sample")
     cells = []
     for f in range(len(model.faces)):
-        chart = FaceChart(model, f, cfg)
-        uv, area, steps = _face_cell_weights(chart, cfg)
+        chart = FaceChart(model, f)
+        uv, area, steps = _face_cell_weights(chart)
         if area.size:
             cells.append((chart, uv, area, steps))
     total = sum(c[2].sum() for c in cells)

@@ -233,28 +233,35 @@ class ModelBuilder:
         return model
 
 
-def compute_shells(model: BrepModel) -> tuple:
-    """Partition faces into shells via shared-edge adjacency (union-find)."""
-    nf = len(model.faces)
-    parent = list(range(nf))
+def _union_find(n: int, pairs) -> list:
+    """Classes of ``range(n)`` joined by ``pairs``.
 
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for e in model.edges:
-        f1 = model.loops[model.halfedges[e.halfedges[0]].loop].face
-        f2 = model.loops[model.halfedges[e.halfedges[1]].loop].face
-        ra, rb = find(f1), find(f2)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
+    Returns sorted tuples ordered by smallest member.  A root is the
+    smallest member of its class and ``parent[a] <= a``, so one ascending
+    pass takes every member to its root.
+    """
+    parent = list(range(n))
+    for a, b in pairs:
+        while parent[a] != a:                  # path halving
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[max(a, b)] = min(a, b)
 
     groups = {}
-    for f in range(nf):
-        groups.setdefault(find(f), []).append(f)
-    return tuple(tuple(groups[k]) for k in sorted(groups))
+    for a in range(n):
+        parent[a] = parent[parent[a]]
+        groups.setdefault(parent[a], []).append(a)
+    return [tuple(g) for g in groups.values()]
+
+
+def compute_shells(model: BrepModel) -> tuple:
+    """Partition faces into shells via shared-edge adjacency."""
+    loops, hes = model.loops, model.halfedges
+    pairs = ((loops[hes[a].loop].face, loops[hes[b].loop].face)
+             for a, b in (e.halfedges for e in model.edges))
+    return tuple(_union_find(len(model.faces), pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -450,24 +457,7 @@ def connected_components(model: BrepModel):
 
     Returns a list of sorted vertex-id tuples, ordered by smallest member.
     """
-    nv = model.num_vertices
-    parent = list(range(nv))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for e in model.edges:
-        ra, rb = find(e.v0), find(e.v1)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    groups = {}
-    for v in range(nv):
-        groups.setdefault(find(v), []).append(v)
-    return [tuple(sorted(groups[k])) for k in sorted(groups)]
+    return _union_find(model.num_vertices, ((e.v0, e.v1) for e in model.edges))
 
 
 def sample_curve(model: BrepModel, edge: int, n: int, include_endpoints: bool = False):

@@ -11,19 +11,19 @@ from .codec import (
     CodecConfig,
     TokenSequence,
     canonical_order,
+    component_edges,
     model_descriptors,
     parse,
     tokenize,
 )
 from .model import BrepModel, normalize, euler_report
-from .reconstruct import ReconstructConfig, ReconstructionReport, reconstruct
+from .reconstruct import ReconstructionReport, reconstruct
 from .rq import Codebook, train_codebook
 
 VERTEX_TOLERANCE = 1.0 / 256.0 + 1e-9
 
 
-def lossless_codebook(model: BrepModel, cfg: CodecConfig | None = None,
-                      seed: int = 0, depth: int = 4) -> Codebook:
+def lossless_codebook(model: BrepModel, cfg: CodecConfig | None = None) -> Codebook:
     """Codebook whose level-1 centroids are the model's own descriptors.
 
     Deeper levels cluster zero residuals, so encoding stays exact while the
@@ -32,7 +32,7 @@ def lossless_codebook(model: BrepModel, cfg: CodecConfig | None = None,
     cfg = cfg or CodecConfig()
     descs = model_descriptors(model, cfg.sampling)
     distinct = np.unique(descs, axis=0)
-    return train_codebook(descs, depth=depth, size=distinct.shape[0], seed=seed)
+    return train_codebook(descs, depth=4, size=distinct.shape[0], seed=0)
 
 
 @dataclass
@@ -49,18 +49,9 @@ class RoundtripResult:
 def _canonical_structure(model: BrepModel):
     """Per-component positions and edge multisets under canonical order."""
     _, comps = canonical_order(model)
-    local = {}
-    comp_of = {}
-    for ci, comp in enumerate(comps):
-        for li, v in enumerate(comp):
-            local[v] = li
-            comp_of[v] = ci
     positions = [model.vertices[list(comp)] for comp in comps]
-    edges = [Counter() for _ in comps]
-    for e in model.edges:
-        ci = comp_of[e.v0]
-        a, b = sorted((local[e.v0], local[e.v1]))
-        edges[ci][(a, b)] += 1
+    edges = [Counter((earlier, later) for later, group in groups.items() for earlier, _ in group)
+             for groups in component_edges(model, comps)]
     return positions, edges
 
 
@@ -70,8 +61,7 @@ def _shell_tuples(model: BrepModel):
 
 
 def roundtrip_check(model: BrepModel, codebook: Codebook | None = None,
-                    cfg: CodecConfig | None = None,
-                    rcfg: ReconstructConfig | None = None) -> RoundtripResult:
+                    cfg: CodecConfig | None = None) -> RoundtripResult:
     """tokenize -> parse -> reconstruct -> compare against the source.
 
     With no codebook supplied, a lossless per-model codebook is trained so
@@ -79,7 +69,6 @@ def roundtrip_check(model: BrepModel, codebook: Codebook | None = None,
     exactly; vertex positions may move by at most half a quantization bin.
     """
     cfg = cfg or CodecConfig()
-    rcfg = rcfg or ReconstructConfig(sampling=cfg.sampling)
     result = RoundtripResult()
 
     normed, transform = normalize(model)
@@ -114,7 +103,7 @@ def roundtrip_check(model: BrepModel, codebook: Codebook | None = None,
         result.notes.append(f"vertex error {max_err:.2e} above tolerance")
         return result
 
-    rec_model, report = reconstruct(records, rcfg)
+    rec_model, report = reconstruct(records, cfg.sampling)
     result.report = report
     if rec_model is None:
         result.notes.append("reconstruction produced no model")
@@ -136,13 +125,11 @@ def encode_model(model: BrepModel, codebook: Codebook,
     return tokenize(normed, codebook, cfg, transform=transform)
 
 
-def decode_tokens(seq, codebook: Codebook, cfg: CodecConfig | None = None,
-                  rcfg: ReconstructConfig | None = None):
+def decode_tokens(seq, codebook: Codebook, cfg: CodecConfig | None = None):
     """Parse then reconstruct; returns (model | None, report)."""
     cfg = cfg or CodecConfig()
-    rcfg = rcfg or ReconstructConfig(sampling=cfg.sampling)
     records = parse(seq, codebook, cfg)
-    return reconstruct(records, rcfg)
+    return reconstruct(records, cfg.sampling)
 
 
 def canonical_token_key(model: BrepModel, codebook: Codebook,

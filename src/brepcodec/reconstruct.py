@@ -64,19 +64,6 @@ ELEVATED_COST = 0.8
 UV_PROBE_GRID = 33
 
 
-@dataclass
-class ReconstructConfig:
-    """Reconstruction settings: ``sampling``, which must match the encoder's.
-
-    Everything else is a module constant (``BOUNDARY_WEIGHT``,
-    ``ELEVATED_COST``, ``UV_PROBE_GRID``), and the plane-versus-bicubic
-    test follows from the coordinate bin and the measured RQ noise
-    (``plane_gate``).
-    """
-
-    sampling: SamplingConfig = field(default_factory=SamplingConfig)
-
-
 @dataclass(eq=False)
 class HalfEdgeDraft:
     index: int
@@ -123,7 +110,7 @@ class ReconstructionReport:
 # Stage 1: materialize drafts
 # ---------------------------------------------------------------------------
 
-def materialize_half_edges(records: VertexRecordSet, cfg: ReconstructConfig | None = None):
+def materialize_half_edges(records: VertexRecordSet, cfg: SamplingConfig | None = None):
     """Build twin half-edge drafts from parsed records.
 
     The interior curve samples of the two directed copies of each edge are
@@ -133,8 +120,7 @@ def materialize_half_edges(records: VertexRecordSet, cfg: ReconstructConfig | No
     draft carries it as ``noise``.
     Returns (drafts, vertex positions, edge endpoint list).
     """
-    cfg = cfg or ReconstructConfig()
-    s = cfg.sampling
+    cfg = cfg or SamplingConfig()
     drafts = []
     positions = []
     edge_verts = []
@@ -146,8 +132,8 @@ def materialize_half_edges(records: VertexRecordSet, cfg: ReconstructConfig | No
             if er.desc_ij is None or er.desc_ji is None:
                 raise ValueError("records carry no decoded descriptors; "
                                  "parse with a codebook first")
-            hp_ij, next_ij, label_ij = unpack_descriptor(er.desc_ij, s)
-            hp_ji, next_ji, label_ji = unpack_descriptor(er.desc_ji, s)
+            hp_ij, next_ij, label_ij = unpack_descriptor(er.desc_ij, cfg)
+            hp_ji, next_ji, label_ji = unpack_descriptor(er.desc_ji, cfg)
             vi, vj = er.i + offset, er.j + offset
             pi, pj = comp.positions[er.i], comp.positions[er.j]
             fwd = 0.5 * (hp_ij[:, 0, :] + hp_ji[::-1, 0, :])
@@ -228,15 +214,14 @@ def solve_assignment(problem: AssignmentProblem):
     return pairs, total, infeasible
 
 
-def solve_next_map(drafts, n_vertices: int, cfg: ReconstructConfig):
+def solve_next_map(drafts, n_vertices: int, cfg: SamplingConfig):
     next_map = {}
     total = 0.0
     infeasible = []
     elevated = []
     stars = vertex_stars(drafts)
     for v in range(n_vertices):
-        problem = build_assignment(v, drafts, cfg.sampling.n_next,
-                                   stars.get(v, ([], [])))
+        problem = build_assignment(v, drafts, cfg.n_next, stars.get(v, ([], [])))
         if problem is None:
             continue
         pairs, cost, bad = solve_assignment(problem)
@@ -475,12 +460,11 @@ def plane_gate(loop: LoopDraft, drafts) -> float:
     return PLANE_GATE * float(np.hypot(VERTEX_BIN_RMS, noise))
 
 
-def fit_face(loop: LoopDraft, drafts, cfg: ReconstructConfig | None = None) -> FittedFace:
+def fit_face(loop: LoopDraft, drafts) -> FittedFace:
     """Fit a plane, else a bicubic patch, to a loop's boundary and samples.
 
     The plane is kept when its residual is within ``plane_gate``; otherwise
-    a bicubic is fitted and kept only if its residual is lower.  ``cfg``
-    is accepted for symmetry with the other stages; fitting has no setting.
+    a bicubic is fitted and kept only if its residual is lower.
     """
     runs = [drafts[d].curve_pts for d in loop.drafts]
     interior = np.concatenate([drafts[d].surface_pts.reshape(-1, 3)
@@ -509,12 +493,10 @@ def _surface_distances(points: np.ndarray, surface) -> np.ndarray:
     return np.linalg.norm(points - surface.point(uv[:, 0], uv[:, 1]), axis=1)
 
 
-def attach_inner_loops(inner_loops, faces, drafts, cfg: ReconstructConfig | None = None):
+def attach_inner_loops(inner_loops, faces, drafts):
     """Assign each inner loop to the face minimizing mean sample distance.
 
-    Returns a list of face indices aligned with ``inner_loops``.  ``cfg``
-    is accepted for symmetry with the other stages; attachment has no
-    setting.
+    Returns a list of face indices aligned with ``inner_loops``.
     """
     if inner_loops and not faces:
         raise ValueError("cannot attach inner loops: no faces were built")
@@ -534,9 +516,9 @@ def _inner_pcurves(loop: LoopDraft, face: FittedFace, drafts):
 # Full pipeline
 # ---------------------------------------------------------------------------
 
-def reconstruct(records: VertexRecordSet, cfg: ReconstructConfig | None = None):
-    """Records -> (BrepModel | None, ReconstructionReport)."""
-    cfg = cfg or ReconstructConfig()
+def reconstruct(records: VertexRecordSet, cfg: SamplingConfig | None = None):
+    """Records -> (BrepModel | None, ReconstructionReport); ``cfg`` is the encoder's."""
+    cfg = cfg or SamplingConfig()
     report = ReconstructionReport()
     try:
         drafts, verts, edge_verts = materialize_half_edges(records, cfg)
@@ -560,12 +542,12 @@ def reconstruct(records: VertexRecordSet, cfg: ReconstructConfig | None = None):
         outer = [l for l in loops if l.kind == "outer"]
         inner = [l for l in loops if l.kind == "inner"]
 
-        faces = [fit_face(l, drafts, cfg) for l in outer]
+        faces = [fit_face(l, drafts) for l in outer]
         report.faces_built = len(faces)
         for f in faces:
             report.notes.extend(f.notes)
 
-        attach = attach_inner_loops(inner, faces, drafts, cfg) if inner else []
+        attach = attach_inner_loops(inner, faces, drafts) if inner else []
         report.inner_loops_attached = len(attach)
     except Exception as exc:
         report.notes.append(f"reconstruction failed: {exc}")

@@ -1,6 +1,7 @@
 """Voronoi half-patch extraction.
 
-Every half-edge of a model yields one record holding:
+Every half-edge of a model yields one record of ``(N_c * N_s + N_n) * 3 + 1``
+scalars (``SamplingConfig.descriptor_length``, 85 at the defaults) holding:
 
 * an ``(N_c, N_s, 3)`` half-patch: N_c interior curve samples (column 0)
   plus ``N_s - 1`` surface samples per row, marched from the curve into the
@@ -14,10 +15,10 @@ Distances for the Voronoi partition are measured in each face's parameter
 rectangle after rescaling both axes to a common arclength-based unit, so
 unlike parameter units (radians vs. axial lengths) compare fairly.
 
-Each ray is marched in ``max(16, uv_grid // 2)`` equal steps out to the
-face's normalized diagonal; the first failing step is then refined by 10
-rounds of bisection.  So ``SamplingConfig.uv_grid`` sets the march as well
-as the ``voronoi_assign`` grid.
+Each ray is marched in ``UV_GRID // 2`` (32) equal steps out to the face's
+normalized diagonal; the first failing step is then refined by 10 rounds
+of bisection.  ``UV_GRID`` is also the per-axis resolution of the
+``voronoi_assign`` grid.
 
 All faces of a model share one walk.  ``FaceCharts`` packs every face's
 boundary chords and trim polygons into flat tables, and one kernel runs the
@@ -37,6 +38,12 @@ from .geometry import GeometryError, Poly2, Segment2, pcurve_points
 from .model import BrepModel, ModelError, halfedge_curve_samples, validate
 
 
+# Voronoi grid resolution per axis; the walk marches UV_GRID // 2 steps.
+UV_GRID = 64
+# Polyline resolution of a curved pcurve, for parametric distances.
+PCURVE_SAMPLES = 33
+
+
 class ZeroDepthWarning(UserWarning):
     """A half-patch walk had zero depth; samples collapsed onto the curve."""
 
@@ -46,10 +53,6 @@ class SamplingConfig:
     n_curve: int = 6          # curve samples per half-edge
     n_surface: int = 4        # samples per row, column 0 on the curve
     n_next: int = 4           # successor samples stored per record
-    uv_grid: int = 64         # Voronoi grid resolution per axis; the walk
-                              # marches max(16, uv_grid // 2) steps, then
-                              # bisects 10 times
-    pcurve_samples: int = 33  # polyline resolution for parametric distances
 
     def __post_init__(self):
         if self.n_curve < 1 or self.n_surface < 1:
@@ -59,7 +62,7 @@ class SamplingConfig:
 
     @property
     def descriptor_length(self) -> int:
-        return (self.n_curve + 1) * self.n_surface * 3 + 1
+        return (self.n_curve * self.n_surface + self.n_next) * 3 + 1
 
 
 @dataclass(eq=False)
@@ -114,17 +117,17 @@ def _ragged_arange(starts, counts) -> np.ndarray:
     return np.repeat(starts - (ends - counts), counts) + np.arange(ends[-1] if ends.size else 0)
 
 
-def _pcurve_knots(pc, n_default: int) -> int:
+def _pcurve_knots(pc) -> int:
     """Number of equally spaced knots whose chords represent the pcurve.
 
     Straight pcurves are exact with a single chord; Poly2 breakpoints are
-    exact by construction; curved pcurves fall back to dense sampling.
+    exact by construction; curved pcurves fall back to ``PCURVE_SAMPLES``.
     """
     if isinstance(pc, Segment2):
         return 2
     if isinstance(pc, Poly2):
         return pc.points.shape[0]
-    return n_default
+    return PCURVE_SAMPLES
 
 
 class FaceCharts:
@@ -140,9 +143,8 @@ class FaceCharts:
     face slot of every point.
     """
 
-    def __init__(self, model: BrepModel, faces, cfg: SamplingConfig):
+    def __init__(self, model: BrepModel, faces):
         self.model = model
-        self.cfg = cfg
         self.faces = list(faces)
         self.surfaces = []
         domains, scales, he_lists, loop_lists = [], [], [], []
@@ -180,8 +182,7 @@ class FaceCharts:
         self._pcurves = [model.halfedges[h].pcurve for h in self._he_id]
 
         # polylines: rows off[r] : off[r] + npts[r] of pts belong to table row r
-        npts = np.array([_pcurve_knots(pc, cfg.pcurve_samples) for pc in self._pcurves],
-                        dtype=int)
+        npts = np.array([_pcurve_knots(pc) for pc in self._pcurves], dtype=int)
         off = np.cumsum(npts) - npts
         uv = np.empty((int(npts.sum()), 2))
         for n in np.unique(npts):
@@ -305,7 +306,7 @@ class FaceCharts:
         Rays march in chunks of steps and drop out at their first failing
         step; the last good step and the first bad one are then bisected.
         """
-        steps = max(16, self.cfg.uv_grid // 2)
+        steps = UV_GRID // 2
         ts = np.zeros((len(self.faces), steps))
         for k in np.unique(fk):
             ts[k] = np.linspace(0.0, self._diag[k], steps + 1)[1:]   # exclude t = 0
@@ -340,14 +341,14 @@ class FaceCharts:
             lo[live] = lo_l
         return lo
 
-    def half_patches(self, he_ids, on_curve) -> np.ndarray:
+    def half_patches(self, he_ids, on_curve, n_surface: int) -> np.ndarray:
         """(K, N_c, N_s, 3) half-patches of half-edges of these faces.
 
         ``on_curve`` (K, N_c, 3) holds each half-edge's curve samples, which
         become column 0.  Rays of zero depth collapse onto the curve, with
         one ZeroDepthWarning per affected half-edge.
         """
-        nc, ns = self.cfg.n_curve, self.cfg.n_surface
+        nc, ns = on_curve.shape[1], n_surface
         he = np.asarray(he_ids, dtype=int)
         samples = np.empty((he.size, nc, ns, 3))
         samples[:, :, 0, :] = on_curve
@@ -403,8 +404,8 @@ class FaceCharts:
 class FaceChart(FaceCharts):
     """The chart of one face: the single-face case of ``FaceCharts``."""
 
-    def __init__(self, model: BrepModel, face: int, cfg: SamplingConfig):
-        super().__init__(model, [face], cfg)
+    def __init__(self, model: BrepModel, face: int):
+        super().__init__(model, [face])
         self.face = face
         self.surface = self.surfaces[0]
         self.domain = self.domains[0]
@@ -431,7 +432,7 @@ class FaceChart(FaceCharts):
 # Operations
 # ---------------------------------------------------------------------------
 
-def boundary_pcurves(model: BrepModel, face: int, samples_per_halfedge: int = 33):
+def boundary_pcurves(model: BrepModel, face: int):
     """UV polylines of the face's bounding half-edges, in loop order.
 
     Raises GeometryError if a pcurve is inconsistent with the half-edge's
@@ -439,7 +440,7 @@ def boundary_pcurves(model: BrepModel, face: int, samples_per_halfedge: int = 33
     """
     surf = model.faces[face].surface
     u0, u1, v0, v1 = surf.domain()
-    t = np.linspace(0.0, 1.0, samples_per_halfedge)
+    t = np.linspace(0.0, 1.0, PCURVE_SAMPLES)
     tol_dom = 1e-9 * (abs(u1 - u0) + abs(v1 - v0))
     out = []
     for li in model.face_loops(face):
@@ -462,12 +463,11 @@ def boundary_pcurves(model: BrepModel, face: int, samples_per_halfedge: int = 33
     return out
 
 
-def voronoi_assign(model: BrepModel, face: int, cfg: SamplingConfig | None = None,
+def voronoi_assign(model: BrepModel, face: int,
                    chart: FaceChart | None = None) -> VoronoiCellMap:
     """Label each in-trim grid sample with its nearest bounding half-edge."""
-    cfg = cfg or SamplingConfig()
-    chart = chart or FaceChart(model, face, cfg)
-    res = cfg.uv_grid
+    chart = chart or FaceChart(model, face)
+    res = UV_GRID
     u0, u1, v0, v1 = chart.domain
     us = u0 + (np.arange(res) + 0.5) * (u1 - u0) / res
     vs = v0 + (np.arange(res) + 0.5) * (v1 - v0) / res
@@ -487,9 +487,9 @@ def sample_half_patch(model: BrepModel, halfedge: int, cfg: SamplingConfig | Non
     cfg = cfg or SamplingConfig()
     he = model.halfedges[halfedge]
     face = model.loops[he.loop].face
-    chart = chart or FaceChart(model, face, cfg)
+    chart = chart or FaceChart(model, face)
     on_curve = halfedge_curve_samples(model, halfedge, cfg.n_curve)
-    return HalfPatch(samples=chart.half_patches([halfedge], on_curve[None])[0])
+    return HalfPatch(samples=chart.half_patches([halfedge], on_curve[None], cfg.n_surface)[0])
 
 
 def sample_next_pointers(model: BrepModel, halfedge: int,
@@ -508,7 +508,7 @@ def extract_vhp(model: BrepModel, cfg: SamplingConfig | None = None):
         raise ModelError(f"model fails twin/loop validation: {report.defects[:3]}")
 
     faces = range(len(model.faces))
-    charts = FaceCharts(model, faces, cfg)
+    charts = FaceCharts(model, faces)
     he_ids, labels, on_curve = [], [], {}
     for face in faces:
         for li in model.face_loops(face):
@@ -519,7 +519,8 @@ def extract_vhp(model: BrepModel, cfg: SamplingConfig | None = None):
                 he_ids.append(h)
                 labels.append(1 if loop.kind == "outer" else 0)
     samples = charts.half_patches(
-        he_ids, np.array([on_curve[h] for h in he_ids]).reshape(-1, cfg.n_curve, 3))
+        he_ids, np.array([on_curve[h] for h in he_ids]).reshape(-1, cfg.n_curve, 3),
+        cfg.n_surface)
 
     records: list = [None] * len(model.halfedges)
     for h, s, label in zip(he_ids, samples, labels):

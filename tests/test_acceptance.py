@@ -28,7 +28,6 @@ from brepcodec.metrics import _polyline_deviation
 from brepcodec.model import connected_components, euler_report, normalize, validate
 from brepcodec.pipeline import roundtrip_check
 from brepcodec.reconstruct import (
-    ReconstructConfig,
     build_assignment,
     materialize_half_edges,
     solve_next_map,
@@ -37,7 +36,6 @@ from brepcodec.rq import encoding_errors, train_codebook
 from brepcodec.synth import CorpusSpec, synth_corpus
 
 CFG = CodecConfig()
-RCFG = ReconstructConfig()
 
 CORPUS_SEED = 2024
 CORPUS_SPEC = CorpusSpec(
@@ -138,9 +136,9 @@ def test_criterion_3_next_map_noise_robustness(corpus):
 
         cb = lossless_codebook(normed)
         records = parse(tokenize(normed, cb, CFG), cb, CFG)
-        drafts, verts, _ = materialize_half_edges(records, RCFG)
-        clean, *_ = solve_next_map(drafts, verts.shape[0], RCFG)
-        nn = RCFG.sampling.n_next
+        drafts, verts, _ = materialize_half_edges(records, CFG.sampling)
+        clean, *_ = solve_next_map(drafts, verts.shape[0], CFG.sampling)
+        nn = CFG.sampling.n_next
         for v in range(verts.shape[0]):
             problem = build_assignment(v, drafts, nn)
             if problem is None:
@@ -152,7 +150,7 @@ def test_criterion_3_next_map_noise_robustness(corpus):
                 noise = rng.normal(size=(nn, 3))
                 noise *= 0.2 * dmin / np.linalg.norm(noise, axis=1).sum()
                 drafts[i].next_pts = drafts[i].next_pts + noise
-        noisy, *_ = solve_next_map(drafts, verts.shape[0], RCFG)
+        noisy, *_ = solve_next_map(drafts, verts.shape[0], CFG.sampling)
         assert noisy == clean, f"next map changed under noise on {name}"
         checked += 1
     assert checked == 200

@@ -16,18 +16,23 @@ from brepcodec.codec import (
     allowed_tokens,
     canonical_order,
     dequantize_coord,
+    descriptor_dim_weights,
     initial_state,
+    model_descriptors,
+    pack_descriptor,
     parse,
     quantize_coord,
     sequence_token_count,
     step,
     tokenize,
+    unpack_descriptor,
     validity_mask,
 )
 from brepcodec.geometry import LineSegment
 from brepcodec.model import BrepModel, Edge, normalize
 from brepcodec.pipeline import lossless_codebook
-from brepcodec.primitives import box, merge_models
+from brepcodec.primitives import box, merge_models, ngon_prism, through_hole_box
+from brepcodec.sampler import SamplingConfig, extract_vhp
 
 LAYOUT = VocabLayout()  # 128 coords, 256 pointers, 4 x 257 rq, 3 specials
 
@@ -142,8 +147,9 @@ class TestTokenizeCounts:
 
     def test_component_capacity_error(self, cube_normed):
         cb = lossless_codebook(cube_normed)
+        big, _ = normalize(ngon_prism(n=129))     # 258 vertices in one component
         with pytest.raises(CapacityError):
-            tokenize(cube_normed, cb, CodecConfig(pointer_max=4))
+            tokenize(big, cb)
 
     def test_max_tokens_capacity_error(self, cube_normed):
         cb = lossless_codebook(cube_normed)
@@ -294,13 +300,28 @@ class TestMasks:
             assert state == GrammarState(MODE_DONE)
 
 
+class TestDescriptorLayout:
+    @pytest.mark.parametrize("cfg", [SamplingConfig(), SamplingConfig(n_next=2),
+                                     SamplingConfig(n_surface=3)],
+                             ids=["default", "n_next=2", "n_surface=3"])
+    def test_shapes(self, cfg):
+        m, _ = normalize(through_hole_box())
+        assert model_descriptors(m, cfg).shape[1] == cfg.descriptor_length
+        assert descriptor_dim_weights(cfg).shape == (cfg.descriptor_length,)
+        for r in extract_vhp(m, cfg):
+            hp, nxt, label = unpack_descriptor(pack_descriptor(r, cfg), cfg)
+            assert np.array_equal(hp, r.half_patch.samples)
+            assert np.array_equal(nxt, r.next_samples)
+            assert label == r.label
+
+
 class TestHeaders:
     def test_layout_hash_checked(self, cube_normed):
         cb = lossless_codebook(cube_normed)
         seq = tokenize(cube_normed, cb)
         other = VocabLayout(pointer_max=64)
         with pytest.raises(Exception):
-            parse(seq, layout=other, cfg=CodecConfig(pointer_max=64))
+            parse(seq, layout=other)
 
     def test_transform_rides_along(self, unit_cube):
         from brepcodec.pipeline import encode_model

@@ -63,6 +63,9 @@ class TestCurves:
             PolylineCurve([(0, 0, 0)])
         with pytest.raises(GeometryError):
             LineSegment((0, 0, np.nan), (1, 0, 0))
+        for radius in (0.0, -0.25):
+            with pytest.raises(GeometryError, match="radius must be positive"):
+                Arc2((0.5, 0.5), radius, 0.0, 1.0)
 
     def test_transform_exactness(self):
         c = CircularArc((1, 1, 1), 2.0, (1, 0, 0), (0, 1, 0), 0.2, 1.2)

@@ -106,6 +106,16 @@ class TestModelFiles:
         with pytest.raises(bio.FormatError, match="non-finite radius"):
             bio.load_model(path)
 
+    @pytest.mark.parametrize("radius", [0.0, -0.25])
+    def test_non_positive_pcurve_radius_rejected(self, tmp_path, radius):
+        d = bio.model_to_dict(seam_cylinder())
+        arc = next(h["pcurve"] for h in d["halfedges"] if h["pcurve"]["kind"] == "arc2")
+        arc["radius"] = radius
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(d))
+        with pytest.raises(bio.FormatError, match="radius must be positive"):
+            bio.load_model(path)
+
     def test_wrong_format_tag(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"format": "something-else"}))

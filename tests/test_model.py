@@ -2,12 +2,16 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components as csgraph_components
 
 from brepcodec.geometry import BicubicPatch, GeometryError, LineSegment, Plane
 from brepcodec.model import (
     BrepModel,
     Edge,
     Face,
+    _union_find,
     connected_components,
     euler_report,
     eval_surface,
@@ -94,6 +98,21 @@ class TestConnectedComponents:
         assert intra == 5 * 28 == 140
         assert total == 780
         assert intra < total
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 30).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                             max_size=40))))
+    def test_union_find_matches_graph_search(self, case):
+        n, pairs = case
+        rows = [a for a, _ in pairs]
+        cols = [b for _, b in pairs]
+        graph = coo_matrix((np.ones(len(pairs)), (rows, cols)), shape=(n, n))
+        _, labels = csgraph_components(graph, directed=False)
+        classes = {}
+        for v, lab in enumerate(labels):
+            classes.setdefault(lab, []).append(v)
+        assert _union_find(n, pairs) == sorted(tuple(c) for c in classes.values())
 
 
 class TestSampleCurve:

@@ -18,7 +18,6 @@ from brepcodec.primitives import (
 )
 from brepcodec.reconstruct import (
     LoopDraft,
-    ReconstructConfig,
     _plane_fit,
     attach_inner_loops,
     build_assignment,
@@ -36,7 +35,6 @@ from brepcodec.rq import train_codebook
 from brepcodec.codec import model_descriptors, descriptor_dim_weights
 
 CFG = CodecConfig()
-RCFG = ReconstructConfig()
 
 
 def records_for(model):
@@ -86,7 +84,7 @@ class TestHungarian:
 class TestMaterialize:
     def test_lossless_averaging_noop_and_twin_exactness(self, cube_normed):
         rs, _ = records_for(box())
-        drafts, verts, edges = materialize_half_edges(rs, RCFG)
+        drafts, verts, edges = materialize_half_edges(rs, CFG.sampling)
         assert len(drafts) == 24 and len(edges) == 12
         for d in drafts:
             t = drafts[d.twin]
@@ -97,10 +95,10 @@ class TestMaterialize:
         rs, _ = records_for(box())
         comp = rs.components[0]
         edge = comp.edges[0]
-        clean = materialize_half_edges(rs, RCFG)[0]
+        clean = materialize_half_edges(rs, CFG.sampling)[0]
         base_fwd = clean[0].curve_pts.copy()
 
-        nc, ns = RCFG.sampling.n_curve, RCFG.sampling.n_surface
+        nc, ns = CFG.sampling.n_curve, CFG.sampling.n_surface
         delta = 1e-3
         ij = edge.desc_ij.copy().reshape(-1)
         ji = edge.desc_ji.copy().reshape(-1)
@@ -112,14 +110,14 @@ class TestMaterialize:
         ji[: nc * ns * 3] = hp2.reshape(-1)
         edge.desc_ij, edge.desc_ji = ij, ji
 
-        drafts, _, _ = materialize_half_edges(rs, RCFG)
+        drafts, _, _ = materialize_half_edges(rs, CFG.sampling)
         assert np.allclose(drafts[0].curve_pts, base_fwd, atol=1e-12)
 
     def test_descriptor_length_mismatch_raises(self):
         rs, _ = records_for(box())
         rs.components[0].edges[0].desc_ij = np.zeros(13)
         with pytest.raises(Exception):
-            materialize_half_edges(rs, RCFG)
+            materialize_half_edges(rs, CFG.sampling)
 
 
 class TestAssignmentAtVertices:
@@ -149,9 +147,9 @@ class TestAssignmentAtVertices:
     def test_exact_records_recover_source_next_map(self):
         for src in (box(), ngon_prism(n=5), through_hole_box(), seam_cylinder()):
             rs, normed = records_for(src)
-            drafts, verts, _ = materialize_half_edges(rs, RCFG)
+            drafts, verts, _ = materialize_half_edges(rs, CFG.sampling)
             next_map, total, infeasible, elevated = solve_next_map(
-                drafts, verts.shape[0], RCFG)
+                drafts, verts.shape[0], CFG.sampling)
             assert total < 1e-9
             assert not infeasible and not elevated
             loops = trace_loops(next_map)
@@ -162,9 +160,9 @@ class TestAssignmentAtVertices:
         rng = np.random.default_rng(17)
         for src in (box(), ngon_prism(n=6), through_hole_box()):
             rs, _ = records_for(src)
-            drafts, verts, _ = materialize_half_edges(rs, RCFG)
-            clean, *_ = solve_next_map(drafts, verts.shape[0], RCFG)
-            nn = RCFG.sampling.n_next
+            drafts, verts, _ = materialize_half_edges(rs, CFG.sampling)
+            clean, *_ = solve_next_map(drafts, verts.shape[0], CFG.sampling)
+            nn = CFG.sampling.n_next
             stars = vertex_stars(drafts)
             for v in range(verts.shape[0]):
                 problem = build_assignment(v, drafts, nn, stars.get(v, ([], [])))
@@ -178,23 +176,23 @@ class TestAssignmentAtVertices:
                     noise = rng.normal(size=(nn, 3))
                     noise *= 0.2 * dmin / np.linalg.norm(noise, axis=1).sum()
                     drafts[i].next_pts = drafts[i].next_pts + noise
-            noisy, *_ = solve_next_map(drafts, verts.shape[0], RCFG)
+            noisy, *_ = solve_next_map(drafts, verts.shape[0], CFG.sampling)
             assert noisy == clean
 
 
 class TestLoops:
     def test_cube_loops(self):
         rs, _ = records_for(box())
-        drafts, verts, _ = materialize_half_edges(rs, RCFG)
-        next_map, *_ = solve_next_map(drafts, verts.shape[0], RCFG)
+        drafts, verts, _ = materialize_half_edges(rs, CFG.sampling)
+        next_map, *_ = solve_next_map(drafts, verts.shape[0], CFG.sampling)
         loops = trace_loops(next_map)
         assert len(loops) == 6
         assert all(len(l.drafts) == 4 for l in loops)
 
     def test_hole_box_loops(self):
         rs, _ = records_for(through_hole_box())
-        drafts, verts, _ = materialize_half_edges(rs, RCFG)
-        next_map, *_ = solve_next_map(drafts, verts.shape[0], RCFG)
+        drafts, verts, _ = materialize_half_edges(rs, CFG.sampling)
+        next_map, *_ = solve_next_map(drafts, verts.shape[0], CFG.sampling)
         loops = trace_loops(next_map)
         assert len(loops) == 12
         assert all(len(l.drafts) == 4 for l in loops)
@@ -251,7 +249,7 @@ def synthetic_square_loop(z=0.3):
 class TestFitFace:
     def test_coplanar_loop_gives_plane(self):
         loop, drafts = synthetic_square_loop(z=0.3)
-        fitted = fit_face(loop, drafts, RCFG)
+        fitted = fit_face(loop, drafts)
         assert fitted.planar
         assert fitted.rms <= 1e-9
         s = fitted.surface
@@ -262,17 +260,17 @@ class TestFitFace:
         # dequantized endpoints sit up to half a bin off the source plane;
         # that residual is within the plane gate, so the plane is kept
         rs, _ = records_for(box())
-        drafts, verts, _ = materialize_half_edges(rs, RCFG)
-        next_map, *_ = solve_next_map(drafts, verts.shape[0], RCFG)
+        drafts, verts, _ = materialize_half_edges(rs, CFG.sampling)
+        next_map, *_ = solve_next_map(drafts, verts.shape[0], CFG.sampling)
         loops = trace_loops(next_map)
-        fitted = fit_face(loops[0], drafts, RCFG)
+        fitted = fit_face(loops[0], drafts)
         assert fitted.planar
         assert fitted.rms < 1.0 / 256.0
 
     def test_cylinder_wall_prefers_bicubic(self):
         rs, _ = records_for(seam_cylinder(radius=0.5, height=1.0))
-        drafts, verts, _ = materialize_half_edges(rs, RCFG)
-        next_map, *_ = solve_next_map(drafts, verts.shape[0], RCFG)
+        drafts, verts, _ = materialize_half_edges(rs, CFG.sampling)
+        next_map, *_ = solve_next_map(drafts, verts.shape[0], CFG.sampling)
         loops = trace_loops(next_map)
         wall = max(loops, key=lambda l: len(l.drafts))
         assert len(wall.drafts) == 4
@@ -281,7 +279,7 @@ class TestFitFace:
                            for d in wall.drafts])
         _, _, plane_rms = _plane_fit(pts)
         assert plane_rms > plane_gate(wall, drafts)   # plane must be rejected
-        fitted = fit_face(wall, drafts, RCFG)
+        fitted = fit_face(wall, drafts)
         assert not fitted.planar
         assert fitted.rms < plane_rms
 
@@ -300,12 +298,12 @@ class TestFitFace:
         rms = reconstruction_rms(descs, cb)
         assert rms > 1e-4  # the quantizer is actually lossy here
         rs = parse(tokenize(normed[0], cb, CFG), cb, CFG)
-        drafts, verts, _ = materialize_half_edges(rs, RCFG)
-        next_map, *_ = solve_next_map(drafts, verts.shape[0], RCFG)
+        drafts, verts, _ = materialize_half_edges(rs, CFG.sampling)
+        next_map, *_ = solve_next_map(drafts, verts.shape[0], CFG.sampling)
         loops = trace_loops(next_map)
         worst = 0.0
         for loop in loops:
-            fitted = fit_face(loop, drafts, RCFG)
+            fitted = fit_face(loop, drafts)
             decoded = np.vstack([drafts[d].curve_pts[1:-1] for d in loop.drafts]
                                 + [drafts[d].surface_pts.reshape(-1, 3)
                                    for d in loop.drafts])
@@ -320,14 +318,14 @@ class TestFitFace:
 class TestAttachInner:
     def test_through_hole_attachment(self):
         rs, normed = records_for(through_hole_box())
-        drafts, verts, _ = materialize_half_edges(rs, RCFG)
-        next_map, *_ = solve_next_map(drafts, verts.shape[0], RCFG)
+        drafts, verts, _ = materialize_half_edges(rs, CFG.sampling)
+        next_map, *_ = solve_next_map(drafts, verts.shape[0], CFG.sampling)
         loops = trace_loops(next_map)
         classify_loops(loops, drafts)
         outer = [l for l in loops if l.kind == "outer"]
         inner = [l for l in loops if l.kind == "inner"]
-        faces = [fit_face(l, drafts, RCFG) for l in outer]
-        assign = attach_inner_loops(inner, faces, drafts, RCFG)
+        faces = [fit_face(l, drafts) for l in outer]
+        assign = attach_inner_loops(inner, faces, drafts)
         # exhaustive recomputation: the assigned face attains the minimum
         from brepcodec.reconstruct import _surface_distances
 
@@ -342,18 +340,18 @@ class TestAttachInner:
 
     def test_single_face_single_inner(self):
         rs, _ = records_for(through_hole_box())
-        drafts, verts, _ = materialize_half_edges(rs, RCFG)
-        next_map, *_ = solve_next_map(drafts, verts.shape[0], RCFG)
+        drafts, verts, _ = materialize_half_edges(rs, CFG.sampling)
+        next_map, *_ = solve_next_map(drafts, verts.shape[0], CFG.sampling)
         loops = trace_loops(next_map)
         classify_loops(loops, drafts)
         inner = [l for l in loops if l.kind == "inner"][:1]
         outer = [l for l in loops if l.kind == "outer"][:1]
-        faces = [fit_face(outer[0], drafts, RCFG)]
-        assert attach_inner_loops(inner, faces, drafts, RCFG) == [0]
+        faces = [fit_face(outer[0], drafts)]
+        assert attach_inner_loops(inner, faces, drafts) == [0]
 
     def test_no_faces_raises(self):
         with pytest.raises(ValueError):
-            attach_inner_loops([LoopDraft(drafts=[0])], [], [], RCFG)
+            attach_inner_loops([LoopDraft(drafts=[0])], [], [])
 
 
 class TestReconstructPipeline:
@@ -363,7 +361,7 @@ class TestReconstructPipeline:
     def test_lossless_roundtrip(self, maker):
         src = maker()
         rs, normed = records_for(src)
-        model, report = reconstruct(rs, RCFG)
+        model, report = reconstruct(rs, CFG.sampling)
         assert model is not None and report.success
         assert report.total_assignment_cost < 1e-9
         assert shell_tuples(model) == shell_tuples(normed)
@@ -400,18 +398,18 @@ class TestReconstructPipeline:
     def test_zeroed_next_samples_flagged(self):
         rs, _ = records_for(box())
         edge = rs.components[0].edges[0]
-        nc, ns, nn = (RCFG.sampling.n_curve, RCFG.sampling.n_surface,
-                      RCFG.sampling.n_next)
+        nc, ns, nn = (CFG.sampling.n_curve, CFG.sampling.n_surface,
+                      CFG.sampling.n_next)
         d = edge.desc_ij.copy()
         d[nc * ns * 3: nc * ns * 3 + nn * 3] = 0.0
         edge.desc_ij = d
-        model, report = reconstruct(rs, RCFG)
+        model, report = reconstruct(rs, CFG.sampling)
         assert report.elevated_cost_vertices
         assert model is not None
 
     def test_report_always_produced(self):
         from brepcodec.codec import VertexRecordSet
 
-        model, report = reconstruct(VertexRecordSet(components=[]), RCFG)
+        model, report = reconstruct(VertexRecordSet(components=[]), CFG.sampling)
         assert model is None
         assert report.notes

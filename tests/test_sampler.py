@@ -100,8 +100,8 @@ class TestBoundaryPcurves:
 
 class TestVoronoiAssign:
     def test_square_face_diagonal_regions(self, cube_normed):
-        chart = FaceChart(cube_normed, 0, CFG)
-        cells = voronoi_assign(cube_normed, 0, CFG, chart)
+        chart = FaceChart(cube_normed, 0)
+        cells = voronoi_assign(cube_normed, 0, chart)
         labels = cells.labels
         res = cells.resolution
         u0, u1, v0, v1 = cells.domain
@@ -137,7 +137,7 @@ class TestVoronoiAssign:
         m = BrepModel(vertices=verts, edges=edges, halfedges=hes,
                       loops=[Loop(halfedges=(0, 1, 2, 3), kind="outer", face=0)],
                       faces=[Face(surface=plane, outer=0)])
-        chart = FaceChart(m, 0, CFG)
+        chart = FaceChart(m, 0)
         # the exact center is equidistant to all four sides in float arithmetic
         lab = chart.nearest_halfedge(chart.to_norm(np.array([[0.5, 0.5]])))
         assert lab[0] == min(chart.halfedges)
@@ -146,8 +146,8 @@ class TestVoronoiAssign:
         m, _ = normalize(box(size=(2.0, 1.0, 1.0)))
         # face 4 is z = 0 with a 2:1 footprint
         face = 4
-        chart = FaceChart(m, face, CFG)
-        cells = voronoi_assign(m, face, CFG, chart)
+        chart = FaceChart(m, face)
+        cells = voronoi_assign(m, face, chart)
         labels = cells.labels
         ids, counts = np.unique(labels[labels >= 0], return_counts=True)
         assert len(ids) == 4
@@ -168,8 +168,8 @@ class TestVoronoiAssign:
     def test_square_with_hole_exhaustive(self, hole_box_normed):
         face = next(f for f in range(len(hole_box_normed.faces))
                     if hole_box_normed.faces[f].inners)
-        chart = FaceChart(hole_box_normed, face, CFG)
-        cells = voronoi_assign(hole_box_normed, face, CFG, chart)
+        chart = FaceChart(hole_box_normed, face)
+        cells = voronoi_assign(hole_box_normed, face, chart)
         labels = cells.labels.ravel()
         res = cells.resolution
         u0, u1, v0, v1 = cells.domain
@@ -193,8 +193,8 @@ class TestFaceChartsKernel:
     def test_all_faces_at_once_match_oracles(self, make, monkeypatch):
         m, _ = normalize(make())
         nf = len(m.faces)
-        charts = FaceCharts(m, range(nf), CFG)
-        one = [FaceChart(m, f, CFG) for f in range(nf)]
+        charts = FaceCharts(m, range(nf))
+        one = [FaceChart(m, f) for f in range(nf)]
         rng = np.random.default_rng(11)
         xs, ys, fks = [], [], []
         for f, chart in enumerate(one):
@@ -234,7 +234,7 @@ class TestFaceChartsKernel:
 
     def test_exact_tie_owner_is_lowest_id(self):
         m, _ = normalize(box())
-        chart = FaceChart(m, 0, CFG)
+        chart = FaceChart(m, 0)
         # the centre of the square face is equidistant from all four sides
         c = chart.to_norm(np.array([0.5, 0.5]))
         x, y, fk = np.full(4, c[0]), np.full(4, c[1]), np.zeros(4, dtype=int)
@@ -245,7 +245,7 @@ class TestFaceChartsKernel:
 
 class TestSampleHalfPatch:
     def test_planar_face_markers(self, cube_normed):
-        chart = FaceChart(cube_normed, 0, CFG)
+        chart = FaceChart(cube_normed, 0)
         he = chart.halfedges[0]
         patch = sample_half_patch(cube_normed, he, CFG, chart).samples
         assert patch.shape == (6, 4, 3)
@@ -265,7 +265,7 @@ class TestSampleHalfPatch:
         assert np.all(d2 > d0)
 
     def test_cylinder_wall_isoparametric_walk(self, cylinder_normed):
-        chart = FaceChart(cylinder_normed, 0, CFG)
+        chart = FaceChart(cylinder_normed, 0)
         surf = cylinder_normed.faces[0].surface
         # bottom circle halfedge: the one whose pcurve sits at v = 0
         he = next(h for h in chart.halfedges
@@ -428,7 +428,7 @@ class TestExtractVhp:
             charts = {}
             for h, r in enumerate(records):
                 face = m.loops[m.halfedges[h].loop].face
-                chart = charts.setdefault(face, FaceChart(m, face, CFG))
+                chart = charts.setdefault(face, FaceChart(m, face))
                 one = sample_half_patch(m, h, CFG, chart).samples
                 assert np.array_equal(r.half_patch.samples, one), (name, h)
                 assert np.array_equal(r.next_samples, sample_next_pointers(m, h, CFG)), (name, h)
