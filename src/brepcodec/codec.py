@@ -500,15 +500,12 @@ def tokenize(model: BrepModel, codebook: Codebook, cfg: CodecConfig | None = Non
 class ParsedEdge:
     i: int
     j: int
-    codes_ij: tuple
-    codes_ji: tuple
     desc_ij: np.ndarray | None = None
     desc_ji: np.ndarray | None = None
 
 
 @dataclass(eq=False)
 class ParsedComponent:
-    coords_q: np.ndarray       # (V, 3) bin indices
     positions: np.ndarray      # (V, 3) dequantized centers
     edges: list
 
@@ -527,10 +524,9 @@ def _finish_component(coords, edges, codebook):
         # one call for every half-edge: rows 2k, 2k + 1 are edge k's ij, ji
         descs = rq_decode(np.array([c for _, _, cij, cji in edges for c in (cij, cji)]),
                           codebook)
-    parsed = [ParsedEdge(i=i, j=j, codes_ij=tuple(cij), codes_ji=tuple(cji),
-                         desc_ij=descs[2 * k], desc_ji=descs[2 * k + 1])
-              for k, (i, j, cij, cji) in enumerate(edges)]
-    return ParsedComponent(coords_q=coords_q, positions=positions, edges=parsed)
+    parsed = [ParsedEdge(i=i, j=j, desc_ij=descs[2 * k], desc_ji=descs[2 * k + 1])
+              for k, (i, j, _, _) in enumerate(edges)]
+    return ParsedComponent(positions=positions, edges=parsed)
 
 
 def parse(seq, codebook: Codebook | None = None, cfg: CodecConfig | None = None,
@@ -539,7 +535,7 @@ def parse(seq, codebook: Codebook | None = None, cfg: CodecConfig | None = None,
 
     Grammar violations raise GrammarError with the token position and the
     expected token kinds.  Descriptors are decoded when a codebook is
-    supplied, otherwise left as raw codes.  ``cfg`` is accepted for
+    supplied; without one they stay None.  ``cfg`` is accepted for
     symmetry with `tokenize`; parsing has no setting.
     """
     header = seq.header if isinstance(seq, TokenSequence) else None

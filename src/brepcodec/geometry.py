@@ -104,10 +104,6 @@ class LineSegment:
         u = np.asarray(u, dtype=float)
         return self.p0 + np.multiply.outer(u, self.p1 - self.p0)
 
-    def derivative(self, u):
-        u = np.asarray(u, dtype=float)
-        return np.broadcast_to(self.p1 - self.p0, u.shape + (3,)).copy()
-
     def length(self) -> float:
         return float(np.linalg.norm(self.p1 - self.p0))
 
@@ -157,14 +153,6 @@ class CircularArc:
             self.center
             + self.radius * np.multiply.outer(np.cos(th), self.x_axis)
             + self.radius * np.multiply.outer(np.sin(th), self.y_axis)
-        )
-
-    def derivative(self, u):
-        th = self._theta(u)
-        dth = self.theta1 - self.theta0
-        return self.radius * dth * (
-            np.multiply.outer(-np.sin(th), self.x_axis)
-            + np.multiply.outer(np.cos(th), self.y_axis)
         )
 
     def length(self) -> float:
@@ -222,13 +210,6 @@ class PolylineCurve:
         i = np.clip(np.floor(s).astype(int), 0, nseg - 1)
         f = s - i
         return self.points[i] + f[..., None] * (self.points[i + 1] - self.points[i])
-
-    def derivative(self, u):
-        u = np.asarray(u, dtype=float)
-        nseg = self.points.shape[0] - 1
-        s = np.clip(u, 0.0, 1.0) * nseg
-        i = np.clip(np.floor(s).astype(int), 0, nseg - 1)
-        return (self.points[i + 1] - self.points[i]) * nseg
 
     def length(self) -> float:
         return float(np.linalg.norm(np.diff(self.points, axis=0), axis=1).sum())

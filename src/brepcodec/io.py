@@ -18,7 +18,7 @@ from . import geometry as G
 from .codec import SequenceHeader, TokenSequence
 from .model import BrepModel, Edge, Face, HalfEdge, Loop, TransformRecord, compute_shells
 from .rq import Codebook
-from .sampler import FaceChart, extract_vhp, voronoi_assign
+from .sampler import FaceCharts, extract_vhp, voronoi_assign
 
 MODEL_FORMAT = "brepcodec-model/1"
 TOKENS_FORMAT = "brepcodec-tokens/1"
@@ -105,8 +105,9 @@ def model_to_dict(model: BrepModel, transform: TransformRecord | None = None) ->
 
 
 def model_from_dict(d: dict) -> tuple:
-    if d.get("format") != MODEL_FORMAT:
-        raise FormatError(f"not a model file (format={d.get('format')!r})")
+    fmt = d.get("format") if isinstance(d, dict) else None
+    if fmt != MODEL_FORMAT:
+        raise FormatError(f"not a model file (format={fmt!r})")
     try:
         model = BrepModel(
             vertices=np.array(d["vertices"], dtype=float).reshape(-1, 3),
@@ -123,11 +124,12 @@ def model_from_dict(d: dict) -> tuple:
                         inners=tuple(f["inners"])) for f in d["faces"]],
             shells=tuple(tuple(s) for s in d.get("shells", [])),
         )
+        transform = transform_from_dict(d.get("transform"))
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed model file: {exc}") from exc
     if not model.shells:
         model.shells = compute_shells(model)
-    return model, transform_from_dict(d.get("transform"))
+    return model, transform
 
 
 def save_model(model: BrepModel, path, transform: TransformRecord | None = None):
@@ -187,9 +189,11 @@ def load_tokens(path):
         header = json.loads(lines[0])
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}:1: invalid header JSON: {exc}") from exc
-    if header.get("format") != TOKENS_FORMAT:
+    if not isinstance(header, dict) or header.get("format") != TOKENS_FORMAT:
         raise FormatError(f"{path}: not a token file")
     transforms = header.get("transforms") or []
+    if not isinstance(transforms, list):
+        raise FormatError(f"{path}:1: header transforms must be a list")
     out = []
     for ln, line in enumerate(lines[1:], start=2):
         if not line.strip():
@@ -199,7 +203,10 @@ def load_tokens(path):
         except ValueError as exc:
             raise FormatError(f"{path}:{ln}: non-integer token: {exc}") from exc
         idx = len(out)
-        tr = transform_from_dict(transforms[idx]) if idx < len(transforms) else None
+        try:
+            tr = transform_from_dict(transforms[idx]) if idx < len(transforms) else None
+        except (KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"{path}:1: malformed transform {idx}: {exc}") from exc
         out.append(TokenSequence(tokens=toks, header=SequenceHeader(
             layout_hash=header.get("layout_hash", ""),
             codebook_id=header.get("codebook_id", ""), transform=tr)))
@@ -224,7 +231,7 @@ def load_codebook(path) -> Codebook:
             d = json.load(f)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid JSON: {exc}") from exc
-    if d.get("format") != CODEBOOK_FORMAT:
+    if not isinstance(d, dict) or d.get("format") != CODEBOOK_FORMAT:
         raise FormatError(f"{path}: not a codebook file")
     try:
         cb = Codebook(levels=np.array(d["levels"], dtype=float),
@@ -263,15 +270,18 @@ def load_ngram(path):
             d = json.load(f)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid JSON: {exc}") from exc
-    if d.get("format") != LM_FORMAT:
+    if not isinstance(d, dict) or d.get("format") != LM_FORMAT:
         raise FormatError(f"{path}: not an n-gram model file")
-    model = NGramModel(order=d["order"], smoothing=d["smoothing"],
-                       vocab_size=d["vocab_size"])
-    for key, hits in d["counts"].items():
-        ctx = tuple(int(t) for t in key.split(",")) if key else ()
-        slot = {int(t): int(n) for t, n in hits.items()}
-        model.counts[ctx] = slot
-        model.totals[ctx] = sum(slot.values())
+    try:
+        model = NGramModel(order=d["order"], smoothing=d["smoothing"],
+                           vocab_size=d["vocab_size"])
+        for key, hits in d["counts"].items():
+            ctx = tuple(int(t) for t in key.split(",")) if key else ()
+            slot = {int(t): int(n) for t, n in hits.items()}
+            model.counts[ctx] = slot
+            model.totals[ctx] = sum(slot.values())
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise FormatError(f"{path}: malformed n-gram model file: {exc}") from exc
     return model, d.get("layout_hash", "")
 
 
@@ -315,16 +325,15 @@ def export_obj(model: BrepModel, path, resolution: int = 32):
     """Tessellate faces at a fixed UV resolution (viewing only, lossy)."""
     lines = ["# brepcodec OBJ export (tessellated; not exact geometry)"]
     base = 1
-    for f in range(len(model.faces)):
-        chart = FaceChart(model, f)
-        u0, u1, v0, v1 = chart.domain
+    charts = FaceCharts(model)
+    for f, surf in enumerate(charts.surfaces):
+        u0, u1, v0, v1 = charts.domains[f]
         us = np.linspace(u0, u1, resolution + 1)
         vs = np.linspace(v0, v1, resolution + 1)
         uu, vv = np.meshgrid(us, vs, indexing="ij")
         uv = np.stack([uu.ravel(), vv.ravel()], axis=-1)
-        inside = chart.in_region(chart.to_norm(uv)).reshape(resolution + 1,
-                                                            resolution + 1)
-        pts = model.faces[f].surface.point(uv[:, 0], uv[:, 1])
+        inside = charts.in_trim_uv(uv, f).reshape(resolution + 1, resolution + 1)
+        pts = surf.point(uv[:, 0], uv[:, 1])
         for p in pts:
             lines.append(f"v {p[0]} {p[1]} {p[2]}")
 
@@ -345,8 +354,9 @@ def export_vhp_debug(model: BrepModel, path):
     """Voronoi cell maps and VHP sample points for visualization."""
     records = extract_vhp(model)
     doc = {"format": "brepcodec-vhp-debug/1", "faces": [], "records": []}
+    charts = FaceCharts(model)
     for f in range(len(model.faces)):
-        cells = voronoi_assign(model, f)
+        cells = voronoi_assign(model, f, charts)
         doc["faces"].append({"face": f, "domain": list(cells.domain),
                              "resolution": cells.resolution,
                              "labels": cells.labels.tolist()})

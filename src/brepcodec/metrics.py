@@ -12,7 +12,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .model import BrepModel, validate
-from .sampler import UV_GRID, FaceChart
+from .sampler import UV_GRID, FaceCharts
 
 JSD_DEFAULT_RESOLUTION = 28
 POINTS_PER_CLOUD = 2000
@@ -48,36 +48,26 @@ class MetricReport:
 JITTER_REDRAWS = 16   # redraws of a jitter that leaves the trim, then the cell centre
 
 
-def _face_cell_weights(chart: FaceChart):
-    """In-trim cells of the ``UV_GRID`` x ``UV_GRID`` grid, with area weights."""
-    res = UV_GRID
-    u0, u1, v0, v1 = chart.domain
-    du = (u1 - u0) / res
-    dv = (v1 - v0) / res
-    us = u0 + (np.arange(res) + 0.5) * du
-    vs = v0 + (np.arange(res) + 0.5) * dv
-    uu, vv = np.meshgrid(us, vs, indexing="ij")
-    uv = np.stack([uu.ravel(), vv.ravel()], axis=-1)
-    inside = chart.in_region(chart.to_norm(uv))
-    if not inside.any():
-        return np.zeros((0, 2)), np.zeros(0), (du, dv)
-    uv = uv[inside]
-    pu, pv = chart.surface.partials(uv[:, 0], uv[:, 1])
-    area = np.linalg.norm(np.cross(pu, pv), axis=-1) * du * dv
-    return uv, area, (du, dv)
-
-
 def surface_sample(model: BrepModel, n: int = POINTS_PER_CLOUD, seed: int = 0,
                    with_normals: bool = False) -> PointCloud:
-    """Area-weighted uniform surface sampling, deterministic per seed."""
+    """Area-weighted uniform surface sampling, deterministic per seed.
+
+    Each face's in-trim cells of the ``FaceCharts.cell_grid`` are weighted
+    by area; a sample jitters uniformly within its cell and stays in trim.
+    """
     if not model.faces:
         raise ValueError("model has no faces to sample")
+    charts = FaceCharts(model)
     cells = []
-    for f in range(len(model.faces)):
-        chart = FaceChart(model, f)
-        uv, area, steps = _face_cell_weights(chart)
-        if area.size:
-            cells.append((chart, uv, area, steps))
+    for f, surf in enumerate(charts.surfaces):
+        u0, u1, v0, v1 = charts.domains[f]
+        step = np.array([(u1 - u0) / UV_GRID, (v1 - v0) / UV_GRID])
+        uv, inside = charts.cell_grid(f)
+        uv = uv[inside]
+        if uv.size:
+            pu, pv = surf.partials(uv[:, 0], uv[:, 1])
+            area = np.linalg.norm(np.cross(pu, pv), axis=-1) * step[0] * step[1]
+            cells.append((f, uv, area, step))
     total = sum(c[2].sum() for c in cells)
     if total <= 0:
         raise ValueError("model has zero total surface area")
@@ -90,7 +80,7 @@ def surface_sample(model: BrepModel, n: int = POINTS_PER_CLOUD, seed: int = 0,
     nrm = np.empty((n, 3)) if with_normals else None
     out = 0
     offset = 0
-    for chart, uv, area, (du, dv) in cells:
+    for f, uv, area, step in cells:
         take = counts[offset: offset + area.size]
         offset += area.size
         m = int(take.sum())
@@ -99,16 +89,15 @@ def surface_sample(model: BrepModel, n: int = POINTS_PER_CLOUD, seed: int = 0,
         idx = np.repeat(np.arange(area.size), take)
         # a cell straddling the trim boundary must not jitter off the face;
         # redraws come from their own stream, so in-trim samples keep theirs
-        step = np.array([du, dv])
         suv = uv[idx] + rng.uniform(-0.5, 0.5, (m, 2)) * step
-        off = ~chart.in_region(chart.to_norm(suv))
+        off = ~charts.in_trim_uv(suv, f)
         for _ in range(JITTER_REDRAWS):
             if not off.any():
                 break
             suv[off] = uv[idx[off]] + redraw.uniform(-0.5, 0.5, (int(off.sum()), 2)) * step
-            off[off] = ~chart.in_region(chart.to_norm(suv[off]))
+            off[off] = ~charts.in_trim_uv(suv[off], f)
         suv[off] = uv[idx[off]]
-        surf = chart.surface
+        surf = charts.surfaces[f]
         pts[out: out + m] = surf.point(suv[:, 0], suv[:, 1])
         if with_normals:
             pu, pv = surf.partials(suv[:, 0], suv[:, 1])

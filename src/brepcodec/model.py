@@ -407,9 +407,6 @@ def validate(model: BrepModel) -> ValidationReport:
         if {model.halfedges[h0].forward, model.halfedges[h1].forward} != {True, False}:
             manifold_ok = False
             defects.append(f"edge {ei}: needs one forward and one reverse halfedge")
-    loop_faces = {}
-    for li, loop in enumerate(model.loops):
-        loop_faces.setdefault(loop.face, [])
     for fi, face in enumerate(model.faces):
         for li in model.face_loops(fi):
             if model.loops[li].face != fi:
@@ -429,13 +426,10 @@ def validate(model: BrepModel) -> ValidationReport:
             defects.append(f"vertex {v}: isolated")
 
     shells = euler_report(model) if (twin_ok and loops_ok and manifold_ok) else []
-    euler_ok = bool(shells) and all(
-        abs(s.euler_residual) < 1e-9 and float(s.genus).is_integer() and s.genus >= 0
-        for s in shells
-    )
-    for s in shells:
-        if not float(s.genus).is_integer() or s.genus < 0:
-            defects.append(f"shell with V={s.vertices} E={s.edges} F={s.faces}: genus {s.genus}")
+    bad_genus = [s for s in shells if not float(s.genus).is_integer() or s.genus < 0]
+    for s in bad_genus:
+        defects.append(f"shell with V={s.vertices} E={s.edges} F={s.faces}: genus {s.genus}")
+    euler_ok = bool(shells) and not bad_genus
 
     watertight = twin_ok and loops_ok and manifold_ok and euler_ok
     return ValidationReport(

@@ -23,8 +23,9 @@ of bisection.  ``UV_GRID`` is also the per-axis resolution of the
 All faces of a model share one walk.  ``FaceCharts`` packs every face's
 boundary chords and trim polygons into flat tables, and one kernel runs the
 even-odd trim test and the "nearest half-edge is my owner" test over ragged
-(point x same-face chord) pairs.  A single-face ``FaceChart`` is the same
-tables over one face.
+(point x same-face chord) pairs.  The same chart gives each face's
+``UV_GRID`` x ``UV_GRID`` cell grid, which ``voronoi_assign`` labels and
+``metrics.surface_sample`` weights by area.
 """
 from __future__ import annotations
 
@@ -131,24 +132,22 @@ def _pcurve_knots(pc) -> int:
 
 
 class FaceCharts:
-    """Charts of several faces of one model, packed into flat tables.
+    """Charts of every face of one model, packed into flat tables.
 
-    Face slot ``k`` is model face ``faces[k]``.  Its bounding half-edges, in
-    increasing id so that distance ties break to the lowest id, occupy half-
-    edge table rows ``he_start[k]:he_start[k] + nhe[k]``.  Their pcurve
-    polylines give the face's chords, grouped by half-edge in the same
-    order, and its loops' closed polygons give the same number of trim
-    edges; both sit in rows ``seg_start[k]:seg_start[k] + nseg[k]`` of their
-    tables.  Queries take points as x and y arrays in normalized UV plus the
-    face slot of every point.
+    Face ``k``'s bounding half-edges, in increasing id so that distance ties
+    break to the lowest id, occupy half-edge table rows
+    ``he_start[k]:he_start[k] + nhe[k]``.  Their pcurve polylines give the
+    face's chords, grouped by half-edge in the same order, and its loops'
+    closed polygons give the same number of trim edges; both sit in rows
+    ``seg_start[k]:seg_start[k] + nseg[k]`` of their tables.  Queries take
+    points as x and y arrays in normalized UV plus the face of every point.
     """
 
-    def __init__(self, model: BrepModel, faces):
+    def __init__(self, model: BrepModel):
         self.model = model
-        self.faces = list(faces)
         self.surfaces = []
         domains, scales, he_lists, loop_lists = [], [], [], []
-        for f in self.faces:
+        for f in range(len(model.faces)):
             with _face_errors(f):
                 surf = model.faces[f].surface
                 u0, u1, v0, v1 = surf.domain()
@@ -176,7 +175,7 @@ class FaceCharts:
         self._nhe = np.array([len(hes) for hes in he_lists], dtype=int)
         self._he_start = np.cumsum(self._nhe) - self._nhe
         self._he_id = np.array([h for hes in he_lists for h in hes], dtype=int)
-        self._he_face = np.repeat(np.arange(len(self.faces)), self._nhe)
+        self._he_face = np.repeat(np.arange(len(model.faces)), self._nhe)
         self._he_row = np.full(len(model.halfedges), -1)
         self._he_row[self._he_id] = np.arange(self._he_id.size)
         self._pcurves = [model.halfedges[h].pcurve for h in self._he_id]
@@ -224,6 +223,22 @@ class FaceCharts:
     def _from_norm(self, x, y, fk):
         return (x / self._su[fk] * self._du[fk] + self._u0[fk],
                 y / self._sv[fk] * self._dv[fk] + self._v0[fk])
+
+    def in_trim_uv(self, uv, k: int) -> np.ndarray:
+        """Even-odd trim test of raw UV points (N, 2) on face ``k``."""
+        uv = np.asarray(uv, dtype=float)
+        fk = np.full(len(uv), k)
+        return self.in_trim(*self._to_norm(uv[:, 0], uv[:, 1], fk), fk)
+
+    def cell_grid(self, k: int):
+        """Face ``k``'s ``UV_GRID`` x ``UV_GRID`` cell centres in raw UV
+        (u-major, (UV_GRID**2, 2)) and their trim mask."""
+        u0, u1, v0, v1 = self.domains[k]
+        us = u0 + (np.arange(UV_GRID) + 0.5) * (u1 - u0) / UV_GRID
+        vs = v0 + (np.arange(UV_GRID) + 0.5) * (v1 - v0) / UV_GRID
+        uu, vv = np.meshgrid(us, vs, indexing="ij")
+        uv = np.stack([uu.ravel(), vv.ravel()], axis=-1)
+        return uv, self.in_trim_uv(uv, k)
 
     # -- kernel -------------------------------------------------------------
 
@@ -307,7 +322,7 @@ class FaceCharts:
         step; the last good step and the first bad one are then bisected.
         """
         steps = UV_GRID // 2
-        ts = np.zeros((len(self.faces), steps))
+        ts = np.zeros((len(self.surfaces), steps))
         for k in np.unique(fk):
             ts[k] = np.linspace(0.0, self._diag[k], steps + 1)[1:]   # exclude t = 0
         r = fk.size
@@ -342,7 +357,7 @@ class FaceCharts:
         return lo
 
     def half_patches(self, he_ids, on_curve, n_surface: int) -> np.ndarray:
-        """(K, N_c, N_s, 3) half-patches of half-edges of these faces.
+        """(K, N_c, N_s, 3) half-patches of the given half-edges.
 
         ``on_curve`` (K, N_c, 3) holds each half-edge's curve samples, which
         become column 0.  Rays of zero depth collapse onto the curve, with
@@ -385,47 +400,20 @@ class FaceCharts:
         pts = np.empty((u.size, 3))
         for k in np.unique(fk):
             sel = np.flatnonzero(pfk == k)
-            with _face_errors(self.faces[k]):
+            with _face_errors(k):
                 pts[sel] = self.surfaces[k].point(u[sel], v[sel])
         samples[:, :, 1:, :] = pts.reshape(he.size, nc, ns - 1, 3)
 
         degenerate = extents.reshape(he.size, nc) < 1e-9
         for i in np.flatnonzero(degenerate.any(axis=1)):
             warnings.warn(
-                f"halfedge {he[i]}: zero-depth walk on face {self.faces[self._he_face[rows[i]]]}; "
+                f"halfedge {he[i]}: zero-depth walk on face {self._he_face[rows[i]]}; "
                 f"surface samples collapse onto the curve",
                 ZeroDepthWarning,
                 stacklevel=3,
             )
             samples[i, degenerate[i], 1:, :] = samples[i, degenerate[i], :1, :]
         return samples
-
-
-class FaceChart(FaceCharts):
-    """The chart of one face: the single-face case of ``FaceCharts``."""
-
-    def __init__(self, model: BrepModel, face: int):
-        super().__init__(model, [face])
-        self.face = face
-        self.surface = self.surfaces[0]
-        self.domain = self.domains[0]
-        self.su, self.sv = float(self._su[0]), float(self._sv[0])
-        self.halfedges = self._he_id.tolist()
-        self.polylines = {h: self._pts[o:o + n]
-                          for h, o, n in zip(self.halfedges, self._pts_off, self._npts)}
-
-    def to_norm(self, uv):
-        uv = np.asarray(uv, dtype=float)
-        return np.stack(self._to_norm(uv[..., 0], uv[..., 1], 0), axis=-1)
-
-    def in_region(self, pts_norm) -> np.ndarray:
-        """Even-odd trim test against all loop polygons (N, 2) -> (N,)."""
-        p = np.asarray(pts_norm, dtype=float).reshape(-1, 2)
-        return self.in_trim(p[:, 0], p[:, 1], np.zeros(len(p), dtype=int))
-
-    def nearest_halfedge(self, pts_norm) -> np.ndarray:
-        p = np.asarray(pts_norm, dtype=float).reshape(-1, 2)
-        return self.nearest(p[:, 0], p[:, 1], np.zeros(len(p), dtype=int))
 
 
 # ---------------------------------------------------------------------------
@@ -464,32 +452,29 @@ def boundary_pcurves(model: BrepModel, face: int):
 
 
 def voronoi_assign(model: BrepModel, face: int,
-                   chart: FaceChart | None = None) -> VoronoiCellMap:
-    """Label each in-trim grid sample with its nearest bounding half-edge."""
-    chart = chart or FaceChart(model, face)
-    res = UV_GRID
-    u0, u1, v0, v1 = chart.domain
-    us = u0 + (np.arange(res) + 0.5) * (u1 - u0) / res
-    vs = v0 + (np.arange(res) + 0.5) * (v1 - v0) / res
-    uu, vv = np.meshgrid(us, vs, indexing="ij")
-    pts = chart.to_norm(np.stack([uu.ravel(), vv.ravel()], axis=-1))
-    labels = np.full(res * res, -1, dtype=int)
-    inside = chart.in_region(pts)
+                   charts: FaceCharts | None = None) -> VoronoiCellMap:
+    """Label each in-trim grid sample with its nearest bounding half-edge.
+
+    ``charts`` is the model's ``FaceCharts``; pass it when labelling several
+    faces, as building it covers every face.
+    """
+    charts = charts or FaceCharts(model)
+    uv, inside = charts.cell_grid(face)
+    labels = np.full(UV_GRID * UV_GRID, -1, dtype=int)
     if inside.any():
-        labels[inside] = chart.nearest_halfedge(pts[inside])
-    return VoronoiCellMap(face=face, resolution=res, domain=chart.domain,
-                          labels=labels.reshape(res, res))
+        fk = np.full(int(inside.sum()), face)
+        labels[inside] = charts.nearest(*charts._to_norm(uv[inside, 0], uv[inside, 1], fk), fk)
+    return VoronoiCellMap(face=face, resolution=UV_GRID, domain=charts.domains[face],
+                          labels=labels.reshape(UV_GRID, UV_GRID))
 
 
-def sample_half_patch(model: BrepModel, halfedge: int, cfg: SamplingConfig | None = None,
-                      chart: FaceChart | None = None) -> HalfPatch:
+def sample_half_patch(model: BrepModel, halfedge: int,
+                      cfg: SamplingConfig | None = None) -> HalfPatch:
     """Sample the (N_c, N_s, 3) half-patch of one half-edge."""
     cfg = cfg or SamplingConfig()
-    he = model.halfedges[halfedge]
-    face = model.loops[he.loop].face
-    chart = chart or FaceChart(model, face)
     on_curve = halfedge_curve_samples(model, halfedge, cfg.n_curve)
-    return HalfPatch(samples=chart.half_patches([halfedge], on_curve[None], cfg.n_surface)[0])
+    return HalfPatch(samples=FaceCharts(model).half_patches(
+        [halfedge], on_curve[None], cfg.n_surface)[0])
 
 
 def sample_next_pointers(model: BrepModel, halfedge: int,
@@ -507,10 +492,9 @@ def extract_vhp(model: BrepModel, cfg: SamplingConfig | None = None):
     if not (report.twin_consistent and report.loops_closed):
         raise ModelError(f"model fails twin/loop validation: {report.defects[:3]}")
 
-    faces = range(len(model.faces))
-    charts = FaceCharts(model, faces)
+    charts = FaceCharts(model)
     he_ids, labels, on_curve = [], [], {}
-    for face in faces:
+    for face in range(len(model.faces)):
         for li in model.face_loops(face):
             loop = model.loops[li]
             for h in loop.halfedges:

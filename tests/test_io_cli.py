@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -204,6 +205,18 @@ class TestExports:
         assert (labels >= 0).sum() > 0
 
 
+    def test_exports_are_pinned(self, tmp_path):
+        # recorded before export_obj and export_vhp_debug shared one FaceCharts
+        bio.export_obj(normalize(seam_cylinder())[0], tmp_path / "m.obj", resolution=8)
+        bio.export_vhp_debug(normalize(box())[0], tmp_path / "dbg.json")
+        digest = {p: hashlib.sha256((tmp_path / p).read_bytes()).hexdigest()
+                  for p in ("m.obj", "dbg.json")}
+        assert digest == {
+            "m.obj": "a211efd157fef60ba44d1987104f5ea0843e115e54b2dc373e406ffccc602575",
+            "dbg.json": "5b7ca7e7cc071c50853a4fb71e0efba7f8c4e3edb2ac84a8fd0126b402b2cd7e",
+        }
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
@@ -259,6 +272,50 @@ class TestCli:
                      "--codebook", str(workspace / "cb.json"),
                      "--out", str(tmp_path / "junk")])
         assert code == 2
+
+    @pytest.mark.parametrize("command, corruption", [
+        ("validate", "transform without scale"),
+        ("roundtrip", "transform without scale"),
+        ("validate", "model file is a list"),
+        ("detokenize", "transform without scale"),
+        ("detokenize", "transforms is 5"),
+        ("detokenize", "header is a list"),
+        ("detokenize", "codebook file is a list"),
+        ("generate", "n-gram without order"),
+        ("generate", "n-gram file is a list"),
+    ])
+    def test_corrupted_file_is_a_format_error(self, workspace, tmp_path, capsys,
+                                              command, corruption):
+        bad = tmp_path / "bad"
+        cb = str(workspace / "cb.json")
+        if command in ("validate", "roundtrip"):
+            doc = json.loads(sorted((workspace / "corpus").glob("*.json"))[0].read_text())
+            doc["transform"] = {"offset": [0.0, 0.0, 0.0]}
+            bad.write_text(json.dumps([doc] if "list" in corruption else doc))
+            args = [command, str(bad)] + (["--codebook", cb] if command == "roundtrip" else [])
+        elif corruption == "codebook file is a list":
+            bad.write_text("[]")
+            args = [command, str(workspace / "c.tokens"), "--codebook", str(bad),
+                    "--out", str(tmp_path / "out")]
+        elif command == "detokenize":
+            lines = (workspace / "c.tokens").read_text().splitlines()
+            header = json.loads(lines[0])
+            if "list" in corruption:
+                header = [1, 2]
+            elif "5" in corruption:
+                header["transforms"] = 5
+            else:
+                del header["transforms"][0]["scale"]
+            bad.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
+            args = [command, str(bad), "--codebook", cb, "--out", str(tmp_path / "out")]
+        else:
+            doc = {"format": bio.LM_FORMAT, "smoothing": 0.1, "vocab_size": 8, "counts": {}}
+            bad.write_text(json.dumps([doc] if "list" in corruption else doc))
+            args = [command, "--lm", str(bad), "--codebook", cb, "-n", "1",
+                    "--out", str(tmp_path / "out")]
+        capsys.readouterr()
+        assert main(args) == 2
+        assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "format"
 
     def test_synth_determinism_byte_identical(self, workspace, tmp_path):
         out2 = tmp_path / "corpus2"

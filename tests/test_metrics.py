@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,12 @@ class TestSurfaceSample:
         assert np.array_equal(a.points, b.points)
         c = surface_sample(m, 500, seed=10)
         assert not np.array_equal(a.points, c.points)
+
+    def test_cloud_is_pinned(self):
+        # recorded before the cell grid and trim test moved onto FaceCharts
+        pts = surface_sample(normalize(through_hole_box())[0], 4000, seed=0).points
+        assert hashlib.sha256(pts.tobytes()).hexdigest() == (
+            "b08f0c57bcf3fd0135c2a668e725a515e01f254fcc8170984652dd20270e0a1c")
 
     def test_cylinder_points_on_surface(self):
         m, _ = normalize(seam_cylinder())

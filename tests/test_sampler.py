@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import warnings
 
 import numpy as np
@@ -9,7 +10,6 @@ from brepcodec.geometry import GeometryError, Segment2
 from brepcodec.model import halfedge_curve_samples, normalize
 from brepcodec.primitives import box, l_bracket, ngon_prism, seam_cylinder, through_hole_box
 from brepcodec.sampler import (
-    FaceChart,
     FaceCharts,
     SamplingConfig,
     ZeroDepthWarning,
@@ -23,12 +23,27 @@ from brepcodec.sampler import (
 CFG = SamplingConfig()
 
 
-def brute_force_distances(chart, pts_norm):
+def polylines(charts, face):
+    """Normalized UV polyline of each half-edge of ``face``, read from the
+    chart tables, keyed by half-edge id in increasing order."""
+    out = {}
+    for h in sorted(charts.model.face_halfedges(face)):
+        r = charts._he_row[h]
+        out[h] = charts._pts[charts._pts_off[r]: charts._pts_off[r] + charts._npts[r]]
+    return out
+
+
+def to_norm(charts, face, uv):
+    uv = np.asarray(uv, dtype=float).reshape(-1, 2)
+    return np.stack(charts._to_norm(uv[:, 0], uv[:, 1], face), axis=-1)
+
+
+def brute_force_distances(charts, face, pts_norm):
     """Independent distance oracle: per-segment loops, no shared code path."""
-    out = np.empty((len(pts_norm), len(chart.halfedges)))
+    polys = polylines(charts, face)
+    out = np.empty((len(pts_norm), len(polys)))
     for i, p in enumerate(pts_norm):
-        for k, h in enumerate(chart.halfedges):
-            poly = chart.polylines[h]
+        for k, poly in enumerate(polys.values()):
             d = np.inf
             for a, b in zip(poly[:-1], poly[1:]):
                 ab = b - a
@@ -38,11 +53,12 @@ def brute_force_distances(chart, pts_norm):
     return out
 
 
-def even_odd_oracle(chart, p):
+def even_odd_oracle(charts, face, p):
     """Plain-loop even-odd test of one point against the face's loop polygons."""
+    polys = polylines(charts, face)
     crossings = 0
-    for li in chart.model.face_loops(chart.face):
-        poly = [q for h in chart.model.loops[li].halfedges for q in chart.polylines[h][:-1]]
+    for li in charts.model.face_loops(face):
+        poly = [q for h in charts.model.loops[li].halfedges for q in polys[h][:-1]]
         for a, b in zip(poly, poly[1:] + poly[:1]):
             if (a[1] > p[1]) != (b[1] > p[1]):
                 if p[0] < a[0] + (p[1] - a[1]) / (b[1] - a[1]) * (b[0] - a[0]):
@@ -50,13 +66,22 @@ def even_odd_oracle(chart, p):
     return crossings % 2 == 1
 
 
-def assert_voronoi_optimal(chart, pts_norm, labels, tol=1e-12):
+def assert_voronoi_optimal(charts, face, pts_norm, labels, tol=1e-12):
     """Every label attains the minimum oracle distance (up to float noise)."""
-    dists = brute_force_distances(chart, pts_norm)
-    he_index = {h: k for k, h in enumerate(chart.halfedges)}
+    dists = brute_force_distances(charts, face, pts_norm)
+    he_index = {h: k for k, h in enumerate(sorted(charts.model.face_halfedges(face)))}
     dmin = dists.min(axis=1)
     picked = np.array([dists[i, he_index[lab]] for i, lab in enumerate(labels)])
     assert np.all(picked <= dmin + tol)
+
+
+def assert_cells_optimal(charts, cells):
+    """The labelled cells of a VoronoiCellMap pass the distance oracle."""
+    uv, _ = charts.cell_grid(cells.face)
+    labels = cells.labels.ravel()
+    inside = labels >= 0
+    assert_voronoi_optimal(charts, cells.face, to_norm(charts, cells.face, uv)[inside],
+                           labels[inside])
 
 
 class TestBoundaryPcurves:
@@ -100,21 +125,25 @@ class TestBoundaryPcurves:
 
 class TestVoronoiAssign:
     def test_square_face_diagonal_regions(self, cube_normed):
-        chart = FaceChart(cube_normed, 0)
-        cells = voronoi_assign(cube_normed, 0, chart)
+        charts = FaceCharts(cube_normed)
+        cells = voronoi_assign(cube_normed, 0, charts)
+        assert_cells_optimal(charts, cells)
         labels = cells.labels
-        res = cells.resolution
-        u0, u1, v0, v1 = cells.domain
-        us = u0 + (np.arange(res) + 0.5) * (u1 - u0) / res
-        vs = v0 + (np.arange(res) + 0.5) * (v1 - v0) / res
-        uu, vv = np.meshgrid(us, vs, indexing="ij")
-        pts = chart.to_norm(np.stack([uu.ravel(), vv.ravel()], axis=-1))
-        inside = labels.ravel() >= 0
-        assert_voronoi_optimal(chart, pts[inside], labels.ravel()[inside])
         # four regions, roughly balanced (triangles meeting at the diagonals)
         ids, counts = np.unique(labels[labels >= 0], return_counts=True)
         assert len(ids) == 4
         assert counts.max() - counts.min() <= 0.15 * counts.max()
+
+    def test_cell_grid_centres_and_trim(self, hole_box_normed):
+        charts = FaceCharts(hole_box_normed)
+        for face in range(len(hole_box_normed.faces)):
+            uv, inside = charts.cell_grid(face)
+            u0, u1, v0, v1 = charts.domains[face]
+            i, j = np.divmod(np.arange(sampler.UV_GRID ** 2), sampler.UV_GRID)
+            assert np.allclose(uv[:, 0], u0 + (i + 0.5) / sampler.UV_GRID * (u1 - u0))
+            assert np.allclose(uv[:, 1], v0 + (j + 0.5) / sampler.UV_GRID * (v1 - v0))
+            x = to_norm(charts, face, uv[::97])
+            assert np.array_equal(inside[::97], [even_odd_oracle(charts, face, p) for p in x])
 
     def test_exact_tie_breaks_to_lowest_halfedge_id(self):
         from brepcodec.model import BrepModel, Edge, Face, HalfEdge, Loop
@@ -137,53 +166,49 @@ class TestVoronoiAssign:
         m = BrepModel(vertices=verts, edges=edges, halfedges=hes,
                       loops=[Loop(halfedges=(0, 1, 2, 3), kind="outer", face=0)],
                       faces=[Face(surface=plane, outer=0)])
-        chart = FaceChart(m, 0)
+        charts = FaceCharts(m)
         # the exact center is equidistant to all four sides in float arithmetic
-        lab = chart.nearest_halfedge(chart.to_norm(np.array([[0.5, 0.5]])))
-        assert lab[0] == min(chart.halfedges)
+        c = to_norm(charts, 0, [0.5, 0.5])
+        lab = charts.nearest(c[:, 0], c[:, 1], np.zeros(1, dtype=int))
+        assert lab[0] == min(m.face_halfedges(0))
 
     def test_rectangle_2_to_1_trapezoids(self):
         m, _ = normalize(box(size=(2.0, 1.0, 1.0)))
         # face 4 is z = 0 with a 2:1 footprint
-        face = 4
-        chart = FaceChart(m, face)
-        cells = voronoi_assign(m, face, chart)
+        charts = FaceCharts(m)
+        cells = voronoi_assign(m, 4, charts)
         labels = cells.labels
         ids, counts = np.unique(labels[labels >= 0], return_counts=True)
         assert len(ids) == 4
-        by_count = dict(zip(ids, counts))
         # two long edges own trapezoids (more cells), two short own triangles
         top2 = sorted(counts)[-2:]
         bot2 = sorted(counts)[:2]
         assert min(top2) > max(bot2)
-        res = cells.resolution
-        u0, u1, v0, v1 = cells.domain
-        us = u0 + (np.arange(res) + 0.5) * (u1 - u0) / res
-        vs = v0 + (np.arange(res) + 0.5) * (v1 - v0) / res
-        uu, vv = np.meshgrid(us, vs, indexing="ij")
-        pts = chart.to_norm(np.stack([uu.ravel(), vv.ravel()], axis=-1))
-        inside = labels.ravel() >= 0
-        assert_voronoi_optimal(chart, pts[inside], labels.ravel()[inside])
+        assert_cells_optimal(charts, cells)
 
     def test_square_with_hole_exhaustive(self, hole_box_normed):
         face = next(f for f in range(len(hole_box_normed.faces))
                     if hole_box_normed.faces[f].inners)
-        chart = FaceChart(hole_box_normed, face)
-        cells = voronoi_assign(hole_box_normed, face, chart)
+        charts = FaceCharts(hole_box_normed)
+        cells = voronoi_assign(hole_box_normed, face, charts)
+        assert_cells_optimal(charts, cells)
         labels = cells.labels.ravel()
-        res = cells.resolution
-        u0, u1, v0, v1 = cells.domain
-        us = u0 + (np.arange(res) + 0.5) * (u1 - u0) / res
-        vs = v0 + (np.arange(res) + 0.5) * (v1 - v0) / res
-        uu, vv = np.meshgrid(us, vs, indexing="ij")
-        pts = chart.to_norm(np.stack([uu.ravel(), vv.ravel()], axis=-1))
-        inside = labels >= 0
-        assert_voronoi_optimal(chart, pts[inside], labels[inside])
         inner_hes = set()
         for li in hole_box_normed.face_loops(face):
             if hole_box_normed.loops[li].kind == "inner":
                 inner_hes.update(hole_box_normed.loops[li].halfedges)
-        assert inner_hes & set(labels[inside].tolist())  # hole owns a band
+        assert inner_hes & set(labels[labels >= 0].tolist())  # hole owns a band
+
+    def test_labels_are_pinned(self, all_primitives):
+        # recorded before the cell grid moved onto FaceCharts
+        digest = hashlib.sha256()
+        for src in all_primitives.values():
+            m, _ = normalize(src)
+            charts = FaceCharts(m)
+            for f in range(len(m.faces)):
+                digest.update(voronoi_assign(m, f, charts).labels.astype(np.int64).tobytes())
+        assert digest.hexdigest() == (
+            "32959695749cc0252ffe82f9320af21f56e8f305dfb4e2380a9ec21e97159ea6")
 
 
 class TestFaceChartsKernel:
@@ -193,16 +218,15 @@ class TestFaceChartsKernel:
     def test_all_faces_at_once_match_oracles(self, make, monkeypatch):
         m, _ = normalize(make())
         nf = len(m.faces)
-        charts = FaceCharts(m, range(nf))
-        one = [FaceChart(m, f) for f in range(nf)]
+        charts = FaceCharts(m)
         rng = np.random.default_rng(11)
         xs, ys, fks = [], [], []
-        for f, chart in enumerate(one):
+        for f in range(nf):
             n = 40
-            x = rng.uniform(-0.05, chart.su + 0.05, n)
-            y = rng.uniform(-0.05, chart.sv + 0.05, n)
+            x = rng.uniform(-0.05, charts._su[f] + 0.05, n)
+            y = rng.uniform(-0.05, charts._sv[f] + 0.05, n)
             # points on the line of every horizontal chord hit the tie rule
-            flat = [p[0, 1] for p in chart.polylines.values()
+            flat = [p[0, 1] for p in polylines(charts, f).values()
                     if p.shape[0] == 2 and p[0, 1] == p[1, 1]]
             assert flat
             y[: len(flat) * 3] = np.repeat(flat, 3)
@@ -218,36 +242,33 @@ class TestFaceChartsKernel:
         assert np.array_equal(charts.in_trim(x, y, fk), trim)
         assert np.array_equal(charts.nearest(x, y, fk), near)
         monkeypatch.undo()
-        for f, chart in enumerate(one):
+        for f in range(nf):
             sel = fk == f
             pts = np.stack([x[sel], y[sel]], axis=-1)
-            expect = np.array([even_odd_oracle(chart, p) for p in pts])
+            expect = np.array([even_odd_oracle(charts, f, p) for p in pts])
             assert np.array_equal(trim[sel], expect), f
-            assert np.array_equal(chart.in_region(pts), expect), f
-            assert np.array_equal(chart.nearest_halfedge(pts), near[sel]), f
-            assert_voronoi_optimal(chart, pts, near[sel])
+            assert_voronoi_optimal(charts, f, pts, near[sel])
             # any half-edge clearly farther than the nearest does not own
-            dists = brute_force_distances(chart, pts)
-            far = np.array(chart.halfedges)[np.argmax(dists, axis=1)]
+            dists = brute_force_distances(charts, f, pts)
+            far = np.array(sorted(m.face_halfedges(f)))[np.argmax(dists, axis=1)]
             clearly = dists.max(axis=1) > dists.min(axis=1) + 1e-9
             assert not charts.in_own_cell(x[sel], y[sel], fk[sel], far)[clearly].any()
 
     def test_exact_tie_owner_is_lowest_id(self):
         m, _ = normalize(box())
-        chart = FaceChart(m, 0)
+        charts = FaceCharts(m)
+        hes = sorted(m.face_halfedges(0))
         # the centre of the square face is equidistant from all four sides
-        c = chart.to_norm(np.array([0.5, 0.5]))
+        c = to_norm(charts, 0, [0.5, 0.5])[0]
         x, y, fk = np.full(4, c[0]), np.full(4, c[1]), np.zeros(4, dtype=int)
-        low = min(chart.halfedges)
-        owns = chart.in_own_cell(x, y, fk, np.array(chart.halfedges))
-        assert owns.tolist() == [h == low for h in chart.halfedges]
+        owns = charts.in_own_cell(x, y, fk, np.array(hes))
+        assert owns.tolist() == [h == min(hes) for h in hes]
 
 
 class TestSampleHalfPatch:
     def test_planar_face_markers(self, cube_normed):
-        chart = FaceChart(cube_normed, 0)
-        he = chart.halfedges[0]
-        patch = sample_half_patch(cube_normed, he, CFG, chart).samples
+        he = min(cube_normed.face_halfedges(0))
+        patch = sample_half_patch(cube_normed, he, CFG).samples
         assert patch.shape == (6, 4, 3)
         # all samples on the face plane
         surf = cube_normed.faces[0].surface
@@ -256,8 +277,9 @@ class TestSampleHalfPatch:
         d = (patch.reshape(-1, 3) - surf.origin) @ n
         assert np.abs(d).max() < 1e-9
         # every sample stays in its own Voronoi cell
-        uv = surf.uv_of_point(patch.reshape(-1, 3))
-        owners = chart.nearest_halfedge(chart.to_norm(uv))
+        charts = FaceCharts(cube_normed)
+        x = to_norm(charts, 0, surf.uv_of_point(patch.reshape(-1, 3)))
+        owners = charts.nearest(x[:, 0], x[:, 1], np.zeros(len(x), dtype=int))
         assert np.all(owners == he)
         # columns march away from the curve
         d0 = np.linalg.norm(patch[:, 1, :] - patch[:, 0, :], axis=1)
@@ -265,14 +287,13 @@ class TestSampleHalfPatch:
         assert np.all(d2 > d0)
 
     def test_cylinder_wall_isoparametric_walk(self, cylinder_normed):
-        chart = FaceChart(cylinder_normed, 0)
         surf = cylinder_normed.faces[0].surface
         # bottom circle halfedge: the one whose pcurve sits at v = 0
-        he = next(h for h in chart.halfedges
+        he = next(h for h in sorted(cylinder_normed.face_halfedges(0))
                   if np.ptp(cylinder_normed.halfedges[h].pcurve.point(
                       np.linspace(0, 1, 5))[:, 1]) < 1e-12
                   and cylinder_normed.halfedges[h].pcurve.point(0.0)[1] == 0.0)
-        patch = sample_half_patch(cylinder_normed, he, CFG, chart).samples
+        patch = sample_half_patch(cylinder_normed, he, CFG).samples
         axis_pt = surf.center
         radial = patch - axis_pt
         r = np.hypot(radial[..., 0], radial[..., 1])
@@ -420,16 +441,13 @@ class TestExtractVhp:
                     assert np.abs(np.linalg.norm(radial, axis=1)
                                   - surf.radius).max() < 1e-6, name
 
-    def test_records_match_one_face_walks(self, all_primitives):
-        # batching every face into one walk must not let faces see each other
+    def test_one_halfedge_walked_alone_matches_the_batch(self, all_primitives):
+        # batching every half-edge into one walk must not let rays see each other
         for name, src in all_primitives.items():
             m, _ = normalize(src)
             records = extract_vhp(m, CFG)
-            charts = {}
             for h, r in enumerate(records):
-                face = m.loops[m.halfedges[h].loop].face
-                chart = charts.setdefault(face, FaceChart(m, face))
-                one = sample_half_patch(m, h, CFG, chart).samples
+                one = sample_half_patch(m, h, CFG).samples
                 assert np.array_equal(r.half_patch.samples, one), (name, h)
                 assert np.array_equal(r.next_samples, sample_next_pointers(m, h, CFG)), (name, h)
 
