@@ -156,11 +156,15 @@ def cmd_detokenize(args) -> int:
 def cmd_roundtrip(args) -> int:
     cb = bio.load_codebook(args.codebook) if args.codebook else None
     failures = 0
+    results = {}
     for path, model in _load_models(args.models):
         res = roundtrip_check(model, cb)
+        results[path] = res
         status = "ok" if res.ok else f"FAIL ({'; '.join(res.notes)})"
         print(f"{path}: {status} vertex_err={res.max_vertex_error:.2e}")
         failures += not res.ok
+    if args.report:
+        bio.save_report(results, args.report)
     if failures:
         raise ValidationFailure(f"{failures} models failed the round trip")
     return EXIT_OK
@@ -355,6 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("roundtrip", help="encode/decode/compare models")
     s.add_argument("models", nargs="+")
     s.add_argument("--codebook")
+    s.add_argument("--report")
     s.set_defaults(func=cmd_roundtrip)
 
     s = sub.add_parser("fit-lm", help="fit the n-gram sequence model")

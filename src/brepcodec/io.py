@@ -352,9 +352,9 @@ def export_obj(model: BrepModel, path, resolution: int = 32):
 
 def export_vhp_debug(model: BrepModel, path):
     """Voronoi cell maps and VHP sample points for visualization."""
-    records = extract_vhp(model)
-    doc = {"format": "brepcodec-vhp-debug/1", "faces": [], "records": []}
     charts = FaceCharts(model)
+    records = extract_vhp(model, charts=charts)
+    doc = {"format": "brepcodec-vhp-debug/1", "faces": [], "records": []}
     for f in range(len(model.faces)):
         cells = voronoi_assign(model, f, charts)
         doc["faces"].append({"face": f, "domain": list(cells.domain),

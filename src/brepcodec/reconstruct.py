@@ -7,11 +7,17 @@ classify them by their labels, fit a surface to every outer loop (plane
 first, bicubic tensor patch when the planar residual is too large), and
 attach each inner loop to the face whose surface it sits closest to.
 
+The numerics run as array passes over a whole model: `star_problems`
+prices every pair of every vertex star at once, `fit_faces` fits the
+planes of all outer loops at once (only loops above the plane gate get a
+bicubic, one by one), and `attach_inner_loops` measures each inner loop
+against every planar face at once.  The report times each stage.
+
 One projector, ``_project``, finds the parameters of points on a fitted
 surface: it places interior samples in a bicubic fit, measures the
-distance of an inner loop to each face, and gives inner loops their
-pcurves.  A plane inverts exactly; a bicubic patch takes the nearest node
-of a ``UV_PROBE_GRID`` x ``UV_PROBE_GRID`` grid.
+distance of an inner loop to each bicubic face, and gives inner loops
+their pcurves.  A plane inverts exactly; a bicubic patch takes the nearest
+node of a ``UV_PROBE_GRID`` x ``UV_PROBE_GRID`` grid.
 
 "Too large" is measured against the noise of the decoded samples, not a
 fixed tolerance.  Two sources add to it: vertices are rounded to the
@@ -29,23 +35,17 @@ raising, so a reconstruction report is always produced.
 """
 from __future__ import annotations
 
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .assignment import InfeasibleAssignmentError, solve_square
 from .codec import COORD_BINS, VertexRecordSet, unpack_descriptor
-from .geometry import BicubicPatch, Plane, Poly2, PolylineCurve, _bernstein3, frame_for_normal
-from .model import (
-    BrepModel,
-    Edge,
-    Face,
-    HalfEdge,
-    Loop,
-    ValidationReport,
-    compute_shells,
-    validate,
-)
+from .geometry import BicubicPatch, Plane, Poly2, PolylineCurve, _bernstein3
+from .model import (BrepModel, Edge, Face, HalfEdge, Loop, ValidationReport, compute_shells,
+                    validate)
 from .sampler import SamplingConfig
 
 
@@ -62,6 +62,9 @@ BOUNDARY_WEIGHT = 10.0
 ELEVATED_COST = 0.8
 # Per-axis node count of the grid `_project` searches on a bicubic patch.
 UV_PROBE_GRID = 33
+# Points per block of that search: a block's distance arrays hold
+# PROJECT_BLOCK x UV_PROBE_GRID**2 doubles (2.2 MB) each.
+PROJECT_BLOCK = 256
 
 
 @dataclass(eq=False)
@@ -104,6 +107,16 @@ class ReconstructionReport:
     inner_loops_attached: int = 0
     notes: list = field(default_factory=list)
     validation: ValidationReport | None = None
+    stage_ms: dict = field(default_factory=dict)   # stage -> elapsed ms
+
+
+@contextmanager
+def _stage(report: ReconstructionReport, name: str):
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        report.stage_ms[name] = 1e3 * (time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------
@@ -163,11 +176,6 @@ def materialize_half_edges(records: VertexRecordSet, cfg: SamplingConfig | None 
 # Stage 2: successor assignment per vertex
 # ---------------------------------------------------------------------------
 
-def candidate_samples(draft: HalfEdgeDraft, n_next: int) -> np.ndarray:
-    """The draft's first n_next on-curve samples outward from its origin."""
-    return draft.curve_pts[1: 1 + n_next]
-
-
 def vertex_stars(drafts) -> dict:
     """vertex -> (incoming, outgoing) draft ids, each in ascending draft order."""
     stars = {}
@@ -177,23 +185,35 @@ def vertex_stars(drafts) -> dict:
     return stars
 
 
+def star_problems(drafts, n_next: int, stars: dict) -> list:
+    """The `AssignmentProblem` of every star with an incoming draft, by vertex.
+
+    ``stars`` is `vertex_stars` output.  One pass prices every pair of every
+    star: the summed distance of the incoming draft's ``next_pts`` to the
+    outgoing draft's first ``n_next`` on-curve samples.
+    """
+    stars = [(v, stars[v]) for v in sorted(stars) if stars[v][0]]
+    ins = [a for _, (inc, out) in stars for a in inc for _ in out]
+    outs = [b for _, (inc, out) in stars for _ in inc for b in out]
+    if not ins:
+        return []
+    nxt = np.array([drafts[a].next_pts for a in ins])
+    cand = np.array([drafts[b].curve_pts[1: 1 + n_next] for b in outs])
+    cost = np.linalg.norm(nxt - cand, axis=2).sum(axis=1)
+    forbidden = np.array([drafts[a].twin for a in ins]) == np.array(outs)
+    cuts = np.cumsum([len(inc) * len(out) for _, (inc, out) in stars])[:-1]
+    return [AssignmentProblem(v, inc, out, c.reshape(len(inc), len(out)),
+                              f.reshape(len(inc), len(out)))
+            for (v, (inc, out)), c, f in zip(stars, np.split(cost, cuts), np.split(forbidden, cuts))]
+
+
 def build_assignment(vertex: int, drafts, n_next: int,
                      star: tuple | None = None) -> AssignmentProblem | None:
     """The vertex's cost matrix; ``star`` is its `vertex_stars` entry if known."""
-    incoming, outgoing = star if star is not None else \
-        vertex_stars(drafts).get(vertex, ([], []))
-    if not incoming:
-        return None
-    cost = np.zeros((len(incoming), len(outgoing)))
-    forbidden = np.zeros_like(cost, dtype=bool)
-    for a, di in enumerate(incoming):
-        p = drafts[di].next_pts
-        for b, dj in enumerate(outgoing):
-            c = candidate_samples(drafts[dj], n_next)
-            cost[a, b] = float(np.linalg.norm(p - c, axis=1).sum())
-            forbidden[a, b] = drafts[di].twin == dj
-    return AssignmentProblem(vertex=vertex, incoming=incoming, outgoing=outgoing,
-                             cost=cost, forbidden=forbidden)
+    if star is None:
+        star = vertex_stars(drafts).get(vertex, ([], []))
+    problems = star_problems(drafts, n_next, {vertex: star})
+    return problems[0] if problems else None
 
 
 def solve_assignment(problem: AssignmentProblem):
@@ -209,8 +229,7 @@ def solve_assignment(problem: AssignmentProblem):
     except InfeasibleAssignmentError:
         cols, total = solve_square(problem.cost)
         infeasible = True
-    pairs = [(problem.incoming[a], problem.outgoing[cols[a]])
-             for a in range(len(problem.incoming))]
+    pairs = [(a, problem.outgoing[c]) for a, c in zip(problem.incoming, cols)]
     return pairs, total, infeasible
 
 
@@ -219,18 +238,15 @@ def solve_next_map(drafts, n_vertices: int, cfg: SamplingConfig):
     total = 0.0
     infeasible = []
     elevated = []
-    stars = vertex_stars(drafts)
-    for v in range(n_vertices):
-        problem = build_assignment(v, drafts, cfg.n_next, stars.get(v, ([], [])))
-        if problem is None:
-            continue
+    stars = {v: s for v, s in vertex_stars(drafts).items() if v < n_vertices}
+    for problem in star_problems(drafts, cfg.n_next, stars):
         pairs, cost, bad = solve_assignment(problem)
         next_map.update(pairs)
         total += cost
         if bad:
-            infeasible.append(v)
+            infeasible.append(problem.vertex)
         if cost > ELEVATED_COST:
-            elevated.append(v)
+            elevated.append(problem.vertex)
     return next_map, total, infeasible, elevated
 
 
@@ -277,14 +293,20 @@ def _project(points: np.ndarray, surface) -> np.ndarray:
     """Parameters (N, 2) of the points of ``surface`` nearest ``points`` (N, 3).
 
     A Plane inverts exactly and unclipped; a bicubic patch (the only other
-    surface ``fit_face`` builds) takes the nearest node of the
-    ``UV_PROBE_GRID`` x ``UV_PROBE_GRID`` grid over [0, 1]^2.
+    surface ``fit_faces`` builds) takes the nearest node of the
+    ``UV_PROBE_GRID`` x ``UV_PROBE_GRID`` grid over [0, 1]^2, searched
+    ``PROJECT_BLOCK`` points at a time.
     """
     if isinstance(surface, Plane):
         return surface.uv_of_point(points)
     probes = surface.point(_PROBE_UV[:, 0], _PROBE_UV[:, 1])
-    d = ((points[:, None, :] - probes[None, :, :]) ** 2).sum(axis=2)
-    return _PROBE_UV[d.argmin(axis=1)]
+    nearest = np.empty(len(points), dtype=np.intp)
+    for i in range(0, len(points), PROJECT_BLOCK):
+        block = points[i: i + PROJECT_BLOCK, None, :]
+        # x, y, z in turn: the same sums as ((block - probes) ** 2).sum(axis=-1)
+        d = sum((block[..., c] - probes[:, c]) ** 2 for c in range(3))
+        nearest[i: i + len(block)] = d.argmin(axis=1)
+    return _PROBE_UV[nearest]
 
 
 # ---------------------------------------------------------------------------
@@ -298,44 +320,6 @@ class FittedFace:
     rms: float
     planar: bool
     notes: list = field(default_factory=list)
-
-
-def _plane_fit(points: np.ndarray):
-    centroid = points.mean(axis=0)
-    _, _, vt = np.linalg.svd(points - centroid, full_matrices=False)
-    normal = vt[-1]
-    res = (points - centroid) @ normal
-    return centroid, normal, float(np.sqrt(np.mean(res**2)))
-
-
-def _plane_face(loop_runs, interior, centroid, normal):
-    u0, v0 = frame_for_normal(normal)
-    allpts = np.vstack([np.concatenate(loop_runs), interior]) if interior.size \
-        else np.concatenate(loop_runs)
-    s = (allpts - centroid) @ u0
-    t = (allpts - centroid) @ v0
-    pad = 0.05 * max(s.max() - s.min(), t.max() - t.min(), 1e-9)
-    lo = np.array([s.min() - pad, t.min() - pad])
-    span = np.array([s.max() - s.min() + 2 * pad, t.max() - t.min() + 2 * pad])
-
-    def uv_of(pts):
-        d = pts - centroid
-        return (np.stack([d @ u0, d @ v0], axis=-1) - lo) / span
-
-    cycle_uv = uv_of(np.concatenate([run[:-1] for run in loop_runs]))
-    x, y = cycle_uv[:, 0], cycle_uv[:, 1]
-    area = 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
-    origin3 = centroid + lo[0] * u0 + lo[1] * v0
-    if area >= 0:
-        plane = Plane(origin3, span[0] * u0, span[1] * v0)
-        return plane, uv_of
-    flipped = Plane(origin3 + span[1] * v0, span[0] * u0, -span[1] * v0)
-
-    def uv_flip(pts):
-        uv = uv_of(pts)
-        return np.stack([uv[..., 0], 1.0 - uv[..., 1]], axis=-1)
-
-    return flipped, uv_flip
 
 
 def _side_params(points: np.ndarray) -> np.ndarray:
@@ -384,8 +368,10 @@ def _split_cycle_quarters(runs):
 
 
 def _bicubic_face(loop_ids, runs, interior):
-    """Coons-initialized bicubic least squares with boundary weighting."""
-    notes = []
+    """Coons-initialized bicubic least squares with boundary weighting.
+
+    None when the samples under-determine the 16 control points.
+    """
     one_side_per_draft = len(runs) == 4
     sides = runs if one_side_per_draft else _split_cycle_quarters(runs)
 
@@ -401,28 +387,16 @@ def _bicubic_face(loop_ids, runs, interior):
     grid[2, 2] = grid[2, 3] + grid[3, 2] - grid[3, 3]
     coons = BicubicPatch(grid)
 
-    # boundary UVs follow the side parameterization
-    bnd_pts = []
-    bnd_uv = []
-    side_point_uvs = []
-    for k, side in enumerate(sides):
-        t = _side_params(side)
-        uv = _SIDE_UV[k](t)
-        side_point_uvs.append(uv)
-        bnd_pts.append(side[:-1])
-        bnd_uv.append(uv[:-1])
-    bnd_pts = np.concatenate(bnd_pts)
-    bnd_uv = np.concatenate(bnd_uv)
-
-    # interior UVs: the samples projected onto the Coons patch
-    int_uv = _project(interior, coons) if interior.size else np.zeros((0, 2))
-
-    pts = np.vstack([bnd_pts, interior.reshape(-1, 3)]) if interior.size else bnd_pts
-    uvs = np.vstack([bnd_uv, int_uv])
+    # boundary UVs follow the side parameterization; interior UVs are the
+    # samples projected onto the Coons patch
+    side_point_uvs = [_SIDE_UV[k](_side_params(side)) for k, side in enumerate(sides)]
+    bnd_pts = np.concatenate([side[:-1] for side in sides])
+    pts = np.vstack([bnd_pts, interior])
+    uvs = np.vstack([uv[:-1] for uv in side_point_uvs] + [_project(interior, coons)])
     w = np.concatenate([np.full(len(bnd_pts), BOUNDARY_WEIGHT),
                         np.ones(len(uvs) - len(bnd_pts))])
     if pts.shape[0] < 16:
-        return None, notes + ["bicubic fit under-determined"]
+        return None
 
     bu = _bernstein3(uvs[:, 0])
     bv = _bernstein3(uvs[:, 1])
@@ -434,82 +408,145 @@ def _bicubic_face(loop_ids, runs, interior):
         np.linalg.norm(patch.point(uvs[:, 0], uvs[:, 1]) - pts, axis=1) ** 2)))
 
     # per-draft pcurves from the boundary UV assignment
-    pcurves = {}
     if one_side_per_draft:
-        for k, d in enumerate(loop_ids):
-            pcurves[d] = Poly2(side_point_uvs[k])
+        pcurves = dict(zip(loop_ids, map(Poly2, side_point_uvs)))
     else:
         flat_uv = np.concatenate([uv[:-1] for uv in side_point_uvs])
-        pos = 0
-        for d, run in zip(loop_ids, runs):
-            c = run.shape[0] - 1
-            seg = [flat_uv[(pos + o) % len(flat_uv)] for o in range(c + 1)]
-            pcurves[d] = Poly2(np.array(seg))
-            pos += c
-    return FittedFace(surface=patch, pcurves=pcurves, rms=rms, planar=False,
-                      notes=notes), notes
+        steps = [len(run) - 1 for run in runs]
+        pcurves = {d: Poly2(flat_uv[(start + np.arange(n + 1)) % len(flat_uv)])
+                   for d, n, start in zip(loop_ids, steps, np.cumsum([0] + steps))}
+    return FittedFace(surface=patch, pcurves=pcurves, rms=rms, planar=False)
 
 
-def plane_gate(loop: LoopDraft, drafts) -> float:
-    """Largest plane RMS residual that ``fit_face`` takes for noise.
+def plane_gate(noise):
+    """Largest plane residual ``fit_faces`` takes for noise: ``PLANE_GATE``
+    times the quadrature sum of vertex rounding and the RQ noise ``noise``."""
+    return PLANE_GATE * np.hypot(VERTEX_BIN_RMS, noise)
 
-    ``PLANE_GATE`` times the quadrature sum of the vertex rounding error
-    and the RQ noise carried by the loop's drafts.
+
+def _loop_planes(loops, drafts):
+    """Least-squares planes of all loops' samples: (RMS residuals, `Plane`s,
+    every draft's curve samples in its plane's UV, drafts in loop order).
+
+    The normal is the scatter matrix's least eigenvector; the frame follows
+    `frame_for_normal` with a 5% pad, and the v axis flips so that each
+    loop winds counter-clockwise in UV.
     """
-    noise = max(drafts[d].noise for d in loop.drafts)
-    return PLANE_GATE * float(np.hypot(VERTEX_BIN_RMS, noise))
+    order = [d for loop in loops for d in loop.drafts]
+    sizes = np.array([len(loop.drafts) for loop in loops])
+    starts = np.cumsum(sizes) - sizes
+    owner = np.repeat(np.arange(len(loops)), sizes)
+    curve = np.array([drafts[d].curve_pts for d in order])
+    pts = np.concatenate(
+        [curve, np.array([drafts[d].surface_pts.reshape(-1, 3) for d in order])], axis=1)
+    count = sizes * pts.shape[1]
+
+    centroid = np.add.reduceat(pts.sum(axis=1), starts) / count[:, None]
+    centred = pts - centroid[owner, None, :]
+    scatter = np.add.reduceat(centred.transpose(0, 2, 1) @ centred, starts)
+    normal = np.linalg.eigh(scatter)[1][:, :, 0]
+
+    # frame_for_normal, row by row: U is the axis least along n, made normal to n
+    rows = np.arange(len(loops))
+    k = np.abs(normal).argmin(axis=1)
+    u = np.eye(3)[k] - normal[rows, k][:, None] * normal
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    v = np.cross(normal, u)
+
+    # s, t and the residual of every sample, in the loop's (U, V, n) frame
+    stn = centred @ np.stack([u, v, normal], axis=2)[owner]
+    rms = np.sqrt(np.add.reduceat(np.square(stn[..., 2]).sum(axis=1), starts) / count)
+    lo = np.minimum.reduceat(stn[..., :2].min(axis=1), starts)
+    extent = np.maximum.reduceat(stn[..., :2].max(axis=1), starts) - lo
+    pad = 0.05 * np.maximum(extent.max(axis=1), 1e-9)
+    lo -= pad[:, None]
+    span = extent + 2.0 * pad[:, None]
+    uv = (stn[:, : curve.shape[1], :2] - lo[owner, None, :]) / span[owner, None, :]
+
+    # twice the signed UV area: a shoelace sum over every draft's segments,
+    # since consecutive drafts share their endpoints
+    x, y = uv[..., 0], uv[..., 1]
+    cross = (x[:, :-1] * y[:, 1:] - x[:, 1:] * y[:, :-1]).sum(axis=1)
+    flip = np.add.reduceat(cross, starts) < 0
+    origin = centroid + lo[:, :1] * u + lo[:, 1:] * v
+    origin[flip] += span[flip, 1:] * v[flip]
+    v_axis = np.where(flip[:, None], -1.0, 1.0) * span[:, 1:] * v
+    uv[flip[owner], :, 1] = 1.0 - uv[flip[owner], :, 1]
+    planes = [Plane(origin[i], span[i, 0] * u[i], v_axis[i]) for i in rows]
+    return rms, planes, uv
+
+
+def fit_faces(loops, drafts) -> list:
+    """A `FittedFace` for every loop: planes in one pass, bicubics one by one.
+
+    A loop keeps its plane when the plane's residual is within `plane_gate`;
+    otherwise a bicubic is fitted and kept only if its residual is lower.
+    """
+    if not loops:
+        return []
+    rms, planes, uv = _loop_planes(loops, drafts)
+    gate = plane_gate([max(drafts[d].noise for d in loop.drafts) for loop in loops])
+    first = np.cumsum([0] + [len(loop.drafts) for loop in loops])
+    faces = []
+    for i, loop in enumerate(loops):
+        notes = []
+        if rms[i] > gate[i]:
+            runs = [drafts[d].curve_pts for d in loop.drafts]
+            interior = np.concatenate([drafts[d].surface_pts.reshape(-1, 3)
+                                       for d in loop.drafts])
+            fitted = _bicubic_face(loop.drafts, runs, interior)
+            if fitted is not None and fitted.rms <= rms[i]:
+                faces.append(fitted)
+                continue
+            notes = (["bicubic fit under-determined"] if fitted is None else []) \
+                + ["bicubic fit rejected; plane kept"]
+        pcurves = {d: Poly2(uv[r]) for r, d in enumerate(loop.drafts, first[i])}
+        faces.append(FittedFace(surface=planes[i], pcurves=pcurves, rms=float(rms[i]),
+                                planar=True, notes=notes))
+    return faces
 
 
 def fit_face(loop: LoopDraft, drafts) -> FittedFace:
-    """Fit a plane, else a bicubic patch, to a loop's boundary and samples.
-
-    The plane is kept when its residual is within ``plane_gate``; otherwise
-    a bicubic is fitted and kept only if its residual is lower.
-    """
-    runs = [drafts[d].curve_pts for d in loop.drafts]
-    interior = np.concatenate([drafts[d].surface_pts.reshape(-1, 3)
-                               for d in loop.drafts])
-    allpts = np.vstack([np.concatenate(runs), interior])
-    centroid, normal, rms = _plane_fit(allpts)
-    notes = []
-    if rms > plane_gate(loop, drafts):
-        fitted, notes = _bicubic_face(loop.drafts, runs, interior)
-        if fitted is not None and fitted.rms <= rms:
-            return fitted
-        notes = notes + ["bicubic fit rejected; plane kept"]
-    plane, uv_of = _plane_face(runs, interior, centroid, normal)
-    pcurves = {d: Poly2(uv_of(drafts[d].curve_pts)) for d in loop.drafts}
-    return FittedFace(surface=plane, pcurves=pcurves, rms=rms, planar=True,
-                      notes=notes)
+    """`fit_faces` of one loop."""
+    return fit_faces([loop], drafts)[0]
 
 
 # ---------------------------------------------------------------------------
 # Stage 5: inner-loop attachment
 # ---------------------------------------------------------------------------
 
-def _surface_distances(points: np.ndarray, surface) -> np.ndarray:
-    """Distance of each point to its projection, clipped to the patch."""
-    uv = np.clip(_project(points, surface), 0.0, 1.0)
-    return np.linalg.norm(points - surface.point(uv[:, 0], uv[:, 1]), axis=1)
-
-
 def attach_inner_loops(inner_loops, faces, drafts):
     """Assign each inner loop to the face minimizing mean sample distance.
 
-    Returns a list of face indices aligned with ``inner_loops``.
+    Samples project onto their nearest point of each face, clipped to the
+    patch: one pass per loop for all planar faces, one `_project` call per
+    bicubic face for all loops.  Returns face indices aligned with
+    ``inner_loops``.
     """
-    if inner_loops and not faces:
+    if not inner_loops:
+        return []
+    if not faces:
         raise ValueError("cannot attach inner loops: no faces were built")
-    assignments = []
-    for loop in inner_loops:
-        pts = np.concatenate([drafts[d].curve_pts[:-1] for d in loop.drafts])
-        means = [float(_surface_distances(pts, f.surface).mean()) for f in faces]
-        assignments.append(int(np.argmin(means)))
-    return assignments
-
-
-def _inner_pcurves(loop: LoopDraft, face: FittedFace, drafts):
-    return {d: Poly2(_project(drafts[d].curve_pts, face.surface)) for d in loop.drafts}
+    samples = [np.concatenate([drafts[d].curve_pts[:-1] for d in loop.drafts])
+               for loop in inner_loops]
+    sizes = np.array([len(p) for p in samples])
+    means = np.empty((len(inner_loops), len(faces)))
+    planar = [k for k, f in enumerate(faces) if isinstance(f.surface, Plane)]
+    curved = [k for k, f in enumerate(faces) if not isinstance(f.surface, Plane)]
+    every = np.concatenate(samples)
+    for k in curved:
+        uv = np.clip(_project(every, faces[k].surface), 0.0, 1.0)
+        dist = np.linalg.norm(every - faces[k].surface.point(uv[:, 0], uv[:, 1]), axis=1)
+        means[:, k] = np.add.reduceat(dist, np.cumsum(sizes) - sizes) / sizes
+    origin = np.array([faces[k].surface.origin for k in planar]).reshape(-1, 1, 3)
+    axes = np.array([[faces[k].surface.u_vec, faces[k].surface.v_vec]
+                     for k in planar]).reshape(-1, 2, 3)
+    gram = (axes @ axes.transpose(0, 2, 1))[:, None]
+    for i, pts in enumerate(samples):
+        rhs = (pts - origin) @ axes.transpose(0, 2, 1)
+        uv = np.clip(np.linalg.solve(gram, rhs[..., None])[..., 0], 0.0, 1.0)
+        means[i, planar] = np.linalg.norm(pts - (origin + uv @ axes), axis=2).mean(axis=1)
+    return means.argmin(axis=1).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +558,8 @@ def reconstruct(records: VertexRecordSet, cfg: SamplingConfig | None = None):
     cfg = cfg or SamplingConfig()
     report = ReconstructionReport()
     try:
-        drafts, verts, edge_verts = materialize_half_edges(records, cfg)
+        with _stage(report, "materialize"):
+            drafts, verts, edge_verts = materialize_half_edges(records, cfg)
     except Exception as exc:
         report.notes.append(f"materialization failed: {exc}")
         return None, report
@@ -530,36 +568,39 @@ def reconstruct(records: VertexRecordSet, cfg: SamplingConfig | None = None):
         return None, report
 
     try:
-        next_map, total, infeasible, elevated = solve_next_map(
-            drafts, verts.shape[0], cfg)
-        report.total_assignment_cost = total
-        report.infeasible_vertices = infeasible
-        report.elevated_cost_vertices = elevated
+        with _stage(report, "next_map"):
+            next_map, *outcome = solve_next_map(drafts, verts.shape[0], cfg)
+        (report.total_assignment_cost, report.infeasible_vertices,
+         report.elevated_cost_vertices) = outcome
 
-        loops = trace_loops(next_map)
-        classify_loops(loops, drafts)
+        with _stage(report, "loops"):
+            loops = trace_loops(next_map)
+            classify_loops(loops, drafts)
         report.loop_count = len(loops)
         outer = [l for l in loops if l.kind == "outer"]
         inner = [l for l in loops if l.kind == "inner"]
 
-        faces = [fit_face(l, drafts) for l in outer]
+        with _stage(report, "fit"):
+            faces = fit_faces(outer, drafts)
         report.faces_built = len(faces)
-        for f in faces:
-            report.notes.extend(f.notes)
+        report.notes.extend(note for f in faces for note in f.notes)
 
-        attach = attach_inner_loops(inner, faces, drafts) if inner else []
+        with _stage(report, "attach"):
+            attach = attach_inner_loops(inner, faces, drafts)
         report.inner_loops_attached = len(attach)
     except Exception as exc:
         report.notes.append(f"reconstruction failed: {exc}")
         return None, report
 
     try:
-        model = _assemble(drafts, verts, edge_verts, outer, inner, faces, attach)
+        with _stage(report, "assemble"):
+            model = _assemble(drafts, verts, edge_verts, outer, inner, faces, attach)
     except Exception as exc:
         report.notes.append(f"assembly failed: {exc}")
         return None, report
 
-    report.validation = validate(model)
+    with _stage(report, "validate"):
+        report.validation = validate(model)
     report.success = report.validation.watertight
     if not report.success:
         report.notes.append("result is not watertight")
@@ -567,7 +608,6 @@ def reconstruct(records: VertexRecordSet, cfg: SamplingConfig | None = None):
 
 
 def _assemble(drafts, verts, edge_verts, outer, inner, faces, attach):
-    loop_objs = []
     inners_per_face = [[] for _ in faces]
     for loop, fi in zip(inner, attach):
         inners_per_face[fi].append(loop)
@@ -583,29 +623,20 @@ def _assemble(drafts, verts, edge_verts, outer, inner, faces, attach):
         for il in inners_per_face[fi]:
             inner_ids.append(len(ordered_loops))
             ordered_loops.append((il, "inner", fi))
-            pcurve_of.update(_inner_pcurves(il, fitted, drafts))
+            pcurve_of.update({d: Poly2(_project(drafts[d].curve_pts, fitted.surface))
+                              for d in il.drafts})
         face_objs.append(Face(surface=fitted.surface, outer=outer_id,
                               inners=tuple(inner_ids)))
 
-    loop_of_draft = {}
-    for li, (loop, kind, fi) in enumerate(ordered_loops):
-        for d in loop.drafts:
-            loop_of_draft[d] = li
-        loop_objs.append(Loop(halfedges=tuple(loop.drafts), kind=kind, face=fi))
+    loop_of_draft = {d: li for li, (loop, _, _) in enumerate(ordered_loops) for d in loop.drafts}
+    loop_objs = [Loop(halfedges=tuple(loop.drafts), kind=kind, face=fi)
+                 for loop, kind, fi in ordered_loops]
 
-    halfedges = []
-    for d in drafts:
-        halfedges.append(HalfEdge(
-            origin=d.origin, twin=d.twin, edge=d.edge_index,
-            loop=loop_of_draft.get(d.index, -1),
-            forward=(d.index % 2 == 0),
-            pcurve=pcurve_of.get(d.index)))
-
-    edges = []
-    for ei, (vi, vj) in enumerate(edge_verts):
-        fwd = 2 * ei
-        edges.append(Edge(curve=PolylineCurve(drafts[fwd].curve_pts),
-                          v0=vi, v1=vj, halfedges=(fwd, fwd + 1)))
+    halfedges = [HalfEdge(origin=d.origin, twin=d.twin, edge=d.edge_index,
+                          loop=loop_of_draft.get(d.index, -1), forward=(d.index % 2 == 0),
+                          pcurve=pcurve_of.get(d.index)) for d in drafts]
+    edges = [Edge(curve=PolylineCurve(drafts[2 * ei].curve_pts), v0=vi, v1=vj,
+                  halfedges=(2 * ei, 2 * ei + 1)) for ei, (vi, vj) in enumerate(edge_verts)]
 
     model = BrepModel(vertices=verts, edges=edges, halfedges=halfedges,
                       loops=loop_objs, faces=face_objs)

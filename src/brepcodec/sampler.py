@@ -485,14 +485,17 @@ def sample_next_pointers(model: BrepModel, halfedge: int,
     return halfedge_curve_samples(model, nxt, cfg.n_curve)[: cfg.n_next]
 
 
-def extract_vhp(model: BrepModel, cfg: SamplingConfig | None = None):
-    """One VhpRecord per half-edge, indexed by half-edge id."""
+def extract_vhp(model: BrepModel, cfg: SamplingConfig | None = None,
+                charts: FaceCharts | None = None):
+    """One VhpRecord per half-edge, indexed by half-edge id; ``charts`` is
+    the model's `FaceCharts` if the caller has built it."""
     cfg = cfg or SamplingConfig()
     report = validate(model)
     if not (report.twin_consistent and report.loops_closed):
         raise ModelError(f"model fails twin/loop validation: {report.defects[:3]}")
 
-    charts = FaceCharts(model)
+    if charts is None:
+        charts = FaceCharts(model)
     he_ids, labels, on_curve = [], [], {}
     for face in range(len(model.faces)):
         for li in model.face_loops(face):

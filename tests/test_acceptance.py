@@ -228,6 +228,10 @@ def test_criterion_7_structural_invariants(corpus, normalized, codebook):
         if len(model.faces) >= 2:
             assert model.num_vertices <= len(model.edges), f"{where}: V > E"
 
+    def shells(model):
+        return sorted((s.vertices, s.edges, s.faces, s.inner_loops, s.genus)
+                      for s in euler_report(model))
+
     for (name, m) in corpus:
         check(m, f"synthetic {name}")
     rebuilt = 0
@@ -236,9 +240,13 @@ def test_criterion_7_structural_invariants(corpus, normalized, codebook):
         rec, rep = decode_tokens(seq, codebook, CFG)
         assert rec is not None and rep.success
         check(rec, f"reconstructed {name}")
+        # the rebuilt genus is counted from the rebuilt model, the source's
+        # from the source, so a decoded Euler characteristic that drifts fails
+        assert shells(rec) == shells(m), f"reconstructed {name}: per-shell (V, E, F, H, genus)"
         rebuilt += 1
     report(7, f"Euler residual zero and V <= E on 500 synthetic and "
-              f"{rebuilt} reconstructed models")
+              f"{rebuilt} reconstructed models; the {rebuilt} rebuilt models' "
+              f"per-shell (V, E, F, H, genus) equal their sources'")
 
 
 def test_criterion_8_pair_count_reduction():

@@ -14,6 +14,11 @@ from brepcodec.model import normalize
 from brepcodec.pipeline import decode_tokens, encode_model, lossless_codebook
 from brepcodec.primitives import box, l_bracket, ngon_prism, seam_cylinder, through_hole_box
 from brepcodec.rq import train_codebook
+from brepcodec.sampler import FaceCharts
+from brepcodec.synth import CorpusSpec, synth_corpus
+
+# The stages `reconstruct` times in its report.
+STAGES = {"materialize", "next_map", "loops", "fit", "attach", "assemble", "validate"}
 
 
 def rebuilt_seam_cylinder():
@@ -205,6 +210,23 @@ class TestExports:
         assert (labels >= 0).sum() > 0
 
 
+    def test_vhp_debug_builds_one_chart(self, tmp_path, monkeypatch):
+        # a two-component hole box as the benchmark draws them; the digest
+        # was recorded when the export built a second chart inside extract_vhp
+        (_, m), = synth_corpus(CorpusSpec(counts={"hole_box": 1}, components=(2, 2), seed=7))
+        built = []
+        init = FaceCharts.__init__
+
+        def counting_init(self, model):
+            built.append(model)
+            init(self, model)
+
+        monkeypatch.setattr(FaceCharts, "__init__", counting_init)
+        bio.export_vhp_debug(normalize(m)[0], tmp_path / "dbg.json")
+        assert len(built) == 1
+        assert hashlib.sha256((tmp_path / "dbg.json").read_bytes()).hexdigest() == \
+            "329330dc4c3ed72c78e8699bc562e53ee749ddf30fe5e35eca642a441ddffeba"
+
     def test_exports_are_pinned(self, tmp_path):
         # recorded before export_obj and export_vhp_debug shared one FaceCharts
         bio.export_obj(normalize(seam_cylinder())[0], tmp_path / "m.obj", resolution=8)
@@ -246,9 +268,15 @@ class TestCli:
         bio.save_model(m, bad)
         assert main(["validate", str(bad)]) == 1
 
-    def test_roundtrip_exit_0(self, workspace):
+    def test_roundtrip_exit_0(self, workspace, tmp_path):
         assert main(["roundtrip", str(workspace / "corpus"),
-                     "--codebook", str(workspace / "cb.json")]) == 0
+                     "--codebook", str(workspace / "cb.json"),
+                     "--report", str(tmp_path / "rt.json")]) == 0
+        reports = json.loads((tmp_path / "rt.json").read_text())
+        assert len(reports) == 5
+        for res in reports.values():
+            assert res["ok"]
+            assert set(res["report"]["stage_ms"]) == STAGES
 
     def test_detokenize_and_corruption_exit_2(self, workspace, tmp_path):
         out = tmp_path / "rebuilt"
@@ -257,6 +285,8 @@ class TestCli:
                      "--out", str(out),
                      "--report", str(tmp_path / "rep.json")]) == 0
         assert sorted(out.glob("model_*.json"))
+        reports = json.loads((tmp_path / "rep.json").read_text())
+        assert all(set(r["stage_ms"]) == STAGES for r in reports.values())
         # corrupt one token mid-group: a coordinate where a quantizer
         # code is required
         cb = bio.load_codebook(workspace / "cb.json")

@@ -6,7 +6,7 @@ import pytest
 from brepcodec.assignment import InfeasibleAssignmentError, solve_square
 from brepcodec.codec import CodecConfig, parse, tokenize
 from brepcodec.model import euler_report, normalize, validate
-from brepcodec.geometry import Plane
+from brepcodec.geometry import BicubicPatch, Plane, frame_for_normal
 from brepcodec.pipeline import decode_tokens, encode_model, lossless_codebook, roundtrip_check
 from brepcodec.primitives import (
     box,
@@ -17,17 +17,21 @@ from brepcodec.primitives import (
     through_hole_box,
 )
 from brepcodec.reconstruct import (
+    PROJECT_BLOCK,
     LoopDraft,
-    _plane_fit,
+    _PROBE_UV,
+    _project,
     attach_inner_loops,
     build_assignment,
     classify_loops,
     fit_face,
+    fit_faces,
     materialize_half_edges,
     plane_gate,
     reconstruct,
     solve_assignment,
     solve_next_map,
+    star_problems,
     trace_loops,
     vertex_stars,
 )
@@ -46,6 +50,59 @@ def records_for(model):
 def shell_tuples(model):
     return sorted((s.vertices, s.edges, s.faces, s.inner_loops, s.genus)
                   for s in euler_report(model))
+
+
+def traced_loops(src):
+    """Records of ``src`` taken to drafts and classified loops."""
+    rs, _ = records_for(src)
+    drafts, verts, _ = materialize_half_edges(rs, CFG.sampling)
+    next_map, *_ = solve_next_map(drafts, verts.shape[0], CFG.sampling)
+    loops = trace_loops(next_map)
+    classify_loops(loops, drafts)
+    return loops, drafts
+
+
+def svd_plane_fit(points):
+    """Centroid, unit normal and RMS residual of the least-squares plane."""
+    centroid = points.mean(axis=0)
+    _, _, vt = np.linalg.svd(points - centroid, full_matrices=False)
+    normal = vt[-1]
+    res = (points - centroid) @ normal
+    return centroid, normal, float(np.sqrt(np.mean(res**2)))
+
+
+def reference_plane_face(loop, drafts):
+    """One loop's plane, pcurves and residual, computed on its own.
+
+    The SVD normal, `frame_for_normal`, a 5% pad around the samples, and a
+    flipped v axis where the curve samples wind clockwise in UV.
+    """
+    runs = [drafts[d].curve_pts for d in loop.drafts]
+    pts = np.vstack(runs + [drafts[d].surface_pts.reshape(-1, 3) for d in loop.drafts])
+    centroid, normal, rms = svd_plane_fit(pts)
+    u0, v0 = frame_for_normal(normal)
+    st = (pts - centroid) @ np.stack([u0, v0], axis=1)
+    pad = 0.05 * max(np.ptp(st[:, 0]), np.ptp(st[:, 1]), 1e-9)
+    lo = st.min(axis=0) - pad
+    span = np.ptp(st, axis=0) + 2 * pad
+
+    def uv_of(p):
+        return ((p - centroid) @ np.stack([u0, v0], axis=1) - lo) / span
+
+    cycle = uv_of(np.concatenate([run[:-1] for run in runs]))
+    x, y = cycle[:, 0], cycle[:, 1]
+    area = 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
+    origin = centroid + lo[0] * u0 + lo[1] * v0
+    pcurves = {d: uv_of(drafts[d].curve_pts) for d in loop.drafts}
+    if area >= 0:
+        return Plane(origin, span[0] * u0, span[1] * v0), pcurves, rms
+    pcurves = {d: np.stack([uv[:, 0], 1.0 - uv[:, 1]], axis=-1) for d, uv in pcurves.items()}
+    return Plane(origin + span[1] * v0, span[0] * u0, -span[1] * v0), pcurves, rms
+
+
+def assert_same_plane(a, b, tol=1e-12):
+    for attr in ("origin", "u_vec", "v_vec"):
+        assert np.abs(getattr(a, attr) - getattr(b, attr)).max() <= tol, attr
 
 
 class TestHungarian:
@@ -277,8 +334,8 @@ class TestFitFace:
         pts = np.vstack([drafts[d].curve_pts for d in wall.drafts]
                         + [drafts[d].surface_pts.reshape(-1, 3)
                            for d in wall.drafts])
-        _, _, plane_rms = _plane_fit(pts)
-        assert plane_rms > plane_gate(wall, drafts)   # plane must be rejected
+        _, _, plane_rms = svd_plane_fit(pts)
+        assert plane_rms > plane_gate(drafts[0].noise)   # plane must be rejected
         fitted = fit_face(wall, drafts)
         assert not fitted.planar
         assert fitted.rms < plane_rms
@@ -315,6 +372,104 @@ class TestFitFace:
         assert worst <= 3.0 * rms
 
 
+class TestBatchedFit:
+    SOURCES = [box, ngon_prism, seam_cylinder, through_hole_box]
+
+    @pytest.mark.parametrize("maker", SOURCES, ids=["box", "prism", "cylinder", "hole"])
+    def test_planes_match_per_loop_reference(self, maker):
+        loops, drafts = traced_loops(maker())
+        outer = [l for l in loops if l.kind == "outer"]
+        faces = fit_faces(outer, drafts)
+        assert len(faces) == len(outer)
+        for loop, fitted in zip(outer, faces):
+            plane, pcurves, rms = reference_plane_face(loop, drafts)
+            assert fitted.planar == (rms <= plane_gate(drafts[0].noise))
+            if not fitted.planar:
+                assert isinstance(fitted.surface, BicubicPatch)
+                continue
+            assert abs(fitted.rms - rms) <= 1e-12
+            assert_same_plane(fitted.surface, plane)
+            assert sorted(fitted.pcurves) == sorted(pcurves)
+            for d, uv in pcurves.items():
+                assert np.abs(fitted.pcurves[d].points - uv).max() <= 1e-12
+
+    def test_one_loop_call_matches_the_batch(self):
+        loops, drafts = traced_loops(through_hole_box())
+        outer = [l for l in loops if l.kind == "outer"]
+        for loop, batched in zip(outer, fit_faces(outer, drafts)):
+            alone = fit_face(loop, drafts)
+            assert alone.planar == batched.planar
+            assert_same_plane(alone.surface, batched.surface)
+
+    def test_negated_normal_gives_the_same_plane(self, monkeypatch):
+        loops, drafts = traced_loops(merge_models([through_hole_box(),
+                                                   ngon_prism(n=5, at=(2.0, 0, 0))]))
+        outer = [l for l in loops if l.kind == "outer"]
+        plain = fit_faces(outer, drafts)
+        eigh = np.linalg.eigh
+
+        def negated(a):
+            w, v = eigh(a)
+            return w, -v
+
+        monkeypatch.setattr(np.linalg, "eigh", negated)
+        flipped = fit_faces(outer, drafts)
+        for a, b in zip(plain, flipped):
+            assert a.planar and b.planar
+            assert_same_plane(a.surface, b.surface)
+            for d in a.pcurves:
+                assert np.abs(a.pcurves[d].points - b.pcurves[d].points).max() <= 1e-12
+
+    @pytest.mark.parametrize("maker", SOURCES, ids=["box", "prism", "cylinder", "hole"])
+    def test_planar_pcurves_map_back_onto_the_curve(self, maker):
+        loops, drafts = traced_loops(maker())
+        outer = [l for l in loops if l.kind == "outer"]
+        for fitted in fit_faces(outer, drafts):
+            if not fitted.planar:
+                continue
+            s = fitted.surface
+            n = np.cross(s.u_vec, s.v_vec)
+            n /= np.linalg.norm(n)
+            for d, pc in fitted.pcurves.items():
+                pts = drafts[d].curve_pts
+                foot = pts - np.outer((pts - s.origin) @ n, n)
+                assert np.abs(s.point(pc.points[:, 0], pc.points[:, 1]) - foot).max() <= 1e-12
+
+    def test_star_costs_match_per_pair_reference(self):
+        # the cylinder's caps are one-draft loops, the box's faces four-draft
+        rs, _ = records_for(merge_models([box(), seam_cylinder(at=(2.0, 0, 0))]))
+        drafts, verts, _ = materialize_half_edges(rs, CFG.sampling)
+        loops = trace_loops(solve_next_map(drafts, verts.shape[0], CFG.sampling)[0])
+        assert {len(l.drafts) for l in loops} >= {1, 4}
+        nn = CFG.sampling.n_next
+        stars = vertex_stars(drafts)
+        problems = star_problems(drafts, nn, stars)
+        assert [p.vertex for p in problems] == sorted(stars)
+        for p in problems:
+            one = build_assignment(p.vertex, drafts, nn, stars[p.vertex])
+            assert np.array_equal(one.cost, p.cost)
+            assert np.array_equal(one.forbidden, p.forbidden)
+            for a, di in enumerate(p.incoming):
+                for b, dj in enumerate(p.outgoing):
+                    ref = np.linalg.norm(drafts[di].next_pts
+                                         - drafts[dj].curve_pts[1:1 + nn], axis=1).sum()
+                    assert abs(p.cost[a, b] - ref) <= 1e-12
+                    assert p.forbidden[a, b] == (drafts[di].twin == dj)
+
+
+class TestProject:
+    def test_blocked_search_equals_one_block(self):
+        rng = np.random.default_rng(3)
+        grid = np.stack(np.meshgrid(np.linspace(0, 1, 4), np.linspace(0, 1, 4),
+                                    indexing="ij"), axis=-1)
+        patch = BicubicPatch(np.concatenate([grid, rng.random((4, 4, 1))], axis=-1))
+        points = rng.random((2 * PROJECT_BLOCK + 37, 3))
+        probes = patch.point(_PROBE_UV[:, 0], _PROBE_UV[:, 1])
+        d = ((points[:, None, :] - probes[None, :, :]) ** 2).sum(axis=2)
+        assert np.array_equal(_project(points, patch), _PROBE_UV[d.argmin(axis=1)])
+        assert _project(points[:0], patch).shape == (0, 2)
+
+
 class TestAttachInner:
     def test_through_hole_attachment(self):
         rs, normed = records_for(through_hole_box())
@@ -326,12 +481,15 @@ class TestAttachInner:
         inner = [l for l in loops if l.kind == "inner"]
         faces = [fit_face(l, drafts) for l in outer]
         assign = attach_inner_loops(inner, faces, drafts)
-        # exhaustive recomputation: the assigned face attains the minimum
-        from brepcodec.reconstruct import _surface_distances
+        # exhaustive recomputation, face by face: the assigned face attains
+        # the minimum mean distance to the clipped projections
+        def mean_distance(pts, surface):
+            uv = np.clip(_project(pts, surface), 0.0, 1.0)
+            return np.linalg.norm(pts - surface.point(uv[:, 0], uv[:, 1]), axis=1).mean()
 
         for loop, fi in zip(inner, assign):
             pts = np.concatenate([drafts[d].curve_pts[:-1] for d in loop.drafts])
-            means = [float(_surface_distances(pts, f.surface).mean()) for f in faces]
+            means = [mean_distance(pts, f.surface) for f in faces]
             assert fi == int(np.argmin(means))
             # the loop lies on its host plate up to quantized endpoints
             assert means[fi] < 1.0 / 256.0
@@ -348,6 +506,27 @@ class TestAttachInner:
         outer = [l for l in loops if l.kind == "outer"][:1]
         faces = [fit_face(outer[0], drafts)]
         assert attach_inner_loops(inner, faces, drafts) == [0]
+
+    @pytest.mark.parametrize("plate_kind", ["plane", "bicubic"])
+    def test_distance_is_to_the_clipped_patch(self, plate_kind):
+        # the unit square lies on the upper-right quarter of a plate and 0.05
+        # under a tile of its own size: the plate is nearer only when every
+        # sample is measured to the plate's own point, not to its edge
+        from brepcodec.reconstruct import FittedFace
+
+        loop, drafts = synthetic_square_loop(z=0.0)
+        lo, side = -1.0, 2.05
+        if plate_kind == "plane":
+            plate = Plane((lo, lo, 0.0), (side, 0, 0), (0, side, 0))
+        else:
+            t = lo + side * np.arange(4) / 3.0
+            plate = BicubicPatch(np.stack(np.meshgrid(t, t, [0.0], indexing="ij"),
+                                          axis=-1)[:, :, 0])
+        tile = Plane((0.0, 0.0, 0.05), (1, 0, 0), (0, 1, 0))
+        faces = [FittedFace(surface=s, pcurves={}, rms=0.0, planar=True)
+                 for s in (tile, plate)]
+        part = LoopDraft(drafts=[0])    # fewer samples than the whole loop
+        assert attach_inner_loops([loop, part], faces, drafts) == [1, 1]
 
     def test_no_faces_raises(self):
         with pytest.raises(ValueError):
@@ -406,6 +585,14 @@ class TestReconstructPipeline:
         model, report = reconstruct(rs, CFG.sampling)
         assert report.elevated_cost_vertices
         assert model is not None
+
+    def test_report_times_every_stage(self):
+        rs, _ = records_for(through_hole_box())
+        model, report = reconstruct(rs, CFG.sampling)
+        assert model is not None and report.inner_loops_attached == 2
+        assert set(report.stage_ms) == {"materialize", "next_map", "loops", "fit",
+                                        "attach", "assemble", "validate"}
+        assert all(t >= 0.0 for t in report.stage_ms.values())
 
     def test_report_always_produced(self):
         from brepcodec.codec import VertexRecordSet
