@@ -5,7 +5,10 @@ The package is organized around the pipeline
     synthesize -> validate -> sample half-patches -> tokenize
     -> parse -> reconstruct -> evaluate
 
-with `pipeline.roundtrip_check` tying the whole loop together.
+with `pipeline.roundtrip_check` tying the whole loop together.  The
+half-patch step, `extract_vhp`, gives one descriptor matrix per model:
+row ``h`` packs half-edge ``h``'s Voronoi half-patch, successor samples
+and inner/outer label in the layout `sampler` defines.
 """
 
 from .codec import (
@@ -39,11 +42,7 @@ from .reconstruct import reconstruct
 from .rq import Codebook, rq_decode, rq_encode, train_codebook
 from .sampler import (
     SamplingConfig,
-    VhpRecord,
-    boundary_pcurves,
     extract_vhp,
-    sample_half_patch,
-    sample_next_pointers,
     voronoi_assign,
 )
 from .synth import CorpusSpec, synth_corpus
@@ -60,10 +59,8 @@ __all__ = [
     "TokenSequence",
     "TransformRecord",
     "ValidationReport",
-    "VhpRecord",
     "VocabLayout",
     "autocomplete",
-    "boundary_pcurves",
     "canonical_order",
     "chamfer",
     "connected_components",
@@ -88,8 +85,6 @@ __all__ = [
     "rq_decode",
     "rq_encode",
     "sample_curve",
-    "sample_half_patch",
-    "sample_next_pointers",
     "sample_sequence",
     "surface_sample",
     "synth_corpus",

@@ -31,7 +31,7 @@ import numpy as np
 
 from .model import BrepModel, TransformRecord, connected_components
 from .rq import Codebook, rq_decode, rq_encode_many
-from .sampler import SamplingConfig, VhpRecord, extract_vhp
+from .sampler import SamplingConfig, _pack, extract_vhp
 
 COORD_BINS = 128
 
@@ -219,44 +219,12 @@ def canonical_order(model: BrepModel):
 
 
 # ---------------------------------------------------------------------------
-# Descriptor packing
+# Descriptors
 # ---------------------------------------------------------------------------
-
-def _pack(half_patch, next_samples, label) -> np.ndarray:
-    """The record order: half-patch row-major, next samples, then label."""
-    return np.concatenate([np.reshape(half_patch, -1), np.reshape(next_samples, -1),
-                           [float(label)]])
-
-
-def _check_length(desc: np.ndarray, cfg: SamplingConfig) -> None:
-    if desc.shape[0] != cfg.descriptor_length:
-        raise CodecError(f"descriptor length {desc.shape[0]} != "
-                         f"configured {cfg.descriptor_length}")
-
-
-def pack_descriptor(record: VhpRecord, cfg: SamplingConfig) -> np.ndarray:
-    """Flatten a record into one descriptor row."""
-    flat = _pack(record.half_patch.samples, record.next_samples, record.label)
-    _check_length(flat, cfg)
-    return flat
-
-
-def unpack_descriptor(desc: np.ndarray, cfg: SamplingConfig):
-    """Inverse of pack_descriptor -> (half_patch, next_samples, label)."""
-    desc = np.asarray(desc, dtype=float).reshape(-1)
-    _check_length(desc, cfg)
-    split = cfg.n_curve * cfg.n_surface * 3
-    hp = desc[:split].reshape(cfg.n_curve, cfg.n_surface, 3)
-    nxt = desc[split:-1].reshape(-1, 3)
-    label = 1 if desc[-1] >= 0.5 else 0
-    return hp, nxt, label
-
 
 def model_descriptors(model: BrepModel, cfg: SamplingConfig | None = None) -> np.ndarray:
     """All per-half-edge descriptors of a normalized model -> (2E, dim)."""
-    cfg = cfg or SamplingConfig()
-    records = extract_vhp(model, cfg)
-    return np.stack([pack_descriptor(r, cfg) for r in records])
+    return extract_vhp(model, cfg or SamplingConfig())
 
 
 LABEL_EMPHASIS = 4.0
@@ -458,10 +426,8 @@ def tokenize(model: BrepModel, codebook: Codebook, cfg: CodecConfig | None = Non
                 f"component with {len(comp)} vertices exceeds the pointer "
                 f"range of {layout.pointer_max}")
 
-    records = extract_vhp(model, cfg.sampling)
-    descs = np.stack([pack_descriptor(r, cfg.sampling) for r in records]) \
-        if records else np.zeros((0, cfg.sampling.descriptor_length))
-    codes = rq_encode_many(descs, codebook) if len(records) else np.zeros((0, 0), int)
+    descs = extract_vhp(model, cfg.sampling)
+    codes = rq_encode_many(descs, codebook) if len(descs) else np.zeros((0, 0), int)
 
     groups = component_edges(model, comps)
     qcoords = quantize_coord(model.vertices) if model.num_vertices else None

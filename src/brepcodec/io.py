@@ -18,7 +18,7 @@ from . import geometry as G
 from .codec import SequenceHeader, TokenSequence
 from .model import BrepModel, Edge, Face, HalfEdge, Loop, TransformRecord, compute_shells
 from .rq import Codebook
-from .sampler import FaceCharts, extract_vhp, voronoi_assign
+from .sampler import FaceCharts, SamplingConfig, extract_vhp, unpack_descriptor, voronoi_assign
 
 MODEL_FORMAT = "brepcodec-model/1"
 TOKENS_FORMAT = "brepcodec-tokens/1"
@@ -239,6 +239,13 @@ def load_codebook(path) -> Codebook:
                       scale=np.array(d["scale"], dtype=float))
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed codebook: {exc}") from exc
+    if cb.levels.ndim != 3 or not cb.levels.size \
+            or not cb.mean.shape == cb.scale.shape == (cb.dim,):
+        raise FormatError(f"{path}: a codebook needs non-empty (depth, size, dim) levels "
+                          f"and a mean and scale of length dim")
+    if not all(np.isfinite(a).all() for a in (cb.levels, cb.mean, cb.scale)) \
+            or not (cb.scale > 0).all():
+        raise FormatError(f"{path}: codebook values must be finite, with scale > 0")
     if cb.content_id() != d.get("id"):
         raise FormatError(f"{path}: codebook content hash mismatch")
     return cb
@@ -272,6 +279,13 @@ def load_ngram(path):
         raise FormatError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(d, dict) or d.get("format") != LM_FORMAT:
         raise FormatError(f"{path}: not an n-gram model file")
+    for key, ok, want in (  # type(), not isinstance: JSON true is not a number here
+            ("order", lambda x: type(x) is int and x >= 1, "an integer >= 1"),
+            ("smoothing", lambda x: type(x) in (int, float) and 0 <= x < float("inf"),
+             "a finite number >= 0"),
+            ("vocab_size", lambda x: type(x) is int and x >= 0, "an integer >= 0")):
+        if not ok(d.get(key)):
+            raise FormatError(f"{path}: n-gram {key} must be {want}, not {d.get(key)!r}")
     try:
         model = NGramModel(order=d["order"], smoothing=d["smoothing"],
                            vocab_size=d["vocab_size"])
@@ -353,18 +367,20 @@ def export_obj(model: BrepModel, path, resolution: int = 32):
 def export_vhp_debug(model: BrepModel, path):
     """Voronoi cell maps and VHP sample points for visualization."""
     charts = FaceCharts(model)
-    records = extract_vhp(model, charts=charts)
+    cfg = SamplingConfig()
+    descs = extract_vhp(model, cfg, charts)
     doc = {"format": "brepcodec-vhp-debug/1", "faces": [], "records": []}
     for f in range(len(model.faces)):
         cells = voronoi_assign(model, f, charts)
         doc["faces"].append({"face": f, "domain": list(cells.domain),
                              "resolution": cells.resolution,
                              "labels": cells.labels.tolist()})
-    for r in records:
+    for h, desc in enumerate(descs):
+        half_patch, next_samples, label = unpack_descriptor(desc, cfg)
         doc["records"].append({
-            "halfedge": r.halfedge,
-            "label": r.label,
-            "half_patch": r.half_patch.samples.tolist(),
-            "next_samples": r.next_samples.tolist(),
+            "halfedge": h,
+            "label": label,
+            "half_patch": half_patch.tolist(),
+            "next_samples": next_samples.tolist(),
         })
     atomic_write_text(path, json.dumps(doc) + "\n")

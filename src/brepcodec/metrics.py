@@ -22,7 +22,6 @@ POINTS_PER_CLOUD = 2000
 class PointCloud:
     points: np.ndarray            # (n, 3)
     normals: np.ndarray | None = None
-    source: str = ""
 
 
 @dataclass

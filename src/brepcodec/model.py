@@ -106,9 +106,6 @@ class TransformRecord:
     offset: tuple
     scale: float
 
-    def apply(self, p):
-        return (np.asarray(p, dtype=float) - np.asarray(self.offset)) * self.scale
-
     def invert(self, p):
         return np.asarray(p, dtype=float) / self.scale + np.asarray(self.offset)
 
@@ -472,17 +469,11 @@ def sample_curve(model: BrepModel, edge: int, n: int, include_endpoints: bool = 
     return curve.point(u)
 
 
-def halfedge_params(model: BrepModel, h: int, n: int) -> np.ndarray:
-    """Edge-curve parameters of the n interior samples, in halfedge order."""
-    u = np.arange(1, n + 1, dtype=float) / (n + 1)
-    return u if model.halfedges[h].forward else 1.0 - u
-
-
 def halfedge_curve_samples(model: BrepModel, h: int, n: int) -> np.ndarray:
     """The n interior curve samples of halfedge h, ordered from its origin."""
     he = model.halfedges[h]
-    curve = model.edges[he.edge].curve
-    return curve.point(halfedge_params(model, h, n))
+    u = np.arange(1, n + 1, dtype=float) / (n + 1)
+    return model.edges[he.edge].curve.point(u if he.forward else 1.0 - u)
 
 
 def eval_surface(model: BrepModel, face: int, u: float, v: float):

@@ -42,11 +42,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assignment import InfeasibleAssignmentError, solve_square
-from .codec import COORD_BINS, VertexRecordSet, unpack_descriptor
+from .codec import COORD_BINS, VertexRecordSet
 from .geometry import BicubicPatch, Plane, Poly2, PolylineCurve, _bernstein3
 from .model import (BrepModel, Edge, Face, HalfEdge, Loop, ValidationReport, compute_shells,
                     validate)
-from .sampler import SamplingConfig
+from .sampler import SamplingConfig, unpack_descriptor
 
 
 # Per-coordinate RMS error of a vertex rounded to the centre of its bin.
@@ -205,15 +205,6 @@ def star_problems(drafts, n_next: int, stars: dict) -> list:
     return [AssignmentProblem(v, inc, out, c.reshape(len(inc), len(out)),
                               f.reshape(len(inc), len(out)))
             for (v, (inc, out)), c, f in zip(stars, np.split(cost, cuts), np.split(forbidden, cuts))]
-
-
-def build_assignment(vertex: int, drafts, n_next: int,
-                     star: tuple | None = None) -> AssignmentProblem | None:
-    """The vertex's cost matrix; ``star`` is its `vertex_stars` entry if known."""
-    if star is None:
-        star = vertex_stars(drafts).get(vertex, ([], []))
-    problems = star_problems(drafts, n_next, {vertex: star})
-    return problems[0] if problems else None
 
 
 def solve_assignment(problem: AssignmentProblem):

@@ -1,15 +1,18 @@
 """Voronoi half-patch extraction.
 
-Every half-edge of a model yields one record of ``(N_c * N_s + N_n) * 3 + 1``
-scalars (``SamplingConfig.descriptor_length``, 85 at the defaults) holding:
+`extract_vhp` returns one descriptor matrix per model, of shape
+``(2E, SamplingConfig.descriptor_length)``; row ``h`` is half-edge ``h``.
+Each row holds ``(N_c * N_s + N_n) * 3 + 1`` scalars (85 at the defaults),
+in the order `_pack` writes and `unpack_descriptor` reads; this module is
+the one home of that layout:
 
-* an ``(N_c, N_s, 3)`` half-patch: N_c interior curve samples (column 0)
-  plus ``N_s - 1`` surface samples per row, marched from the curve into the
-  face interior along the in-plane UV normal until the walk leaves the
-  half-edge's Voronoi cell or the trimmed region;
+* an ``(N_c, N_s, 3)`` half-patch, row-major: N_c interior curve samples
+  (column 0) plus ``N_s - 1`` surface samples per row, marched from the
+  curve into the face interior along the in-plane UV normal until the walk
+  leaves the half-edge's Voronoi cell or the trimmed region;
 * the ``N_n`` on-curve samples of the successor half-edge nearest the
   shared vertex, in increasing-arclength order;
-* a binary inner/outer label taken from the owning loop.
+* a binary inner/outer label taken from the owning loop (1 outer, 0 inner).
 
 Distances for the Voronoi partition are measured in each face's parameter
 rectangle after rescaling both axes to a common arclength-based unit, so
@@ -29,6 +32,7 @@ even-odd trim test and the "nearest half-edge is my owner" test over ragged
 """
 from __future__ import annotations
 
+import math
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -66,10 +70,27 @@ class SamplingConfig:
         return (self.n_curve * self.n_surface + self.n_next) * 3 + 1
 
 
-@dataclass(eq=False)
-class UvPolyline:
-    halfedge: int
-    points: np.ndarray        # (M, 2) raw UV, ordered along the half-edge
+def _pack(half_patch, next_samples, label) -> np.ndarray:
+    """The record layout: half-patch row-major, next samples, then label.
+
+    Leading dimensions are batch dimensions: ``half_patch`` (..., N_c, N_s, 3),
+    ``next_samples`` (..., N_n, 3) and ``label`` (...) give rows (..., dim).
+    """
+    hp, nxt = np.asarray(half_patch, dtype=float), np.asarray(next_samples, dtype=float)
+    lead = hp.shape[:-3]
+    return np.concatenate([hp.reshape(*lead, math.prod(hp.shape[-3:])),
+                           nxt.reshape(*lead, math.prod(nxt.shape[-2:])),
+                           np.reshape(label, (*lead, 1)).astype(float)], axis=-1)
+
+
+def unpack_descriptor(desc: np.ndarray, cfg: SamplingConfig):
+    """One descriptor row -> (half_patch, next_samples, label)."""
+    desc = np.asarray(desc, dtype=float).reshape(-1)
+    if desc.shape[0] != cfg.descriptor_length:
+        raise ValueError(f"descriptor length {desc.shape[0]} != configured {cfg.descriptor_length}")
+    split = cfg.n_curve * cfg.n_surface * 3
+    return (desc[:split].reshape(cfg.n_curve, cfg.n_surface, 3), desc[split:-1].reshape(-1, 3),
+            int(desc[-1] >= 0.5))
 
 
 @dataclass(eq=False)
@@ -78,19 +99,6 @@ class VoronoiCellMap:
     resolution: int
     domain: tuple
     labels: np.ndarray        # (res, res) halfedge ids, -1 outside the trim
-
-
-@dataclass(eq=False)
-class HalfPatch:
-    samples: np.ndarray       # (N_c, N_s, 3)
-
-
-@dataclass(eq=False)
-class VhpRecord:
-    halfedge: int
-    half_patch: HalfPatch
-    next_samples: np.ndarray  # (N_n, 3)
-    label: int                # 1 outer, 0 inner
 
 
 # ---------------------------------------------------------------------------
@@ -420,37 +428,6 @@ class FaceCharts:
 # Operations
 # ---------------------------------------------------------------------------
 
-def boundary_pcurves(model: BrepModel, face: int):
-    """UV polylines of the face's bounding half-edges, in loop order.
-
-    Raises GeometryError if a pcurve is inconsistent with the half-edge's
-    3D curve or leaves the face's parameter rectangle.
-    """
-    surf = model.faces[face].surface
-    u0, u1, v0, v1 = surf.domain()
-    t = np.linspace(0.0, 1.0, PCURVE_SAMPLES)
-    tol_dom = 1e-9 * (abs(u1 - u0) + abs(v1 - v0))
-    out = []
-    for li in model.face_loops(face):
-        for h in model.loops[li].halfedges:
-            he = model.halfedges[h]
-            if he.pcurve is None:
-                raise GeometryError(f"halfedge {h} has no pcurve")
-            uv = he.pcurve.point(t)
-            if (uv[:, 0].min() < u0 - tol_dom or uv[:, 0].max() > u1 + tol_dom
-                    or uv[:, 1].min() < v0 - tol_dom or uv[:, 1].max() > v1 + tol_dom):
-                raise GeometryError(f"halfedge {h}: pcurve leaves the domain of face {face}")
-            curve = model.edges[he.edge].curve
-            params = t if he.forward else 1.0 - t
-            gap = np.linalg.norm(surf.point(uv[:, 0], uv[:, 1]) - curve.point(params),
-                                 axis=-1).max()
-            if gap > 1e-6:
-                raise GeometryError(
-                    f"halfedge {h}: pcurve disagrees with 3D curve by {gap:.2e}")
-            out.append(UvPolyline(halfedge=h, points=uv))
-    return out
-
-
 def voronoi_assign(model: BrepModel, face: int,
                    charts: FaceCharts | None = None) -> VoronoiCellMap:
     """Label each in-trim grid sample with its nearest bounding half-edge.
@@ -468,27 +445,13 @@ def voronoi_assign(model: BrepModel, face: int,
                           labels=labels.reshape(UV_GRID, UV_GRID))
 
 
-def sample_half_patch(model: BrepModel, halfedge: int,
-                      cfg: SamplingConfig | None = None) -> HalfPatch:
-    """Sample the (N_c, N_s, 3) half-patch of one half-edge."""
-    cfg = cfg or SamplingConfig()
-    on_curve = halfedge_curve_samples(model, halfedge, cfg.n_curve)
-    return HalfPatch(samples=FaceCharts(model).half_patches(
-        [halfedge], on_curve[None], cfg.n_surface)[0])
-
-
-def sample_next_pointers(model: BrepModel, halfedge: int,
-                         cfg: SamplingConfig | None = None) -> np.ndarray:
-    """The successor's N_n on-curve samples nearest the shared vertex."""
-    cfg = cfg or SamplingConfig()
-    nxt = model.next_in_loop(halfedge)
-    return halfedge_curve_samples(model, nxt, cfg.n_curve)[: cfg.n_next]
-
-
 def extract_vhp(model: BrepModel, cfg: SamplingConfig | None = None,
-                charts: FaceCharts | None = None):
-    """One VhpRecord per half-edge, indexed by half-edge id; ``charts`` is
-    the model's `FaceCharts` if the caller has built it."""
+                charts: FaceCharts | None = None) -> np.ndarray:
+    """The (2E, ``cfg.descriptor_length``) descriptor matrix of a model.
+
+    Row ``h`` is half-edge ``h`` in the `_pack` layout.  ``charts`` is the
+    model's `FaceCharts` if the caller has built it.
+    """
     cfg = cfg or SamplingConfig()
     report = validate(model)
     if not (report.twin_consistent and report.loops_closed):
@@ -496,7 +459,8 @@ def extract_vhp(model: BrepModel, cfg: SamplingConfig | None = None,
 
     if charts is None:
         charts = FaceCharts(model)
-    he_ids, labels, on_curve = [], [], {}
+    he_ids, labels = [], []
+    on_curve = np.empty((len(model.halfedges), cfg.n_curve, 3))
     for face in range(len(model.faces)):
         for li in model.face_loops(face):
             loop = model.loops[li]
@@ -505,14 +469,11 @@ def extract_vhp(model: BrepModel, cfg: SamplingConfig | None = None,
                     on_curve[h] = halfedge_curve_samples(model, h, cfg.n_curve)
                 he_ids.append(h)
                 labels.append(1 if loop.kind == "outer" else 0)
-    samples = charts.half_patches(
-        he_ids, np.array([on_curve[h] for h in he_ids]).reshape(-1, cfg.n_curve, 3),
-        cfg.n_surface)
-
-    records: list = [None] * len(model.halfedges)
-    for h, s, label in zip(he_ids, samples, labels):
-        nxt = model.next_in_loop(h)
-        records[h] = VhpRecord(halfedge=h, half_patch=HalfPatch(samples=s),
-                               next_samples=on_curve[nxt][: cfg.n_next].copy(),
-                               label=label)
-    return records
+    he = np.array(he_ids, dtype=int)
+    if he.size != len(model.halfedges):
+        raise ModelError("some half-edge lies in no face's loops")
+    samples = charts.half_patches(he, on_curve[he], cfg.n_surface)
+    nxt = np.array([model.next_in_loop(h) for h in he_ids], dtype=int)
+    descs = np.empty((len(model.halfedges), cfg.descriptor_length))
+    descs[he] = _pack(samples, on_curve[nxt, : cfg.n_next], np.array(labels))
+    return descs

@@ -28,9 +28,10 @@ from brepcodec.metrics import _polyline_deviation
 from brepcodec.model import connected_components, euler_report, normalize, validate
 from brepcodec.pipeline import roundtrip_check
 from brepcodec.reconstruct import (
-    build_assignment,
     materialize_half_edges,
     solve_next_map,
+    star_problems,
+    vertex_stars,
 )
 from brepcodec.rq import encoding_errors, train_codebook
 from brepcodec.synth import CorpusSpec, synth_corpus
@@ -139,10 +140,7 @@ def test_criterion_3_next_map_noise_robustness(corpus):
         drafts, verts, _ = materialize_half_edges(records, CFG.sampling)
         clean, *_ = solve_next_map(drafts, verts.shape[0], CFG.sampling)
         nn = CFG.sampling.n_next
-        for v in range(verts.shape[0]):
-            problem = build_assignment(v, drafts, nn)
-            if problem is None:
-                continue
+        for problem in star_problems(drafts, nn, vertex_stars(drafts)):
             cands = [drafts[j].curve_pts[1:1 + nn] for j in problem.outgoing]
             dmin = min(np.linalg.norm(a - b, axis=1).sum()
                        for a, b in itertools.combinations(cands, 2))

@@ -19,20 +19,18 @@ from brepcodec.codec import (
     descriptor_dim_weights,
     initial_state,
     model_descriptors,
-    pack_descriptor,
     parse,
     quantize_coord,
     sequence_token_count,
     step,
     tokenize,
-    unpack_descriptor,
     validity_mask,
 )
 from brepcodec.geometry import LineSegment
 from brepcodec.model import BrepModel, Edge, normalize
 from brepcodec.pipeline import lossless_codebook
 from brepcodec.primitives import box, merge_models, ngon_prism, through_hole_box
-from brepcodec.sampler import SamplingConfig, extract_vhp
+from brepcodec.sampler import SamplingConfig, _pack, unpack_descriptor
 
 LAYOUT = VocabLayout()  # 128 coords, 256 pointers, 4 x 257 rq, 3 specials
 
@@ -306,13 +304,14 @@ class TestDescriptorLayout:
                              ids=["default", "n_next=2", "n_surface=3"])
     def test_shapes(self, cfg):
         m, _ = normalize(through_hole_box())
-        assert model_descriptors(m, cfg).shape[1] == cfg.descriptor_length
+        descs = model_descriptors(m, cfg)
+        assert descs.shape[1] == cfg.descriptor_length
         assert descriptor_dim_weights(cfg).shape == (cfg.descriptor_length,)
-        for r in extract_vhp(m, cfg):
-            hp, nxt, label = unpack_descriptor(pack_descriptor(r, cfg), cfg)
-            assert np.array_equal(hp, r.half_patch.samples)
-            assert np.array_equal(nxt, r.next_samples)
-            assert label == r.label
+        hps, nxts, labels = zip(*(unpack_descriptor(d, cfg) for d in descs))
+        for d, hp, nxt, label in zip(descs, hps, nxts, labels):
+            assert np.array_equal(_pack(hp, nxt, label), d)
+        # leading dimensions are batch dimensions
+        assert np.array_equal(_pack(np.array(hps), np.array(nxts), np.array(labels)), descs)
 
 
 class TestHeaders:

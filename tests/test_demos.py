@@ -1,10 +1,13 @@
-"""Every demo script runs to completion against the current package."""
+"""Every demo script runs to completion against the current package, and
+every name the package exports resolves."""
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import brepcodec
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -19,3 +22,8 @@ def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in brepcodec.__all__ if not hasattr(brepcodec, name)]
+    assert not missing

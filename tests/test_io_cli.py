@@ -13,7 +13,7 @@ from brepcodec.lm import fit_ngram, sample_sequence, SamplerConfig
 from brepcodec.model import normalize
 from brepcodec.pipeline import decode_tokens, encode_model, lossless_codebook
 from brepcodec.primitives import box, l_bracket, ngon_prism, seam_cylinder, through_hole_box
-from brepcodec.rq import train_codebook
+from brepcodec.rq import Codebook, train_codebook
 from brepcodec.sampler import FaceCharts
 from brepcodec.synth import CorpusSpec, synth_corpus
 
@@ -303,6 +303,12 @@ class TestCli:
                      "--out", str(tmp_path / "junk")])
         assert code == 2
 
+    NGRAM_FIELDS = {"n-gram order is a string": {"order": "2"},
+                    "n-gram order is negative": {"order": -3},
+                    "n-gram smoothing is a string": {"smoothing": "x"},
+                    "n-gram smoothing is negative": {"smoothing": -1.0},
+                    "n-gram vocab_size is negative": {"vocab_size": -5}}
+
     @pytest.mark.parametrize("command, corruption", [
         ("validate", "transform without scale"),
         ("roundtrip", "transform without scale"),
@@ -311,8 +317,19 @@ class TestCli:
         ("detokenize", "transforms is 5"),
         ("detokenize", "header is a list"),
         ("detokenize", "codebook file is a list"),
+        ("tokenize", "codebook levels are flat"),
+        ("detokenize", "codebook levels are flat"),
+        ("tokenize", "codebook levels are empty"),
+        ("tokenize", "codebook levels hold NaN"),
+        ("tokenize", "codebook mean has the wrong length"),
+        ("tokenize", "codebook scale is zero"),
         ("generate", "n-gram without order"),
         ("generate", "n-gram file is a list"),
+        ("generate", "n-gram order is a string"),
+        ("generate", "n-gram order is negative"),
+        ("generate", "n-gram smoothing is a string"),
+        ("generate", "n-gram smoothing is negative"),
+        ("generate", "n-gram vocab_size is negative"),
     ])
     def test_corrupted_file_is_a_format_error(self, workspace, tmp_path, capsys,
                                               command, corruption):
@@ -323,9 +340,24 @@ class TestCli:
             doc["transform"] = {"offset": [0.0, 0.0, 0.0]}
             bad.write_text(json.dumps([doc] if "list" in corruption else doc))
             args = [command, str(bad)] + (["--codebook", cb] if command == "roundtrip" else [])
-        elif corruption == "codebook file is a list":
-            bad.write_text("[]")
-            args = [command, str(workspace / "c.tokens"), "--codebook", str(bad),
+        elif corruption.startswith("codebook"):
+            doc = json.loads((workspace / "cb.json").read_text())
+            if "flat" in corruption:
+                doc["levels"] = np.ravel(doc["levels"]).tolist()
+            elif "empty" in corruption:
+                doc["levels"] = []
+            elif "NaN" in corruption:
+                doc["levels"][0][0][0] = float("nan")
+            elif "mean" in corruption:
+                doc["mean"] = doc["mean"][:-1]
+            elif "scale" in corruption:
+                doc["scale"] = [0.0] * len(doc["scale"])
+            # a matching id, so only the content check can refuse the file
+            doc["id"] = Codebook(*(np.array(doc[k], dtype=float)
+                                   for k in ("levels", "mean", "scale"))).content_id()
+            bad.write_text("[]" if "list" in corruption else json.dumps(doc))
+            source = workspace / ("corpus" if command == "tokenize" else "c.tokens")
+            args = [command, str(source), "--codebook", str(bad),
                     "--out", str(tmp_path / "out")]
         elif command == "detokenize":
             lines = (workspace / "c.tokens").read_text().splitlines()
@@ -339,7 +371,11 @@ class TestCli:
             bad.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
             args = [command, str(bad), "--codebook", cb, "--out", str(tmp_path / "out")]
         else:
-            doc = {"format": bio.LM_FORMAT, "smoothing": 0.1, "vocab_size": 8, "counts": {}}
+            doc = {"format": bio.LM_FORMAT, "order": 2, "smoothing": 0.1, "vocab_size": 8,
+                   "counts": {}}
+            doc.update(self.NGRAM_FIELDS.get(corruption, {}))
+            if "without order" in corruption:
+                del doc["order"]
             bad.write_text(json.dumps([doc] if "list" in corruption else doc))
             args = [command, "--lm", str(bad), "--codebook", cb, "-n", "1",
                     "--out", str(tmp_path / "out")]

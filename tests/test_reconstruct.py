@@ -22,7 +22,6 @@ from brepcodec.reconstruct import (
     _PROBE_UV,
     _project,
     attach_inner_loops,
-    build_assignment,
     classify_loops,
     fit_face,
     fit_faces,
@@ -220,11 +219,7 @@ class TestAssignmentAtVertices:
             drafts, verts, _ = materialize_half_edges(rs, CFG.sampling)
             clean, *_ = solve_next_map(drafts, verts.shape[0], CFG.sampling)
             nn = CFG.sampling.n_next
-            stars = vertex_stars(drafts)
-            for v in range(verts.shape[0]):
-                problem = build_assignment(v, drafts, nn, stars.get(v, ([], [])))
-                if problem is None:
-                    continue
+            for problem in star_problems(drafts, nn, vertex_stars(drafts)):
                 cands = [drafts[j].curve_pts[1:1 + nn] for j in problem.outgoing]
                 dmin = min(
                     np.linalg.norm(a - b, axis=1).sum()
@@ -446,7 +441,7 @@ class TestBatchedFit:
         problems = star_problems(drafts, nn, stars)
         assert [p.vertex for p in problems] == sorted(stars)
         for p in problems:
-            one = build_assignment(p.vertex, drafts, nn, stars[p.vertex])
+            one, = star_problems(drafts, nn, {p.vertex: stars[p.vertex]})
             assert np.array_equal(one.cost, p.cost)
             assert np.array_equal(one.forbidden, p.forbidden)
             for a, di in enumerate(p.incoming):

@@ -13,14 +13,23 @@ from brepcodec.sampler import (
     FaceCharts,
     SamplingConfig,
     ZeroDepthWarning,
-    boundary_pcurves,
     extract_vhp,
-    sample_half_patch,
-    sample_next_pointers,
+    unpack_descriptor,
     voronoi_assign,
 )
 
 CFG = SamplingConfig()
+
+
+def records(m):
+    """(half_patch, next_samples, label) of every row of the descriptor matrix."""
+    return [unpack_descriptor(desc, CFG) for desc in extract_vhp(m, CFG)]
+
+
+def pcurve_polylines(m, face):
+    """Each bounding half-edge's pcurve at PCURVE_SAMPLES points, in loop order."""
+    t = np.linspace(0.0, 1.0, sampler.PCURVE_SAMPLES)
+    return {h: m.halfedges[h].pcurve.point(t) for h in m.face_halfedges(face)}
 
 
 def polylines(charts, face):
@@ -86,41 +95,43 @@ def assert_cells_optimal(charts, cells):
 
 class TestBoundaryPcurves:
     def test_square_face_four_axis_aligned(self, cube_normed):
-        polys = boundary_pcurves(cube_normed, 0)
+        polys = pcurve_polylines(cube_normed, 0)
         assert len(polys) == 4
-        for p in polys:
-            du = np.ptp(p.points[:, 0])
-            dv = np.ptp(p.points[:, 1])
+        for p in polys.values():
+            du = np.ptp(p[:, 0])
+            dv = np.ptp(p[:, 1])
             assert min(du, dv) < 1e-12  # axis aligned
 
     def test_cylinder_lateral_two_horizontal_two_vertical(self, cylinder_normed):
-        polys = boundary_pcurves(cylinder_normed, 0)
+        polys = pcurve_polylines(cylinder_normed, 0).values()
         assert len(polys) == 4
-        horizontal = [p for p in polys if np.ptp(p.points[:, 1]) < 1e-12]
-        vertical = [p for p in polys if np.ptp(p.points[:, 0]) < 1e-12]
+        horizontal = [p for p in polys if np.ptp(p[:, 1]) < 1e-12]
+        vertical = [p for p in polys if np.ptp(p[:, 0]) < 1e-12]
         assert len(horizontal) == 2 and len(vertical) == 2
-        spans = sorted(np.ptp(p.points[:, 0]) for p in horizontal)
+        spans = sorted(np.ptp(p[:, 0]) for p in horizontal)
         assert np.allclose(spans, [2 * np.pi, 2 * np.pi])
 
     def test_face_with_inner_loop_has_eight(self, hole_box_normed):
         # top or bottom plate carries the hole
-        counts = [len(boundary_pcurves(hole_box_normed, f))
+        counts = [len(pcurve_polylines(hole_box_normed, f))
                   for f in range(len(hole_box_normed.faces))]
         assert sorted(counts)[-2:] == [8, 8]
 
-    def test_inconsistent_pcurve_raises(self, cube_normed):
-        import dataclasses
-
-        bad = dataclasses.replace(
-            cube_normed.halfedges[0],
-            pcurve=Segment2((0.0, 0.0), (0.0, 1.0)))
-        model = type(cube_normed)(
-            vertices=cube_normed.vertices, edges=list(cube_normed.edges),
-            halfedges=[bad] + list(cube_normed.halfedges[1:]),
-            loops=list(cube_normed.loops), faces=list(cube_normed.faces),
-            shells=cube_normed.shells)
-        with pytest.raises(GeometryError):
-            boundary_pcurves(model, 0)
+    def test_pcurves_agree_with_curves_inside_the_domain(self, all_primitives):
+        t = np.linspace(0.0, 1.0, sampler.PCURVE_SAMPLES)
+        for name, src in all_primitives.items():
+            m, _ = normalize(src)
+            for f, face in enumerate(m.faces):
+                u0, u1, v0, v1 = face.surface.domain()
+                tol = 1e-9 * (abs(u1 - u0) + abs(v1 - v0))
+                for h, uv in pcurve_polylines(m, f).items():
+                    assert u0 - tol <= uv[:, 0].min() and uv[:, 0].max() <= u1 + tol, (name, h)
+                    assert v0 - tol <= uv[:, 1].min() and uv[:, 1].max() <= v1 + tol, (name, h)
+                    he = m.halfedges[h]
+                    on_curve = m.edges[he.edge].curve.point(t if he.forward else 1.0 - t)
+                    gap = np.linalg.norm(face.surface.point(uv[:, 0], uv[:, 1]) - on_curve,
+                                         axis=-1).max()
+                    assert gap <= 1e-6, (name, h, gap)
 
 
 class TestVoronoiAssign:
@@ -268,7 +279,7 @@ class TestFaceChartsKernel:
 class TestSampleHalfPatch:
     def test_planar_face_markers(self, cube_normed):
         he = min(cube_normed.face_halfedges(0))
-        patch = sample_half_patch(cube_normed, he, CFG).samples
+        patch = records(cube_normed)[he][0]
         assert patch.shape == (6, 4, 3)
         # all samples on the face plane
         surf = cube_normed.faces[0].surface
@@ -293,7 +304,7 @@ class TestSampleHalfPatch:
                   if np.ptp(cylinder_normed.halfedges[h].pcurve.point(
                       np.linspace(0, 1, 5))[:, 1]) < 1e-12
                   and cylinder_normed.halfedges[h].pcurve.point(0.0)[1] == 0.0)
-        patch = sample_half_patch(cylinder_normed, he, CFG).samples
+        patch = records(cylinder_normed)[he][0]
         axis_pt = surf.center
         radial = patch - axis_pt
         r = np.hypot(radial[..., 0], radial[..., 1])
@@ -306,12 +317,9 @@ class TestSampleHalfPatch:
     def test_zero_depth_sliver_warns_and_collapses(self):
         sliver = box(size=(1.0, 1e-10, 1.0))
         with pytest.warns(ZeroDepthWarning):
-            records = extract_vhp(sliver, CFG)
-        collapsed = [
-            r for r in records
-            if np.linalg.norm(r.half_patch.samples[:, 1:, :]
-                              - r.half_patch.samples[:, :1, :], axis=-1).max() < 1e-6
-        ]
+            patches = [hp for hp, _, _ in records(sliver)]
+        collapsed = [hp for hp in patches
+                     if np.linalg.norm(hp[:, 1:, :] - hp[:, :1, :], axis=-1).max() < 1e-6]
         assert collapsed
 
     def test_sliver_warns_once_per_collapsed_halfedge(self):
@@ -351,7 +359,7 @@ class TestNextPointers:
                 break
         assert target is not None
         h, nxt = target
-        samples = sample_next_pointers(m, h, CFG)
+        samples = records(m)[h][1]
         curve = m.edges[m.halfedges[nxt].edge].curve
         params = np.arange(1, 7) / 7.0
         if not m.halfedges[nxt].forward:
@@ -361,10 +369,9 @@ class TestNextPointers:
     def test_subsequence_property(self, all_primitives):
         for name, src in all_primitives.items():
             m, _ = normalize(src)
-            for h in range(len(m.halfedges)):
+            for h, (_, got, _) in enumerate(records(m)):
                 nxt = m.next_in_loop(h)
                 expect = halfedge_curve_samples(m, nxt, CFG.n_curve)[: CFG.n_next]
-                got = sample_next_pointers(m, h, CFG)
                 assert np.array_equal(got, expect), (name, h)
 
     def test_self_loop_uses_own_far_end(self, cylinder_normed):
@@ -372,27 +379,28 @@ class TestNextPointers:
         # cap loops have a single halfedge with next(h) = h
         self_loops = [l for l in m.loops if len(l.halfedges) == 1]
         assert len(self_loops) == 2
+        recs = records(m)
         for loop in self_loops:
             h = loop.halfedges[0]
             assert m.next_in_loop(h) == h
-            samples = sample_next_pointers(m, h, CFG)
+            samples = recs[h][1]
             own = halfedge_curve_samples(m, h, CFG.n_curve)
             assert np.array_equal(samples, own[:4])
 
 
 class TestExtractVhp:
     def test_cube_counts_and_labels(self, cube_normed):
-        records = extract_vhp(cube_normed, CFG)
-        assert len(records) == 24 == 2 * len(cube_normed.edges)
-        assert all(r.label == 1 for r in records)
+        descs = extract_vhp(cube_normed, CFG)
+        assert descs.shape == (24, CFG.descriptor_length)
+        assert 24 == 2 * len(cube_normed.edges)
+        assert all(label == 1 for _, _, label in records(cube_normed))
 
     def test_hole_box_inner_labels(self, hole_box_normed):
-        records = extract_vhp(hole_box_normed, CFG)
-        assert len(records) == 48
-        inner = [r for r in records if r.label == 0]
+        recs = records(hole_box_normed)
+        assert len(recs) == 48
+        inner_ids = {h for h, (_, _, label) in enumerate(recs) if label == 0}
         # each inner loop's own halfedges carry the inner label (2 loops x 4)
-        assert len(inner) == 8
-        inner_ids = {r.halfedge for r in inner}
+        assert len(inner_ids) == 8
         expected = set()
         for loop in hole_box_normed.loops:
             if loop.kind == "inner":
@@ -402,22 +410,21 @@ class TestExtractVhp:
     def test_record_count_is_twice_edges(self, all_primitives):
         for src in all_primitives.values():
             m, _ = normalize(src)
-            assert len(extract_vhp(m, CFG)) == 2 * len(m.edges)
+            assert extract_vhp(m, CFG).shape == (2 * len(m.edges), CFG.descriptor_length)
 
     def test_twin_symmetry_of_on_curve_rows(self, cube_normed):
-        records = extract_vhp(cube_normed, CFG)
-        for r in records:
-            twin = cube_normed.halfedges[r.halfedge].twin
-            a = r.half_patch.samples[:, 0, :]
-            b = records[twin].half_patch.samples[:, 0, :]
+        recs = records(cube_normed)
+        for h, (hp, _, _) in enumerate(recs):
+            twin = cube_normed.halfedges[h].twin
+            a = hp[:, 0, :]
+            b = recs[twin][0][:, 0, :]
             assert np.abs(a - b[::-1]).max() < 1e-12
 
     def test_coverage_of_column_zero(self, cube_normed):
-        records = extract_vhp(cube_normed, CFG)
+        recs = records(cube_normed)
         for f in range(len(cube_normed.faces)):
             hes = cube_normed.face_halfedges(f)
-            col0 = np.concatenate([records[h].half_patch.samples[:, 0, :]
-                                   for h in hes])
+            col0 = np.concatenate([recs[h][0][:, 0, :] for h in hes])
             expected = np.concatenate([
                 halfedge_curve_samples(cube_normed, h, CFG.n_curve) for h in hes])
             assert np.allclose(np.sort(col0, axis=0), np.sort(expected, axis=0))
@@ -425,11 +432,10 @@ class TestExtractVhp:
     def test_samples_on_surface(self, all_primitives):
         for name, src in all_primitives.items():
             m, _ = normalize(src)
-            records = extract_vhp(m, CFG)
-            for r in records:
-                he = m.halfedges[r.halfedge]
+            for h, (hp, _, _) in enumerate(records(m)):
+                he = m.halfedges[h]
                 surf = m.faces[m.loops[he.loop].face].surface
-                pts = r.half_patch.samples.reshape(-1, 3)
+                pts = hp.reshape(-1, 3)
                 if surf.kind == "plane":
                     n = np.cross(surf.u_vec, surf.v_vec)
                     n /= np.linalg.norm(n)
@@ -445,18 +451,20 @@ class TestExtractVhp:
         # batching every half-edge into one walk must not let rays see each other
         for name, src in all_primitives.items():
             m, _ = normalize(src)
-            records = extract_vhp(m, CFG)
-            for h, r in enumerate(records):
-                one = sample_half_patch(m, h, CFG).samples
-                assert np.array_equal(r.half_patch.samples, one), (name, h)
-                assert np.array_equal(r.next_samples, sample_next_pointers(m, h, CFG)), (name, h)
+            charts = FaceCharts(m)
+            for h, (hp, nxt, _) in enumerate(records(m)):
+                on_curve = halfedge_curve_samples(m, h, CFG.n_curve)
+                one = charts.half_patches([h], on_curve[None], CFG.n_surface)[0]
+                assert np.array_equal(hp, one), (name, h)
+                succ = halfedge_curve_samples(m, m.next_in_loop(h), CFG.n_curve)
+                assert np.array_equal(nxt, succ[: CFG.n_next]), (name, h)
 
     def test_model_without_faces_has_no_records(self):
         from brepcodec.model import BrepModel
 
         empty = BrepModel(vertices=np.zeros((0, 3)), edges=[], halfedges=[], loops=[],
                           faces=[])
-        assert extract_vhp(empty, CFG) == []
+        assert extract_vhp(empty, CFG).shape == (0, CFG.descriptor_length)
 
     def test_descriptor_payload_size(self):
         assert CFG.descriptor_length == 85
