@@ -1,10 +1,13 @@
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
 
+import brepcodec.io as bio
 from brepcodec.assignment import InfeasibleAssignmentError, solve_square
-from brepcodec.codec import CodecConfig, parse, tokenize
+from brepcodec.codec import CodecConfig, VocabLayout, parse, tokenize
 from brepcodec.model import euler_report, normalize, validate
 from brepcodec.geometry import BicubicPatch, Plane, frame_for_normal
 from brepcodec.pipeline import decode_tokens, encode_model, lossless_codebook, roundtrip_check
@@ -34,7 +37,9 @@ from brepcodec.reconstruct import (
     trace_loops,
     vertex_stars,
 )
+from brepcodec.lm import SamplerConfig, fit_ngram, sample_sequence
 from brepcodec.rq import train_codebook
+from brepcodec.synth import FAMILIES, CorpusSpec, synth_corpus
 from brepcodec.codec import model_descriptors, descriptor_dim_weights
 
 CFG = CodecConfig()
@@ -595,3 +600,49 @@ class TestReconstructPipeline:
         model, report = reconstruct(VertexRecordSet(components=[]), CFG.sampling)
         assert model is None
         assert report.notes
+
+
+def decode_digest(decoded) -> str:
+    """sha256 over the JSON of each (model, report) decision of a decode."""
+    h = hashlib.sha256()
+    for model, report in decoded:
+        h.update(json.dumps([
+            None if model is None else bio.model_to_dict(model),
+            report.success, report.total_assignment_cost, report.infeasible_vertices,
+            report.elevated_cost_vertices, report.loop_count, report.faces_built,
+            report.inner_loops_attached, report.notes]).encode())
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def lossy_decodes():
+    """A stratified corpus under a lossy 4 x 32 codebook: its own tokens and
+    40 order-2 n-gram samples at T = 0.7, each decoded.  Most samples are no
+    solid, so their decodes run through infeasible stars and the fallbacks."""
+    spec = CorpusSpec(counts={f: 3 for f in FAMILIES}, components=(1, 3), seed=13)
+    normed = [normalize(m)[0] for _, m in synth_corpus(spec)]
+    cb = train_codebook(np.concatenate([model_descriptors(m, CFG.sampling) for m in normed]),
+                        4, 32, seed=0, dim_weights=descriptor_dim_weights(CFG.sampling))
+    seqs = [tokenize(m, cb, CFG) for m in normed]
+    layout = VocabLayout.for_codebook(cb)
+    lm = fit_ngram(seqs, order=2, vocab_size=layout.vocab_size)
+    samples = [sample_sequence(lm, layout, SamplerConfig(seed=s, temperature=0.7))
+               for s in range(40)]
+    return ([decode_tokens(s, cb, CFG) for s in seqs],
+            [decode_tokens(s.tokens, cb, CFG) for s in samples if not s.truncated])
+
+
+# (decodes, watertight, digest) of each part.  Any change to the decoder
+# that moves one bit of a rebuilt model or one report decision shows here.
+GOLDEN_DECODES = {
+    "corpus": (15, 15, "014c8c6cd9f1fd72a33b38bc69eff233a49c23bca67665ce5bc3ec842d70ac0c"),
+    "sampled": (40, 3, "dccf383324a4002c59329ee4d0cc19fe63e0dcc15f6da7a9fee4b4296e1344a6"),
+}
+
+
+class TestDecodeGolden:
+    @pytest.mark.parametrize("part", sorted(GOLDEN_DECODES))
+    def test_decodes_are_pinned(self, lossy_decodes, part):
+        decoded = lossy_decodes[sorted(GOLDEN_DECODES).index(part)]
+        watertight = sum(report.success for _, report in decoded)
+        assert (len(decoded), watertight, decode_digest(decoded)) == GOLDEN_DECODES[part]
