@@ -73,6 +73,24 @@ def _load_models(args_models):
     return [(p, bio.load_model(p)[0]) for p in _model_paths(args_models)]
 
 
+def _load_tokens_for(path, cb):
+    """A token file's sequences; FormatError when it names another codebook."""
+    header, seqs = bio.load_tokens(path)
+    if header.get("codebook_id") not in (None, "", cb.content_id()):
+        raise bio.FormatError(f"{path}: written with codebook {header['codebook_id']}")
+    return seqs
+
+
+def _load_lm_and_codebook(args):
+    """The n-gram, codebook and layout; FormatError if their vocabularies differ."""
+    lm, layout_hash = bio.load_ngram(args.lm)
+    cb = bio.load_codebook(args.codebook)
+    layout = VocabLayout.for_codebook(cb)
+    if layout_hash and layout_hash != layout.layout_hash():
+        raise bio.FormatError("codebook does not match the model's vocabulary")
+    return lm, cb, layout
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -129,7 +147,7 @@ def cmd_train_codebook(args) -> int:
 
 def cmd_detokenize(args) -> int:
     cb = bio.load_codebook(args.codebook)
-    _, seqs = bio.load_tokens(args.tokens)
+    seqs = _load_tokens_for(args.tokens, cb)
     os.makedirs(args.out, exist_ok=True)
     reports = {}
     failed = 0
@@ -172,6 +190,8 @@ def cmd_roundtrip(args) -> int:
 
 def cmd_fit_lm(args) -> int:
     header, seqs = bio.load_tokens(args.tokens)
+    if not seqs:
+        raise bio.FormatError(f"{args.tokens}: token file holds no sequences")
     vocab = args.vocab_size
     if vocab is None:
         vocab = max(max(s.tokens) for s in seqs) + 1
@@ -184,11 +204,7 @@ def cmd_fit_lm(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    lm, layout_hash = bio.load_ngram(args.lm)
-    cb = bio.load_codebook(args.codebook)
-    layout = VocabLayout.for_codebook(cb)
-    if layout_hash and layout_hash != layout.layout_hash():
-        raise bio.FormatError("codebook does not match the model's vocabulary")
+    lm, cb, layout = _load_lm_and_codebook(args)
     os.makedirs(args.out, exist_ok=True)
     log = []
     sequences = []
@@ -218,10 +234,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_autocomplete(args) -> int:
-    lm, layout_hash = bio.load_ngram(args.lm)
-    cb = bio.load_codebook(args.codebook)
-    layout = VocabLayout.for_codebook(cb)
-    _, seqs = bio.load_tokens(args.prefix)
+    lm, cb, layout = _load_lm_and_codebook(args)
+    seqs = _load_tokens_for(args.prefix, cb)
     if not seqs:
         raise bio.FormatError("prefix token file holds no sequences")
     os.makedirs(args.out, exist_ok=True)

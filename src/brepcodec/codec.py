@@ -462,18 +462,17 @@ def tokenize(model: BrepModel, codebook: Codebook, cfg: CodecConfig | None = Non
 # Parse
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
-class ParsedEdge:
-    i: int
+class ParsedEdge(NamedTuple):
+    i: int                     # local indices: earlier and later endpoint
     j: int
-    desc_ij: np.ndarray | None = None
-    desc_ji: np.ndarray | None = None
 
 
 @dataclass(eq=False)
 class ParsedComponent:
     positions: np.ndarray      # (V, 3) dequantized centers
-    edges: list
+    edges: list                # `ParsedEdge`s in sequence order
+    # (2E, dim), None without a codebook: rows 2k, 2k + 1 are edge k's ij, ji
+    descriptors: np.ndarray | None = None
 
 
 @dataclass(eq=False)
@@ -482,17 +481,13 @@ class VertexRecordSet:
     header: SequenceHeader | None = None
 
 
-def _finish_component(coords, edges, codebook):
+def _finish_component(coords, edges, codes, codebook, depth):
     coords_q = np.array(coords, dtype=int).reshape(-1, 3)
     positions = dequantize_coord(coords_q) if coords_q.size else coords_q.astype(float)
-    descs = [None] * (2 * len(edges))
-    if codebook is not None and edges:
-        # one call for every half-edge: rows 2k, 2k + 1 are edge k's ij, ji
-        descs = rq_decode(np.array([c for _, _, cij, cji in edges for c in (cij, cji)]),
-                          codebook)
-    parsed = [ParsedEdge(i=i, j=j, desc_ij=descs[2 * k], desc_ji=descs[2 * k + 1])
-              for k, (i, j, _, _) in enumerate(edges)]
-    return ParsedComponent(positions=positions, edges=parsed)
+    descriptors = None
+    if codebook is not None:   # one call for every half-edge of the component
+        descriptors = rq_decode(np.array(codes, dtype=int).reshape(-1, depth), codebook)
+    return ParsedComponent(positions=positions, edges=edges, descriptors=descriptors)
 
 
 def parse(seq, codebook: Codebook | None = None, cfg: CodecConfig | None = None,
@@ -500,10 +495,15 @@ def parse(seq, codebook: Codebook | None = None, cfg: CodecConfig | None = None,
     """Decode a token sequence into per-component vertex records.
 
     Grammar violations raise GrammarError with the token position and the
-    expected token kinds.  Descriptors are decoded when a codebook is
-    supplied; without one they stay None.  ``cfg`` is accepted for
-    symmetry with `tokenize`; parsing has no setting.
+    expected token kinds.  With a codebook, each component's descriptors
+    are decoded into one matrix; the codebook's width must be the
+    descriptor length of ``cfg.sampling`` (CodecError otherwise).  Without
+    one they stay None.
     """
+    cfg = cfg or CodecConfig()
+    if codebook is not None and codebook.dim != cfg.sampling.descriptor_length:
+        raise CodecError(f"codebook dimension {codebook.dim} != descriptor length "
+                         f"{cfg.sampling.descriptor_length}")
     header = seq.header if isinstance(seq, TokenSequence) else None
     tokens = list(seq.tokens) if isinstance(seq, TokenSequence) else list(seq)
     if layout is None:
@@ -519,8 +519,7 @@ def parse(seq, codebook: Codebook | None = None, cfg: CodecConfig | None = None,
         return VertexRecordSet(components=[], header=header)
 
     state = initial_state()
-    comps, coords, edges = [], [], []
-    depth = layout.rq_levels
+    comps, coords, edges, codes = [], [], [], []
     for pos in range(1, len(tokens)):
         tok = tokens[pos]
         try:
@@ -530,15 +529,13 @@ def parse(seq, codebook: Codebook | None = None, cfg: CodecConfig | None = None,
             raise
         if state.mode == MODE_RQ:
             codes.append((tok - layout.rq_base) % layout.rq_level_size)
-            if nxt.mode == MODE_ADJ:
-                edges.append((i, j, codes[:depth], codes[depth:]))
         elif nxt.mode == MODE_RQ:            # a pointer opens an edge group
-            i, j, codes = tok - layout.pointer_base, state.count - 1, []
+            edges.append(ParsedEdge(tok - layout.pointer_base, state.count - 1))
         elif tok < layout.coord_bins:
             coords.append(tok)
         else:                                # <sep> or <end> closes a component
-            comps.append(_finish_component(coords, edges, codebook))
-            coords, edges = [], []
+            comps.append(_finish_component(coords, edges, codes, codebook, layout.rq_levels))
+            coords, edges, codes = [], [], []
             if nxt.mode == MODE_DONE:
                 if pos != len(tokens) - 1:
                     raise GrammarError("tokens after <end>", position=pos + 1,

@@ -375,11 +375,10 @@ def export_vhp_debug(model: BrepModel, path):
         doc["faces"].append({"face": f, "domain": list(cells.domain),
                              "resolution": cells.resolution,
                              "labels": cells.labels.tolist()})
-    for h, desc in enumerate(descs):
-        half_patch, next_samples, label = unpack_descriptor(desc, cfg)
+    for h, (half_patch, next_samples, label) in enumerate(zip(*unpack_descriptor(descs, cfg))):
         doc["records"].append({
             "halfedge": h,
-            "label": label,
+            "label": int(label),
             "half_patch": half_patch.tolist(),
             "next_samples": next_samples.tolist(),
         })

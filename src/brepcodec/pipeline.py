@@ -88,10 +88,7 @@ def roundtrip_check(model: BrepModel, codebook: Codebook | None = None,
             result.notes.append("vertex count mismatch")
             break
         max_err = max(max_err, float(np.abs(comp.positions - pos).max()))
-        got = Counter()
-        for e in comp.edges:
-            got[tuple(sorted((e.i, e.j)))] += 1
-        if got != edges:
+        if Counter(tuple(sorted(e)) for e in comp.edges) != edges:
             records_ok = False
             result.notes.append("adjacency multigraph mismatch")
             break

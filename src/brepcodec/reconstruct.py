@@ -7,6 +7,9 @@ classify them by their labels, fit a surface to every outer loop (plane
 first, bicubic tensor patch when the planar residual is too large), and
 attach each inner loop to the face whose surface it sits closest to.
 
+The drafts of a model are arrays (`Drafts`) indexed by draft id, one
+unpack of the parsed descriptor matrices: drafts ``2k`` and ``2k + 1`` are
+edge ``k``'s two directions, so the twin of draft ``d`` is ``d ^ 1``.
 The numerics run as array passes over a whole model: `star_problems`
 prices every pair of every vertex star at once, `fit_faces` fits the
 planes of all outer loops at once (only loops above the plane gate get a
@@ -68,16 +71,14 @@ PROJECT_BLOCK = 256
 
 
 @dataclass(eq=False)
-class HalfEdgeDraft:
-    index: int
-    origin: int
-    dest: int
-    twin: int
-    edge_index: int
-    curve_pts: np.ndarray      # (N_c + 2, 3), endpoints first and last
-    surface_pts: np.ndarray    # (N_c, N_s - 1, 3)
-    next_pts: np.ndarray       # (N_n, 3)
-    label: int
+class Drafts:
+    """A model's half-edge drafts, row ``d`` of each array for draft ``d``: its
+    twin is ``d ^ 1``, its edge ``d // 2``, its destination the twin's origin."""
+    origin: np.ndarray         # (2E,) vertex ids
+    curve: np.ndarray          # (2E, N_c + 2, 3), endpoints first and last
+    surface: np.ndarray        # (2E, N_c, N_s - 1, 3)
+    next: np.ndarray           # (2E, N_n, 3)
+    label: np.ndarray          # (2E,) 1 outer, 0 inner
     noise: float = 0.0         # the model's RQ noise sigma, per coordinate
 
 
@@ -129,47 +130,26 @@ def materialize_half_edges(records: VertexRecordSet, cfg: SamplingConfig | None 
     The interior curve samples of the two directed copies of each edge are
     averaged (one reversed) so twins carry identical geometry; endpoints
     are pinned to the dequantized vertex positions.  The RMS of half the
-    copies' difference, over all edges, is the model's RQ noise; every
-    draft carries it as ``noise``.
-    Returns (drafts, vertex positions, edge endpoint list).
+    copies' difference, over all edges, is the model's RQ noise.
+    Returns (drafts, vertex positions).
     """
     cfg = cfg or SamplingConfig()
-    drafts = []
-    positions = []
-    edge_verts = []
-    gaps = []
-    offset = 0
-    for comp in records.components:
-        positions.append(comp.positions)
-        for er in comp.edges:
-            if er.desc_ij is None or er.desc_ji is None:
-                raise ValueError("records carry no decoded descriptors; "
-                                 "parse with a codebook first")
-            hp_ij, next_ij, label_ij = unpack_descriptor(er.desc_ij, cfg)
-            hp_ji, next_ji, label_ji = unpack_descriptor(er.desc_ji, cfg)
-            vi, vj = er.i + offset, er.j + offset
-            pi, pj = comp.positions[er.i], comp.positions[er.j]
-            fwd = 0.5 * (hp_ij[:, 0, :] + hp_ji[::-1, 0, :])
-            gaps.append(0.5 * (hp_ij[:, 0, :] - hp_ji[::-1, 0, :]))
-            fwd_curve = np.vstack([pi, fwd, pj])
-            bwd_curve = fwd_curve[::-1]
-            k = len(drafts)
-            drafts.append(HalfEdgeDraft(
-                index=k, origin=vi, dest=vj, twin=k + 1, edge_index=len(edge_verts),
-                curve_pts=fwd_curve, surface_pts=hp_ij[:, 1:, :],
-                next_pts=next_ij, label=label_ij))
-            drafts.append(HalfEdgeDraft(
-                index=k + 1, origin=vj, dest=vi, twin=k, edge_index=len(edge_verts),
-                curve_pts=bwd_curve, surface_pts=hp_ji[:, 1:, :],
-                next_pts=next_ji, label=label_ji))
-            edge_verts.append((vi, vj))
-        offset += comp.positions.shape[0]
-    if gaps:
-        noise = float(np.sqrt(np.mean(np.square(gaps))))
-        for d in drafts:
-            d.noise = noise
-    verts = np.concatenate(positions) if positions else np.zeros((0, 3))
-    return drafts, verts, edge_verts
+    comps = records.components
+    if any(c.descriptors is None for c in comps):
+        raise ValueError("records carry no decoded descriptors; parse with a codebook first")
+    verts = np.concatenate([c.positions for c in comps] or [np.zeros((0, 3))])
+    offsets = np.cumsum([0] + [c.positions.shape[0] for c in comps]).tolist()
+    origin = np.array([v + off for c, off in zip(comps, offsets) for e in c.edges for v in e],
+                      dtype=int)
+    hp, nxt, label = unpack_descriptor(np.concatenate(
+        [c.descriptors for c in comps] or [np.zeros((0, cfg.descriptor_length))]), cfg)
+    ij, ji = hp[0::2, :, 0, :], hp[1::2, ::-1, 0, :]
+    fwd = np.concatenate([verts[origin[0::2], None], 0.5 * (ij + ji), verts[origin[1::2], None]],
+                         axis=1)
+    curve = np.empty((len(origin), cfg.n_curve + 2, 3))
+    curve[0::2], curve[1::2] = fwd, fwd[:, ::-1]
+    noise = float(np.sqrt(np.mean(np.square(0.5 * (ij - ji))))) if len(ij) else 0.0
+    return Drafts(origin, curve, hp[:, :, 1:, :], nxt, label, noise), verts
 
 
 # ---------------------------------------------------------------------------
@@ -179,9 +159,10 @@ def materialize_half_edges(records: VertexRecordSet, cfg: SamplingConfig | None 
 def vertex_stars(drafts) -> dict:
     """vertex -> (incoming, outgoing) draft ids, each in ascending draft order."""
     stars = {}
-    for d in drafts:
-        stars.setdefault(d.dest, ([], []))[0].append(d.index)
-        stars.setdefault(d.origin, ([], []))[1].append(d.index)
+    origin = drafts.origin.tolist()
+    for d, v in enumerate(origin):
+        stars.setdefault(origin[d ^ 1], ([], []))[0].append(d)
+        stars.setdefault(v, ([], []))[1].append(d)
     return stars
 
 
@@ -189,18 +170,16 @@ def star_problems(drafts, n_next: int, stars: dict) -> list:
     """The `AssignmentProblem` of every star with an incoming draft, by vertex.
 
     ``stars`` is `vertex_stars` output.  One pass prices every pair of every
-    star: the summed distance of the incoming draft's ``next_pts`` to the
-    outgoing draft's first ``n_next`` on-curve samples.
+    star: the summed distance of the incoming draft's ``next`` samples to
+    the outgoing draft's first ``n_next`` on-curve samples.
     """
     stars = [(v, stars[v]) for v in sorted(stars) if stars[v][0]]
-    ins = [a for _, (inc, out) in stars for a in inc for _ in out]
-    outs = [b for _, (inc, out) in stars for _ in inc for b in out]
-    if not ins:
+    ins = np.array([a for _, (inc, out) in stars for a in inc for _ in out], dtype=int)
+    outs = np.array([b for _, (inc, out) in stars for _ in inc for b in out], dtype=int)
+    if not ins.size:
         return []
-    nxt = np.array([drafts[a].next_pts for a in ins])
-    cand = np.array([drafts[b].curve_pts[1: 1 + n_next] for b in outs])
-    cost = np.linalg.norm(nxt - cand, axis=2).sum(axis=1)
-    forbidden = np.array([drafts[a].twin for a in ins]) == np.array(outs)
+    cost = np.linalg.norm(drafts.next[ins] - drafts.curve[outs, 1: 1 + n_next], axis=2).sum(axis=1)
+    forbidden = (ins ^ 1) == outs
     cuts = np.cumsum([len(inc) * len(out) for _, (inc, out) in stars])[:-1]
     return [AssignmentProblem(v, inc, out, c.reshape(len(inc), len(out)),
                               f.reshape(len(inc), len(out)))
@@ -266,7 +245,7 @@ def trace_loops(next_map: dict) -> list:
 def classify_loops(loops, drafts) -> None:
     """Majority vote over member labels; ties resolve to outer."""
     for loop in loops:
-        votes = sum(drafts[d].label for d in loop.drafts)
+        votes = drafts.label[loop.drafts].sum()
         loop.kind = "outer" if 2 * votes >= len(loop.drafts) else "inner"
 
 
@@ -427,9 +406,8 @@ def _loop_planes(loops, drafts):
     sizes = np.array([len(loop.drafts) for loop in loops])
     starts = np.cumsum(sizes) - sizes
     owner = np.repeat(np.arange(len(loops)), sizes)
-    curve = np.array([drafts[d].curve_pts for d in order])
-    pts = np.concatenate(
-        [curve, np.array([drafts[d].surface_pts.reshape(-1, 3) for d in order])], axis=1)
+    curve = drafts.curve[order]
+    pts = np.concatenate([curve, drafts.surface[order].reshape(len(order), -1, 3)], axis=1)
     count = sizes * pts.shape[1]
 
     centroid = np.add.reduceat(pts.sum(axis=1), starts) / count[:, None]
@@ -476,16 +454,14 @@ def fit_faces(loops, drafts) -> list:
     if not loops:
         return []
     rms, planes, uv = _loop_planes(loops, drafts)
-    gate = plane_gate([max(drafts[d].noise for d in loop.drafts) for loop in loops])
+    gate = plane_gate(drafts.noise)
     first = np.cumsum([0] + [len(loop.drafts) for loop in loops])
     faces = []
     for i, loop in enumerate(loops):
         notes = []
-        if rms[i] > gate[i]:
-            runs = [drafts[d].curve_pts for d in loop.drafts]
-            interior = np.concatenate([drafts[d].surface_pts.reshape(-1, 3)
-                                       for d in loop.drafts])
-            fitted = _bicubic_face(loop.drafts, runs, interior)
+        if rms[i] > gate:
+            fitted = _bicubic_face(loop.drafts, drafts.curve[loop.drafts],
+                                   drafts.surface[loop.drafts].reshape(-1, 3))
             if fitted is not None and fitted.rms <= rms[i]:
                 faces.append(fitted)
                 continue
@@ -518,8 +494,7 @@ def attach_inner_loops(inner_loops, faces, drafts):
         return []
     if not faces:
         raise ValueError("cannot attach inner loops: no faces were built")
-    samples = [np.concatenate([drafts[d].curve_pts[:-1] for d in loop.drafts])
-               for loop in inner_loops]
+    samples = [drafts.curve[loop.drafts, :-1].reshape(-1, 3) for loop in inner_loops]
     sizes = np.array([len(p) for p in samples])
     means = np.empty((len(inner_loops), len(faces)))
     planar = [k for k, f in enumerate(faces) if isinstance(f.surface, Plane)]
@@ -550,11 +525,11 @@ def reconstruct(records: VertexRecordSet, cfg: SamplingConfig | None = None):
     report = ReconstructionReport()
     try:
         with _stage(report, "materialize"):
-            drafts, verts, edge_verts = materialize_half_edges(records, cfg)
+            drafts, verts = materialize_half_edges(records, cfg)
     except Exception as exc:
         report.notes.append(f"materialization failed: {exc}")
         return None, report
-    if not drafts:
+    if not drafts.origin.size:
         report.notes.append("no edges to reconstruct")
         return None, report
 
@@ -585,7 +560,7 @@ def reconstruct(records: VertexRecordSet, cfg: SamplingConfig | None = None):
 
     try:
         with _stage(report, "assemble"):
-            model = _assemble(drafts, verts, edge_verts, outer, inner, faces, attach)
+            model = _assemble(drafts, verts, outer, inner, faces, attach)
     except Exception as exc:
         report.notes.append(f"assembly failed: {exc}")
         return None, report
@@ -598,7 +573,7 @@ def reconstruct(records: VertexRecordSet, cfg: SamplingConfig | None = None):
     return model, report
 
 
-def _assemble(drafts, verts, edge_verts, outer, inner, faces, attach):
+def _assemble(drafts, verts, outer, inner, faces, attach):
     inners_per_face = [[] for _ in faces]
     for loop, fi in zip(inner, attach):
         inners_per_face[fi].append(loop)
@@ -614,7 +589,7 @@ def _assemble(drafts, verts, edge_verts, outer, inner, faces, attach):
         for il in inners_per_face[fi]:
             inner_ids.append(len(ordered_loops))
             ordered_loops.append((il, "inner", fi))
-            pcurve_of.update({d: Poly2(_project(drafts[d].curve_pts, fitted.surface))
+            pcurve_of.update({d: Poly2(_project(drafts.curve[d], fitted.surface))
                               for d in il.drafts})
         face_objs.append(Face(surface=fitted.surface, outer=outer_id,
                               inners=tuple(inner_ids)))
@@ -623,11 +598,12 @@ def _assemble(drafts, verts, edge_verts, outer, inner, faces, attach):
     loop_objs = [Loop(halfedges=tuple(loop.drafts), kind=kind, face=fi)
                  for loop, kind, fi in ordered_loops]
 
-    halfedges = [HalfEdge(origin=d.origin, twin=d.twin, edge=d.edge_index,
-                          loop=loop_of_draft.get(d.index, -1), forward=(d.index % 2 == 0),
-                          pcurve=pcurve_of.get(d.index)) for d in drafts]
-    edges = [Edge(curve=PolylineCurve(drafts[2 * ei].curve_pts), v0=vi, v1=vj,
-                  halfedges=(2 * ei, 2 * ei + 1)) for ei, (vi, vj) in enumerate(edge_verts)]
+    origin = drafts.origin.tolist()
+    halfedges = [HalfEdge(origin=v, twin=d ^ 1, edge=d // 2, loop=loop_of_draft.get(d, -1),
+                          forward=(d % 2 == 0), pcurve=pcurve_of.get(d))
+                 for d, v in enumerate(origin)]
+    edges = [Edge(curve=PolylineCurve(drafts.curve[d]), v0=origin[d], v1=origin[d + 1],
+                  halfedges=(d, d + 1)) for d in range(0, len(origin), 2)]
 
     model = BrepModel(vertices=verts, edges=edges, halfedges=halfedges,
                       loops=loop_objs, faces=face_objs)

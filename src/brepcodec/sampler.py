@@ -3,8 +3,8 @@
 `extract_vhp` returns one descriptor matrix per model, of shape
 ``(2E, SamplingConfig.descriptor_length)``; row ``h`` is half-edge ``h``.
 Each row holds ``(N_c * N_s + N_n) * 3 + 1`` scalars (85 at the defaults),
-in the order `_pack` writes and `unpack_descriptor` reads; this module is
-the one home of that layout:
+in the order `_pack` writes and `unpack_descriptor` reads, both over any
+leading batch dimensions; this module is the one home of that layout:
 
 * an ``(N_c, N_s, 3)`` half-patch, row-major: N_c interior curve samples
   (column 0) plus ``N_s - 1`` surface samples per row, marched from the
@@ -84,13 +84,14 @@ def _pack(half_patch, next_samples, label) -> np.ndarray:
 
 
 def unpack_descriptor(desc: np.ndarray, cfg: SamplingConfig):
-    """One descriptor row -> (half_patch, next_samples, label)."""
-    desc = np.asarray(desc, dtype=float).reshape(-1)
-    if desc.shape[0] != cfg.descriptor_length:
-        raise ValueError(f"descriptor length {desc.shape[0]} != configured {cfg.descriptor_length}")
-    split = cfg.n_curve * cfg.n_surface * 3
-    return (desc[:split].reshape(cfg.n_curve, cfg.n_surface, 3), desc[split:-1].reshape(-1, 3),
-            int(desc[-1] >= 0.5))
+    """Rows (..., dim) -> half-patches (..., N_c, N_s, 3), next samples
+    (..., N_n, 3) and int labels (...): leading dimensions batch, as in `_pack`."""
+    desc = np.asarray(desc, dtype=float)
+    if desc.shape[-1] != cfg.descriptor_length:
+        raise ValueError(f"descriptor length {desc.shape[-1]} != configured {cfg.descriptor_length}")
+    lead, split = desc.shape[:-1], cfg.n_curve * cfg.n_surface * 3
+    return (desc[..., :split].reshape(*lead, cfg.n_curve, cfg.n_surface, 3),
+            desc[..., split:-1].reshape(*lead, cfg.n_next, 3), (desc[..., -1] >= 0.5).astype(int))
 
 
 @dataclass(eq=False)

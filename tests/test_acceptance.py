@@ -137,17 +137,17 @@ def test_criterion_3_next_map_noise_robustness(corpus):
 
         cb = lossless_codebook(normed)
         records = parse(tokenize(normed, cb, CFG), cb, CFG)
-        drafts, verts, _ = materialize_half_edges(records, CFG.sampling)
+        drafts, verts = materialize_half_edges(records, CFG.sampling)
         clean, *_ = solve_next_map(drafts, verts.shape[0], CFG.sampling)
         nn = CFG.sampling.n_next
         for problem in star_problems(drafts, nn, vertex_stars(drafts)):
-            cands = [drafts[j].curve_pts[1:1 + nn] for j in problem.outgoing]
+            cands = [drafts.curve[j, 1:1 + nn] for j in problem.outgoing]
             dmin = min(np.linalg.norm(a - b, axis=1).sum()
                        for a, b in itertools.combinations(cands, 2))
             for i in problem.incoming:
                 noise = rng.normal(size=(nn, 3))
                 noise *= 0.2 * dmin / np.linalg.norm(noise, axis=1).sum()
-                drafts[i].next_pts = drafts[i].next_pts + noise
+                drafts.next[i] = drafts.next[i] + noise
         noisy, *_ = solve_next_map(drafts, verts.shape[0], CFG.sampling)
         assert noisy == clean, f"next map changed under noise on {name}"
         checked += 1

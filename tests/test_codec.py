@@ -9,6 +9,7 @@ from brepcodec.codec import (
     MODE_RQ,
     CapacityError,
     CodecConfig,
+    CodecError,
     DuplicateVertexError,
     GrammarError,
     GrammarState,
@@ -30,6 +31,7 @@ from brepcodec.geometry import LineSegment
 from brepcodec.model import BrepModel, Edge, normalize
 from brepcodec.pipeline import lossless_codebook
 from brepcodec.primitives import box, merge_models, ngon_prism, through_hole_box
+from brepcodec.rq import Codebook
 from brepcodec.sampler import SamplingConfig, _pack, unpack_descriptor
 
 LAYOUT = VocabLayout()  # 128 coords, 256 pointers, 4 x 257 rq, 3 specials
@@ -312,6 +314,8 @@ class TestDescriptorLayout:
             assert np.array_equal(_pack(hp, nxt, label), d)
         # leading dimensions are batch dimensions
         assert np.array_equal(_pack(np.array(hps), np.array(nxts), np.array(labels)), descs)
+        for part, rows in zip(unpack_descriptor(descs, cfg), (hps, nxts, labels)):
+            assert np.array_equal(part, np.array(rows))
 
 
 class TestHeaders:
@@ -321,6 +325,13 @@ class TestHeaders:
         other = VocabLayout(pointer_max=64)
         with pytest.raises(Exception):
             parse(seq, layout=other)
+
+    def test_codebook_width_checked(self, cube_normed):
+        cb = lossless_codebook(cube_normed)
+        seq = tokenize(cube_normed, cb)
+        narrow = Codebook(cb.levels[..., :10], cb.mean[:10], cb.scale[:10])
+        with pytest.raises(CodecError, match="codebook dimension 10"):
+            parse(seq, narrow)
 
     def test_transform_rides_along(self, unit_cube):
         from brepcodec.pipeline import encode_model

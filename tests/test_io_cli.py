@@ -383,6 +383,42 @@ class TestCli:
         assert main(args) == 2
         assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "format"
 
+    # each case: the command line, and a phrase its error message must hold
+    @pytest.mark.parametrize("case", ["codebook of the wrong width", "tokens of another codebook",
+                                      "n-gram of another layout", "fit-lm without sequences"])
+    def test_mismatched_input_is_a_format_error(self, workspace, tmp_path, capsys, case):
+        tokens, out = str(workspace / "c.tokens"), ["--out", str(tmp_path / "out")]
+        if case == "codebook of the wrong width":
+            doc = json.loads((workspace / "cb.json").read_text())
+            bio.save_codebook(Codebook(np.array(doc["levels"])[..., :10], np.array(doc["mean"][:10]),
+                                       np.array(doc["scale"][:10])), tmp_path / "narrow.json")
+            header, seqs = bio.load_tokens(tokens)     # rewritten naming no codebook
+            bio.save_tokens([s.tokens for s in seqs], tmp_path / "anon.tokens",
+                            layout_hash=header["layout_hash"])
+            args, phrase = ["detokenize", str(tmp_path / "anon.tokens"),
+                            "--codebook", str(tmp_path / "narrow.json")], "codebook dimension 10"
+        elif case == "tokens of another codebook":
+            assert main(["train-codebook", str(workspace / "corpus"), "--levels", "4", "--size",
+                         "48", "--seed", "5", "--out", str(tmp_path / "cb5.json")]) == 0
+            args, phrase = ["detokenize", tokens, "--codebook", str(tmp_path / "cb5.json")], \
+                "written with codebook"
+        elif case == "n-gram of another layout":
+            cb38 = str(tmp_path / "cb38.json")
+            assert main(["train-codebook", str(workspace / "corpus"), "--levels", "3", "--size",
+                         "8", "--out", cb38]) == 0
+            assert main(["tokenize", str(workspace / "corpus"), "--codebook", cb38,
+                         "--out", str(tmp_path / "c38.tokens")]) == 0
+            assert main(["fit-lm", tokens, "--out", str(tmp_path / "lm.json")]) == 0
+            args, phrase = ["autocomplete", "--lm", str(tmp_path / "lm.json"), "--codebook", cb38,
+                            "--prefix", str(tmp_path / "c38.tokens")], "vocabulary"
+        else:
+            (tmp_path / "empty.tokens").write_text(json.dumps({"format": bio.TOKENS_FORMAT}) + "\n")
+            args, phrase = ["fit-lm", str(tmp_path / "empty.tokens")], "no sequences"
+        capsys.readouterr()
+        assert main(args + out) == 2
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "format" and phrase in err["message"]
+
     def test_synth_determinism_byte_identical(self, workspace, tmp_path):
         out2 = tmp_path / "corpus2"
         assert main(["synth", "--spec", str(workspace / "spec.json"),

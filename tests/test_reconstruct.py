@@ -21,6 +21,7 @@ from brepcodec.primitives import (
 )
 from brepcodec.reconstruct import (
     PROJECT_BLOCK,
+    Drafts,
     LoopDraft,
     _PROBE_UV,
     _project,
@@ -59,7 +60,7 @@ def shell_tuples(model):
 def traced_loops(src):
     """Records of ``src`` taken to drafts and classified loops."""
     rs, _ = records_for(src)
-    drafts, verts, _ = materialize_half_edges(rs, CFG.sampling)
+    drafts, verts = materialize_half_edges(rs, CFG.sampling)
     next_map, *_ = solve_next_map(drafts, verts.shape[0], CFG.sampling)
     loops = trace_loops(next_map)
     classify_loops(loops, drafts)
@@ -81,8 +82,8 @@ def reference_plane_face(loop, drafts):
     The SVD normal, `frame_for_normal`, a 5% pad around the samples, and a
     flipped v axis where the curve samples wind clockwise in UV.
     """
-    runs = [drafts[d].curve_pts for d in loop.drafts]
-    pts = np.vstack(runs + [drafts[d].surface_pts.reshape(-1, 3) for d in loop.drafts])
+    runs = [drafts.curve[d] for d in loop.drafts]
+    pts = np.vstack(runs + [drafts.surface[d].reshape(-1, 3) for d in loop.drafts])
     centroid, normal, rms = svd_plane_fit(pts)
     u0, v0 = frame_for_normal(normal)
     st = (pts - centroid) @ np.stack([u0, v0], axis=1)
@@ -97,7 +98,7 @@ def reference_plane_face(loop, drafts):
     x, y = cycle[:, 0], cycle[:, 1]
     area = 0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y)
     origin = centroid + lo[0] * u0 + lo[1] * v0
-    pcurves = {d: uv_of(drafts[d].curve_pts) for d in loop.drafts}
+    pcurves = {d: uv_of(drafts.curve[d]) for d in loop.drafts}
     if area >= 0:
         return Plane(origin, span[0] * u0, span[1] * v0), pcurves, rms
     pcurves = {d: np.stack([uv[:, 0], 1.0 - uv[:, 1]], axis=-1) for d, uv in pcurves.items()}
@@ -145,38 +146,37 @@ class TestHungarian:
 class TestMaterialize:
     def test_lossless_averaging_noop_and_twin_exactness(self, cube_normed):
         rs, _ = records_for(box())
-        drafts, verts, edges = materialize_half_edges(rs, CFG.sampling)
-        assert len(drafts) == 24 and len(edges) == 12
-        for d in drafts:
-            t = drafts[d.twin]
-            assert np.array_equal(d.curve_pts, t.curve_pts[::-1])
-            assert d.origin == t.dest and d.dest == t.origin
+        drafts, verts = materialize_half_edges(rs, CFG.sampling)
+        assert drafts.origin.shape == (24,) and len(rs.components[0].edges) == 12
+        # drafts 2k, 2k + 1 run edge k from i to j and back
+        assert drafts.origin.tolist() == [v for e in rs.components[0].edges for v in e]
+        for d in range(24):
+            assert np.array_equal(drafts.curve[d], drafts.curve[d ^ 1][::-1])
 
     def test_mirrored_perturbation_cancels(self):
         rs, _ = records_for(box())
         comp = rs.components[0]
-        edge = comp.edges[0]
         clean = materialize_half_edges(rs, CFG.sampling)[0]
-        base_fwd = clean[0].curve_pts.copy()
+        base_fwd = clean.curve[0].copy()
 
         nc, ns = CFG.sampling.n_curve, CFG.sampling.n_surface
         delta = 1e-3
-        ij = edge.desc_ij.copy().reshape(-1)
-        ji = edge.desc_ji.copy().reshape(-1)
+        ij = comp.descriptors[0].copy()    # edge 0, earlier -> later
+        ji = comp.descriptors[1].copy()    # edge 0, later -> earlier
         hp = ij[: nc * ns * 3].reshape(nc, ns, 3)
         hp[:, 0, :] += delta
         ij[: nc * ns * 3] = hp.reshape(-1)
         hp2 = ji[: nc * ns * 3].reshape(nc, ns, 3)
         hp2[::-1, 0, :] -= delta     # mirrored indices
         ji[: nc * ns * 3] = hp2.reshape(-1)
-        edge.desc_ij, edge.desc_ji = ij, ji
+        comp.descriptors[0], comp.descriptors[1] = ij, ji
 
-        drafts, _, _ = materialize_half_edges(rs, CFG.sampling)
-        assert np.allclose(drafts[0].curve_pts, base_fwd, atol=1e-12)
+        drafts, _ = materialize_half_edges(rs, CFG.sampling)
+        assert np.allclose(drafts.curve[0], base_fwd, atol=1e-12)
 
     def test_descriptor_length_mismatch_raises(self):
         rs, _ = records_for(box())
-        rs.components[0].edges[0].desc_ij = np.zeros(13)
+        rs.components[0].descriptors = rs.components[0].descriptors[:, :13]
         with pytest.raises(Exception):
             materialize_half_edges(rs, CFG.sampling)
 
@@ -208,7 +208,7 @@ class TestAssignmentAtVertices:
     def test_exact_records_recover_source_next_map(self):
         for src in (box(), ngon_prism(n=5), through_hole_box(), seam_cylinder()):
             rs, normed = records_for(src)
-            drafts, verts, _ = materialize_half_edges(rs, CFG.sampling)
+            drafts, verts = materialize_half_edges(rs, CFG.sampling)
             next_map, total, infeasible, elevated = solve_next_map(
                 drafts, verts.shape[0], CFG.sampling)
             assert total < 1e-9
@@ -221,18 +221,18 @@ class TestAssignmentAtVertices:
         rng = np.random.default_rng(17)
         for src in (box(), ngon_prism(n=6), through_hole_box()):
             rs, _ = records_for(src)
-            drafts, verts, _ = materialize_half_edges(rs, CFG.sampling)
+            drafts, verts = materialize_half_edges(rs, CFG.sampling)
             clean, *_ = solve_next_map(drafts, verts.shape[0], CFG.sampling)
             nn = CFG.sampling.n_next
             for problem in star_problems(drafts, nn, vertex_stars(drafts)):
-                cands = [drafts[j].curve_pts[1:1 + nn] for j in problem.outgoing]
+                cands = [drafts.curve[j, 1:1 + nn] for j in problem.outgoing]
                 dmin = min(
                     np.linalg.norm(a - b, axis=1).sum()
                     for a, b in itertools.combinations(cands, 2))
                 for i in problem.incoming:
                     noise = rng.normal(size=(nn, 3))
                     noise *= 0.2 * dmin / np.linalg.norm(noise, axis=1).sum()
-                    drafts[i].next_pts = drafts[i].next_pts + noise
+                    drafts.next[i] = drafts.next[i] + noise
             noisy, *_ = solve_next_map(drafts, verts.shape[0], CFG.sampling)
             assert noisy == clean
 
@@ -240,7 +240,7 @@ class TestAssignmentAtVertices:
 class TestLoops:
     def test_cube_loops(self):
         rs, _ = records_for(box())
-        drafts, verts, _ = materialize_half_edges(rs, CFG.sampling)
+        drafts, verts = materialize_half_edges(rs, CFG.sampling)
         next_map, *_ = solve_next_map(drafts, verts.shape[0], CFG.sampling)
         loops = trace_loops(next_map)
         assert len(loops) == 6
@@ -248,7 +248,7 @@ class TestLoops:
 
     def test_hole_box_loops(self):
         rs, _ = records_for(through_hole_box())
-        drafts, verts, _ = materialize_half_edges(rs, CFG.sampling)
+        drafts, verts = materialize_half_edges(rs, CFG.sampling)
         next_map, *_ = solve_next_map(drafts, verts.shape[0], CFG.sampling)
         loops = trace_loops(next_map)
         assert len(loops) == 12
@@ -269,13 +269,10 @@ class TestLoops:
         assert seen == set(range(n))
 
     def test_classification_votes(self):
-        class FakeDraft:
-            def __init__(self, label):
-                self.label = label
-
-        drafts = [FakeDraft(1), FakeDraft(1), FakeDraft(1), FakeDraft(0),
-                  FakeDraft(0), FakeDraft(0), FakeDraft(0), FakeDraft(1),
-                  FakeDraft(1), FakeDraft(0), FakeDraft(1), FakeDraft(0)]
+        labels = np.array([1, 1, 1, 0, 0, 0, 0, 1, 1, 0, 1, 0])
+        drafts = Drafts(origin=np.arange(12), curve=np.zeros((12, 8, 3)),
+                        surface=np.zeros((12, 6, 3, 3)), next=np.zeros((12, 4, 3)),
+                        label=labels)
         loops = [LoopDraft(drafts=[0, 1, 2, 3]),   # 3 outer, 1 inner
                  LoopDraft(drafts=[4, 5, 6, 7]),   # 3 inner, 1 outer
                  LoopDraft(drafts=[8, 9, 10, 11])]  # 2/2 tie
@@ -285,22 +282,19 @@ class TestLoops:
 
 def synthetic_square_loop(z=0.3):
     """Four coplanar drafts tracing the unit square at height z."""
-    from brepcodec.reconstruct import HalfEdgeDraft
-
     corners = np.array([[0, 0, z], [1, 0, z], [1, 1, z], [0, 1, z]], dtype=float)
-    drafts = []
+    curve, surface = [], []
     for k in range(4):
         a, b = corners[k], corners[(k + 1) % 4]
         t = np.arange(1, 7)[:, None] / 7.0
         interior = a + t * (b - a)
         inward = np.array([[0, 1, 0], [-1, 0, 0], [0, -1, 0], [1, 0, 0.0]])[k]
-        surface = interior[:, None, :] + \
-            np.arange(1, 4)[None, :, None] * 0.05 * inward
-        drafts.append(HalfEdgeDraft(
-            index=k, origin=k, dest=(k + 1) % 4, twin=k, edge_index=k,
-            curve_pts=np.vstack([a, interior, b]), surface_pts=surface,
-            next_pts=interior[:4], label=1))
-    return LoopDraft(drafts=[0, 1, 2, 3]), drafts
+        surface.append(interior[:, None, :] + np.arange(1, 4)[None, :, None] * 0.05 * inward)
+        curve.append(np.vstack([a, interior, b]))
+    curve = np.array(curve)
+    return LoopDraft(drafts=[0, 1, 2, 3]), Drafts(
+        origin=np.arange(4), curve=curve, surface=np.array(surface), next=curve[:, 1:5],
+        label=np.ones(4, dtype=int))
 
 
 class TestFitFace:
@@ -317,7 +311,7 @@ class TestFitFace:
         # dequantized endpoints sit up to half a bin off the source plane;
         # that residual is within the plane gate, so the plane is kept
         rs, _ = records_for(box())
-        drafts, verts, _ = materialize_half_edges(rs, CFG.sampling)
+        drafts, verts = materialize_half_edges(rs, CFG.sampling)
         next_map, *_ = solve_next_map(drafts, verts.shape[0], CFG.sampling)
         loops = trace_loops(next_map)
         fitted = fit_face(loops[0], drafts)
@@ -326,16 +320,15 @@ class TestFitFace:
 
     def test_cylinder_wall_prefers_bicubic(self):
         rs, _ = records_for(seam_cylinder(radius=0.5, height=1.0))
-        drafts, verts, _ = materialize_half_edges(rs, CFG.sampling)
+        drafts, verts = materialize_half_edges(rs, CFG.sampling)
         next_map, *_ = solve_next_map(drafts, verts.shape[0], CFG.sampling)
         loops = trace_loops(next_map)
         wall = max(loops, key=lambda l: len(l.drafts))
         assert len(wall.drafts) == 4
-        pts = np.vstack([drafts[d].curve_pts for d in wall.drafts]
-                        + [drafts[d].surface_pts.reshape(-1, 3)
-                           for d in wall.drafts])
+        pts = np.vstack([drafts.curve[d] for d in wall.drafts]
+                        + [drafts.surface[d].reshape(-1, 3) for d in wall.drafts])
         _, _, plane_rms = svd_plane_fit(pts)
-        assert plane_rms > plane_gate(drafts[0].noise)   # plane must be rejected
+        assert plane_rms > plane_gate(drafts.noise)   # plane must be rejected
         fitted = fit_face(wall, drafts)
         assert not fitted.planar
         assert fitted.rms < plane_rms
@@ -355,15 +348,14 @@ class TestFitFace:
         rms = reconstruction_rms(descs, cb)
         assert rms > 1e-4  # the quantizer is actually lossy here
         rs = parse(tokenize(normed[0], cb, CFG), cb, CFG)
-        drafts, verts, _ = materialize_half_edges(rs, CFG.sampling)
+        drafts, verts = materialize_half_edges(rs, CFG.sampling)
         next_map, *_ = solve_next_map(drafts, verts.shape[0], CFG.sampling)
         loops = trace_loops(next_map)
         worst = 0.0
         for loop in loops:
             fitted = fit_face(loop, drafts)
-            decoded = np.vstack([drafts[d].curve_pts[1:-1] for d in loop.drafts]
-                                + [drafts[d].surface_pts.reshape(-1, 3)
-                                   for d in loop.drafts])
+            decoded = np.vstack([drafts.curve[d][1:-1] for d in loop.drafts]
+                                + [drafts.surface[d].reshape(-1, 3) for d in loop.drafts])
             if fitted.planar:
                 s = fitted.surface
                 n = np.cross(s.u_vec, s.v_vec)
@@ -383,7 +375,7 @@ class TestBatchedFit:
         assert len(faces) == len(outer)
         for loop, fitted in zip(outer, faces):
             plane, pcurves, rms = reference_plane_face(loop, drafts)
-            assert fitted.planar == (rms <= plane_gate(drafts[0].noise))
+            assert fitted.planar == (rms <= plane_gate(drafts.noise))
             if not fitted.planar:
                 assert isinstance(fitted.surface, BicubicPatch)
                 continue
@@ -431,14 +423,14 @@ class TestBatchedFit:
             n = np.cross(s.u_vec, s.v_vec)
             n /= np.linalg.norm(n)
             for d, pc in fitted.pcurves.items():
-                pts = drafts[d].curve_pts
+                pts = drafts.curve[d]
                 foot = pts - np.outer((pts - s.origin) @ n, n)
                 assert np.abs(s.point(pc.points[:, 0], pc.points[:, 1]) - foot).max() <= 1e-12
 
     def test_star_costs_match_per_pair_reference(self):
         # the cylinder's caps are one-draft loops, the box's faces four-draft
         rs, _ = records_for(merge_models([box(), seam_cylinder(at=(2.0, 0, 0))]))
-        drafts, verts, _ = materialize_half_edges(rs, CFG.sampling)
+        drafts, verts = materialize_half_edges(rs, CFG.sampling)
         loops = trace_loops(solve_next_map(drafts, verts.shape[0], CFG.sampling)[0])
         assert {len(l.drafts) for l in loops} >= {1, 4}
         nn = CFG.sampling.n_next
@@ -451,10 +443,10 @@ class TestBatchedFit:
             assert np.array_equal(one.forbidden, p.forbidden)
             for a, di in enumerate(p.incoming):
                 for b, dj in enumerate(p.outgoing):
-                    ref = np.linalg.norm(drafts[di].next_pts
-                                         - drafts[dj].curve_pts[1:1 + nn], axis=1).sum()
+                    ref = np.linalg.norm(drafts.next[di] - drafts.curve[dj][1:1 + nn],
+                                         axis=1).sum()
                     assert abs(p.cost[a, b] - ref) <= 1e-12
-                    assert p.forbidden[a, b] == (drafts[di].twin == dj)
+                    assert p.forbidden[a, b] == ((di ^ 1) == dj)   # di's twin
 
 
 class TestProject:
@@ -473,7 +465,7 @@ class TestProject:
 class TestAttachInner:
     def test_through_hole_attachment(self):
         rs, normed = records_for(through_hole_box())
-        drafts, verts, _ = materialize_half_edges(rs, CFG.sampling)
+        drafts, verts = materialize_half_edges(rs, CFG.sampling)
         next_map, *_ = solve_next_map(drafts, verts.shape[0], CFG.sampling)
         loops = trace_loops(next_map)
         classify_loops(loops, drafts)
@@ -488,7 +480,7 @@ class TestAttachInner:
             return np.linalg.norm(pts - surface.point(uv[:, 0], uv[:, 1]), axis=1).mean()
 
         for loop, fi in zip(inner, assign):
-            pts = np.concatenate([drafts[d].curve_pts[:-1] for d in loop.drafts])
+            pts = np.concatenate([drafts.curve[d][:-1] for d in loop.drafts])
             means = [mean_distance(pts, f.surface) for f in faces]
             assert fi == int(np.argmin(means))
             # the loop lies on its host plate up to quantized endpoints
@@ -498,7 +490,7 @@ class TestAttachInner:
 
     def test_single_face_single_inner(self):
         rs, _ = records_for(through_hole_box())
-        drafts, verts, _ = materialize_half_edges(rs, CFG.sampling)
+        drafts, verts = materialize_half_edges(rs, CFG.sampling)
         next_map, *_ = solve_next_map(drafts, verts.shape[0], CFG.sampling)
         loops = trace_loops(next_map)
         classify_loops(loops, drafts)
@@ -576,12 +568,12 @@ class TestReconstructPipeline:
 
     def test_zeroed_next_samples_flagged(self):
         rs, _ = records_for(box())
-        edge = rs.components[0].edges[0]
+        comp = rs.components[0]
         nc, ns, nn = (CFG.sampling.n_curve, CFG.sampling.n_surface,
                       CFG.sampling.n_next)
-        d = edge.desc_ij.copy()
+        d = comp.descriptors[0].copy()     # edge 0, earlier -> later
         d[nc * ns * 3: nc * ns * 3 + nn * 3] = 0.0
-        edge.desc_ij = d
+        comp.descriptors[0] = d
         model, report = reconstruct(rs, CFG.sampling)
         assert report.elevated_cost_vertices
         assert model is not None
