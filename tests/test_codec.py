@@ -118,6 +118,11 @@ class TestVocabLayout:
         other = VocabLayout(pointer_max=128)
         assert other.layout_hash() != LAYOUT.layout_hash()
 
+    def test_hash_is_pinned(self):
+        # token and n-gram files carry this hash and are refused on a mismatch
+        assert VocabLayout().layout_hash() == "1ad6c2b307d5b6a2"
+        assert VocabLayout(rq_levels=4, rq_level_size=65).layout_hash() == "21aa41fc8163694a"
+
 
 class TestTokenizeCounts:
     def test_formula(self):
