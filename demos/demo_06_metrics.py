@@ -5,14 +5,13 @@ Run:  python demos/demo_06_metrics.py
 import numpy as np
 
 from brepcodec import chamfer, cov_mmd, curve_error, jsd, normalize, surface_sample
-from brepcodec.metrics import PointCloud
 from brepcodec.primitives import box, ngon_prism, seam_cylinder
 
 print("=== area-weighted surface sampling ===")
 cube, _ = normalize(box())
 cloud = surface_sample(cube, n=2000, seed=0)
-print(f"cloud: {cloud.points.shape}, inside unit box: "
-      f"{cloud.points.min() >= 0 and cloud.points.max() < 1}")
+print(f"cloud: {cloud.shape}, inside unit box: "
+      f"{cloud.min() >= 0 and cloud.max() < 1}")
 
 print()
 print("=== Chamfer distance and set metrics ===")
@@ -26,7 +25,7 @@ cov, mmd = cov_mmd(gen, ref)
 print(f"coverage = {cov:.2f}, mmd = {mmd:.5f}, "
       f"jsd = {jsd(gen, ref):.4f} bits")
 
-shift = PointCloud(points=gen[0].points + [1e-3, 0, 0])
+shift = gen[0] + [1e-3, 0, 0]
 print(f"translated twin: chamfer = {chamfer(gen[0], shift):.2e} "
       f"(= delta^2 = {1e-6:.0e})")
 

@@ -32,9 +32,7 @@ from .model import (
     ValidationReport,
     connected_components,
     euler_report,
-    eval_surface,
     normalize,
-    sample_curve,
     validate,
 )
 from .pipeline import decode_tokens, encode_model, lossless_codebook, roundtrip_check
@@ -70,7 +68,6 @@ __all__ = [
     "dequantize_coord",
     "encode_model",
     "euler_report",
-    "eval_surface",
     "extract_vhp",
     "fit_ngram",
     "jsd",
@@ -84,7 +81,6 @@ __all__ = [
     "roundtrip_check",
     "rq_decode",
     "rq_encode",
-    "sample_curve",
     "sample_sequence",
     "surface_sample",
     "synth_corpus",

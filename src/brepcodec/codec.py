@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -34,6 +34,9 @@ from .rq import Codebook, rq_decode, rq_encode_many
 from .sampler import SamplingConfig, _pack, extract_vhp
 
 COORD_BINS = 128
+# `tokenize` refuses a longer sequence.  The sampler stops at MAX_TOKENS tokens and
+# force-closes with <end> where legal, so a truncated sample can hold one more.
+MAX_TOKENS = 3072
 
 
 class CodecError(ValueError):
@@ -66,18 +69,17 @@ class GrammarError(CodecError):
 class VocabLayout:
     """Disjoint token-id ranges; id <-> (kind, offset) is a bijection."""
 
-    coord_bins: int = COORD_BINS
     pointer_max: int = 256
     rq_levels: int = 4
     rq_level_size: int = 257   # trained size + 1 slot for the zero centroid
 
     @property
     def pointer_base(self) -> int:
-        return self.coord_bins
+        return COORD_BINS
 
     @property
     def rq_base(self) -> int:
-        return self.coord_bins + self.pointer_max
+        return COORD_BINS + self.pointer_max
 
     @property
     def start(self) -> int:
@@ -106,7 +108,7 @@ class VocabLayout:
 
     def classify(self, tid: int):
         """Token id -> (kind, *offsets).  Raises CodecError off-vocabulary."""
-        if 0 <= tid < self.coord_bins:
+        if 0 <= tid < COORD_BINS:
             return ("coord", tid)
         if self.pointer_base <= tid < self.rq_base:
             return ("pointer", tid - self.pointer_base)
@@ -122,13 +124,14 @@ class VocabLayout:
         raise CodecError(f"token id {tid} outside the vocabulary")
 
     def layout_hash(self) -> str:
-        text = (f"coord={self.coord_bins};ptr={self.pointer_max};"
+        text = (f"coord={COORD_BINS};ptr={self.pointer_max};"
                 f"levels={self.rq_levels};size={self.rq_level_size}")
         return hashlib.sha256(text.encode()).hexdigest()[:16]
 
     @staticmethod
     def for_codebook(cb: Codebook) -> "VocabLayout":
-        return VocabLayout(rq_levels=cb.depth, rq_level_size=cb.level_size)
+        """The shared layout of ``cb``'s quantizer shape."""
+        return _shared_layout(cb.depth, cb.level_size)
 
     @cached_property
     def _transitions(self) -> dict:
@@ -141,10 +144,15 @@ class VocabLayout:
         return {}
 
 
+@cache
+def _shared_layout(rq_levels: int, rq_level_size: int) -> VocabLayout:
+    """One layout per quantizer shape, so its grammar table is built once."""
+    return VocabLayout(rq_levels=rq_levels, rq_level_size=rq_level_size)
+
+
 @dataclass
 class CodecConfig:
     sampling: SamplingConfig = field(default_factory=SamplingConfig)
-    max_tokens: int = 3072
 
 
 @dataclass
@@ -286,14 +294,14 @@ def transitions(state: GrammarState, layout: VocabLayout) -> tuple:
     if mode == MODE_COORD:
         nxt = (GrammarState(MODE_ADJ, 0, count + 1) if pos == 2
                else GrammarState(MODE_COORD, pos + 1, count))
-        hit = ((0, layout.coord_bins, nxt),)
+        hit = ((0, COORD_BINS, nxt),)
     elif mode == MODE_ADJ:
         hit = ((layout.pointer_base, layout.pointer_base + count,
                 GrammarState(MODE_RQ, 0, count)),
                (layout.sep, layout.sep + 1, GrammarState()),
                (layout.end, layout.end + 1, GrammarState(MODE_DONE)))
         if count < layout.pointer_max:       # room for one more vertex
-            hit = ((0, layout.coord_bins, GrammarState(MODE_COORD, 1, count)),) + hit
+            hit = ((0, COORD_BINS, GrammarState(MODE_COORD, 1, count)),) + hit
     elif mode == MODE_RQ:
         lo = layout.rq_base + (pos % layout.rq_levels) * layout.rq_level_size
         nxt = (GrammarState(MODE_ADJ, 0, count) if pos + 1 == 2 * layout.rq_levels
@@ -449,9 +457,9 @@ def tokenize(model: BrepModel, codebook: Codebook, cfg: CodecConfig | None = Non
                 tokens.extend(rq_tokens(h_ji))
     tokens.append(layout.end)
 
-    if len(tokens) > cfg.max_tokens:
+    if len(tokens) > MAX_TOKENS:
         raise CapacityError(f"sequence of {len(tokens)} tokens exceeds the "
-                            f"maximum of {cfg.max_tokens}")
+                            f"maximum of {MAX_TOKENS}")
     header = SequenceHeader(layout_hash=layout.layout_hash(),
                             codebook_id=codebook.content_id(),
                             transform=transform)
@@ -507,7 +515,8 @@ def parse(seq, codebook: Codebook | None = None, cfg: CodecConfig | None = None,
     header = seq.header if isinstance(seq, TokenSequence) else None
     tokens = list(seq.tokens) if isinstance(seq, TokenSequence) else list(seq)
     if layout is None:
-        layout = VocabLayout.for_codebook(codebook) if codebook is not None else VocabLayout()
+        layout = (VocabLayout.for_codebook(codebook) if codebook is not None else
+                  _shared_layout(VocabLayout.rq_levels, VocabLayout.rq_level_size))
     if header is not None and header.layout_hash and \
             header.layout_hash != layout.layout_hash():
         raise CodecError("sequence header layout hash does not match the layout")
@@ -531,7 +540,7 @@ def parse(seq, codebook: Codebook | None = None, cfg: CodecConfig | None = None,
             codes.append((tok - layout.rq_base) % layout.rq_level_size)
         elif nxt.mode == MODE_RQ:            # a pointer opens an edge group
             edges.append(ParsedEdge(tok - layout.pointer_base, state.count - 1))
-        elif tok < layout.coord_bins:
+        elif tok < COORD_BINS:
             coords.append(tok)
         else:                                # <sep> or <end> closes a component
             comps.append(_finish_component(coords, edges, codes, codebook, layout.rq_levels))

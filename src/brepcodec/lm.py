@@ -12,10 +12,9 @@ weights of that range after a given context are built once and cached on
 the model, keyed by temperature, range and context; contexts the corpus
 never saw share one table.  Such a draw is one dict lookup, one
 ``rng.random()`` and one ``searchsorted``.  Pointer states (whose range
-grows with the vertex count) and greedy decoding build their weights per
-draw.  Tables and hit arrays are both read from
-the counts once, so a fitted model's counts must not change after
-sampling starts.
+grows with the vertex count) build their weights per draw.  Tables and
+hit arrays are both read from the counts once, so a fitted model's counts
+must not change after sampling starts.
 """
 from __future__ import annotations
 
@@ -23,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import (MODE_COORD, MODE_RQ, GrammarState, VocabLayout, allowed_tokens,
-                    initial_state, step, transitions, validity_mask)
+from .codec import (MAX_TOKENS, MODE_COORD, MODE_RQ, GrammarState, VocabLayout,
+                    allowed_tokens, initial_state, step, transitions, validity_mask)
 
 PAD = -1
 
@@ -33,7 +32,6 @@ PAD = -1
 class SamplerConfig:
     seed: int = 0
     temperature: float = 1.0
-    max_length: int = 3072
 
     def __post_init__(self):
         if self.temperature <= 0:
@@ -154,26 +152,22 @@ def _pick(cum: np.ndarray, rng: np.random.Generator) -> int:
 
 
 def _draw(model: NGramModel, layout: VocabLayout, state: GrammarState,
-          context, cfg: SamplerConfig, rng: np.random.Generator,
-          greedy: bool = False) -> int:
+          context, cfg: SamplerConfig, rng: np.random.Generator) -> int:
     ctx = model.context_key(context)
-    if not greedy and state.mode in (MODE_COORD, MODE_RQ):
+    if state.mode in (MODE_COORD, MODE_RQ):
         (lo, hi, _), = transitions(state, layout)
         return lo + _pick(model._draw_table(lo, hi, ctx, cfg.temperature), rng)
     idx = allowed_tokens(state, layout)
     if idx.size == 0:
         raise RuntimeError("empty validity mask; grammar invariant broken")
     weights = _masked_weights(model, idx, ctx)
-    if greedy:
-        return int(idx[int(np.argmax(weights))])
     return int(idx[_pick(_tempered_cumsum(weights, cfg.temperature), rng)])
 
 
-def _continue_sampling(model, layout, cfg, tokens, state, rng,
-                       greedy: bool = False) -> SampleResult:
+def _continue_sampling(model, layout, cfg, tokens, state, rng) -> SampleResult:
     tokens = list(tokens)
-    while len(tokens) < cfg.max_length:
-        tok = _draw(model, layout, state, tokens, cfg, rng, greedy)
+    while len(tokens) < MAX_TOKENS:
+        tok = _draw(model, layout, state, tokens, cfg, rng)
         tokens.append(tok)
         state = step(state, tok, layout)
         if tok == layout.end:
@@ -186,13 +180,12 @@ def _continue_sampling(model, layout, cfg, tokens, state, rng,
 
 
 def sample_sequence(model: NGramModel, layout: VocabLayout,
-                    cfg: SamplerConfig | None = None,
-                    greedy: bool = False) -> SampleResult:
+                    cfg: SamplerConfig | None = None) -> SampleResult:
     """Sample one sequence under validity masks; deterministic per seed."""
     cfg = cfg or SamplerConfig()
     rng = np.random.default_rng(cfg.seed)
     return _continue_sampling(model, layout, cfg, [layout.start],
-                              initial_state(), rng, greedy)
+                              initial_state(), rng)
 
 
 def autocomplete(prefix, model: NGramModel, layout: VocabLayout,

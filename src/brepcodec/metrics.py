@@ -18,12 +18,6 @@ JSD_DEFAULT_RESOLUTION = 28
 POINTS_PER_CLOUD = 2000
 
 
-@dataclass(eq=False)
-class PointCloud:
-    points: np.ndarray            # (n, 3)
-    normals: np.ndarray | None = None
-
-
 @dataclass
 class MetricReport:
     coverage: float = float("nan")
@@ -47,9 +41,8 @@ class MetricReport:
 JITTER_REDRAWS = 16   # redraws of a jitter that leaves the trim, then the cell centre
 
 
-def surface_sample(model: BrepModel, n: int = POINTS_PER_CLOUD, seed: int = 0,
-                   with_normals: bool = False) -> PointCloud:
-    """Area-weighted uniform surface sampling, deterministic per seed.
+def surface_sample(model: BrepModel, n: int = POINTS_PER_CLOUD, seed: int = 0) -> np.ndarray:
+    """Area-weighted uniform surface sampling -> (n, 3) points, deterministic per seed.
 
     Each face's in-trim cells of the ``FaceCharts.cell_grid`` are weighted
     by area; a sample jitters uniformly within its cell and stays in trim.
@@ -76,7 +69,6 @@ def surface_sample(model: BrepModel, n: int = POINTS_PER_CLOUD, seed: int = 0,
     weights = np.concatenate([c[2] for c in cells]) / total
     counts = rng.multinomial(n, weights)
     pts = np.empty((n, 3))
-    nrm = np.empty((n, 3)) if with_normals else None
     out = 0
     offset = 0
     for f, uv, area, step in cells:
@@ -96,25 +88,19 @@ def surface_sample(model: BrepModel, n: int = POINTS_PER_CLOUD, seed: int = 0,
             suv[off] = uv[idx[off]] + redraw.uniform(-0.5, 0.5, (int(off.sum()), 2)) * step
             off[off] = ~charts.in_trim_uv(suv[off], f)
         suv[off] = uv[idx[off]]
-        surf = charts.surfaces[f]
-        pts[out: out + m] = surf.point(suv[:, 0], suv[:, 1])
-        if with_normals:
-            pu, pv = surf.partials(suv[:, 0], suv[:, 1])
-            nvec = np.cross(pu, pv)
-            nrm[out: out + m] = nvec / np.maximum(
-                np.linalg.norm(nvec, axis=-1, keepdims=True), 1e-300)
+        pts[out: out + m] = charts.surfaces[f].point(suv[:, 0], suv[:, 1])
         out += m
-    return PointCloud(points=pts[:out], normals=nrm[:out] if with_normals else None)
+    return pts[:out]
 
 
 # ---------------------------------------------------------------------------
 # Set-level metrics
 # ---------------------------------------------------------------------------
 
-def chamfer(a: PointCloud | np.ndarray, b: PointCloud | np.ndarray) -> float:
-    """Symmetric mean squared nearest-neighbor distance."""
-    pa = a.points if isinstance(a, PointCloud) else np.asarray(a, dtype=float)
-    pb = b.points if isinstance(b, PointCloud) else np.asarray(b, dtype=float)
+def chamfer(a: np.ndarray, b: np.ndarray) -> float:
+    """Symmetric mean squared nearest-neighbor distance between (n, 3) clouds."""
+    pa = np.asarray(a, dtype=float)
+    pb = np.asarray(b, dtype=float)
     if pa.shape[0] == 0 or pb.shape[0] == 0:
         raise ValueError("point clouds must be non-empty")
     d_ab, _ = cKDTree(pb).query(pa)
@@ -141,7 +127,7 @@ def cov_mmd(gen, ref):
 def _occupancy(clouds, resolution: int) -> np.ndarray:
     hist = np.zeros(resolution**3)
     for c in clouds:
-        p = c.points if isinstance(c, PointCloud) else np.asarray(c, dtype=float)
+        p = np.asarray(c, dtype=float)
         idx = np.clip((p * resolution).astype(int), 0, resolution - 1)
         flat = (idx[:, 0] * resolution + idx[:, 1]) * resolution + idx[:, 2]
         hist += np.bincount(flat, minlength=resolution**3)

@@ -451,44 +451,11 @@ def connected_components(model: BrepModel):
     return _union_find(model.num_vertices, ((e.v0, e.v1) for e in model.edges))
 
 
-def sample_curve(model: BrepModel, edge: int, n: int, include_endpoints: bool = False):
-    """Sample n points on an edge's curve.
-
-    Interior sampling uses u_k = k/(n+1) for k = 1..n; endpoint-inclusive
-    sampling uses u_k = k/(n-1) for k = 0..n-1.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    curve = model.edges[edge].curve
-    if curve.length() < 1e-12:
-        raise GeometryError(f"edge {edge}: degenerate curve")
-    if include_endpoints:
-        u = np.array([0.5]) if n == 1 else np.linspace(0.0, 1.0, n)
-    else:
-        u = np.arange(1, n + 1, dtype=float) / (n + 1)
-    return curve.point(u)
-
-
 def halfedge_curve_samples(model: BrepModel, h: int, n: int) -> np.ndarray:
     """The n interior curve samples of halfedge h, ordered from its origin."""
     he = model.halfedges[h]
     u = np.arange(1, n + 1, dtype=float) / (n + 1)
     return model.edges[he.edge].curve.point(u if he.forward else 1.0 - u)
-
-
-def eval_surface(model: BrepModel, face: int, u: float, v: float):
-    """Evaluate a face point and outward unit normal at (u, v)."""
-    surf = model.faces[face].surface
-    u0, u1, v0, v1 = surf.domain()
-    if not (u0 - 1e-12 <= u <= u1 + 1e-12 and v0 - 1e-12 <= v <= v1 + 1e-12):
-        raise GeometryError(f"({u}, {v}) outside domain of face {face}")
-    p = surf.point(u, v)
-    pu, pv = surf.partials(u, v)
-    n = np.cross(pu, pv)
-    norm = np.linalg.norm(n)
-    if norm < 1e-12:
-        raise GeometryError(f"degenerate surface normal on face {face} at ({u}, {v})")
-    return p, n / norm
 
 
 def model_bbox(model: BrepModel):
@@ -507,8 +474,8 @@ def model_bbox(model: BrepModel):
 NORMALIZE_MARGIN = 1.0 / 256.0
 
 
-def normalize(model: BrepModel, margin: float = NORMALIZE_MARGIN):
-    """Rescale so the longest bounding-box side spans [0, 1 - margin].
+def normalize(model: BrepModel):
+    """Rescale so the longest bounding-box side spans [0, 1 - NORMALIZE_MARGIN].
 
     The longest axis maps its minimum to 0; the other axes are centered at
     0.5.  Returns (normalized model, TransformRecord); the record inverts
@@ -520,7 +487,7 @@ def normalize(model: BrepModel, margin: float = NORMALIZE_MARGIN):
     longest = float(extent.max())
     if longest < 1e-12:
         raise GeometryError("degenerate bounding box: zero extent on every axis")
-    scale = (1.0 - margin) / longest
+    scale = (1.0 - NORMALIZE_MARGIN) / longest
     axis = int(np.argmax(extent))
     offset = np.empty(3)
     for i in range(3):

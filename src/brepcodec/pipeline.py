@@ -20,7 +20,7 @@ from .model import BrepModel, normalize, euler_report
 from .reconstruct import ReconstructionReport, reconstruct
 from .rq import Codebook, train_codebook
 
-VERTEX_TOLERANCE = 1.0 / 256.0 + 1e-9
+VERTEX_TOLERANCE = 0.5 / COORD_BINS + 1e-9   # half a coordinate bin
 
 
 def lossless_codebook(model: BrepModel, cfg: CodecConfig | None = None) -> Codebook:

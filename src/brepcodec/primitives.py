@@ -26,7 +26,10 @@ def _signed_area(uv: np.ndarray) -> float:
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
-def add_planar_face(b: ModelBuilder, cycle, outward, inners=(), margin: float = 0.1):
+PLANE_MARGIN = 0.1   # plane domain padding, as a fraction of the loop's longer UV side
+
+
+def add_planar_face(b: ModelBuilder, cycle, outward, inners=()):
     """Add a planar face bounded by straight edges between listed vertices.
 
     ``cycle`` and each entry of ``inners`` are vertex-id cycles; their
@@ -47,7 +50,7 @@ def add_planar_face(b: ModelBuilder, cycle, outward, inners=(), margin: float = 
     pts = np.array([st(v) for v in all_vids])
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
-    pad = margin * max(hi[0] - lo[0], hi[1] - lo[1], 1e-9)
+    pad = PLANE_MARGIN * max(hi[0] - lo[0], hi[1] - lo[1], 1e-9)
     span = hi - lo + 2 * pad
     origin3 = base + (lo[0] - pad) * u0 + (lo[1] - pad) * v0
     plane = Plane(origin3, span[0] * u0, span[1] * v0)

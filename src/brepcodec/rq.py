@@ -48,7 +48,10 @@ class Codebook:
         return h.hexdigest()[:16]
 
 
-def _nearest(points: np.ndarray, centers: np.ndarray, block: int = 2048) -> np.ndarray:
+NEAREST_BLOCK = 2048   # rows per GEMM in `_nearest`
+
+
+def _nearest(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Index of each row's nearest centre: the argmin of ``‖c‖² − 2p·c``.
 
     One GEMM per block of rows, so no n×k matrix is allocated whole.
@@ -56,10 +59,10 @@ def _nearest(points: np.ndarray, centers: np.ndarray, block: int = 2048) -> np.n
     c2 = (centers ** 2).sum(axis=1)
     neg2ct = -2.0 * centers.T
     idx = np.empty(points.shape[0], dtype=np.intp)
-    for i in range(0, points.shape[0], block):
-        s = points[i:i + block] @ neg2ct
+    for i in range(0, points.shape[0], NEAREST_BLOCK):
+        s = points[i:i + NEAREST_BLOCK] @ neg2ct
         s += c2
-        idx[i:i + block] = s.argmin(axis=1)
+        idx[i:i + NEAREST_BLOCK] = s.argmin(axis=1)
     return idx
 
 

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from brepcodec.codec import (
+    COORD_BINS,
+    MAX_TOKENS,
     MODE_DONE,
     MODE_RQ,
     CapacityError,
-    CodecConfig,
     CodecError,
     DuplicateVertexError,
     GrammarError,
@@ -123,6 +124,16 @@ class TestVocabLayout:
         assert VocabLayout().layout_hash() == "1ad6c2b307d5b6a2"
         assert VocabLayout(rq_levels=4, rq_level_size=65).layout_hash() == "21aa41fc8163694a"
 
+    def test_codebooks_of_one_shape_share_one_layout(self):
+        # the grammar table is cached on the layout, so the sampler and
+        # `parse` must meet the same object to build it only once
+        a = Codebook(np.zeros((2, 5, 3)), np.zeros(3), np.ones(3))
+        b = Codebook(np.ones((2, 5, 3)), np.ones(3), np.ones(3))
+        c = Codebook(np.zeros((3, 5, 3)), np.zeros(3), np.ones(3))
+        assert VocabLayout.for_codebook(a) is VocabLayout.for_codebook(b)
+        assert VocabLayout.for_codebook(c) is not VocabLayout.for_codebook(a)
+        assert VocabLayout.for_codebook(a) == VocabLayout(rq_levels=2, rq_level_size=5)
+
 
 class TestTokenizeCounts:
     def test_formula(self):
@@ -156,10 +167,12 @@ class TestTokenizeCounts:
         with pytest.raises(CapacityError):
             tokenize(big, cb)
 
-    def test_max_tokens_capacity_error(self, cube_normed):
+    def test_token_limit_capacity_error(self, cube_normed):
         cb = lossless_codebook(cube_normed)
-        with pytest.raises(CapacityError):
-            tokenize(cube_normed, cb, CodecConfig(max_tokens=50))
+        boxes, _ = normalize(merge_models([box(at=(2 * i, 0, 0)) for i in range(24)]))
+        assert sequence_token_count(8 * 24, 12 * 24, 4, 24) == 3193 > MAX_TOKENS
+        with pytest.raises(CapacityError, match="3193 tokens"):
+            tokenize(boxes, cb)
 
 
 class TestParse:
@@ -223,8 +236,8 @@ class TestParse:
 class TestMasks:
     def test_initial_state_allows_only_coords(self):
         mask = validity_mask(initial_state(), LAYOUT)
-        assert mask[: LAYOUT.coord_bins].all()
-        assert not mask[LAYOUT.coord_bins:].any()
+        assert mask[:COORD_BINS].all()
+        assert not mask[COORD_BINS:].any()
 
     def test_mid_rq_group(self):
         state = initial_state()
@@ -242,7 +255,7 @@ class TestMasks:
         for tok in [3, 4, 5]:
             state = step(state, tok, LAYOUT)
         mask = validity_mask(state, LAYOUT)
-        assert mask[: LAYOUT.coord_bins].all()
+        assert mask[:COORD_BINS].all()
         assert mask[LAYOUT.pointer_token(0)]
         assert not mask[LAYOUT.pointer_token(1)]
         assert mask[LAYOUT.sep] and mask[LAYOUT.end]

@@ -1,6 +1,8 @@
 """Every demo script runs to completion against the current package, and
-every name the package exports resolves."""
+every name the package exports resolves and has a caller."""
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -27,3 +29,30 @@ def test_demo_runs(demo):
 def test_every_exported_name_resolves():
     missing = [name for name in brepcodec.__all__ if not hasattr(brepcodec, name)]
     assert not missing
+
+
+def _without_definition(path: Path, name: str) -> str:
+    """The text of ``path`` with any top-level definition of ``name`` blanked."""
+    text = path.read_text()
+    lines = text.splitlines()
+    for node in ast.parse(text).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name:
+            start = min([node.lineno] + [d.lineno for d in node.decorator_list])
+            lines[start - 1:node.end_lineno] = []
+    return "\n".join(lines)
+
+
+def test_every_exported_name_has_a_caller():
+    """An export only tests reach is a second path; the library, the demos,
+    the benchmark or the acceptance suite must use each one."""
+    package = ROOT / "src" / "brepcodec"
+    sources = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    readers = [p.read_text() for d in ("demos", "bench") for p in sorted((ROOT / d).glob("*.py"))]
+    readers.append((ROOT / "tests" / "test_acceptance.py").read_text())
+    unused = []
+    for name in brepcodec.__all__:
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        texts = [_without_definition(p, name) for p in sources] + readers
+        if not any(word.search(t) for t in texts):
+            unused.append(name)
+    assert not unused

@@ -5,6 +5,7 @@ import pytest
 
 from brepcodec.codec import (CodecConfig, VocabLayout, descriptor_dim_weights, initial_state,
                              model_descriptors, parse, step, tokenize)
+from brepcodec import lm as lm_mod
 from brepcodec.lm import NGramModel, SamplerConfig, autocomplete, fit_ngram, sample_sequence
 from brepcodec.model import normalize
 from brepcodec.pipeline import lossless_codebook
@@ -36,12 +37,14 @@ class TestFit:
             assert abs(probs.sum() - 1.0) < 1e-12
             assert np.all(probs > 0)
 
-    def test_greedy_reproduces_single_sequence_corpus(self, cube_lm):
+    def test_cold_sampling_reproduces_single_sequence_corpus(self, cube_lm):
         _, layout, seq, _ = cube_lm
-        # an order long enough to disambiguate repeated quantizer runs
+        # an order long enough to disambiguate repeated quantizer runs; at
+        # T = 0.05 a seen token outweighs an unseen one by 11 ** 20
         lm12 = fit_ngram([seq], order=12, vocab_size=layout.vocab_size)
-        out = sample_sequence(lm12, layout, SamplerConfig(seed=0), greedy=True)
-        assert out.tokens == seq.tokens
+        for seed in range(5):
+            out = sample_sequence(lm12, layout, SamplerConfig(seed=seed, temperature=0.05))
+            assert out.tokens == seq.tokens
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
@@ -67,13 +70,15 @@ class TestSample:
         b = sample_sequence(lm, layout, SamplerConfig(seed=5))
         assert a.tokens == b.tokens
 
-    def test_truncation_handling(self, cube_lm):
+    def test_truncation_handling(self, cube_lm, monkeypatch):
         lm, layout, _, _ = cube_lm
         # stop mid-vertex: no legal <end>, marked unparseable
-        res = sample_sequence(lm, layout, SamplerConfig(seed=0, max_length=5))
+        monkeypatch.setattr(lm_mod, "MAX_TOKENS", 5)
+        res = sample_sequence(lm, layout, SamplerConfig(seed=0))
         assert res.truncated and not res.parseable
         # stop after a complete vertex: close with a forced <end>
-        res2 = sample_sequence(lm, layout, SamplerConfig(seed=0, max_length=7))
+        monkeypatch.setattr(lm_mod, "MAX_TOKENS", 7)
+        res2 = sample_sequence(lm, layout, SamplerConfig(seed=0))
         if res2.parseable:
             assert res2.tokens[-1] == layout.end
             parse(res2.tokens, layout=layout)
@@ -222,7 +227,8 @@ class TestDrawTables:
 
     def test_tables_do_not_leak_across_temperatures_or_layouts(self, primitives_corpus):
         seqs, layout = primitives_corpus
-        small = VocabLayout(layout.coord_bins, 8, layout.rq_levels, layout.rq_level_size)
+        small = VocabLayout(pointer_max=8, rq_levels=layout.rq_levels,
+                            rq_level_size=layout.rq_level_size)
         runs = [(lay, t, seed) for seed in range(4) for lay in (layout, small)
                 for t in (0.7, 1.0)]
 
@@ -231,7 +237,7 @@ class TestDrawTables:
 
         shared = fitted()
         for lay, t, seed in runs:
-            cfg = SamplerConfig(seed=seed, temperature=t, max_length=400)
+            cfg = SamplerConfig(seed=seed, temperature=t)
             got = sample_sequence(shared, lay, cfg).tokens
             assert got == sample_sequence(fitted(), lay, cfg).tokens
 
@@ -241,7 +247,7 @@ class TestDrawTables:
         seqs, layout = primitives_corpus
         lm = fit_ngram(seqs, order=4, vocab_size=layout.vocab_size)
         for seed in range(5):
-            sample_sequence(lm, layout, SamplerConfig(seed=seed, max_length=400))
+            sample_sequence(lm, layout, SamplerConfig(seed=seed))
         contexts = {key[3] for key in lm._tables}
         assert None in contexts
         assert contexts - {None} <= set(lm.counts)

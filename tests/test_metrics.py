@@ -5,7 +5,6 @@ import pytest
 
 from brepcodec.geometry import CircularArc
 from brepcodec.metrics import (
-    PointCloud,
     _polyline_deviation,
     chamfer,
     cov_mmd,
@@ -22,7 +21,7 @@ from conftest import as_polyline_model
 def grid_cloud(n=5, spacing=0.1):
     g = np.arange(n) * spacing
     xx, yy, zz = np.meshgrid(g, g, g, indexing="ij")
-    return PointCloud(points=np.stack([xx, yy, zz], axis=-1).reshape(-1, 3))
+    return np.stack([xx, yy, zz], axis=-1).reshape(-1, 3)
 
 
 class TestChamfer:
@@ -33,37 +32,36 @@ class TestChamfer:
     def test_translation_gives_delta_squared(self):
         c = grid_cloud(spacing=0.1)
         delta = 1e-3   # far below half the 0.1 spacing
-        shifted = PointCloud(points=c.points + np.array([delta, 0, 0]))
+        shifted = c + np.array([delta, 0, 0])
         assert np.isclose(chamfer(c, shifted), delta**2)
 
     def test_symmetry(self):
         rng = np.random.default_rng(0)
-        a = PointCloud(points=rng.random((60, 3)))
-        b = PointCloud(points=rng.random((80, 3)))
+        a = rng.random((60, 3))
+        b = rng.random((80, 3))
         assert chamfer(a, b) == chamfer(b, a)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            chamfer(PointCloud(points=np.zeros((0, 3))), grid_cloud())
+            chamfer(np.zeros((0, 3)), grid_cloud())
 
 
 class TestCovMmd:
     def test_identical_sets(self):
-        clouds = [grid_cloud(), PointCloud(points=grid_cloud().points + 0.5)]
+        clouds = [grid_cloud(), grid_cloud() + 0.5]
         cov, mmd = cov_mmd(clouds, clouds)
         assert cov == 1.0
         assert mmd == 0.0
 
     def test_single_generated_covers_one(self):
-        ref = [grid_cloud(), PointCloud(points=grid_cloud().points + 0.7),
-               PointCloud(points=grid_cloud().points + 1.5)]
+        ref = [grid_cloud(), grid_cloud() + 0.7, grid_cloud() + 1.5]
         cov, _ = cov_mmd([ref[1]], ref)
         assert np.isclose(cov, 1.0 / 3.0)
 
     def test_small_sets_match_bruteforce(self):
         rng = np.random.default_rng(4)
-        gen = [PointCloud(points=rng.random((40, 3))) for _ in range(3)]
-        ref = [PointCloud(points=rng.random((40, 3))) for _ in range(2)]
+        gen = [rng.random((40, 3)) for _ in range(3)]
+        ref = [rng.random((40, 3)) for _ in range(2)]
         cov, mmd = cov_mmd(gen, ref)
 
         # independent table: double loop over squared nearest neighbors
@@ -71,7 +69,7 @@ class TestCovMmd:
             d_ab = ((a[:, None, :] - b[None, :, :]) ** 2).sum(-1)
             return 0.5 * (d_ab.min(1).mean() + d_ab.min(0).mean())
 
-        table = np.array([[cd(g.points, r.points) for r in ref] for g in gen])
+        table = np.array([[cd(g, r) for r in ref] for g in gen])
         hit = {int(i) for i in table.argmin(axis=1)}
         assert np.isclose(cov, len(hit) / len(ref))
         assert np.isclose(mmd, table.min(axis=0).mean())
@@ -83,14 +81,14 @@ class TestJsd:
         assert jsd(clouds, clouds) == 0.0
 
     def test_disjoint_corners_one_bit(self):
-        a = [PointCloud(points=np.full((100, 3), 0.01))]
-        b = [PointCloud(points=np.full((100, 3), 0.99))]
+        a = [np.full((100, 3), 0.01)]
+        b = [np.full((100, 3), 0.99)]
         assert np.isclose(jsd(a, b), 1.0)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(1)
-        s = [PointCloud(points=rng.random((50, 3))) for _ in range(4)]
-        t = [PointCloud(points=rng.random((50, 3))) for _ in range(4)]
+        s = [rng.random((50, 3)) for _ in range(4)]
+        t = [rng.random((50, 3)) for _ in range(4)]
         assert jsd(s, t) == jsd(list(reversed(s)), t)
         assert jsd(s, t) >= 0.0
 
@@ -137,11 +135,11 @@ class TestSurfaceSample:
         sigma = np.sqrt(6000 * (1 / 6) * (5 / 6))
         for seed in (3, 4, 7):
             cloud = surface_sample(m, 6000, seed=seed)
-            assert cloud.points.shape == (6000, 3)
+            assert cloud.shape == (6000, 3)
             counts = []
             for axis in range(3):
                 for val in (lo[axis], hi[axis]):
-                    counts.append(int(np.isclose(cloud.points[:, axis], val,
+                    counts.append(int(np.isclose(cloud[:, axis], val,
                                                  rtol=0, atol=1e-9).sum()))
             assert sum(counts) == 6000, seed
             for c in counts:
@@ -151,12 +149,12 @@ class TestSurfaceSample:
         # the plane patches reach past their faces: a jittered sample from a
         # boundary cell must be re-tested against the trim to stay on the solid
         cube, _ = normalize(box())
-        pts = surface_sample(cube, 4000, seed=0).points
+        pts = surface_sample(cube, 4000, seed=0)
         lo, hi = cube.vertices.min(axis=0), cube.vertices.max(axis=0)
         assert np.all(pts >= lo - 1e-12) and np.all(pts <= hi + 1e-12)
 
         holed, _ = normalize(through_hole_box())
-        pts = surface_sample(holed, 4000, seed=0).points
+        pts = surface_sample(holed, 4000, seed=0)
         lo, hi = holed.vertices.min(axis=0), holed.vertices.max(axis=0)
         assert np.all(pts >= lo - 1e-12) and np.all(pts <= hi + 1e-12)
         inner = [h for loop in holed.loops if loop.kind == "inner" for h in loop.halfedges]
@@ -169,21 +167,15 @@ class TestSurfaceSample:
         m, _ = normalize(box())
         a = surface_sample(m, 500, seed=9)
         b = surface_sample(m, 500, seed=9)
-        assert np.array_equal(a.points, b.points)
+        assert np.array_equal(a, b)
         c = surface_sample(m, 500, seed=10)
-        assert not np.array_equal(a.points, c.points)
+        assert not np.array_equal(a, c)
 
     def test_cloud_is_pinned(self):
         # recorded before the cell grid and trim test moved onto FaceCharts
-        pts = surface_sample(normalize(through_hole_box())[0], 4000, seed=0).points
+        pts = surface_sample(normalize(through_hole_box())[0], 4000, seed=0)
         assert hashlib.sha256(pts.tobytes()).hexdigest() == (
             "b08f0c57bcf3fd0135c2a668e725a515e01f254fcc8170984652dd20270e0a1c")
-
-    def test_cylinder_points_on_surface(self):
-        m, _ = normalize(seam_cylinder())
-        cloud = surface_sample(m, 2000, seed=0, with_normals=True)
-        assert cloud.normals.shape == (2000, 3)
-        assert np.allclose(np.linalg.norm(cloud.normals, axis=1), 1.0)
 
 
 class TestCurveError:

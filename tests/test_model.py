@@ -6,18 +6,16 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components as csgraph_components
 
-from brepcodec.geometry import BicubicPatch, GeometryError, LineSegment, Plane
+from brepcodec.geometry import GeometryError, LineSegment
 from brepcodec.model import (
     BrepModel,
     Edge,
-    Face,
     _union_find,
     connected_components,
     euler_report,
-    eval_surface,
+    halfedge_curve_samples,
     model_bbox,
     normalize,
-    sample_curve,
     validate,
 )
 from brepcodec.primitives import box, merge_models, ngon_prism, seam_cylinder, through_hole_box
@@ -125,65 +123,14 @@ class TestSampleCurve:
                    and unit_cube.vertices[e.v0][2] == 0
                    and unit_cube.vertices[e.v1][1] == 0
                    and unit_cube.vertices[e.v1][2] == 0)
-        pts = sample_curve(unit_cube, eid, 6)
+        pts = halfedge_curve_samples(unit_cube, unit_cube.edges[eid].halfedges[0], 6)
         xs = np.sort(pts[:, 0])
         assert np.allclose(xs, np.arange(1, 7) / 7.0)
 
     def test_single_interior_sample_is_midpoint(self, unit_cube):
-        pts = sample_curve(unit_cube, 0, 1)
+        pts = halfedge_curve_samples(unit_cube, unit_cube.edges[0].halfedges[0], 1)
         mid = unit_cube.edges[0].curve.point(0.5)
         assert np.allclose(pts[0], mid)
-
-    def test_arc_samples_exact(self):
-        m = seam_cylinder(radius=1.0)
-        eid = 0  # bottom circle
-        pts = sample_curve(m, eid, 100, include_endpoints=True)
-        c = m.edges[eid].curve
-        expect = c.point(np.linspace(0, 1, 100))
-        assert np.abs(pts - expect).max() == 0.0
-
-    def test_degenerate_curve_raises(self):
-        degenerate = BrepModel(
-            vertices=np.zeros((2, 3)),
-            edges=[Edge(curve=LineSegment((0, 0, 0), (0, 0, 0)), v0=0, v1=1,
-                        halfedges=(0, 1))],
-            halfedges=[], loops=[], faces=[])
-        with pytest.raises(GeometryError):
-            sample_curve(degenerate, 0, 4)
-
-
-class TestEvalSurface:
-    def _face_only(self, surface):
-        return BrepModel(vertices=np.zeros((0, 3)), edges=[], halfedges=[],
-                         loops=[], faces=[Face(surface=surface, outer=0)])
-
-    def test_plane(self):
-        m = self._face_only(Plane((0, 0, 0), (1, 0, 0), (0, 1, 0)))
-        p, n = eval_surface(m, 0, 0.3, 0.7)
-        assert np.allclose(p, [0.3, 0.7, 0])
-        assert np.allclose(n, [0, 0, 1])
-
-    def test_cylinder_radial_normal(self):
-        m = seam_cylinder(radius=0.5)
-        p, n = eval_surface(m, 0, 0.0, 0.2)
-        assert np.allclose(p, [0.5, 0, 0.2])
-        assert np.allclose(n, [1, 0, 0])
-
-    def test_collapsed_side_raises(self):
-        # the v = 1 side collapses to one point, a pole: no normal there
-        g = np.linspace(0.0, 1.0, 4)
-        control = np.zeros((4, 4, 3))
-        control[..., 0] = g[:, None] * (1.0 - g[None, :])
-        control[..., 1] = g[None, :]
-        m = self._face_only(BicubicPatch(control))
-        _, n = eval_surface(m, 0, 0.5, 0.5)
-        assert np.allclose(n, [0, 0, 1])
-        with pytest.raises(GeometryError, match="degenerate surface normal"):
-            eval_surface(m, 0, 0.5, 1.0)
-
-    def test_outside_domain_raises(self, unit_cube):
-        with pytest.raises(GeometryError):
-            eval_surface(unit_cube, 0, 2.0, 0.5)
 
 
 class TestNormalize:
