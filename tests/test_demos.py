@@ -31,28 +31,29 @@ def test_every_exported_name_resolves():
     assert not missing
 
 
-def _without_definition(path: Path, name: str) -> str:
-    """The text of ``path`` with any top-level definition of ``name`` blanked."""
-    text = path.read_text()
-    lines = text.splitlines()
-    for node in ast.parse(text).body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name:
-            start = min([node.lineno] + [d.lineno for d in node.decorator_list])
-            lines[start - 1:node.end_lineno] = []
-    return "\n".join(lines)
+def _definitions(text: str) -> dict:
+    """Top-level function and class name -> (first, last) line, decorators included."""
+    return {node.name: (min([node.lineno] + [d.lineno for d in node.decorator_list]),
+                        node.end_lineno)
+            for node in ast.parse(text).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
 
 
 def test_every_exported_name_has_a_caller():
     """An export only tests reach is a second path; the library, the demos,
     the benchmark or the acceptance suite must use each one."""
     package = ROOT / "src" / "brepcodec"
-    sources = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    sources = [(p.read_text().splitlines(), _definitions(p.read_text()))
+               for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
     readers = [p.read_text() for d in ("demos", "bench") for p in sorted((ROOT / d).glob("*.py"))]
     readers.append((ROOT / "tests" / "test_acceptance.py").read_text())
     unused = []
     for name in brepcodec.__all__:
         word = re.compile(rf"\b{re.escape(name)}\b")
-        texts = [_without_definition(p, name) for p in sources] + readers
+        texts = list(readers)
+        for lines, defs in sources:     # a module's own definition is not a caller
+            first, last = defs.get(name, (1, 0))
+            texts.append("\n".join(lines[:first - 1] + lines[last:]))
         if not any(word.search(t) for t in texts):
             unused.append(name)
     assert not unused
