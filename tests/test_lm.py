@@ -212,6 +212,28 @@ GOLDEN_PRIMITIVES = {
           (679, "24eb02361113e545"), (116, "f62aba08aa4fb6ae")],
 }
 
+# as GOLDEN_PRIMITIVES[1.3], for the pointer states a full-size layout at
+# smoothing 0.1 rarely or never reaches: a component at the pointer limit
+# (pointer_max 8), where a new vertex is no longer legal, and smoothing 0,
+# where a context weighs every legal token 0 and the draw takes the last one
+GOLDEN_POINTER_STATES = {
+    (8, 0.0): [(23, "659b9fcb1f2bdbe3"), (14, "2a1f44ee4c16bfc1"),
+               (20, "bc35b72ca5aedb57"), (26, "a8fd675885f39c3b"),
+               (32, "f8b931963faeb43f"), (26, "718fc3a2f3c62cf0"),
+               (26, "f42c6b18dbc40516"), (14, "eede732469d81052"),
+               (14, "ba3fbc565e24d674"), (17, "67d87759b33ca246")],
+    (8, 0.1): [(80, "85788d1a27b0e992"), (26, "e30f4a9cf072d673"),
+               (78, "4a99802a9e7f1adf"), (35, "a26b4d2977441a80"),
+               (71, "b9f1d19df0797f1d"), (11, "ef5779c38f3c3739"),
+               (345, "91e6f0e2db34bb05"), (400, "43a2318d1af69211"),
+               (44, "59f5895ef5e99909"), (338, "25804f165fa59322")],
+    (256, 0.0): [(368, "1939b744e23a51da"), (89, "2016adbd3d5f2e8e"),
+                 (107, "adb5a008698b823d"), (26, "5b0ce9c86ec57120"),
+                 (242, "8da573c6d2554606"), (318, "515f3e89d986db3f"),
+                 (990, "f534dd12aba5b5ae"), (164, "51a3b2eee0e81418"),
+                 (254, "bd923c8fdd05cb53"), (26, "7d372db010c70464")],
+}
+
 
 class TestDrawTables:
     @pytest.mark.parametrize("temperature", sorted(GOLDEN_PRIMITIVES))
@@ -224,6 +246,26 @@ class TestDrawTables:
                                                             temperature=temperature))
             got.append((len(res.tokens), _digest(res.tokens)))
         assert got == GOLDEN_PRIMITIVES[temperature]
+
+    def test_golden_pointer_limit_and_zero_smoothing(self, primitives_corpus):
+        seqs, layout = primitives_corpus
+        at_limit = 0
+        for (pointer_max, smoothing), golden in sorted(GOLDEN_POINTER_STATES.items()):
+            lay = VocabLayout(pointer_max=pointer_max, rq_levels=layout.rq_levels,
+                              rq_level_size=layout.rq_level_size)
+            lm = fit_ngram(seqs, order=2, smoothing=smoothing, vocab_size=layout.vocab_size)
+            got = []
+            for seed in range(10):
+                tokens = sample_sequence(lm, lay, SamplerConfig(seed=seed,
+                                                                temperature=1.3)).tokens
+                got.append((len(tokens), _digest(tokens)))
+                state = initial_state()
+                for tok in tokens[1:]:
+                    state = step(state, tok, lay)
+                    at_limit += state.count == pointer_max
+            assert got == golden, (pointer_max, smoothing)
+        # the coordinate range drops out of the pointer states only at the limit
+        assert at_limit > 0
 
     def test_tables_do_not_leak_across_temperatures_or_layouts(self, primitives_corpus):
         seqs, layout = primitives_corpus
