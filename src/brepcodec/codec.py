@@ -17,8 +17,8 @@ the curve-forward half-edge first.
 
 The grammar is one transition table per `VocabLayout`: `transitions` maps
 a `GrammarState` to the ascending token-id ranges legal there, each with
-the state it leads to.  `step`, `validity_mask`, `allowed_tokens`, `parse`
-and the sampler all read that table.
+the state it leads to.  `step`, `validity_mask`, `parse` and the sampler
+all read that table.
 """
 from __future__ import annotations
 
@@ -136,11 +136,6 @@ class VocabLayout:
     @cached_property
     def _transitions(self) -> dict:
         """GrammarState -> transition ranges, filled lazily by `transitions`."""
-        return {}
-
-    @cached_property
-    def _allowed(self) -> dict:
-        """GrammarState or span tuple -> allowed ids, filled by `allowed_tokens`."""
         return {}
 
 
@@ -367,20 +362,6 @@ def validity_mask(state: GrammarState, layout: VocabLayout) -> np.ndarray:
     for lo, hi, _ in transitions(state, layout):
         mask[lo:hi] = True
     return mask
-
-
-def allowed_tokens(state: GrammarState, layout: VocabLayout) -> np.ndarray:
-    """Ascending ids of the tokens step() accepts, cached on the layout."""
-    cache = layout._allowed
-    hit = cache.get(state)
-    if hit is None:
-        # states that differ only in where they lead share one array
-        spans = tuple((lo, hi) for lo, hi, _ in transitions(state, layout))
-        hit = cache.get(spans)
-        if hit is None:
-            hit = cache[spans] = np.flatnonzero(validity_mask(state, layout))
-        cache[state] = hit
-    return hit
 
 
 # ---------------------------------------------------------------------------

@@ -6,24 +6,31 @@ token is drawn from the renormalized intersection of the model's
 conditional distribution with the grammar's validity mask, so any
 non-truncated sample parses by construction.
 
-Draw tables: in a coordinate or quantizer-code state the legal tokens are
-one fixed id range, whatever the vertex count, so the cumulative tempered
-weights of that range after a given context are built once and cached on
-the model, keyed by temperature, range and context; contexts the corpus
-never saw share one table.  Such a draw is one dict lookup, one
-``rng.random()`` and one ``searchsorted``.  Pointer states (whose range
-grows with the vertex count) build their weights per draw.  Tables and
-hit arrays are both read from the counts once, so a fitted model's counts
-must not change after sampling starts.
+Draw tables: every draw is one lookup in a cached table of cumulative
+tempered weights and one bisect; no weights are built per token.  A
+coordinate or quantizer-code state allows one fixed id range whatever the
+vertex count.  A pointer state allows ``[lo, pointer_base + count)``,
+``<sep>`` and ``<end>``, where ``lo`` is 0 until the component holds
+``pointer_max`` vertices and ``pointer_base`` after; its table holds the
+cumulative weights of ``[lo, pointer_base + pointer_max)`` followed by the
+two delimiter weights, and a draw at any count reads a prefix of it.
+``np.cumsum`` adds in sequence, so a prefix holds the same floats as a table
+built for that count alone.  Tables are cached on the model, keyed by
+temperature, range and context; contexts the corpus never saw share one
+table.  The uniforms of a sequence are drawn in one block.  Tables and hit
+arrays are both read from the counts once, so a fitted model's counts must
+not change after sampling starts.
 """
 from __future__ import annotations
 
+import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codec import (MAX_TOKENS, MODE_COORD, MODE_RQ, GrammarState, VocabLayout,
-                    allowed_tokens, initial_state, step, transitions, validity_mask)
+from .codec import MAX_TOKENS, VocabLayout, initial_state, step, transitions, validity_mask
 
 PAD = -1
 
@@ -34,8 +41,9 @@ class SamplerConfig:
     temperature: float = 1.0
 
     def __post_init__(self):
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
+        if not (self.temperature > 0 and math.isfinite(self.temperature)):
+            raise ValueError(f"temperature must be positive and finite, "
+                             f"not {self.temperature!r}")
 
 
 @dataclass(eq=False)
@@ -61,21 +69,27 @@ class NGramModel:
             cache[ctx] = hit
         return hit
 
-    def _draw_table(self, lo: int, hi: int, ctx, temperature: float) -> np.ndarray:
-        """Cumulative tempered weights of tokens lo..hi-1 after ``ctx``, cached.
+    def _draw_table(self, lo: int, hi: int, ctx, temperature: float,
+                    tail: tuple = ()) -> array:
+        """Cumulative tempered weights of tokens lo..hi-1 after ``ctx``, cached,
+        then the tempered weights of the ``tail`` ids, not accumulated.
 
         Keyed by value: the weights depend only on the counts, the token
-        range, the context and the temperature.  Every context without
-        counts gets the plain smoothing weights, so those share one table
-        (context ``None``) and the cache stays bounded by the corpus.
+        range, the context and the temperature (a range fixes its tail).
+        Every context without counts gets the plain smoothing weights, so
+        those share one table (context ``None``) and the cache stays bounded
+        by the corpus.
         """
         tables = self.__dict__.setdefault("_tables", {})
         key = (temperature, lo, hi, ctx if ctx in self.counts else None)
-        cum = tables.get(key)
-        if cum is None:
-            weights = _masked_weights(self, np.arange(lo, hi), ctx)
-            cum = tables[key] = _tempered_cumsum(weights, temperature)
-        return cum
+        table = tables.get(key)
+        if table is None:
+            weights = _masked_weights(self, np.array([*range(lo, hi), *tail]), ctx)
+            if temperature != 1.0:
+                weights = weights ** (1.0 / temperature)
+            weights[:hi - lo] = np.cumsum(weights[:hi - lo])
+            table = tables[key] = array("d", weights.tobytes())
+        return table
 
     def context_key(self, context) -> tuple:
         """The trailing order-1 tokens, left-padded like the training pass."""
@@ -107,7 +121,16 @@ class SampleResult:
 
 def fit_ngram(sequences, order: int = 4, smoothing: float = 0.1,
               vocab_size: int | None = None) -> NGramModel:
-    """Count n-gram contexts over token sequences (lists of ints)."""
+    """Count n-gram contexts over token sequences (lists of ints).
+
+    ``order`` and ``smoothing`` follow the rules `io.load_ngram` reads a
+    file by, so every fitted model can be saved and loaded back.
+    """
+    # type(), not isinstance: True is not an order
+    if not (type(order) is int and order >= 1):
+        raise ValueError(f"n-gram order must be an integer >= 1, not {order!r}")
+    if not (type(smoothing) in (int, float) and 0 <= smoothing < math.inf):
+        raise ValueError(f"n-gram smoothing must be a finite number >= 0, not {smoothing!r}")
     seqs = [list(s.tokens) if hasattr(s, "tokens") else list(s) for s in sequences]
     if not seqs:
         raise ValueError("cannot fit an n-gram model on an empty corpus")
@@ -140,41 +163,39 @@ def _masked_weights(model: NGramModel, idx: np.ndarray, ctx) -> np.ndarray:
     return weights
 
 
-def _tempered_cumsum(weights: np.ndarray, temperature: float) -> np.ndarray:
-    if temperature != 1.0:
-        weights = weights ** (1.0 / temperature)
-    return np.cumsum(weights)
-
-
-def _pick(cum: np.ndarray, rng: np.random.Generator) -> int:
-    """Index drawn in proportion to the increments of ``cum``."""
-    return min(int(cum.searchsorted(rng.random() * cum[-1], side="right")), cum.size - 1)
-
-
-def _draw(model: NGramModel, layout: VocabLayout, state: GrammarState,
-          context, cfg: SamplerConfig, rng: np.random.Generator) -> int:
-    ctx = model.context_key(context)
-    if state.mode in (MODE_COORD, MODE_RQ):
-        (lo, hi, _), = transitions(state, layout)
-        return lo + _pick(model._draw_table(lo, hi, ctx, cfg.temperature), rng)
-    idx = allowed_tokens(state, layout)
-    if idx.size == 0:
-        raise RuntimeError("empty validity mask; grammar invariant broken")
-    weights = _masked_weights(model, idx, ctx)
-    return int(idx[_pick(_tempered_cumsum(weights, cfg.temperature), rng)])
-
-
 def _continue_sampling(model, layout, cfg, tokens, state, rng) -> SampleResult:
     tokens = list(tokens)
-    while len(tokens) < MAX_TOKENS:
-        tok = _draw(model, layout, state, tokens, cfg, rng)
+    temperature, end = cfg.temperature, layout.end
+    delimiters = (layout.sep, end)
+    pointer_hi = layout.pointer_base + layout.pointer_max
+    # one uniform per token up to the limit: the same doubles as one
+    # rng.random() per draw, in the same order
+    for u in rng.random(max(MAX_TOKENS - len(tokens), 0)).tolist():
+        ctx = model.context_key(tokens)
+        ranges = transitions(state, layout)
+        lo, hi, state = ranges[0]
+        if len(ranges) == 1:                 # one coordinate or quantizer-code range
+            cum = model._draw_table(lo, hi, ctx, temperature)
+            tok = lo + min(bisect_right(cum, u * cum[-1]), len(cum) - 1)
+        else:                                # MODE_ADJ: [lo, pointer hi), <sep>, <end>
+            cum = model._draw_table(lo, pointer_hi, ctx, temperature, delimiters)
+            pointers, at_sep, at_end = ranges[-3:]
+            n = pointers[1] - lo
+            sep_total = cum[n - 1] + cum[-2]
+            x = u * (sep_total + cum[-1])
+            k = bisect_right(cum, x, 0, n)
+            if k == n:                       # past the prefix: a delimiter
+                tok, _, state = at_sep if x < sep_total else at_end
+            else:
+                tok = lo + k
+                if tok >= hi:                # a pointer after the coordinate range
+                    state = pointers[2]
         tokens.append(tok)
-        state = step(state, tok, layout)
-        if tok == layout.end:
+        if tok == end:
             return SampleResult(tokens=tokens, truncated=False, parseable=True)
     # truncated: force-close if the grammar allows it here
-    if validity_mask(state, layout)[layout.end]:
-        tokens.append(layout.end)
+    if validity_mask(state, layout)[end]:
+        tokens.append(end)
         return SampleResult(tokens=tokens, truncated=True, parseable=True)
     return SampleResult(tokens=tokens, truncated=True, parseable=False)
 

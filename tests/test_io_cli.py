@@ -440,6 +440,23 @@ class TestCli:
         b = (tmp_path / "g2" / "sequences.tokens").read_bytes()
         assert a == b
 
+    @pytest.mark.parametrize("temperature", ["0", "nan"])
+    def test_generate_refuses_a_bad_temperature(self, workspace, tmp_path, capsys, temperature):
+        assert main(["fit-lm", str(workspace / "c.tokens"), "--order", "2",
+                     "--out", str(tmp_path / "lm.json")]) == 0
+        capsys.readouterr()
+        assert main(["generate", "--lm", str(tmp_path / "lm.json"),
+                     "--codebook", str(workspace / "cb.json"), "-n", "1",
+                     "--temperature", temperature, "--out", str(tmp_path / "g")]) == 1
+        assert "temperature" in json.loads(capsys.readouterr().err.splitlines()[-1])["message"]
+        assert not (tmp_path / "g" / "sequences.tokens").exists()
+
+    def test_fit_lm_refuses_what_generate_could_not_load(self, workspace, tmp_path):
+        out = tmp_path / "lm.json"
+        assert main(["fit-lm", str(workspace / "c.tokens"), "--smoothing", "-1",
+                     "--out", str(out)]) == 1
+        assert not out.exists()
+
     def test_autocomplete_cli(self, workspace, tmp_path):
         cb = bio.load_codebook(workspace / "cb.json")
         layout = VocabLayout.for_codebook(cb)

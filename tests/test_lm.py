@@ -3,8 +3,8 @@ import hashlib
 import numpy as np
 import pytest
 
-from brepcodec.codec import (CodecConfig, VocabLayout, descriptor_dim_weights, initial_state,
-                             model_descriptors, parse, step, tokenize)
+from brepcodec.codec import (COORD_BINS, CodecConfig, VocabLayout, descriptor_dim_weights,
+                             initial_state, model_descriptors, parse, step, tokenize)
 from brepcodec import lm as lm_mod
 from brepcodec.lm import NGramModel, SamplerConfig, autocomplete, fit_ngram, sample_sequence
 from brepcodec.model import normalize
@@ -50,6 +50,13 @@ class TestFit:
         with pytest.raises(ValueError):
             fit_ngram([])
 
+    @pytest.mark.parametrize("order,smoothing", [(0, 0.1), (-2, 0.1), (True, 0.1), (2, -1.0),
+                                                 (2, float("nan")), (2, float("inf"))])
+    def test_unloadable_parameters_rejected(self, cube_lm, order, smoothing):
+        _, _, seq, _ = cube_lm
+        with pytest.raises(ValueError):
+            fit_ngram([seq], order=order, smoothing=smoothing)
+
 
 class TestSample:
     def test_mask_soundness_and_parse(self, cube_lm):
@@ -86,6 +93,11 @@ class TestSample:
     def test_temperature_must_be_positive(self):
         with pytest.raises(ValueError):
             SamplerConfig(temperature=0.0)
+
+    @pytest.mark.parametrize("temperature", [float("nan"), float("inf")])
+    def test_temperature_must_be_finite(self, temperature):
+        with pytest.raises(ValueError):
+            SamplerConfig(temperature=temperature)
 
     def test_nonzero_watertight_fraction(self):
         # regular cube corpus at a cool temperature: generation sometimes
@@ -282,6 +294,42 @@ class TestDrawTables:
             cfg = SamplerConfig(seed=seed, temperature=t)
             got = sample_sequence(shared, lay, cfg).tokens
             assert got == sample_sequence(fitted(), lay, cfg).tokens
+
+    def test_warm_model_builds_no_weights_and_tables_stay_bounded(self, primitives_corpus,
+                                                                  monkeypatch):
+        # A pointer state reads a prefix of its context's one table whatever
+        # the vertex count, so the cache holds at most one table per context
+        # and range: it grows with the corpus, not with the samples.
+        seqs, layout = primitives_corpus
+        built = []
+        real = lm_mod._masked_weights
+
+        def counting(model, idx, ctx):
+            built.append(ctx)
+            return real(model, idx, ctx)
+
+        monkeypatch.setattr(lm_mod, "_masked_weights", counting)
+        small = VocabLayout(pointer_max=8, rq_levels=layout.rq_levels,
+                            rq_level_size=layout.rq_level_size)
+        cfgs = [SamplerConfig(seed=seed, temperature=t) for seed in range(10) for t in (0.7, 1.3)]
+        for lay in (layout, small):
+            lm = fit_ngram(seqs, order=2, vocab_size=layout.vocab_size)
+            cold = [sample_sequence(lm, lay, cfg).tokens for cfg in cfgs]
+            assert built
+            built.clear()
+            assert [sample_sequence(lm, lay, cfg).tokens for cfg in cfgs] == cold
+            assert not built
+
+            pointers = (lay.pointer_base + lay.pointer_max,)
+            ranges = {(0, COORD_BINS), (0, *pointers), (lay.pointer_base, *pointers)}
+            ranges |= {(lo, lo + lay.rq_level_size) for lo in
+                       range(lay.rq_base, lay.start, lay.rq_level_size)}
+            for t in (0.7, 1.3):
+                keys = [key for key in lm._tables if key[0] == t]
+                assert {key[1:3] for key in keys} <= ranges
+                assert len(keys) <= (len(lm.counts) + 1) * len(ranges)
+        # some component reached the pointer limit, where the table starts at the pointers
+        assert any(key[1] == small.pointer_base for key in lm._tables)
 
     def test_tables_only_for_contexts_the_corpus_saw(self, primitives_corpus):
         # Unseen contexts share one table, so sampling that wanders off the
