@@ -270,7 +270,7 @@ def save_ngram(model, path, layout_hash: str = ""):
 
 
 def load_ngram(path):
-    from .lm import NGramModel
+    from .lm import NGramModel, check_ngram_parameters
 
     try:
         with open(path) as f:
@@ -279,13 +279,13 @@ def load_ngram(path):
         raise FormatError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(d, dict) or d.get("format") != LM_FORMAT:
         raise FormatError(f"{path}: not an n-gram model file")
-    for key, ok, want in (  # type(), not isinstance: JSON true is not a number here
-            ("order", lambda x: type(x) is int and x >= 1, "an integer >= 1"),
-            ("smoothing", lambda x: type(x) in (int, float) and 0 <= x < float("inf"),
-             "a finite number >= 0"),
-            ("vocab_size", lambda x: type(x) is int and x >= 0, "an integer >= 0")):
-        if not ok(d.get(key)):
-            raise FormatError(f"{path}: n-gram {key} must be {want}, not {d.get(key)!r}")
+    try:
+        check_ngram_parameters(d.get("order"), d.get("smoothing"))
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
+    vocab = d.get("vocab_size")
+    if not (type(vocab) is int and vocab >= 0):
+        raise FormatError(f"{path}: n-gram vocab_size must be an integer >= 0, not {vocab!r}")
     try:
         model = NGramModel(order=d["order"], smoothing=d["smoothing"],
                            vocab_size=d["vocab_size"])

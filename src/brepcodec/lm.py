@@ -119,18 +119,19 @@ class SampleResult:
     parseable: bool = True
 
 
-def fit_ngram(sequences, order: int = 4, smoothing: float = 0.1,
-              vocab_size: int | None = None) -> NGramModel:
-    """Count n-gram contexts over token sequences (lists of ints).
-
-    ``order`` and ``smoothing`` follow the rules `io.load_ngram` reads a
-    file by, so every fitted model can be saved and loaded back.
-    """
-    # type(), not isinstance: True is not an order
+def check_ngram_parameters(order, smoothing) -> None:
+    """Raise ValueError unless both are legal (for `fit_ngram` and `io.load_ngram`)."""
+    # type(), not isinstance: True (or JSON true) is not a number here
     if not (type(order) is int and order >= 1):
         raise ValueError(f"n-gram order must be an integer >= 1, not {order!r}")
     if not (type(smoothing) in (int, float) and 0 <= smoothing < math.inf):
         raise ValueError(f"n-gram smoothing must be a finite number >= 0, not {smoothing!r}")
+
+
+def fit_ngram(sequences, order: int = 4, smoothing: float = 0.1,
+              vocab_size: int | None = None) -> NGramModel:
+    """Count n-gram contexts over token sequences (lists of ints)."""
+    check_ngram_parameters(order, smoothing)
     seqs = [list(s.tokens) if hasattr(s, "tokens") else list(s) for s in sequences]
     if not seqs:
         raise ValueError("cannot fit an n-gram model on an empty corpus")
