@@ -8,11 +8,13 @@ import pytest
 import brepcodec.io as bio
 import brepcodec.geometry as G
 from brepcodec.cli import main
-from brepcodec.codec import CodecConfig, VocabLayout, tokenize
+from brepcodec.codec import (CodecConfig, VocabLayout, descriptor_dim_weights,
+                             model_descriptors, tokenize)
 from brepcodec.lm import fit_ngram, sample_sequence, SamplerConfig
-from brepcodec.model import normalize
+from brepcodec.model import compute_shells, normalize, validate
 from brepcodec.pipeline import decode_tokens, encode_model, lossless_codebook
-from brepcodec.primitives import box, l_bracket, ngon_prism, seam_cylinder, through_hole_box
+from brepcodec.primitives import (box, l_bracket, merge_models, ngon_prism, seam_cylinder,
+                                  through_hole_box)
 from brepcodec.rq import Codebook, train_codebook
 from brepcodec.sampler import FaceCharts
 from brepcodec.synth import CorpusSpec, synth_corpus
@@ -128,6 +130,25 @@ class TestModelFiles:
         with pytest.raises(bio.FormatError, match="not a model file"):
             bio.load_model(path)
 
+    @pytest.mark.parametrize("stored", ["missing", "empty"])
+    def test_stored_shells_are_derived(self, tmp_path, stored):
+        # a file's shell list is derived from its faces, never trusted
+        src = merge_models([box(), seam_cylinder(at=(2.0, 0.5, 0.0))])
+        doc = bio.model_to_dict(src)
+        truth = doc["shells"]
+        assert truth == [list(s) for s in compute_shells(src)] and len(truth) == 2
+        if stored == "missing":
+            del doc["shells"]
+        else:
+            doc["shells"] = []
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        loaded, _ = bio.load_model(path)
+        rep = validate(loaded)
+        assert rep.watertight and len(rep.shells) == 2
+        bio.save_model(loaded, tmp_path / "back.json")
+        assert json.loads((tmp_path / "back.json").read_text())["shells"] == truth
+
 
 class TestTokenFiles:
     def test_roundtrip_with_transforms(self, tmp_path):
@@ -188,6 +209,25 @@ class TestNgramFiles:
         a = sample_sequence(lm, layout, SamplerConfig(seed=4))
         b = sample_sequence(loaded, layout, SamplerConfig(seed=4))
         assert a.tokens == b.tokens
+
+    def test_loaded_copy_samples_the_same_streams(self, tmp_path):
+        # five primitives under one small codebook: contexts with many hits,
+        # and every grammar state the sampler draws in
+        normed = [normalize(make())[0] for make in (box, ngon_prism, seam_cylinder,
+                                                    through_hole_box, l_bracket)]
+        descs = np.concatenate([model_descriptors(m) for m in normed])
+        cb = train_codebook(descs, 4, 16, seed=0, dim_weights=descriptor_dim_weights())
+        layout = VocabLayout.for_codebook(cb)
+        lm = fit_ngram([tokenize(m, cb) for m in normed], order=2,
+                       vocab_size=layout.vocab_size)
+        path = tmp_path / "lm.json"
+        bio.save_ngram(lm, path, layout_hash=layout.layout_hash())
+        loaded, _ = bio.load_ngram(path)
+        for temperature in (0.7, 1.3):
+            for seed in range(10):
+                cfg = SamplerConfig(seed=seed, temperature=temperature)
+                assert sample_sequence(loaded, layout, cfg).tokens \
+                    == sample_sequence(lm, layout, cfg).tokens
 
 
 class TestExports:
