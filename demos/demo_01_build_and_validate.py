@@ -31,7 +31,7 @@ print()
 print("=== a two-body assembly normalizes into the unit box ===")
 assembly = merge_models([box(), seam_cylinder(at=(2.0, 0.5, 0.0))])
 normed, record = normalize(assembly)
-print(f"shells: {len(normed.shells)}")
+print(f"shells: {len(euler_report(normed))}")
 print(f"scale: {record.scale:.6f}, offset: {np.round(record.offset, 4)}")
 print(f"vertex range after normalization: "
       f"[{normed.vertices.min():.4f}, {normed.vertices.max():.4f}]")

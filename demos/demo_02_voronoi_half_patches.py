@@ -19,10 +19,10 @@ model, _ = normalize(through_hole_box())
 
 print("=== Voronoi cells on the plate with the hole ===")
 face = next(f for f in range(len(model.faces)) if model.faces[f].inners)
-cells = voronoi_assign(model, face)
-ids, counts = np.unique(cells.labels[cells.labels >= 0], return_counts=True)
+labels = voronoi_assign(model, face)
+ids, counts = np.unique(labels[labels >= 0], return_counts=True)
 print(f"face {face}: {len(ids)} half-edges own "
-      f"{(cells.labels >= 0).sum()} of {cells.labels.size} grid samples")
+      f"{(labels >= 0).sum()} of {labels.size} grid samples")
 for he, n in zip(ids, counts):
     kind = model.loops[model.halfedges[he].loop].kind
     print(f"  half-edge {he:3d} ({kind:5s} loop): {n:5d} cells")

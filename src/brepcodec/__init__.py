@@ -36,7 +36,6 @@ from .model import (
     validate,
 )
 from .pipeline import decode_tokens, encode_model, lossless_codebook, roundtrip_check
-from .reconstruct import reconstruct
 from .rq import Codebook, rq_decode, rq_encode, train_codebook
 from .sampler import (
     SamplingConfig,
@@ -77,7 +76,6 @@ __all__ = [
     "novel_unique_valid",
     "parse",
     "quantize_coord",
-    "reconstruct",
     "roundtrip_check",
     "rq_decode",
     "rq_encode",

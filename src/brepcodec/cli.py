@@ -192,11 +192,7 @@ def cmd_fit_lm(args) -> int:
     header, seqs = bio.load_tokens(args.tokens)
     if not seqs:
         raise bio.FormatError(f"{args.tokens}: token file holds no sequences")
-    vocab = args.vocab_size
-    if vocab is None:
-        vocab = max(max(s.tokens) for s in seqs) + 1
-    lm = fit_ngram(seqs, order=args.order, smoothing=args.smoothing,
-                   vocab_size=vocab)
+    lm = fit_ngram(seqs, order=args.order, smoothing=args.smoothing)
     bio.save_ngram(lm, args.out, layout_hash=header.get("layout_hash", ""))
     print(f"fitted order-{args.order} model on {len(seqs)} sequences "
           f"({len(lm.counts)} contexts)")
@@ -205,16 +201,17 @@ def cmd_fit_lm(args) -> int:
 
 def cmd_generate(args) -> int:
     lm, cb, layout = _load_lm_and_codebook(args)
+    # configs first: a refused temperature leaves no --out directory
+    cfgs = [SamplerConfig(seed=args.seed + i, temperature=args.temperature)
+            for i in range(args.count)]
     os.makedirs(args.out, exist_ok=True)
     log = []
     sequences = []
     built = 0
-    for i in range(args.count):
-        seed = args.seed + i
-        res = sample_sequence(lm, layout, SamplerConfig(
-            seed=seed, temperature=args.temperature))
+    for i, cfg in enumerate(cfgs):
+        res = sample_sequence(lm, layout, cfg)
         sequences.append(res.tokens)
-        entry = {"index": i, "seed": seed, "length": len(res.tokens),
+        entry = {"index": i, "seed": cfg.seed, "length": len(res.tokens),
                  "truncated": res.truncated, "parsed": False, "watertight": False}
         if res.parseable and not res.truncated:
             model, rep = decode_tokens(res.tokens, cb)
@@ -238,11 +235,12 @@ def cmd_autocomplete(args) -> int:
     seqs = _load_tokens_for(args.prefix, cb)
     if not seqs:
         raise bio.FormatError("prefix token file holds no sequences")
+    cfgs = [SamplerConfig(seed=args.seed + i, temperature=args.temperature)
+            for i in range(len(seqs))]
     os.makedirs(args.out, exist_ok=True)
     outputs = []
-    for i, seq in enumerate(seqs):
-        res = autocomplete(seq, lm, layout, SamplerConfig(
-            seed=args.seed + i, temperature=args.temperature))
+    for i, (seq, cfg) in enumerate(zip(seqs, cfgs)):
+        res = autocomplete(seq, lm, layout, cfg)
         outputs.append(res.tokens)
         if res.parseable and not res.truncated:
             model, rep = decode_tokens(res.tokens, cb)
@@ -380,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("tokens")
     s.add_argument("--order", type=int, default=4)
     s.add_argument("--smoothing", type=float, default=0.1)
-    s.add_argument("--vocab-size", type=int, default=None)
     s.add_argument("--out", required=True)
     s.set_defaults(func=cmd_fit_lm)
 

@@ -18,7 +18,8 @@ from . import geometry as G
 from .codec import SequenceHeader, TokenSequence
 from .model import BrepModel, Edge, Face, HalfEdge, Loop, TransformRecord, compute_shells
 from .rq import Codebook
-from .sampler import FaceCharts, SamplingConfig, extract_vhp, unpack_descriptor, voronoi_assign
+from .sampler import (UV_GRID, FaceCharts, SamplingConfig, extract_vhp, unpack_descriptor,
+                      voronoi_assign)
 
 MODEL_FORMAT = "brepcodec-model/1"
 TOKENS_FORMAT = "brepcodec-tokens/1"
@@ -100,11 +101,12 @@ def model_to_dict(model: BrepModel, transform: TransformRecord | None = None) ->
                   for l in model.loops],
         "faces": [{"surface": _geom_to_dict(f.surface), "outer": f.outer,
                    "inners": list(f.inners)} for f in model.faces],
-        "shells": [list(s) for s in model.shells],
+        "shells": [list(s) for s in compute_shells(model)],
     }
 
 
 def model_from_dict(d: dict) -> tuple:
+    """A model and its transform; a stored ``shells`` list is ignored."""
     fmt = d.get("format") if isinstance(d, dict) else None
     if fmt != MODEL_FORMAT:
         raise FormatError(f"not a model file (format={fmt!r})")
@@ -122,13 +124,10 @@ def model_from_dict(d: dict) -> tuple:
                         face=l["face"]) for l in d["loops"]],
             faces=[Face(surface=_geom_from_dict(f["surface"]), outer=f["outer"],
                         inners=tuple(f["inners"])) for f in d["faces"]],
-            shells=tuple(tuple(s) for s in d.get("shells", [])),
         )
         transform = transform_from_dict(d.get("transform"))
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed model file: {exc}") from exc
-    if not model.shells:
-        model.shells = compute_shells(model)
     return model, transform
 
 
@@ -263,13 +262,13 @@ def save_ngram(model, path, layout_hash: str = ""):
 
     counts = {",".join(str(t) for t in ctx): dict(sorted(hits.items()))
               for ctx, hits in sorted(model.counts.items())}
-    doc = {"format": LM_FORMAT, "order": model.order,
-           "smoothing": model.smoothing, "vocab_size": model.vocab_size,
+    doc = {"format": LM_FORMAT, "order": model.order, "smoothing": model.smoothing,
            "layout_hash": layout_hash, "counts": counts}
     atomic_write_text(path, json.dumps(doc) + "\n")
 
 
 def load_ngram(path):
+    """The n-gram and its layout hash; a ``vocab_size`` key is ignored."""
     from .lm import NGramModel, check_ngram_parameters
 
     try:
@@ -283,17 +282,11 @@ def load_ngram(path):
         check_ngram_parameters(d.get("order"), d.get("smoothing"))
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
-    vocab = d.get("vocab_size")
-    if not (type(vocab) is int and vocab >= 0):
-        raise FormatError(f"{path}: n-gram vocab_size must be an integer >= 0, not {vocab!r}")
     try:
-        model = NGramModel(order=d["order"], smoothing=d["smoothing"],
-                           vocab_size=d["vocab_size"])
+        model = NGramModel(order=d["order"], smoothing=d["smoothing"])
         for key, hits in d["counts"].items():
             ctx = tuple(int(t) for t in key.split(",")) if key else ()
-            slot = {int(t): int(n) for t, n in hits.items()}
-            model.counts[ctx] = slot
-            model.totals[ctx] = sum(slot.values())
+            model.counts[ctx] = {int(t): int(n) for t, n in hits.items()}
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise FormatError(f"{path}: malformed n-gram model file: {exc}") from exc
     return model, d.get("layout_hash", "")
@@ -365,16 +358,15 @@ def export_obj(model: BrepModel, path, resolution: int = 32):
 
 
 def export_vhp_debug(model: BrepModel, path):
-    """Voronoi cell maps and VHP sample points for visualization."""
+    """Voronoi label grids and VHP sample points for visualization."""
     charts = FaceCharts(model)
     cfg = SamplingConfig()
     descs = extract_vhp(model, cfg, charts)
     doc = {"format": "brepcodec-vhp-debug/1", "faces": [], "records": []}
     for f in range(len(model.faces)):
-        cells = voronoi_assign(model, f, charts)
-        doc["faces"].append({"face": f, "domain": list(cells.domain),
-                             "resolution": cells.resolution,
-                             "labels": cells.labels.tolist()})
+        doc["faces"].append({"face": f, "domain": list(charts.domains[f]),
+                             "resolution": UV_GRID,
+                             "labels": voronoi_assign(model, f, charts).tolist()})
     for h, (half_patch, next_samples, label) in enumerate(zip(*unpack_descriptor(descs, cfg))):
         doc["records"].append({
             "halfedge": h,

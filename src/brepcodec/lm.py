@@ -17,9 +17,9 @@ two delimiter weights, and a draw at any count reads a prefix of it.
 ``np.cumsum`` adds in sequence, so a prefix holds the same floats as a table
 built for that count alone.  Tables are cached on the model, keyed by
 temperature, range and context; contexts the corpus never saw share one
-table.  The uniforms of a sequence are drawn in one block.  Tables and hit
-arrays are both read from the counts once, so a fitted model's counts must
-not change after sampling starts.
+table.  The uniforms of a sequence are drawn in one block.  A table is read
+from the counts once, so a fitted model's counts must not change after
+sampling starts.
 """
 from __future__ import annotations
 
@@ -50,24 +50,7 @@ class SamplerConfig:
 class NGramModel:
     order: int = 4
     smoothing: float = 0.1
-    vocab_size: int = 0
     counts: dict = field(default_factory=dict)    # context tuple -> {token: n}
-    totals: dict = field(default_factory=dict)    # context tuple -> n
-
-    def _hit_arrays(self, ctx):
-        """(sorted token ids, counts) per context, cached for the sampler."""
-        cache = self.__dict__.setdefault("_arrays", {})
-        hit = cache.get(ctx)
-        if hit is None:
-            slot = self.counts.get(ctx)
-            if not slot:
-                return None
-            toks = np.fromiter(slot.keys(), dtype=int, count=len(slot))
-            vals = np.fromiter(slot.values(), dtype=float, count=len(slot))
-            srt = np.argsort(toks)
-            hit = (toks[srt], vals[srt])
-            cache[ctx] = hit
-        return hit
 
     def _draw_table(self, lo: int, hi: int, ctx, temperature: float,
                     tail: tuple = ()) -> array:
@@ -100,17 +83,6 @@ class NGramModel:
             tail = (PAD,) * (self.order - 1 - len(tail)) + tail
         return tail
 
-    def conditional(self, context) -> np.ndarray:
-        """Additively smoothed next-token distribution over the vocabulary."""
-        probs = np.full(self.vocab_size, self.smoothing)
-        hits = self.counts.get(self.context_key(context))
-        if hits:
-            for tok, n in hits.items():
-                probs[tok] += n
-        probs /= self.smoothing * self.vocab_size \
-            + self.totals.get(self.context_key(context), 0)
-        return probs
-
 
 @dataclass(eq=False)
 class SampleResult:
@@ -130,14 +102,18 @@ def check_ngram_parameters(order, smoothing) -> None:
 
 def fit_ngram(sequences, order: int = 4, smoothing: float = 0.1,
               vocab_size: int | None = None) -> NGramModel:
-    """Count n-gram contexts over token sequences (lists of ints)."""
+    """Count n-gram contexts over token sequences (lists of ints).
+
+    ``vocab_size``, when given, refuses a corpus holding a token id at or
+    above it; the model itself stores only its counts.
+    """
     check_ngram_parameters(order, smoothing)
     seqs = [list(s.tokens) if hasattr(s, "tokens") else list(s) for s in sequences]
     if not seqs:
         raise ValueError("cannot fit an n-gram model on an empty corpus")
-    if vocab_size is None:
-        vocab_size = max(max(s) for s in seqs) + 1
-    model = NGramModel(order=order, smoothing=smoothing, vocab_size=vocab_size)
+    if vocab_size is not None and any(t >= vocab_size for s in seqs for t in s):
+        raise ValueError(f"corpus holds a token id >= vocab_size {vocab_size}")
+    model = NGramModel(order=order, smoothing=smoothing)
     pad = (PAD,) * (order - 1)
     for s in seqs:
         padded = pad + tuple(s)
@@ -146,16 +122,16 @@ def fit_ngram(sequences, order: int = 4, smoothing: float = 0.1,
             tok = padded[i + order - 1]
             slot = model.counts.setdefault(ctx, {})
             slot[tok] = slot.get(tok, 0) + 1
-            model.totals[ctx] = model.totals.get(ctx, 0) + 1
     return model
 
 
 def _masked_weights(model: NGramModel, idx: np.ndarray, ctx) -> np.ndarray:
     """Smoothed counts of the ascending token ids ``idx`` after ``ctx``."""
     weights = np.full(idx.size, model.smoothing)
-    hits = model._hit_arrays(ctx)
-    if hits is not None:
-        toks, vals = hits
+    slot = model.counts.get(ctx)
+    if slot:
+        toks = np.fromiter(slot.keys(), dtype=int, count=len(slot))
+        vals = np.fromiter(slot.values(), dtype=float, count=len(slot))
         pos = np.searchsorted(idx, toks)
         pos_ok = pos < idx.size
         match = np.zeros(toks.size, dtype=bool)

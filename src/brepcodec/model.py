@@ -72,7 +72,6 @@ class BrepModel:
     halfedges: list
     loops: list
     faces: list
-    shells: tuple = ()             # tuple of tuples of face ids
 
     def destination(self, h: int) -> int:
         return self.halfedges[self.halfedges[h].twin].origin
@@ -225,8 +224,6 @@ class ModelBuilder:
                 nxt = cyc[(i + 1) % len(cyc)]
                 if model.destination(h) != he_objs[nxt].origin:
                     raise ModelError(f"loop {li} breaks between halfedges {h} and {nxt}")
-
-        model.shells = compute_shells(model)
         return model
 
 
@@ -513,6 +510,5 @@ def normalize(model: BrepModel):
         halfedges=list(model.halfedges),
         loops=list(model.loops),
         faces=new_faces,
-        shells=model.shells,
     )
     return out, record

@@ -55,9 +55,8 @@ def _canonical_structure(model: BrepModel):
     return positions, edges
 
 
-def _shell_tuples(model: BrepModel):
-    return sorted((s.vertices, s.edges, s.faces, s.inner_loops, s.genus)
-                  for s in euler_report(model))
+def _shell_tuples(shells):
+    return sorted((s.vertices, s.edges, s.faces, s.inner_loops, s.genus) for s in shells)
 
 
 def roundtrip_check(model: BrepModel, codebook: Codebook | None = None,
@@ -106,7 +105,9 @@ def roundtrip_check(model: BrepModel, codebook: Codebook | None = None,
         result.notes.append("reconstruction produced no model")
         return result
     result.watertight = bool(report.success)
-    result.shells_match = _shell_tuples(normed) == _shell_tuples(rec_model)
+    # validate's shells: empty when the rebuild fails its twin, loop or manifold checks
+    result.shells_match = _shell_tuples(euler_report(normed)) \
+        == _shell_tuples(report.validation.shells)
     if not result.shells_match:
         result.notes.append("per-shell (V, E, F, H, genus) mismatch")
     result.ok = result.records_match and result.watertight and result.shells_match \

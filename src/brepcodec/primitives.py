@@ -236,8 +236,8 @@ def l_bracket(width: float = 1.0, depth: float = 1.0, height: float = 0.6,
 
 
 def merge_models(models) -> BrepModel:
-    """Disjoint union of models with index offsets; shells recomputed."""
-    from .model import Edge, Face, HalfEdge, Loop, compute_shells
+    """Disjoint union of models with index offsets."""
+    from .model import Edge, Face, HalfEdge, Loop
 
     verts = []
     edges = []
@@ -261,7 +261,5 @@ def merge_models(models) -> BrepModel:
         for f in m.faces:
             faces.append(Face(surface=f.surface, outer=f.outer + ol,
                               inners=tuple(i + ol for i in f.inners)))
-    out = BrepModel(vertices=np.array(verts, dtype=float).reshape(-1, 3),
-                    edges=edges, halfedges=halfedges, loops=loops, faces=faces)
-    out.shells = compute_shells(out)
-    return out
+    return BrepModel(vertices=np.array(verts, dtype=float).reshape(-1, 3),
+                     edges=edges, halfedges=halfedges, loops=loops, faces=faces)

@@ -47,8 +47,7 @@ import numpy as np
 from .assignment import InfeasibleAssignmentError, solve_square
 from .codec import COORD_BINS, VertexRecordSet
 from .geometry import BicubicPatch, Plane, Poly2, PolylineCurve, _bernstein3
-from .model import (BrepModel, Edge, Face, HalfEdge, Loop, ValidationReport, compute_shells,
-                    validate)
+from .model import BrepModel, Edge, Face, HalfEdge, Loop, ValidationReport, validate
 from .sampler import SamplingConfig, unpack_descriptor
 
 
@@ -605,7 +604,5 @@ def _assemble(drafts, verts, outer, inner, faces, attach):
     edges = [Edge(curve=PolylineCurve(drafts.curve[d]), v0=origin[d], v1=origin[d + 1],
                   halfedges=(d, d + 1)) for d in range(0, len(origin), 2)]
 
-    model = BrepModel(vertices=verts, edges=edges, halfedges=halfedges,
-                      loops=loop_objs, faces=face_objs)
-    model.shells = compute_shells(model)
-    return model
+    return BrepModel(vertices=verts, edges=edges, halfedges=halfedges,
+                     loops=loop_objs, faces=face_objs)

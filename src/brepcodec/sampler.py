@@ -94,14 +94,6 @@ def unpack_descriptor(desc: np.ndarray, cfg: SamplingConfig):
             desc[..., split:-1].reshape(*lead, cfg.n_next, 3), (desc[..., -1] >= 0.5).astype(int))
 
 
-@dataclass(eq=False)
-class VoronoiCellMap:
-    face: int
-    resolution: int
-    domain: tuple
-    labels: np.ndarray        # (res, res) halfedge ids, -1 outside the trim
-
-
 # ---------------------------------------------------------------------------
 # Face charts: normalized UV metric, boundary chords, trim polygons
 # ---------------------------------------------------------------------------
@@ -430,11 +422,14 @@ class FaceCharts:
 # ---------------------------------------------------------------------------
 
 def voronoi_assign(model: BrepModel, face: int,
-                   charts: FaceCharts | None = None) -> VoronoiCellMap:
+                   charts: FaceCharts | None = None) -> np.ndarray:
     """Label each in-trim grid sample with its nearest bounding half-edge.
 
-    ``charts`` is the model's ``FaceCharts``; pass it when labelling several
-    faces, as building it covers every face.
+    Returns the ``(UV_GRID, UV_GRID)`` int array over the cell centres of
+    ``charts.cell_grid(face)`` (u-major, spanning ``charts.domains[face]``):
+    each entry is a half-edge id, or -1 outside the trim.  ``charts`` is the
+    model's ``FaceCharts``; pass it when labelling several faces, as
+    building it covers every face.
     """
     charts = charts or FaceCharts(model)
     uv, inside = charts.cell_grid(face)
@@ -442,8 +437,7 @@ def voronoi_assign(model: BrepModel, face: int,
     if inside.any():
         fk = np.full(int(inside.sum()), face)
         labels[inside] = charts.nearest(*charts._to_norm(uv[inside, 0], uv[inside, 1], fk), fk)
-    return VoronoiCellMap(face=face, resolution=UV_GRID, domain=charts.domains[face],
-                          labels=labels.reshape(UV_GRID, UV_GRID))
+    return labels.reshape(UV_GRID, UV_GRID)
 
 
 def extract_vhp(model: BrepModel, cfg: SamplingConfig | None = None,

@@ -56,4 +56,4 @@ def as_polyline_model(model: BrepModel) -> BrepModel:
         edges.append(Edge(curve=curve, v0=e.v0, v1=e.v1, halfedges=e.halfedges))
     return BrepModel(vertices=model.vertices, edges=edges,
                      halfedges=model.halfedges, loops=model.loops,
-                     faces=model.faces, shells=model.shells)
+                     faces=model.faces)

@@ -1,6 +1,7 @@
 """Every demo script runs to completion against the current package, and
 every name the package exports resolves and has a caller."""
 import ast
+import inspect
 import os
 import re
 import subprocess
@@ -29,6 +30,11 @@ def test_demo_runs(demo):
 def test_every_exported_name_resolves():
     missing = [name for name in brepcodec.__all__ if not hasattr(brepcodec, name)]
     assert not missing
+
+
+def test_reconstruct_names_the_module():
+    # so patching `brepcodec.reconstruct.validate` reaches the decoder
+    assert inspect.ismodule(brepcodec.reconstruct)
 
 
 def _definitions(text: str) -> dict:

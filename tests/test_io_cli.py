@@ -130,7 +130,7 @@ class TestModelFiles:
         with pytest.raises(bio.FormatError, match="not a model file"):
             bio.load_model(path)
 
-    @pytest.mark.parametrize("stored", ["missing", "empty"])
+    @pytest.mark.parametrize("stored", ["missing", "empty", "merged"])
     def test_stored_shells_are_derived(self, tmp_path, stored):
         # a file's shell list is derived from its faces, never trusted
         src = merge_models([box(), seam_cylinder(at=(2.0, 0.5, 0.0))])
@@ -139,8 +139,8 @@ class TestModelFiles:
         assert truth == [list(s) for s in compute_shells(src)] and len(truth) == 2
         if stored == "missing":
             del doc["shells"]
-        else:
-            doc["shells"] = []
+        else:   # "merged": both bodies' faces in one shell
+            doc["shells"] = [] if stored == "empty" else [sum(truth, [])]
         path = tmp_path / "m.json"
         path.write_text(json.dumps(doc))
         loaded, _ = bio.load_model(path)
@@ -209,6 +209,22 @@ class TestNgramFiles:
         a = sample_sequence(lm, layout, SamplerConfig(seed=4))
         b = sample_sequence(loaded, layout, SamplerConfig(seed=4))
         assert a.tokens == b.tokens
+        assert "vocab_size" not in json.loads(path.read_text())
+
+    def test_vocab_size_key_is_ignored(self, tmp_path):
+        m, _ = normalize(box())
+        cb = lossless_codebook(m)
+        layout = VocabLayout.for_codebook(cb)
+        lm = fit_ngram([tokenize(m, cb)] * 3, order=4)
+        path = tmp_path / "lm.json"
+        bio.save_ngram(lm, path)
+        doc = json.loads(path.read_text())
+        doc["vocab_size"] = -5       # files from before the key was dropped
+        path.write_text(json.dumps(doc))
+        loaded, _ = bio.load_ngram(path)
+        for seed in range(3):
+            assert sample_sequence(loaded, layout, SamplerConfig(seed=seed)).tokens \
+                == sample_sequence(lm, layout, SamplerConfig(seed=seed)).tokens
 
     def test_loaded_copy_samples_the_same_streams(self, tmp_path):
         # five primitives under one small codebook: contexts with many hits,
@@ -346,8 +362,7 @@ class TestCli:
     NGRAM_FIELDS = {"n-gram order is a string": {"order": "2"},
                     "n-gram order is negative": {"order": -3},
                     "n-gram smoothing is a string": {"smoothing": "x"},
-                    "n-gram smoothing is negative": {"smoothing": -1.0},
-                    "n-gram vocab_size is negative": {"vocab_size": -5}}
+                    "n-gram smoothing is negative": {"smoothing": -1.0}}
 
     @pytest.mark.parametrize("command, corruption", [
         ("validate", "transform without scale"),
@@ -369,7 +384,6 @@ class TestCli:
         ("generate", "n-gram order is negative"),
         ("generate", "n-gram smoothing is a string"),
         ("generate", "n-gram smoothing is negative"),
-        ("generate", "n-gram vocab_size is negative"),
     ])
     def test_corrupted_file_is_a_format_error(self, workspace, tmp_path, capsys,
                                               command, corruption):
@@ -411,8 +425,7 @@ class TestCli:
             bad.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
             args = [command, str(bad), "--codebook", cb, "--out", str(tmp_path / "out")]
         else:
-            doc = {"format": bio.LM_FORMAT, "order": 2, "smoothing": 0.1, "vocab_size": 8,
-                   "counts": {}}
+            doc = {"format": bio.LM_FORMAT, "order": 2, "smoothing": 0.1, "counts": {}}
             doc.update(self.NGRAM_FIELDS.get(corruption, {}))
             if "without order" in corruption:
                 del doc["order"]
@@ -489,7 +502,24 @@ class TestCli:
                      "--codebook", str(workspace / "cb.json"), "-n", "1",
                      "--temperature", temperature, "--out", str(tmp_path / "g")]) == 1
         assert "temperature" in json.loads(capsys.readouterr().err.splitlines()[-1])["message"]
-        assert not (tmp_path / "g" / "sequences.tokens").exists()
+        assert not (tmp_path / "g").exists()
+
+    @pytest.mark.parametrize("temperature", ["0", "nan"])
+    def test_autocomplete_refuses_a_bad_temperature(self, workspace, tmp_path, capsys,
+                                                    temperature):
+        layout = VocabLayout.for_codebook(bio.load_codebook(workspace / "cb.json"))
+        _, seqs = bio.load_tokens(workspace / "c.tokens")
+        bio.save_tokens([seqs[0].tokens[:-1] + [layout.sep]], tmp_path / "prefix.tokens",
+                        layout_hash=layout.layout_hash())
+        assert main(["fit-lm", str(workspace / "c.tokens"), "--order", "2",
+                     "--out", str(tmp_path / "lm.json")]) == 0
+        capsys.readouterr()
+        assert main(["autocomplete", "--lm", str(tmp_path / "lm.json"),
+                     "--codebook", str(workspace / "cb.json"),
+                     "--prefix", str(tmp_path / "prefix.tokens"),
+                     "--temperature", temperature, "--out", str(tmp_path / "g")]) == 1
+        assert "temperature" in json.loads(capsys.readouterr().err.splitlines()[-1])["message"]
+        assert not (tmp_path / "g").exists()
 
     def test_fit_lm_refuses_what_generate_could_not_load(self, workspace, tmp_path):
         out = tmp_path / "lm.json"

