@@ -137,10 +137,9 @@ class TestModelFiles:
         doc = bio.model_to_dict(src)
         truth = doc["shells"]
         assert truth == [list(s) for s in compute_shells(src)] and len(truth) == 2
-        if stored == "missing":
-            del doc["shells"]
-        else:   # "merged": both bodies' faces in one shell
-            doc["shells"] = [] if stored == "empty" else [sum(truth, [])]
+        del doc["shells"]
+        if stored != "missing":     # "merged": both bodies' faces in one shell
+            doc["shells"] = {"empty": [], "merged": [sum(truth, [])]}[stored]
         path = tmp_path / "m.json"
         path.write_text(json.dumps(doc))
         loaded, _ = bio.load_model(path)
