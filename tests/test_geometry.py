@@ -14,6 +14,7 @@ from brepcodec.geometry import (
     Poly2,
     PolylineCurve,
     Segment2,
+    _finite,
     pcurve_points,
 )
 
@@ -149,6 +150,28 @@ def test_non_finite_fields_raise(make, bad):
     make(0.5)
     with pytest.raises(GeometryError, match="non-finite"):
         make(bad)
+
+
+@pytest.mark.parametrize("size", [3, 64, 65])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_every_non_finite_entry_is_caught(size, bad):
+    # arrays of up to 64 entries and longer ones are checked by different code
+    a = np.linspace(-1.0, 1.0, size)
+    assert _finite(a, "points") is a
+    for i in range(size):
+        b = a.copy()
+        b[i] = bad
+        with pytest.raises(GeometryError, match="non-finite points"):
+            _finite(b.reshape(-1, 1), "points")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_scalar_fields_raise(bad):
+    assert type(Arc2((0, 0), 2, 0, 1).radius) is float
+    with pytest.raises(GeometryError, match="non-finite radius"):
+        Arc2((0, 0), bad, 0, 1)
+    with pytest.raises(GeometryError, match="non-finite theta1"):
+        CircularArc((0, 0, 0), 1, (1, 0, 0), (0, 1, 0), 0, bad)
 
 
 @given(st.floats(0, 1), st.floats(0, 1))

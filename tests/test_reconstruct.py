@@ -20,6 +20,7 @@ from brepcodec.primitives import (
     through_hole_box,
 )
 from brepcodec.reconstruct import (
+    ELEVATED_COST,
     PROJECT_BLOCK,
     Drafts,
     LoopDraft,
@@ -235,6 +236,80 @@ class TestAssignmentAtVertices:
                     drafts.next[i] = drafts.next[i] + noise
             noisy, *_ = solve_next_map(drafts, verts.shape[0], CFG.sampling)
             assert noisy == clean
+
+
+def per_star_next_map(drafts, n_vertices, n_next):
+    """`solve_next_map` by `solve_square`, one star at a time in ascending
+    vertex order: twins forbidden, allowed back when that is infeasible."""
+    next_map, total, infeasible, elevated = {}, 0.0, [], []
+    stars = {v: s for v, s in vertex_stars(drafts).items() if v < n_vertices}
+    for p in star_problems(drafts, n_next, stars):
+        try:
+            cols, cost = solve_square(np.where(p.forbidden, np.inf, p.cost))
+        except InfeasibleAssignmentError:
+            cols, cost = solve_square(p.cost)
+            infeasible.append(p.vertex)
+        next_map.update((a, p.outgoing[c]) for a, c in zip(p.incoming, cols))
+        total += cost
+        if cost > ELEVATED_COST:
+            elevated.append(p.vertex)
+    return next_map, total, infeasible, elevated
+
+
+def multigraph_drafts(rng, n_vertices, n_edges, kind):
+    """Drafts of a random multigraph (self-loops and parallel edges allowed).
+
+    ``kind`` sets the successor geometry: ``random`` samples, ``twin`` (each
+    draft's cheapest successor is its own twin), or ``integer`` and ``near``
+    (points on the x axis at integer offsets, so costs are integers with
+    exact ties; ``near`` moves them by multiples of 1e-12).
+    """
+    nn = CFG.sampling.n_next
+    origin = rng.integers(n_vertices, size=2 * n_edges)
+    curve = rng.normal(size=(2 * n_edges, CFG.sampling.n_curve + 2, 3))
+    nxt = rng.normal(size=(2 * n_edges, nn, 3))
+    if kind == "twin":
+        nxt = curve[np.arange(2 * n_edges) ^ 1, 1:1 + nn] + 0.1 * nxt
+    elif kind in ("integer", "near"):
+        curve[:, 1:1 + nn] = 0.0
+        nxt[:] = 0.0
+        curve[:, 1:1 + nn, 0] = rng.integers(4, size=(2 * n_edges, 1))
+        nxt[:, :, 0] = rng.integers(4, size=(2 * n_edges, 1))
+        if kind == "near":
+            curve[:, 1:1 + nn, 0] += 1e-12 * rng.integers(3, size=(2 * n_edges, 1))
+    return Drafts(origin=origin, curve=curve, surface=np.zeros((2 * n_edges, 1, 1, 3)),
+                  next=nxt, label=np.ones(2 * n_edges, dtype=int))
+
+
+class TestStarSolve:
+    """`solve_next_map` gives, bit for bit, what `solve_square` gives star by star."""
+
+    @pytest.mark.parametrize("kind", ["random", "twin", "integer", "near"])
+    def test_matches_per_star_solve(self, kind):
+        rng = np.random.default_rng(["random", "twin", "integer", "near"].index(kind))
+        degrees = set()
+        for trial in range(150):
+            n_vertices = int(rng.integers(1, 12))
+            drafts = multigraph_drafts(rng, n_vertices, int(rng.integers(1, 20)), kind)
+            # the last case leaves the highest vertex out, as records can
+            limit = n_vertices - (trial % 5 == 4)
+            got = solve_next_map(drafts, limit, CFG.sampling)
+            want = per_star_next_map(drafts, limit, CFG.sampling.n_next)
+            assert list(got[0].items()) == list(want[0].items())
+            assert float(got[1]).hex() == float(want[1]).hex()
+            assert got[2:] == want[2:]
+            degrees.update(np.bincount(drafts.origin).tolist())
+        assert set(range(1, 9)) <= degrees
+
+    def test_nan_cost_raises(self):
+        rng = np.random.default_rng(3)
+        for n_vertices, n_edges in ((1, 1), (2, 1), (3, 6), (5, 14)):
+            drafts = multigraph_drafts(rng, n_vertices, n_edges, "random")
+            drafts.next[-1, 2, 1] = np.nan
+            with pytest.raises(ValueError, match="NaN"):
+                per_star_next_map(drafts, n_vertices, CFG.sampling.n_next)
+            with pytest.raises(ValueError, match="NaN"):
+                solve_next_map(drafts, n_vertices, CFG.sampling)
 
 
 class TestLoops:
