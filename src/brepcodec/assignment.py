@@ -2,7 +2,10 @@
 
 scipy ``linear_sum_assignment`` with forbidden pairs passed as +inf costs.
 Raises when the forbidden mask leaves no perfect matching; optimality is
-cross-checked against brute force in the tests.
+cross-checked against brute force in the tests.  `reconstruct.solve_next_map`
+matches the vertex stars of degree at most 4 itself, by enumerating
+permutations, with the columns and total bits this gives; it calls
+`solve_square` for larger stars, near ties and non-finite costs.
 """
 from __future__ import annotations
 

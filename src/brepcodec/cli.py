@@ -200,8 +200,10 @@ def cmd_fit_lm(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    if args.count < 1:
+        raise ValueError(f"--count must be at least 1, not {args.count}")
     lm, cb, layout = _load_lm_and_codebook(args)
-    # configs first: a refused temperature leaves no --out directory
+    # configs first: a refused count or temperature leaves no --out directory
     cfgs = [SamplerConfig(seed=args.seed + i, temperature=args.temperature)
             for i in range(args.count)]
     os.makedirs(args.out, exist_ok=True)

@@ -17,6 +17,7 @@ with GeometryError.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +30,11 @@ class GeometryError(ValueError):
 
 
 def _finite(a, what: str):
-    """``a`` itself, or GeometryError when any entry is NaN or infinite."""
-    if not np.isfinite(a).all():
+    """``a`` (a float or an array) itself, or GeometryError when any entry is NaN or
+    infinite.  Up to 48 entries, ``math.isfinite`` over a list beats ``np.isfinite``."""
+    if not (math.isfinite(a) if isinstance(a, float) else
+            all(map(math.isfinite, a.ravel().tolist())) if a.size <= 48 else
+            np.isfinite(a).all()):
         raise GeometryError(f"non-finite {what}: {a!r}")
     return a
 

@@ -17,9 +17,11 @@ two delimiter weights, and a draw at any count reads a prefix of it.
 ``np.cumsum`` adds in sequence, so a prefix holds the same floats as a table
 built for that count alone.  Tables are cached on the model, keyed by
 temperature, range and context; contexts the corpus never saw share one
-table.  The uniforms of a sequence are drawn in one block.  A table is read
-from the counts once, so a fitted model's counts must not change after
-sampling starts.
+table.  The sampler reads the tables of seen contexts through one dict per
+temperature keyed ``(lo, hi, context)``, and rolls the context forward one
+token at a time.  The uniforms of a sequence are drawn in one block.  A
+table is read from the counts once, so a fitted model's counts must not
+change after sampling starts.
 """
 from __future__ import annotations
 
@@ -64,7 +66,8 @@ class NGramModel:
         by the corpus.
         """
         tables = self.__dict__.setdefault("_tables", {})
-        key = (temperature, lo, hi, ctx if ctx in self.counts else None)
+        seen = ctx in self.counts
+        key = (temperature, lo, hi, ctx if seen else None)
         table = tables.get(key)
         if table is None:
             weights = _masked_weights(self, np.array([*range(lo, hi), *tail]), ctx)
@@ -72,7 +75,14 @@ class NGramModel:
                 weights = weights ** (1.0 / temperature)
             weights[:hi - lo] = np.cumsum(weights[:hi - lo])
             table = tables[key] = array("d", weights.tobytes())
+        if seen:
+            self._aliases(temperature)[lo, hi, ctx] = table
         return table
+
+    def _aliases(self, temperature: float) -> dict:
+        """``(lo, hi, ctx) -> table`` at ``temperature``: the `_draw_table`
+        tables of the contexts the counts hold, read with one lookup."""
+        return self.__dict__.setdefault("_by_temperature", {}).setdefault(temperature, {})
 
     def context_key(self, context) -> tuple:
         """The trailing order-1 tokens, left-padded like the training pass."""
@@ -145,17 +155,22 @@ def _continue_sampling(model, layout, cfg, tokens, state, rng) -> SampleResult:
     temperature, end = cfg.temperature, layout.end
     delimiters = (layout.sep, end)
     pointer_hi = layout.pointer_base + layout.pointer_max
+    tables = model._aliases(temperature)
+    ctx = model.context_key(tokens)          # rolled forward by each token
     # one uniform per token up to the limit: the same doubles as one
     # rng.random() per draw, in the same order
     for u in rng.random(max(MAX_TOKENS - len(tokens), 0)).tolist():
-        ctx = model.context_key(tokens)
         ranges = transitions(state, layout)
         lo, hi, state = ranges[0]
         if len(ranges) == 1:                 # one coordinate or quantizer-code range
-            cum = model._draw_table(lo, hi, ctx, temperature)
+            cum = tables.get((lo, hi, ctx))
+            if cum is None:
+                cum = model._draw_table(lo, hi, ctx, temperature)
             tok = lo + min(bisect_right(cum, u * cum[-1]), len(cum) - 1)
         else:                                # MODE_ADJ: [lo, pointer hi), <sep>, <end>
-            cum = model._draw_table(lo, pointer_hi, ctx, temperature, delimiters)
+            cum = tables.get((lo, pointer_hi, ctx))
+            if cum is None:
+                cum = model._draw_table(lo, pointer_hi, ctx, temperature, delimiters)
             pointers, at_sep, at_end = ranges[-3:]
             n = pointers[1] - lo
             sep_total = cum[n - 1] + cum[-2]
@@ -168,6 +183,8 @@ def _continue_sampling(model, layout, cfg, tokens, state, rng) -> SampleResult:
                 if tok >= hi:                # a pointer after the coordinate range
                     state = pointers[2]
         tokens.append(tok)
+        if ctx:
+            ctx = ctx[1:] + (tok,)
         if tok == end:
             return SampleResult(tokens=tokens, truncated=False, parseable=True)
     # truncated: force-close if the grammar allows it here

@@ -11,10 +11,13 @@ The drafts of a model are arrays (`Drafts`) indexed by draft id, one
 unpack of the parsed descriptor matrices: drafts ``2k`` and ``2k + 1`` are
 edge ``k``'s two directions, so the twin of draft ``d`` is ``d ^ 1``.
 The numerics run as array passes over a whole model: `star_problems`
-prices every pair of every vertex star at once, `fit_faces` fits the
-planes of all outer loops at once (only loops above the plane gate get a
-bicubic, one by one), and `attach_inner_loops` measures each inner loop
-against every planar face at once.  The report times each stage.
+prices every pair of every vertex star at once and `solve_next_map`
+matches every star of degree at most 4 in one pass over its permutations
+(larger stars, near ties and non-finite costs go one by one through
+`solve_square`), `fit_faces` fits the planes of all outer loops at once
+(only loops above the plane gate get a bicubic, one by one), and
+`attach_inner_loops` measures each inner loop against every planar face at
+once.  The report times each stage.
 
 One projector, ``_project``, finds the parameters of points on a fitted
 surface: it places interior samples in a bicubic fit, measures the
@@ -39,8 +42,10 @@ raising, so a reconstruction report is always produced.
 from __future__ import annotations
 
 import time
+from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain, permutations
 
 import numpy as np
 
@@ -79,15 +84,6 @@ class Drafts:
     next: np.ndarray           # (2E, N_n, 3)
     label: np.ndarray          # (2E,) 1 outer, 0 inner
     noise: float = 0.0         # the model's RQ noise sigma, per coordinate
-
-
-@dataclass(eq=False)
-class AssignmentProblem:
-    vertex: int
-    incoming: list
-    outgoing: list
-    cost: np.ndarray
-    forbidden: np.ndarray
 
 
 @dataclass(eq=False)
@@ -165,58 +161,123 @@ def vertex_stars(drafts) -> dict:
     return stars
 
 
-def star_problems(drafts, n_next: int, stars: dict) -> list:
-    """The `AssignmentProblem` of every star with an incoming draft, by vertex.
+# A vertex, its incoming and outgoing draft ids, and (degree, degree) costs and
+# forbidden flags (the outgoing draft is the incoming one's twin), incoming-major.
+Star = namedtuple("Star", "vertex incoming outgoing cost forbidden")
 
-    ``stars`` is `vertex_stars` output.  One pass prices every pair of every
-    star: the summed distance of the incoming draft's ``next`` samples to
-    the outgoing draft's first ``n_next`` on-curve samples.
-    """
-    stars = [(v, stars[v]) for v in sorted(stars) if stars[v][0]]
-    ins = np.array([a for _, (inc, out) in stars for a in inc for _ in out], dtype=int)
-    outs = np.array([b for _, (inc, out) in stars for _ in inc for b in out], dtype=int)
-    if not ins.size:
-        return []
+
+@dataclass(eq=False)
+class Stars:
+    """Priced vertex stars, ascending by vertex, as flat arrays.  Star ``s``
+    holds rows ``start[s]`` on of ``incoming`` and ``outgoing`` and its
+    ``degree[s]**2`` pairs, incoming-major, from ``first[s]`` on of ``cost``
+    and ``forbidden``; ``stars[s]``, and iteration, give `Star`s."""
+    vertex: np.ndarray         # (S,)
+    degree: np.ndarray         # (S,)
+    start: np.ndarray          # (S,)
+    first: np.ndarray          # (S,)
+    incoming: np.ndarray       # (R,) draft ids
+    outgoing: np.ndarray       # (R,)
+    cost: np.ndarray           # (P,)
+    forbidden: np.ndarray      # (P,)
+
+    def __getitem__(self, s) -> Star:
+        k, r, p = self.degree[s], self.start[s], self.first[s]
+        return Star(int(self.vertex[s]), self.incoming[r: r + k].tolist(),
+                    self.outgoing[r: r + k].tolist(), self.cost[p: p + k * k].reshape(k, k),
+                    self.forbidden[p: p + k * k].reshape(k, k))
+
+
+def _offsets(sizes: np.ndarray):
+    """(owner, index within owner) of every item of consecutive groups of ``sizes``."""
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    return owner, np.arange(len(owner)) - (np.cumsum(sizes) - sizes)[owner]
+
+
+def star_problems(drafts, n_next: int, stars: dict) -> Stars:
+    """The `Stars` of ``stars`` (`vertex_stars` output) with an incoming draft,
+    every pair priced in one pass: the summed distance of the incoming draft's
+    ``next`` samples to the outgoing draft's first ``n_next`` on-curve samples."""
+    vertex = [v for v in sorted(stars) if stars[v][0]]
+    degree = np.array([len(stars[v][0]) for v in vertex], dtype=int)
+    incoming, outgoing = (np.fromiter(chain.from_iterable(stars[v][i] for v in vertex),
+                                      int, degree.sum()) for i in (0, 1))
+    start, first = np.cumsum(degree) - degree, np.cumsum(degree**2) - degree**2
+    owner, pair = _offsets(degree**2)
+    a, b = np.divmod(pair, degree[owner])
+    ins, outs = incoming[start[owner] + a], outgoing[start[owner] + b]
     cost = np.linalg.norm(drafts.next[ins] - drafts.curve[outs, 1: 1 + n_next], axis=2).sum(axis=1)
-    forbidden = (ins ^ 1) == outs
-    cuts = np.cumsum([len(inc) * len(out) for _, (inc, out) in stars])[:-1]
-    return [AssignmentProblem(v, inc, out, c.reshape(len(inc), len(out)),
-                              f.reshape(len(inc), len(out)))
-            for (v, (inc, out)), c, f in zip(stars, np.split(cost, cuts), np.split(forbidden, cuts))]
+    return Stars(np.array(vertex, dtype=int), degree, start, first, incoming, outgoing,
+                 cost, (ins ^ 1) == outs)
 
 
-def solve_assignment(problem: AssignmentProblem):
-    """Constrained matching; falls back to allowing twins when infeasible.
+# Stars of up to this degree are matched together, over all permutations.
+_SMALL_STAR = 4
+_PERMUTATIONS = np.array(list(permutations(range(_SMALL_STAR))))
+# The two best totals of a star are a near tie within this fraction of its
+# largest cost: scipy's rounding could pick either, so scipy picks.
+_NEAR_TIE = 1e-9
 
-    Returns (next pairs, cost, infeasible flag).
+
+def _match_small_stars(stars: Stars):
+    """(cost, infeasible flag) of every star and the column of every row, by
+    one pass over all permutations of the stars of degree <= ``_SMALL_STAR``.
+
+    Costs are padded: a pad row takes its own pad column at cost 0.0, all
+    else padded is forbidden.  Totals add the rows in order like
+    `solve_square`'s (adding 0.0 changes no bit); the twin-masked ones decide
+    unless none is finite.  A star with a non-finite cost, a near tie or a
+    higher degree is left to `solve_square`, with cost NaN.
     """
-    masked = problem.cost.copy()
-    masked[problem.forbidden] = np.inf
-    try:
-        cols, total = solve_square(masked)
-        infeasible = False
-    except InfeasibleAssignmentError:
-        cols, total = solve_square(problem.cost)
-        infeasible = True
-    pairs = [(a, problem.outgoing[c]) for a, c in zip(problem.incoming, cols)]
-    return pairs, total, infeasible
+    n = _SMALL_STAR
+    small = np.flatnonzero(stars.degree <= n)
+    k = stars.degree[small]
+    owner, pair = _offsets(k * k)
+    a, b = np.divmod(pair, k[owner])
+    pair += stars.first[small][owner]
+    real = np.arange(n) < k[:, None]
+    cost = np.full((2, len(small), n, n), np.inf)     # twin-masked, then not
+    cost[:, :, np.arange(n), np.arange(n)] = np.where(real, np.inf, 0.0)
+    cost[:, owner, a, b] = stars.cost[pair]
+    banned = stars.forbidden[pair]
+    cost[0, owner[banned], a[banned], b[banned]] = np.inf
+    masked, unmasked = sum(cost[..., row, _PERMUTATIONS[:, row]] for row in range(n))
+
+    twins = ~np.isfinite(masked.min(axis=1))
+    totals = np.where(twins[:, None], unmasked, masked)
+    low, second = np.partition(totals, 1, axis=1)[:, :2].T
+    entries = np.where(real[:, :, None] & real[:, None, :], cost[1], 0.0)
+    with np.errstate(invalid="ignore"):       # inf - inf where a cost is infinite
+        settled = np.isfinite(entries).all(axis=(1, 2)) \
+            & (second - low > _NEAR_TIE * entries.max(axis=(1, 2)))
+    star_cost, infeasible = np.full(len(stars.vertex), np.nan), np.zeros(len(stars.vertex), bool)
+    star_cost[small[settled]], infeasible[small[settled]] = low[settled], twins[settled]
+    column = np.zeros(len(stars.incoming), dtype=int)
+    owner, row = _offsets(k)
+    column[stars.start[small][owner] + row] = _PERMUTATIONS[totals.argmin(axis=1)][owner, row]
+    return star_cost, infeasible, column
 
 
 def solve_next_map(drafts, n_vertices: int, cfg: SamplingConfig):
-    next_map = {}
-    total = 0.0
-    infeasible = []
-    elevated = []
-    stars = {v: s for v, s in vertex_stars(drafts).items() if v < n_vertices}
-    for problem in star_problems(drafts, cfg.n_next, stars):
-        pairs, cost, bad = solve_assignment(problem)
-        next_map.update(pairs)
-        total += cost
-        if bad:
-            infeasible.append(problem.vertex)
-        if cost > ELEVATED_COST:
-            elevated.append(problem.vertex)
-    return next_map, total, infeasible, elevated
+    """The successor of every incoming draft by a min-cost matching at each
+    vertex star, twins forbidden unless that leaves no matching: (next map,
+    total cost in ascending vertex order, infeasible vertices, vertices
+    costing more than ``ELEVATED_COST``)."""
+    stars = star_problems(drafts, cfg.n_next,
+                          {v: s for v, s in vertex_stars(drafts).items() if v < n_vertices})
+    cost, infeasible, column = _match_small_stars(stars)
+    for s in np.flatnonzero(np.isnan(cost)).tolist():
+        star, rows = stars[s], stars.start[s] + np.arange(stars.degree[s])
+        try:
+            column[rows], cost[s] = solve_square(np.where(star.forbidden, np.inf, star.cost))
+        except InfeasibleAssignmentError:
+            column[rows], cost[s] = solve_square(star.cost)
+            infeasible[s] = True
+    total = float(np.cumsum(np.append(0.0, cost))[-1])    # added in sequence from 0.0
+    chosen = stars.outgoing[np.repeat(stars.start, stars.degree) + column]
+    next_map = dict(zip(stars.incoming.tolist(), chosen.tolist()))
+    return (next_map, total, stars.vertex[infeasible].tolist(),
+            stars.vertex[cost > ELEVATED_COST].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -419,13 +480,15 @@ def _loop_planes(loops, drafts):
     k = np.abs(normal).argmin(axis=1)
     u = np.eye(3)[k] - normal[rows, k][:, None] * normal
     u /= np.linalg.norm(u, axis=1, keepdims=True)
-    v = np.cross(normal, u)
+    (n0, n1, n2), (u0, u1, u2) = normal.T, u.T
+    v = np.stack([n1 * u2 - n2 * u1, n2 * u0 - n0 * u2, n0 * u1 - n1 * u0], axis=1)  # n x u
 
     # s, t and the residual of every sample, in the loop's (U, V, n) frame
     stn = centred @ np.stack([u, v, normal], axis=2)[owner]
     rms = np.sqrt(np.add.reduceat(np.square(stn[..., 2]).sum(axis=1), starts) / count)
-    lo = np.minimum.reduceat(stn[..., :2].min(axis=1), starts)
-    extent = np.maximum.reduceat(stn[..., :2].max(axis=1), starts) - lo
+    st = stn[..., :2].reshape(-1, 2)          # a contiguous copy: one row per sample
+    lo = np.minimum.reduceat(st, starts * pts.shape[1])
+    extent = np.maximum.reduceat(st, starts * pts.shape[1]) - lo
     pad = 0.05 * np.maximum(extent.max(axis=1), 1e-9)
     lo -= pad[:, None]
     span = extent + 2.0 * pad[:, None]

@@ -503,6 +503,19 @@ class TestCli:
         assert "temperature" in json.loads(capsys.readouterr().err.splitlines()[-1])["message"]
         assert not (tmp_path / "g").exists()
 
+    @pytest.mark.parametrize("args", [["-n", "0"], ["-n", "-2"],
+                                      ["-n", "0", "--temperature", "nan"]],
+                             ids=["zero", "negative", "zero-nan"])
+    def test_generate_refuses_a_count_below_one(self, workspace, tmp_path, capsys, args):
+        assert main(["fit-lm", str(workspace / "c.tokens"), "--order", "2",
+                     "--out", str(tmp_path / "lm.json")]) == 0
+        capsys.readouterr()
+        assert main(["generate", "--lm", str(tmp_path / "lm.json"),
+                     "--codebook", str(workspace / "cb.json"), *args,
+                     "--out", str(tmp_path / "g")]) == 1
+        assert "count" in json.loads(capsys.readouterr().err.splitlines()[-1])["message"]
+        assert not (tmp_path / "g").exists()
+
     @pytest.mark.parametrize("temperature", ["0", "nan"])
     def test_autocomplete_refuses_a_bad_temperature(self, workspace, tmp_path, capsys,
                                                     temperature):

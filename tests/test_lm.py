@@ -329,6 +329,18 @@ class TestDrawTables:
         # some component reached the pointer limit, where the table starts at the pointers
         assert any(key[1] == small.pointer_base for key in lm._tables)
 
+        # At order 4 most contexts were never seen: those draws read the
+        # shared table, and the per-temperature alias holds only the tables
+        # of contexts in the counts, each the very table `_tables` holds.
+        lm = fit_ngram(seqs, order=4, vocab_size=layout.vocab_size)
+        for cfg in cfgs:
+            sample_sequence(lm, layout, cfg)
+        for t in (0.7, 1.3):
+            alias = lm._by_temperature[t]
+            assert alias and {ctx for _, _, ctx in alias} <= set(lm.counts)
+            assert all(lm._tables[(t, *key)] is table for key, table in alias.items())
+            assert (t, 0, COORD_BINS, None) in lm._tables
+
     def test_tables_only_for_contexts_the_corpus_saw(self, primitives_corpus):
         # Unseen contexts share one table, so sampling that wanders off the
         # corpus (most draws at order 4) does not grow the cache per token.

@@ -33,7 +33,6 @@ from brepcodec.reconstruct import (
     materialize_half_edges,
     plane_gate,
     reconstruct,
-    solve_assignment,
     solve_next_map,
     star_problems,
     trace_loops,
@@ -183,28 +182,35 @@ class TestMaterialize:
 
 
 class TestAssignmentAtVertices:
-    def test_degree_two_unique_feasible(self):
-        # two incoming, two outgoing, twins forbidden: one legal matching,
-        # chosen even when the forbidden pairing is cheaper
-        from brepcodec.reconstruct import AssignmentProblem
+    @staticmethod
+    def axis_drafts(edges, curve_x, next_x):
+        """Drafts of ``edges`` whose successor samples sit on the x axis: each
+        draft's first on-curve samples at ``curve_x``, its next ones at ``next_x``."""
+        nn = CFG.sampling.n_next
+        curve = np.zeros((2 * len(edges), CFG.sampling.n_curve + 2, 3))
+        curve[:, 1:1 + nn, 0] = np.array(curve_x, dtype=float)[:, None]
+        nxt = np.zeros((2 * len(edges), nn, 3))
+        nxt[:, :, 0] = np.array(next_x, dtype=float)[:, None]
+        return Drafts(origin=np.array(edges).reshape(-1), curve=curve,
+                      surface=np.zeros((2 * len(edges), 1, 1, 3)), next=nxt,
+                      label=np.ones(2 * len(edges), dtype=int))
 
-        cost = np.array([[0.0, 10.0], [10.0, 0.0]])
-        forbidden = np.array([[True, False], [False, True]])
-        pairs, total, infeasible = solve_assignment(AssignmentProblem(
-            vertex=0, incoming=[0, 1], outgoing=[2, 3], cost=cost,
-            forbidden=forbidden))
+    def test_degree_two_unique_feasible(self):
+        # vertex 0: incoming 1 and 3, outgoing 0 and 2, twins forbidden: one
+        # legal matching, chosen even though the forbidden pairing costs 0
+        drafts = self.axis_drafts([(0, 1), (0, 1)], curve_x=[0, 0, 2.5, 0],
+                                  next_x=[0, 0, 0, 2.5])
+        next_map, total, infeasible, _ = solve_next_map(drafts, 1, CFG.sampling)
         assert not infeasible
-        assert sorted(pairs) == [(0, 3), (1, 2)]
+        assert sorted(next_map.items()) == [(1, 2), (3, 0)]
         assert total == 20.0
 
     def test_degree_one_falls_back_to_twin(self):
-        from brepcodec.reconstruct import AssignmentProblem
-
-        pairs, total, infeasible = solve_assignment(AssignmentProblem(
-            vertex=0, incoming=[0], outgoing=[1],
-            cost=np.array([[1.0]]), forbidden=np.array([[True]])))
-        assert infeasible
-        assert pairs == [(0, 1)]
+        drafts = self.axis_drafts([(0, 1)], curve_x=[0, 0], next_x=[0, 0.25])
+        next_map, total, infeasible, _ = solve_next_map(drafts, 1, CFG.sampling)
+        assert infeasible == [0]
+        assert next_map == {1: 0}
+        assert total == 1.0
 
     def test_exact_records_recover_source_next_map(self):
         for src in (box(), ngon_prism(n=5), through_hole_box(), seam_cylinder()):
