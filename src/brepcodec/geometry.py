@@ -31,10 +31,10 @@ class GeometryError(ValueError):
 
 def _finite(a, what: str):
     """``a`` (a float or an array) itself, or GeometryError when any entry is NaN or
-    infinite.  Up to 48 entries, ``math.isfinite`` over a list beats ``np.isfinite``."""
+    infinite.  On the short arrays the codec builds, ``math.isfinite`` over a
+    list beats ``np.isfinite``."""
     if not (math.isfinite(a) if isinstance(a, float) else
-            all(map(math.isfinite, a.ravel().tolist())) if a.size <= 48 else
-            np.isfinite(a).all()):
+            all(map(math.isfinite, a.ravel().tolist()))):
         raise GeometryError(f"non-finite {what}: {a!r}")
     return a
 

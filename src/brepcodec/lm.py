@@ -15,11 +15,11 @@ vertex count.  A pointer state allows ``[lo, pointer_base + count)``,
 cumulative weights of ``[lo, pointer_base + pointer_max)`` followed by the
 two delimiter weights, and a draw at any count reads a prefix of it.
 ``np.cumsum`` adds in sequence, so a prefix holds the same floats as a table
-built for that count alone.  Tables are cached on the model, keyed by
-temperature, range and context; contexts the corpus never saw share one
-table.  The sampler reads the tables of seen contexts through one dict per
-temperature keyed ``(lo, hi, context)``, and rolls the context forward one
-token at a time.  The uniforms of a sequence are drawn in one block.  A
+built for that count alone.  Tables are cached on the model in one dict
+per temperature, keyed ``(lo, hi, context)``; contexts the corpus never saw
+share one table under context ``None``.  The sampler reads that dict
+directly, so a seen context's table costs one lookup, and rolls the context
+forward one token at a time.  The uniforms of a sequence are drawn in one block.  A
 table is read from the counts once, so a fitted model's counts must not
 change after sampling starts.
 """
@@ -65,9 +65,8 @@ class NGramModel:
         those share one table (context ``None``) and the cache stays bounded
         by the corpus.
         """
-        tables = self.__dict__.setdefault("_tables", {})
-        seen = ctx in self.counts
-        key = (temperature, lo, hi, ctx if seen else None)
+        tables = self._tables_at(temperature)
+        key = (lo, hi, ctx if ctx in self.counts else None)
         table = tables.get(key)
         if table is None:
             weights = _masked_weights(self, np.array([*range(lo, hi), *tail]), ctx)
@@ -75,14 +74,11 @@ class NGramModel:
                 weights = weights ** (1.0 / temperature)
             weights[:hi - lo] = np.cumsum(weights[:hi - lo])
             table = tables[key] = array("d", weights.tobytes())
-        if seen:
-            self._aliases(temperature)[lo, hi, ctx] = table
         return table
 
-    def _aliases(self, temperature: float) -> dict:
-        """``(lo, hi, ctx) -> table`` at ``temperature``: the `_draw_table`
-        tables of the contexts the counts hold, read with one lookup."""
-        return self.__dict__.setdefault("_by_temperature", {}).setdefault(temperature, {})
+    def _tables_at(self, temperature: float) -> dict:
+        """The cached tables at ``temperature``, keyed ``(lo, hi, ctx)``."""
+        return self.__dict__.setdefault("_tables", {}).setdefault(temperature, {})
 
     def context_key(self, context) -> tuple:
         """The trailing order-1 tokens, left-padded like the training pass."""
@@ -155,7 +151,7 @@ def _continue_sampling(model, layout, cfg, tokens, state, rng) -> SampleResult:
     temperature, end = cfg.temperature, layout.end
     delimiters = (layout.sep, end)
     pointer_hi = layout.pointer_base + layout.pointer_max
-    tables = model._aliases(temperature)
+    tables = model._tables_at(temperature)   # a seen context's table in one lookup
     ctx = model.context_key(tokens)          # rolled forward by each token
     # one uniform per token up to the limit: the same doubles as one
     # rng.random() per draw, in the same order

@@ -480,8 +480,7 @@ def _loop_planes(loops, drafts):
     k = np.abs(normal).argmin(axis=1)
     u = np.eye(3)[k] - normal[rows, k][:, None] * normal
     u /= np.linalg.norm(u, axis=1, keepdims=True)
-    (n0, n1, n2), (u0, u1, u2) = normal.T, u.T
-    v = np.stack([n1 * u2 - n2 * u1, n2 * u0 - n0 * u2, n0 * u1 - n1 * u0], axis=1)  # n x u
+    v = np.cross(normal, u)
 
     # s, t and the residual of every sample, in the loop's (U, V, n) frame
     stn = centred @ np.stack([u, v, normal], axis=2)[owner]

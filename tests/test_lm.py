@@ -322,24 +322,23 @@ class TestDrawTables:
             ranges = {(0, COORD_BINS), (0, *pointers), (lay.pointer_base, *pointers)}
             ranges |= {(lo, lo + lay.rq_level_size) for lo in
                        range(lay.rq_base, lay.start, lay.rq_level_size)}
-            for t in (0.7, 1.3):
-                keys = [key for key in lm._tables if key[0] == t]
-                assert {key[1:3] for key in keys} <= ranges
+            assert set(lm._tables) == {0.7, 1.3}
+            for keys in lm._tables.values():
+                assert {key[:2] for key in keys} <= ranges
                 assert len(keys) <= (len(lm.counts) + 1) * len(ranges)
         # some component reached the pointer limit, where the table starts at the pointers
-        assert any(key[1] == small.pointer_base for key in lm._tables)
+        assert any(key[0] == small.pointer_base for key in lm._tables[0.7])
 
         # At order 4 most contexts were never seen: those draws read the
-        # shared table, and the per-temperature alias holds only the tables
-        # of contexts in the counts, each the very table `_tables` holds.
+        # shared table, and each temperature's tables are keyed only by
+        # contexts in the counts and the shared ``None``.
         lm = fit_ngram(seqs, order=4, vocab_size=layout.vocab_size)
         for cfg in cfgs:
             sample_sequence(lm, layout, cfg)
         for t in (0.7, 1.3):
-            alias = lm._by_temperature[t]
-            assert alias and {ctx for _, _, ctx in alias} <= set(lm.counts)
-            assert all(lm._tables[(t, *key)] is table for key, table in alias.items())
-            assert (t, 0, COORD_BINS, None) in lm._tables
+            contexts = {ctx for _, _, ctx in lm._tables[t]}
+            assert contexts - {None} and contexts - {None} <= set(lm.counts)
+            assert (0, COORD_BINS, None) in lm._tables[t]
 
     def test_tables_only_for_contexts_the_corpus_saw(self, primitives_corpus):
         # Unseen contexts share one table, so sampling that wanders off the
@@ -348,6 +347,6 @@ class TestDrawTables:
         lm = fit_ngram(seqs, order=4, vocab_size=layout.vocab_size)
         for seed in range(5):
             sample_sequence(lm, layout, SamplerConfig(seed=seed))
-        contexts = {key[3] for key in lm._tables}
+        contexts = {ctx for tables in lm._tables.values() for _, _, ctx in tables}
         assert None in contexts
         assert contexts - {None} <= set(lm.counts)
