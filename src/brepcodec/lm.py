@@ -19,9 +19,9 @@ built for that count alone.  Tables are cached on the model in one dict
 per temperature, keyed ``(lo, hi, context)``; contexts the corpus never saw
 share one table under context ``None``.  The sampler reads that dict
 directly, so a seen context's table costs one lookup, and rolls the context
-forward one token at a time.  The uniforms of a sequence are drawn in one block.  A
-table is read from the counts once, so a fitted model's counts must not
-change after sampling starts.
+forward one token at a time.  The uniforms of a sequence are drawn in one
+block.  A table is read from the counts once, so a fitted model's counts
+must not change after sampling starts.
 """
 from __future__ import annotations
 
