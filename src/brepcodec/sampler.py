@@ -357,19 +357,14 @@ class FaceCharts:
             lo[live] = lo_l
         return lo
 
-    def half_patches(self, he_ids, on_curve, n_surface: int) -> np.ndarray:
-        """(K, N_c, N_s, 3) half-patches of the given half-edges.
+    def _rays(self, he, nc: int):
+        """The ``nc`` rays of each half-edge in ``he``, half-edge-major.
 
-        ``on_curve`` (K, N_c, 3) holds each half-edge's curve samples, which
-        become column 0.  Rays of zero depth collapse onto the curve, with
-        one ZeroDepthWarning per affected half-edge.
+        Returns start points (sx, sy) and unit normals (nx, ny) in normalized
+        UV, the face and owner of every ray, and whether a short probe along
+        the normal lands in the trim.  Normals point to the interior on the
+        left of the pcurve unless only the other side probes inside.
         """
-        nc, ns = on_curve.shape[1], n_surface
-        he = np.asarray(he_ids, dtype=int)
-        samples = np.empty((he.size, nc, ns, 3))
-        samples[:, :, 0, :] = on_curve
-        if ns == 1 or not he.size:
-            return samples
         rows = self._he_row[he]
         t_he = np.arange(1, nc + 1, dtype=float) / (nc + 1)
         uv = self._eval_pcurves(rows, t_he).reshape(-1, 2)
@@ -390,8 +385,28 @@ class FaceCharts:
         flip = ~probe[:fk.size] & probe[fk.size:]
         nx[flip] *= -1.0
         ny[flip] *= -1.0
+        return sx, sy, nx, ny, fk, owner, probe[:fk.size] | flip
 
-        extents = self._walk_extents(sx, sy, nx, ny, fk, owner)
+    def _extents(self, sx, sy, nx, ny, fk, owner, inward):
+        """Depth of each ray in its owner's cell, as `_rays` gives them."""
+        return self._walk_extents(sx, sy, nx, ny, fk, owner)
+
+    def half_patches(self, he_ids, on_curve, n_surface: int) -> np.ndarray:
+        """(K, N_c, N_s, 3) half-patches of the given half-edges.
+
+        ``on_curve`` (K, N_c, 3) holds each half-edge's curve samples, which
+        become column 0.  Rays of zero depth collapse onto the curve, with
+        one ZeroDepthWarning per affected half-edge.
+        """
+        nc, ns = on_curve.shape[1], n_surface
+        he = np.asarray(he_ids, dtype=int)
+        samples = np.empty((he.size, nc, ns, 3))
+        samples[:, :, 0, :] = on_curve
+        if ns == 1 or not he.size:
+            return samples
+        rays = self._rays(he, nc)
+        sx, sy, nx, ny, fk = rays[:5]
+        extents = self._extents(*rays)
         step = extents[:, None] * (np.arange(1, ns, dtype=float) / (ns - 1))
         pfk = np.repeat(fk, ns - 1)
         u, v = self._from_norm((sx[:, None] + step * nx[:, None]).ravel(),
@@ -408,7 +423,7 @@ class FaceCharts:
         degenerate = extents.reshape(he.size, nc) < 1e-9
         for i in np.flatnonzero(degenerate.any(axis=1)):
             warnings.warn(
-                f"halfedge {he[i]}: zero-depth walk on face {self._he_face[rows[i]]}; "
+                f"halfedge {he[i]}: zero-depth walk on face {fk[i * nc]}; "
                 f"surface samples collapse onto the curve",
                 ZeroDepthWarning,
                 stacklevel=3,

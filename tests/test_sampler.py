@@ -8,6 +8,7 @@ import pytest
 from brepcodec import sampler
 from brepcodec.geometry import GeometryError, Segment2
 from brepcodec.model import halfedge_curve_samples, normalize
+from brepcodec.pipeline import decode_tokens, encode_model, lossless_codebook
 from brepcodec.primitives import box, l_bracket, ngon_prism, seam_cylinder, through_hole_box
 from brepcodec.sampler import (
     FaceCharts,
@@ -17,6 +18,7 @@ from brepcodec.sampler import (
     unpack_descriptor,
     voronoi_assign,
 )
+from brepcodec.synth import FAMILIES, CorpusSpec, synth_corpus
 
 CFG = SamplingConfig()
 
@@ -335,6 +337,59 @@ class TestSampleHalfPatch:
             bad = dataclasses.replace(m, halfedges=hes)
             with pytest.raises(GeometryError, match=rf"sampling failed on face {k}:"):
                 extract_vhp(bad, CFG)
+
+
+def all_rays(m):
+    """The chart of ``m`` and every ray of every half-edge, as `_rays` casts them."""
+    charts = FaceCharts(m)
+    return charts, charts._rays(np.arange(len(m.halfedges)), CFG.n_curve)
+
+
+def bisection_width(charts, fk):
+    """The march's final bracket: the face diagonal over its steps and bisections."""
+    return charts._diag[fk] / (sampler.UV_GRID // 2) / 2.0 ** sampler._BISECTIONS
+
+
+class TestRayExtents:
+    """Every ray's depth against the march, which stays as the reference."""
+
+    def test_extents_match_the_march(self, all_primitives):
+        spec = CorpusSpec(counts={f: 3 for f in FAMILIES}, components=(1, 3), seed=19)
+        models = list(all_primitives.values()) + [m for _, m in synth_corpus(spec)]
+        for m in models:
+            charts, rays = all_rays(normalize(m)[0])
+            got = charts._extents(*rays)
+            march = charts._walk_extents(*rays[:6])
+            assert np.all(np.abs(got - march) <= bisection_width(charts, rays[4]))
+
+    @pytest.mark.parametrize("make", [box, through_hole_box, seam_cylinder])
+    def test_decoded_models_keep_samples_in_their_cells(self, make, monkeypatch):
+        # a decoded model's Poly2 half-edges on faces with other half-edges
+        # take the march
+        normed = normalize(make())[0]
+        cb = lossless_codebook(normed)
+        rebuilt, _ = decode_tokens(encode_model(normed, cb), cb)
+        marched = []
+        walk = FaceCharts._walk_extents
+
+        def spy(self, *rays):
+            marched.append(rays[0].size)
+            return walk(self, *rays)
+
+        monkeypatch.setattr(FaceCharts, "_walk_extents", spy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ZeroDepthWarning)
+            assert extract_vhp(rebuilt, CFG).shape == (len(rebuilt.halfedges), CFG.descriptor_length)
+        assert sum(marched) > 0
+        charts, (sx, sy, nx, ny, fk, owner, inward) = all_rays(rebuilt)
+        depth = charts._extents(sx, sy, nx, ny, fk, owner, inward)
+        ns = CFG.n_surface
+        step = depth[:, None] * (np.arange(1, ns) / (ns - 1))
+        x = (sx[:, None] + step * nx[:, None]).ravel()
+        y = (sy[:, None] + step * ny[:, None]).ravel()
+        f = np.repeat(fk, ns - 1)
+        assert charts.in_trim(x, y, f).all()
+        assert np.array_equal(charts.nearest(x, y, f), np.repeat(owner, ns - 1))
 
 
 class TestNextPointers:
