@@ -61,14 +61,19 @@ def _unit(v) -> np.ndarray:
     return v / n
 
 
+# Fitted unit normals carry up to about 1e-13 of rounding noise in their
+# zero components; components this close to the least one tie with it.
+_AXIS_TIE = 1e-12
+
+
 def frame_for_normal(n) -> tuple:
-    """Right-handed in-plane basis (U, V) with U x V along n."""
-    n = _unit(n)
-    k = int(np.argmin(np.abs(n)))
-    e = np.zeros(3)
-    e[k] = 1.0
-    u = e - (e @ n) * n
-    u /= np.linalg.norm(u)
+    """Right-handed in-plane basis (U, V) with U x V along n (row by row for
+    (L, 3) unit normals): U is the lowest axis least along n, made normal to n."""
+    n = _unit(n) if np.ndim(n) == 1 else np.asarray(n, dtype=float)
+    a = np.abs(n)
+    k = np.argmax(a <= a.min(axis=-1, keepdims=True) + _AXIS_TIE, axis=-1)
+    u = np.eye(3)[k] - np.take_along_axis(n, k[..., None], axis=-1) * n
+    u /= np.linalg.norm(u, axis=-1, keepdims=True)
     return u, np.cross(n, u)
 
 

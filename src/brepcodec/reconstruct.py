@@ -51,7 +51,7 @@ import numpy as np
 
 from .assignment import InfeasibleAssignmentError, solve_square
 from .codec import COORD_BINS, VertexRecordSet
-from .geometry import BicubicPatch, Plane, Poly2, PolylineCurve, _bernstein3
+from .geometry import BicubicPatch, Plane, Poly2, PolylineCurve, _bernstein3, frame_for_normal
 from .model import BrepModel, Edge, Face, HalfEdge, Loop, ValidationReport, validate
 from .sampler import SamplingConfig, unpack_descriptor
 
@@ -475,12 +475,7 @@ def _loop_planes(loops, drafts):
     scatter = np.add.reduceat(centred.transpose(0, 2, 1) @ centred, starts)
     normal = np.linalg.eigh(scatter)[1][:, :, 0]
 
-    # frame_for_normal, row by row: U is the axis least along n, made normal to n
-    rows = np.arange(len(loops))
-    k = np.abs(normal).argmin(axis=1)
-    u = np.eye(3)[k] - normal[rows, k][:, None] * normal
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    v = np.cross(normal, u)
+    u, v = frame_for_normal(normal)
 
     # s, t and the residual of every sample, in the loop's (U, V, n) frame
     stn = centred @ np.stack([u, v, normal], axis=2)[owner]
@@ -502,7 +497,7 @@ def _loop_planes(loops, drafts):
     origin[flip] += span[flip, 1:] * v[flip]
     v_axis = np.where(flip[:, None], -1.0, 1.0) * span[:, 1:] * v
     uv[flip[owner], :, 1] = 1.0 - uv[flip[owner], :, 1]
-    planes = [Plane(origin[i], span[i, 0] * u[i], v_axis[i]) for i in rows]
+    planes = [Plane(origin[i], span[i, 0] * u[i], v_axis[i]) for i in range(len(loops))]
     return rms, planes, uv
 
 

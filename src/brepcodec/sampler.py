@@ -18,10 +18,15 @@ Distances for the Voronoi partition are measured in each face's parameter
 rectangle after rescaling both axes to a common arclength-based unit, so
 unlike parameter units (radians vs. axial lengths) compare fairly.
 
-Each ray is marched in ``UV_GRID // 2`` (32) equal steps out to the face's
-normalized diagonal; the first failing step is then refined by 10 rounds
-of bisection.  ``UV_GRID`` is also the per-axis resolution of the
-``voronoi_assign`` grid.
+A ray leaves its owner's cell where another chord first comes as close as
+its own.  From an owner of one chord (a ``Segment2``), or alone on its face,
+that exit comes in closed form from one array pass over (ray x same-face
+chord) pairs; the walk stops one bisection width (diagonal / 2**15) short
+of it, so the last sample stays inside under the lowest-id tie rule.  Other
+rays, such as a decoded model's ``Poly2`` half-edges beside others, march
+``UV_GRID // 2`` (32) equal steps out to the face's normalized diagonal and
+bisect the first failing step 10 times; the march is also the reference in
+the tests.  ``UV_GRID`` is also the resolution of the ``voronoi_assign`` grid.
 
 All faces of a model share one walk.  ``FaceCharts`` packs every face's
 boundary chords and trim polygons into flat tables, and one kernel runs the
@@ -98,10 +103,10 @@ def unpack_descriptor(desc: np.ndarray, cfg: SamplingConfig):
 # Face charts: normalized UV metric, boundary chords, trim polygons
 # ---------------------------------------------------------------------------
 
-_MARCH_CHUNK = 8        # march steps tested per round; failed rays then drop out
 _PAIR_BLOCK = 1 << 13   # (point, chord) pairs per kernel block; larger blocks
                         # leave more transient heap behind (resident set)
-_BISECTIONS = 10
+_BISECTIONS = 10        # march refinement; its final bracket, diagonal / 2**15,
+                        # is also how far the closed-form walk stops short
 
 
 @contextmanager
@@ -117,6 +122,13 @@ def _ragged_arange(starts, counts) -> np.ndarray:
     """Concatenated ranges ``starts[i] : starts[i] + counts[i]``."""
     ends = np.cumsum(counts)
     return np.repeat(starts - (ends - counts), counts) + np.arange(ends[-1] if ends.size else 0)
+
+
+def _onset(c, a):
+    """Where ``c - a * t < 0`` begins, for ``a`` >= 0 up to rounding."""
+    a = np.maximum(a, 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(a > 0.0, c / a, np.where(c < 0.0, -np.inf, np.inf))
 
 
 def _pcurve_knots(pc) -> int:
@@ -211,6 +223,8 @@ class FaceCharts:
         self._pax, self._pay = x[a], y[a]
         self._pby = y[b]
         self._pdx, self._pdy = x[b] - self._pax, self._pby - self._pay
+        cross = self._pax * self._pdy - self._pdx * self._pay   # twice each face's signed area
+        self._area2 = np.add.reduceat(cross, self._seg_start) if cross.size else cross
 
     def _eval_pcurves(self, rows, t, tangent: bool = False) -> np.ndarray:
         return pcurve_points([self._pcurves[r] for r in rows], t, tangent)
@@ -317,36 +331,21 @@ class FaceCharts:
     # -- the walk -----------------------------------------------------------
 
     def _walk_extents(self, sx, sy, nx, ny, fk, owner):
-        """First-exit distance along each ray from its own half-edge cell.
-
-        Rays march in chunks of steps and drop out at their first failing
-        step; the last good step and the first bad one are then bisected.
-        """
+        """First-exit distance of each ray from its own half-edge cell: the
+        march, then bisection of its last good and first bad steps."""
         steps = UV_GRID // 2
-        ts = np.zeros((len(self.surfaces), steps))
+        ts = np.zeros((len(self.surfaces), steps + 1))
         for k in np.unique(fk):
-            ts[k] = np.linspace(0.0, self._diag[k], steps + 1)[1:]   # exclude t = 0
-        r = fk.size
-        first_bad = np.full(r, steps)
-        live = np.arange(r)
-        for c0 in range(0, steps, _MARCH_CHUNK):
-            if not live.size:
-                break
-            t = ts[fk[live], c0:c0 + _MARCH_CHUNK]
-            n = t.shape[1]
-            good = self.in_own_cell(
-                (sx[live, None] + t * nx[live, None]).ravel(),
-                (sy[live, None] + t * ny[live, None]).ravel(),
-                np.repeat(fk[live], n), np.repeat(owner[live], n)).reshape(-1, n)
-            failed = ~good.all(axis=1)
-            first_bad[live[failed]] = c0 + np.argmin(good[failed], axis=1)
-            live = live[~failed]
-
-        lo = np.where(first_bad == 0, 0.0, ts[fk, np.maximum(first_bad - 1, 0)])
-        hi = np.where(first_bad == steps, self._diag[fk], ts[fk, np.minimum(first_bad, steps - 1)])
-        live = np.flatnonzero(first_bad < steps)
+            ts[k] = np.linspace(0.0, self._diag[k], steps + 1)
+        t = ts[fk, 1:]
+        good = self.in_own_cell((sx[:, None] + t * nx[:, None]).ravel(),
+                                (sy[:, None] + t * ny[:, None]).ravel(),
+                                np.repeat(fk, steps), np.repeat(owner, steps)).reshape(-1, steps)
+        first_bad = np.where(good.all(axis=1), steps, np.argmin(good, axis=1)) + 1
+        lo = ts[fk, first_bad - 1]
+        live = np.flatnonzero(first_bad <= steps)
         if live.size:
-            lo_l, hi_l = lo[live], hi[live]
+            lo_l, hi_l = lo[live], ts[fk[live], first_bad[live]]
             sx, sy, nx, ny = sx[live], sy[live], nx[live], ny[live]
             fk, owner = fk[live], owner[live]
             for _ in range(_BISECTIONS):
@@ -358,13 +357,9 @@ class FaceCharts:
         return lo
 
     def _rays(self, he, nc: int):
-        """The ``nc`` rays of each half-edge in ``he``, half-edge-major.
-
-        Returns start points (sx, sy) and unit normals (nx, ny) in normalized
-        UV, the face and owner of every ray, and whether a short probe along
-        the normal lands in the trim.  Normals point to the interior on the
-        left of the pcurve unless only the other side probes inside.
-        """
+        """Start (sx, sy), unit normal (nx, ny), face, owner and "starts into
+        the face" of the ``nc`` rays of each half-edge in ``he``: by the
+        loop's signed area on a face of one half-edge, else by the probe."""
         rows = self._he_row[he]
         t_he = np.arange(1, nc + 1, dtype=float) / (nc + 1)
         uv = self._eval_pcurves(rows, t_he).reshape(-1, 2)
@@ -385,11 +380,60 @@ class FaceCharts:
         flip = ~probe[:fk.size] & probe[fk.size:]
         nx[flip] *= -1.0
         ny[flip] *= -1.0
-        return sx, sy, nx, ny, fk, owner, probe[:fk.size] | flip
+        inward = np.where(self._nhe[fk] == 1, (self._area2[fk] > 0) != flip, probe[:fk.size] | flip)
+        return sx, sy, nx, ny, fk, owner, inward
 
     def _extents(self, sx, sy, nx, ny, fk, owner, inward):
-        """Depth of each ray in its owner's cell, as `_rays` gives them."""
-        return self._walk_extents(sx, sy, nx, ny, fk, owner)
+        """Depth of each of `_rays`' rays in its owner's cell: in closed form,
+        one array pass, for a ray into its face from an owner of one chord or
+        on a face of one half-edge; by the march for the rest."""
+        rows = self._he_row[owner]
+        alone = self._nhe[fk] == 1
+        exact = inward & (alone | (self._npts[rows] == 2))
+        idx = np.flatnonzero(exact)
+        exit = np.full(fk.size, np.inf)
+        for sl in self._blocks(fk[idx]):
+            i = idx[sl]
+            cnt = self._nseg[fk[i]]
+            seg = _ragged_arange(self._seg_start[fk[i]], cnt)
+            r = np.repeat(i, cnt)
+            px, py = nx[r], ny[r]
+
+            # p(t) = s + t n lies t from its own chord.  Chord [A, A + D]
+            # beats it once an endpoint or the interior comes closer than t:
+            # |p - A|^2 < t^2 is linear in t, and so is the interior's
+            # |c0 + c1 t| < |D| t while the foot stays between A and A + D
+            wx, wy = sx[r] - self._ax[seg], sy[r] - self._ay[seg]
+            dx, dy = self._dx[seg], self._dy[seg]
+            bx, by = wx - dx, wy - dy
+            ends = np.minimum(_onset(wx * wx + wy * wy, -2.0 * (px * wx + py * wy)),
+                              _onset(bx * bx + by * by, -2.0 * (px * bx + py * by)))
+            l2, wd, nd = dx * dx + dy * dy, wx * dx + wy * dy, px * dx + py * dy
+            length, c0, c1 = np.sqrt(l2), dx * wy - dy * wx, dx * py - dy * px
+            line = np.maximum(_onset(c0, length - c1), _onset(-c0, length + c1))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ta, tb = -wd / nd, (l2 - wd) / nd     # the foot passes A, A + D
+            inner = np.maximum(line, np.minimum(ta, tb))
+            beat = np.minimum(ends, np.where(inner < np.maximum(ta, tb), inner, np.inf))
+            beat[seg == self._seg_start[fk[r]] + self._he_seg_off[rows[r]]] = np.inf
+
+            # alone on its face: the first outward crossing of the loop
+            qx, qy = self._pax[seg] - sx[r], self._pay[seg] - sy[r]
+            ex, ey = self._pdx[seg], self._pdy[seg]
+            den = px * ey - py * ex
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t, u = (qx * ey - qy * ex) / den, (qx * py - qy * px) / den
+            out = (den * self._area2[fk[r]] > 0.0) & (u >= 0.0) & (u <= 1.0) & (t > 0.0)
+            exit[i] = np.minimum.reduceat(np.where(alone[r], np.where(out, t, np.inf), beat),
+                                          np.cumsum(cnt) - cnt)
+
+        # one march bracket short of the exit keeps the last sample inside
+        width = self._diag[fk] / (UV_GRID // 2) / 2.0 ** _BISECTIONS
+        depth = np.clip(exit - width, 0.0, self._diag[fk])
+        rest = ~exact
+        depth[rest] = self._walk_extents(sx[rest], sy[rest], nx[rest], ny[rest],
+                                         fk[rest], owner[rest])
+        return depth
 
     def half_patches(self, he_ids, on_curve, n_surface: int) -> np.ndarray:
         """(K, N_c, N_s, 3) half-patches of the given half-edges.

@@ -267,7 +267,8 @@ class TestExports:
 
     def test_vhp_debug_builds_one_chart(self, tmp_path, monkeypatch):
         # a two-component hole box as the benchmark draws them; the digest
-        # was recorded when the export built a second chart inside extract_vhp
+        # was recorded when the walk began to exit straight-chord rays in
+        # closed form (the same bytes whether the export builds one chart or two)
         (_, m), = synth_corpus(CorpusSpec(counts={"hole_box": 1}, components=(2, 2), seed=7))
         built = []
         init = FaceCharts.__init__
@@ -280,17 +281,18 @@ class TestExports:
         bio.export_vhp_debug(normalize(m)[0], tmp_path / "dbg.json")
         assert len(built) == 1
         assert hashlib.sha256((tmp_path / "dbg.json").read_bytes()).hexdigest() == \
-            "329330dc4c3ed72c78e8699bc562e53ee749ddf30fe5e35eca642a441ddffeba"
+            "9d72a09e9da3433f315d15c6f16c33e77dacbfaab57c239fd6a62b9c32b68612"
 
     def test_exports_are_pinned(self, tmp_path):
-        # recorded before export_obj and export_vhp_debug shared one FaceCharts
+        # m.obj recorded before export_obj and export_vhp_debug shared one
+        # FaceCharts; dbg.json when the walk began to exit in closed form
         bio.export_obj(normalize(seam_cylinder())[0], tmp_path / "m.obj", resolution=8)
         bio.export_vhp_debug(normalize(box())[0], tmp_path / "dbg.json")
         digest = {p: hashlib.sha256((tmp_path / p).read_bytes()).hexdigest()
                   for p in ("m.obj", "dbg.json")}
         assert digest == {
             "m.obj": "a211efd157fef60ba44d1987104f5ea0843e115e54b2dc373e406ffccc602575",
-            "dbg.json": "5b7ca7e7cc071c50853a4fb71e0efba7f8c4e3edb2ac84a8fd0126b402b2cd7e",
+            "dbg.json": "ec3aff6757e1dec525496464400e4bf27437b60f8dd30b4b5070c7ae7c2bbcb8",
         }
 
 

@@ -210,7 +210,11 @@ class TestVoronoiAssign:
         assert inner_hes & set(labels[labels >= 0].tolist())  # hole owns a band
 
     def test_labels_are_pinned(self, all_primitives):
-        # recorded before the cell grid moved onto FaceCharts
+        # recorded when `frame_for_normal` began to break near-ties to the
+        # lowest axis, which turned the frames of the hexagonal prism's side
+        # faces at 90 and 270 degrees (their x components are cos(90 deg) and
+        # cos(270 deg), rounding noise); unchanged since the grid moved onto
+        # FaceCharts otherwise
         digest = hashlib.sha256()
         for src in all_primitives.values():
             m, _ = normalize(src)
@@ -218,7 +222,7 @@ class TestVoronoiAssign:
             for f in range(len(m.faces)):
                 digest.update(voronoi_assign(m, f, charts).astype(np.int64).tobytes())
         assert digest.hexdigest() == (
-            "32959695749cc0252ffe82f9320af21f56e8f305dfb4e2380a9ec21e97159ea6")
+            "12bf52969d83ea4fa0106b25db99a68133544754b8e258d194d3561cbe30fe6b")
 
 
 class TestFaceChartsKernel:
