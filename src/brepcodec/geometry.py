@@ -61,8 +61,7 @@ def _unit(v) -> np.ndarray:
     return v / n
 
 
-# Fitted unit normals carry up to about 1e-13 of rounding noise in their
-# zero components; components this close to the least one tie with it.
+# |n| components this close to the least tie: fitted normals carry ~1e-13 noise.
 _AXIS_TIE = 1e-12
 
 

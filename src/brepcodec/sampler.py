@@ -18,15 +18,12 @@ Distances for the Voronoi partition are measured in each face's parameter
 rectangle after rescaling both axes to a common arclength-based unit, so
 unlike parameter units (radians vs. axial lengths) compare fairly.
 
-A ray leaves its owner's cell where another chord first comes as close as
-its own.  From an owner of one chord (a ``Segment2``), or alone on its face,
-that exit comes in closed form from one array pass over (ray x same-face
-chord) pairs; the walk stops one bisection width (diagonal / 2**15) short
-of it, so the last sample stays inside under the lowest-id tie rule.  Other
-rays, such as a decoded model's ``Poly2`` half-edges beside others, march
-``UV_GRID // 2`` (32) equal steps out to the face's normalized diagonal and
-bisect the first failing step 10 times; the march is also the reference in
-the tests.  ``UV_GRID`` is also the resolution of the ``voronoi_assign`` grid.
+A ray from an owner of one chord (``Segment2``), or alone on its face, exits
+its cell in closed form, one array pass for all; the walk stops one former
+bisection width (diagonal / 2**15) short, so the last sample stays inside.
+Other rays (a decoded model's ``Poly2`` half-edges beside others) march
+``UV_GRID // 2`` (32) steps out to the face's normalized diagonal and bisect
+the first failing one 10 times; the tests take the march as the reference.
 
 All faces of a model share one walk.  ``FaceCharts`` packs every face's
 boundary chords and trim polygons into flat tables, and one kernel runs the
@@ -103,6 +100,7 @@ def unpack_descriptor(desc: np.ndarray, cfg: SamplingConfig):
 # Face charts: normalized UV metric, boundary chords, trim polygons
 # ---------------------------------------------------------------------------
 
+_MARCH_CHUNK = 8        # march steps tested per round; failed rays then drop out
 _PAIR_BLOCK = 1 << 13   # (point, chord) pairs per kernel block; larger blocks
                         # leave more transient heap behind (resident set)
 _BISECTIONS = 10        # march refinement; its final bracket, diagonal / 2**15,
@@ -331,17 +329,22 @@ class FaceCharts:
     # -- the walk -----------------------------------------------------------
 
     def _walk_extents(self, sx, sy, nx, ny, fk, owner):
-        """First-exit distance of each ray from its own half-edge cell: the
-        march, then bisection of its last good and first bad steps."""
+        """First-exit distance of each ray from its own cell: march, then bisect."""
         steps = UV_GRID // 2
         ts = np.zeros((len(self.surfaces), steps + 1))
         for k in np.unique(fk):
             ts[k] = np.linspace(0.0, self._diag[k], steps + 1)
-        t = ts[fk, 1:]
-        good = self.in_own_cell((sx[:, None] + t * nx[:, None]).ravel(),
-                                (sy[:, None] + t * ny[:, None]).ravel(),
-                                np.repeat(fk, steps), np.repeat(owner, steps)).reshape(-1, steps)
-        first_bad = np.where(good.all(axis=1), steps, np.argmin(good, axis=1)) + 1
+        first_bad, live = np.full(fk.size, steps + 1), np.arange(fk.size)
+        for c0 in range(1, steps + 1, _MARCH_CHUNK):
+            t = ts[fk[live], c0:c0 + _MARCH_CHUNK]
+            n = t.shape[1]
+            good = self.in_own_cell(
+                (sx[live, None] + t * nx[live, None]).ravel(),
+                (sy[live, None] + t * ny[live, None]).ravel(),
+                np.repeat(fk[live], n), np.repeat(owner[live], n)).reshape(-1, n)
+            failed = ~good.all(axis=1)
+            first_bad[live[failed]] = c0 + np.argmin(good[failed], axis=1)
+            live = live[~failed]
         lo = ts[fk, first_bad - 1]
         live = np.flatnonzero(first_bad <= steps)
         if live.size:
@@ -399,10 +402,8 @@ class FaceCharts:
             r = np.repeat(i, cnt)
             px, py = nx[r], ny[r]
 
-            # p(t) = s + t n lies t from its own chord.  Chord [A, A + D]
-            # beats it once an endpoint or the interior comes closer than t:
-            # |p - A|^2 < t^2 is linear in t, and so is the interior's
-            # |c0 + c1 t| < |D| t while the foot stays between A and A + D
+            # p(t) = s + t n lies t from its own chord; each piece of chord
+            # [A, A + D] comes closer than t past a linear bound on t
             wx, wy = sx[r] - self._ax[seg], sy[r] - self._ay[seg]
             dx, dy = self._dx[seg], self._dy[seg]
             bx, by = wx - dx, wy - dy
@@ -430,9 +431,9 @@ class FaceCharts:
         # one march bracket short of the exit keeps the last sample inside
         width = self._diag[fk] / (UV_GRID // 2) / 2.0 ** _BISECTIONS
         depth = np.clip(exit - width, 0.0, self._diag[fk])
-        rest = ~exact
-        depth[rest] = self._walk_extents(sx[rest], sy[rest], nx[rest], ny[rest],
-                                         fk[rest], owner[rest])
+        if not exact.all():
+            rest = ~exact
+            depth[rest] = self._walk_extents(*(a[rest] for a in (sx, sy, nx, ny, fk, owner)))
         return depth
 
     def half_patches(self, he_ids, on_curve, n_surface: int) -> np.ndarray:

@@ -387,6 +387,8 @@ class TestRayExtents:
         assert sum(marched) > 0
         charts, (sx, sy, nx, ny, fk, owner, inward) = all_rays(rebuilt)
         depth = charts._extents(sx, sy, nx, ny, fk, owner, inward)
+        march = charts._walk_extents(sx, sy, nx, ny, fk, owner)
+        assert np.all(np.abs(depth - march) <= bisection_width(charts, fk))
         ns = CFG.n_surface
         step = depth[:, None] * (np.arange(1, ns) / (ns - 1))
         x = (sx[:, None] + step * nx[:, None]).ravel()
