@@ -70,8 +70,8 @@ def frame_for_normal(n) -> tuple:
     (L, 3) unit normals): U is the lowest axis least along n, made normal to n."""
     n = _unit(n) if np.ndim(n) == 1 else np.asarray(n, dtype=float)
     a = np.abs(n)
-    k = np.argmax(a <= a.min(axis=-1, keepdims=True) + _AXIS_TIE, axis=-1)
-    u = np.eye(3)[k] - np.take_along_axis(n, k[..., None], axis=-1) * n
+    u = np.eye(3)[np.argmax(a <= a.min(axis=-1, keepdims=True) + _AXIS_TIE, axis=-1)]
+    u -= (u * n).sum(axis=-1, keepdims=True) * n
     u /= np.linalg.norm(u, axis=-1, keepdims=True)
     return u, np.cross(n, u)
 

@@ -394,7 +394,7 @@ class FaceCharts:
         alone = self._nhe[fk] == 1
         exact = inward & (alone | (self._npts[rows] == 2))
         idx = np.flatnonzero(exact)
-        exit = np.full(fk.size, np.inf)
+        t_exit = np.full(fk.size, np.inf)
         for sl in self._blocks(fk[idx]):
             i = idx[sl]
             cnt = self._nseg[fk[i]]
@@ -425,12 +425,12 @@ class FaceCharts:
             with np.errstate(divide="ignore", invalid="ignore"):
                 t, u = (qx * ey - qy * ex) / den, (qx * py - qy * px) / den
             out = (den * self._area2[fk[r]] > 0.0) & (u >= 0.0) & (u <= 1.0) & (t > 0.0)
-            exit[i] = np.minimum.reduceat(np.where(alone[r], np.where(out, t, np.inf), beat),
-                                          np.cumsum(cnt) - cnt)
+            t_exit[i] = np.minimum.reduceat(np.where(alone[r], np.where(out, t, np.inf), beat),
+                                            np.cumsum(cnt) - cnt)
 
         # one march bracket short of the exit keeps the last sample inside
         width = self._diag[fk] / (UV_GRID // 2) / 2.0 ** _BISECTIONS
-        depth = np.clip(exit - width, 0.0, self._diag[fk])
+        depth = np.clip(t_exit - width, 0.0, self._diag[fk])
         if not exact.all():
             rest = ~exact
             depth[rest] = self._walk_extents(*(a[rest] for a in (sx, sy, nx, ny, fk, owner)))

@@ -211,10 +211,8 @@ class TestVoronoiAssign:
 
     def test_labels_are_pinned(self, all_primitives):
         # recorded when `frame_for_normal` began to break near-ties to the
-        # lowest axis, which turned the frames of the hexagonal prism's side
-        # faces at 90 and 270 degrees (their x components are cos(90 deg) and
-        # cos(270 deg), rounding noise); unchanged since the grid moved onto
-        # FaceCharts otherwise
+        # lowest axis: the hexagonal prism's side faces at 90 and 270 degrees,
+        # whose x components are cos(90 deg) and cos(270 deg), took U = x
         digest = hashlib.sha256()
         for src in all_primitives.values():
             m, _ = normalize(src)
@@ -381,9 +379,8 @@ class TestRayExtents:
             return walk(self, *rays)
 
         monkeypatch.setattr(FaceCharts, "_walk_extents", spy)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ZeroDepthWarning)
-            assert extract_vhp(rebuilt, CFG).shape == (len(rebuilt.halfedges), CFG.descriptor_length)
+        descs = extract_vhp(rebuilt, CFG)
+        assert descs.shape == (len(rebuilt.halfedges), CFG.descriptor_length)
         assert sum(marched) > 0
         charts, (sx, sy, nx, ny, fk, owner, inward) = all_rays(rebuilt)
         depth = charts._extents(sx, sy, nx, ny, fk, owner, inward)
