@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 
 import numpy as np
@@ -354,3 +355,28 @@ class TestHeaders:
         seq = encode_model(unit_cube, cb)
         assert seq.header.transform is not None
         assert seq.header.codebook_id == cb.content_id()
+
+
+class TestEncodeGolden:
+    def test_encodes_are_pinned(self):
+        # one model per (acceptance family, component count 1..5): every bit of
+        # its normalized vertices, descriptors and tokens under a codebook
+        # trained on them; any change to the encode path shows here
+        from brepcodec.rq import train_codebook
+        from brepcodec.synth import FAMILIES, CorpusSpec, synth_corpus
+
+        normed = [normalize(m) for k in range(1, 6)
+                  for _, m in synth_corpus(CorpusSpec(counts={f: 1 for f in FAMILIES},
+                                                      components=(k, k), seed=k))]
+        descs = [model_descriptors(m, SamplingConfig()) for m, _ in normed]
+        cb = train_codebook(np.concatenate(descs), 4, 32, seed=0,
+                            dim_weights=descriptor_dim_weights(SamplingConfig()))
+        h = hashlib.sha256(cb.content_id().encode())
+        for (m, transform), d in zip(normed, descs):
+            seq = tokenize(m, cb, transform=transform)
+            h.update(m.vertices.tobytes())
+            h.update(np.array(transform.offset + (transform.scale,)).tobytes())
+            h.update(d.tobytes())
+            h.update(np.asarray(seq.tokens, dtype=np.int64).tobytes())
+        assert h.hexdigest() == (
+            "cb004151626a7c796c57d7a9ffdc97963f68c169405153153d3461cdde89df3e")
