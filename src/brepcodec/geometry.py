@@ -148,6 +148,8 @@ class CircularArc:
         _set_reals(self, "radius", "theta0", "theta1")
         if self.radius <= 0:
             raise GeometryError("arc radius must be positive")
+        if self.theta1 == self.theta0:
+            raise GeometryError("arc sweep must be non-zero")
         if abs(np.dot(self.x_axis, self.y_axis)) > 1e-9:
             raise GeometryError("arc frame axes must be orthogonal")
 

@@ -59,6 +59,8 @@ class TestCurves:
     def test_degenerate_inputs_raise(self):
         with pytest.raises(GeometryError):
             CircularArc((0, 0, 0), 0.0, (1, 0, 0), (0, 1, 0), 0, 1)
+        with pytest.raises(GeometryError, match="sweep must be non-zero"):
+            CircularArc((0, 0, 0), 1.0, (1, 0, 0), (0, 1, 0), 0.5, 0.5)
         with pytest.raises(GeometryError):
             PolylineCurve([(0, 0, 0)])
         with pytest.raises(GeometryError):

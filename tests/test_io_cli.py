@@ -124,6 +124,17 @@ class TestModelFiles:
         with pytest.raises(bio.FormatError, match="radius must be positive"):
             bio.load_model(path)
 
+    def test_zero_sweep_arc_rejected(self, tmp_path):
+        # a full circle edited to sweep nothing: refused on load, not left to
+        # divide 0/0 in its bounding box at normalize
+        d = bio.model_to_dict(seam_cylinder())
+        arc = next(e["curve"] for e in d["edges"] if e["curve"]["kind"] == "arc")
+        arc["theta1"] = arc["theta0"]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(d))
+        with pytest.raises(bio.FormatError, match="sweep must be non-zero"):
+            bio.load_model(path)
+
     def test_wrong_format_tag(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"format": "something-else"}))
