@@ -13,7 +13,7 @@ centroids move to ``np.bincount`` means.  Encoding takes the same argmin.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -22,11 +22,27 @@ class CodebookError(ValueError):
     pass
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Codebook:
+    """Quantizer levels and the normalization record.
+
+    The constructor stores read-only float64 copies of the arrays, so the
+    content id, hashed once here, stays the id of what the codebook holds.
+    """
+
     levels: np.ndarray     # (D, K+1, dim); levels[:, -1] is the zero centroid
     mean: np.ndarray       # (dim,)
     scale: np.ndarray      # (dim,)
+    _id: str = field(init=False, repr=False)
+
+    def __post_init__(self):
+        h = hashlib.sha256()
+        for name in ("levels", "mean", "scale"):
+            a = np.array(getattr(self, name), dtype=np.float64, order="C")
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+            h.update(a.tobytes())
+        object.__setattr__(self, "_id", h.hexdigest()[:16])
 
     @property
     def depth(self) -> int:
@@ -41,11 +57,7 @@ class Codebook:
         return int(self.levels.shape[2])
 
     def content_id(self) -> str:
-        h = hashlib.sha256()
-        h.update(np.ascontiguousarray(self.levels, dtype=np.float64).tobytes())
-        h.update(np.ascontiguousarray(self.mean, dtype=np.float64).tobytes())
-        h.update(np.ascontiguousarray(self.scale, dtype=np.float64).tobytes())
-        return h.hexdigest()[:16]
+        return self._id
 
 
 NEAREST_BLOCK = 2048   # rows per GEMM in `_nearest`

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -69,6 +71,20 @@ class TestTraining:
         assert c1.content_id() == c2.content_id()
         c3 = train_codebook(corpus, depth=3, size=16, seed=43)
         assert c3.content_id() != c1.content_id()
+
+    def test_content_id_is_fixed_and_arrays_read_only(self):
+        levels = np.random.default_rng(2).random((2, 5, 3))
+        cb = Codebook(levels, np.zeros(3), np.ones(3))
+        first = cb.content_id()
+        levels[0, 0, 0] = 9.0             # the codebook holds a copy
+        assert cb.content_id() == first
+        assert Codebook(cb.levels, cb.mean, cb.scale).content_id() == first
+        for name in ("levels", "mean", "scale"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(cb, name)[0] = 9.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cb.levels = levels
+        assert cb.content_id() == first
 
     def test_non_finite_corpus_rejected(self):
         corpus = np.random.default_rng(9).random((32, 4))
