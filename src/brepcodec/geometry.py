@@ -469,6 +469,177 @@ class Poly2:
         return (self.points[i + 1] - self.points[i]) * nseg
 
 
+# ---------------------------------------------------------------------------
+# Batched evaluation: one array pass per kind, bit-identical to each object's
+# own method (the same operations on the same operands, in the same order)
+# ---------------------------------------------------------------------------
+
+def _by_kind(objs) -> dict:
+    """class -> indices of ``objs`` of that class, in first-seen order."""
+    out: dict = {}
+    for i, o in enumerate(objs):
+        out.setdefault(type(o), []).append(i)
+    return out
+
+
+def _rows(group, name: str) -> np.ndarray:
+    """Field ``name`` of every object of ``group``, stacked as floats."""
+    return np.array([getattr(o, name) for o in group], dtype=float)
+
+
+def _arc_points(group, u) -> np.ndarray:
+    """``point`` of each CircularArc of ``group`` at its row of ``u``:
+    (K, ...) -> (K, ..., 3)."""
+    theta0 = _rows(group, "theta0")
+    sweep = _rows(group, "theta1") - theta0
+    lead = (slice(None),) + (None,) * (np.ndim(u) - 1)
+    th = theta0[lead] + u * sweep[lead]
+    center, x, y = (_rows(group, f)[lead] for f in ("center", "x_axis", "y_axis"))
+    radius = _rows(group, "radius")[lead + (None,)]
+    return (center + radius * (np.cos(th)[..., None] * x)
+            + radius * (np.sin(th)[..., None] * y))
+
+
+def curve_points(curves, u, forward) -> np.ndarray:
+    """``point(u)`` of several curves at shared u -> (K, T, 3); curve i runs
+    at ``1.0 - u`` where ``forward[i]`` is false, as a reverse half-edge does.
+
+    LineSegment, CircularArc and PolylineCurve curves are evaluated one array
+    pass per kind; other kinds are called one by one.
+    """
+    u = np.asarray(u, dtype=float).reshape(-1)
+    fwd = np.asarray(forward, dtype=bool)
+    out = np.empty((len(curves), u.size, 3))
+    for kind, idx in _by_kind(curves).items():
+        group = [curves[i] for i in idx]
+        uu = np.where(fwd[idx, None], u, 1.0 - u)
+        if kind is LineSegment:
+            p0 = _rows(group, "p0")[:, None]
+            out[idx] = p0 + uu[..., None] * (_rows(group, "p1")[:, None] - p0)
+        elif kind is CircularArc:
+            out[idx] = _arc_points(group, uu)
+        elif kind is PolylineCurve:
+            n = np.array([c.points.shape[0] for c in group])
+            pts = np.concatenate([c.points for c in group])
+            nseg = (n - 1)[:, None]
+            s = np.clip(uu, 0.0, 1.0) * nseg
+            i = np.clip(np.floor(s).astype(int), 0, nseg - 1)
+            f = s - i
+            j = (np.cumsum(n) - n)[:, None] + i
+            out[idx] = pts[j] + f[..., None] * (pts[j + 1] - pts[j])
+        else:
+            out[idx] = [c.point(w) for c, w in zip(group, uu)]
+    return out
+
+
+def _arc_bbox_points(group) -> np.ndarray:
+    """The points `CircularArc.bbox` reduces, for each arc of ``group``, in its
+    order, -> (K, C, 3); a candidate that arc skips is NaN."""
+    theta0, theta1 = _rows(group, "theta0"), _rows(group, "theta1")
+    lo_t, hi_t = np.minimum(theta0, theta1), np.maximum(theta0, theta1)
+    x, y = _rows(group, "x_axis"), _rows(group, "y_axis")
+    axis_ok = ~((np.abs(x) < 1e-15) & (np.abs(y) < 1e-15))
+    phi = np.arctan2(y, x)
+    th = np.stack([phi, phi + np.pi], axis=-1)            # (K, axis, extremum)
+    th = th + np.ceil((lo_t[:, None, None] - th) / TAU) * TAU
+    found = []
+    while True:
+        keep = axis_ok[..., None] & (th <= hi_t[:, None, None] + 1e-15)
+        if not keep.any():
+            break
+        u = (th - theta0[:, None, None]) / (theta1 - theta0)[:, None, None]
+        found.append(np.where(keep[..., None], _arc_points(group, np.clip(u, 0.0, 1.0)), np.nan))
+        th = th + TAU
+    ends = _arc_points(group, np.array([[0.0, 1.0]] * len(group)))
+    extremes = np.stack(found, axis=3) if found else np.empty((len(group), 3, 2, 0, 3))
+    return np.concatenate([ends, extremes.reshape(len(group), -1, 3)], axis=1)
+
+
+def curve_bboxes(curves):
+    """``bbox()`` of several curves -> (lo, hi), each (K, 3).
+
+    LineSegment, CircularArc and PolylineCurve curves take one array pass per
+    kind; other kinds are called one by one.
+    """
+    lo, hi = np.empty((len(curves), 3)), np.empty((len(curves), 3))
+    for kind, idx in _by_kind(curves).items():
+        group = [curves[i] for i in idx]
+        if kind is PolylineCurve:
+            n = np.array([c.points.shape[0] for c in group])
+            pts, first = np.concatenate([c.points for c in group]), np.cumsum(n) - n
+            lo[idx], hi[idx] = np.minimum.reduceat(pts, first), np.maximum.reduceat(pts, first)
+        elif kind in (LineSegment, CircularArc):
+            pts = (np.stack([_rows(group, "p0"), _rows(group, "p1")], axis=1)
+                   if kind is LineSegment else _arc_bbox_points(group))
+            lo[idx], hi[idx] = np.fmin.reduce(pts, axis=1), np.fmax.reduce(pts, axis=1)
+        else:
+            lo[idx], hi[idx] = zip(*(c.bbox() for c in group))
+    return lo, hi
+
+
+def surface_points(surfaces, k, u, v) -> np.ndarray:
+    """``surfaces[k[i]].point(u[i], v[i])`` for every i -> (N, 3).
+
+    Plane and CylinderPatch points take one array pass per kind; other
+    kinds are called surface by surface.
+    """
+    k = np.asarray(k, dtype=int)
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    out = np.empty((k.size, 3))
+    slot = np.empty(len(surfaces), dtype=int)
+    for kind, idx in _by_kind(surfaces).items():
+        group = [surfaces[i] for i in idx]
+        slot[idx] = np.arange(len(idx))
+        sel = np.flatnonzero(np.isin(k, idx))
+        g, su, sv = slot[k[sel]], u[sel, None], v[sel, None]
+        if kind is Plane:
+            out[sel] = (_rows(group, "origin")[g] + su * _rows(group, "u_vec")[g]
+                        + sv * _rows(group, "v_vec")[g])
+        elif kind is CylinderPatch:
+            radius = _rows(group, "radius")[g, None]
+            out[sel] = (_rows(group, "center")[g]
+                        + radius * (np.cos(su) * _rows(group, "x_axis")[g])
+                        + radius * (np.sin(su) * _rows(group, "y_axis")[g])
+                        + sv * _rows(group, "axis")[g])
+        else:
+            for i in idx:
+                at = np.flatnonzero(k == i)
+                if at.size:
+                    out[at] = surfaces[i].point(u[at], v[at])
+    return out
+
+
+def surface_midpoint_norms(surfaces):
+    """``domain()`` of each surface, (S, 4), and the norms of its ``partials``
+    at the domain's midpoint, (S, 2).
+
+    Plane and CylinderPatch surfaces take one array pass per kind, with
+    norms as ``np.linalg.norm`` takes them (one dot product per vector);
+    other kinds are called one by one.
+    """
+    dom, norms = np.empty((len(surfaces), 4)), np.empty((len(surfaces), 2))
+    for kind, idx in _by_kind(surfaces).items():
+        group = [surfaces[i] for i in idx]
+        if kind is Plane:
+            dom[idx] = (0.0, 1.0, 0.0, 1.0)
+            pu, pv = _rows(group, "u_vec"), _rows(group, "v_vec")
+        elif kind is CylinderPatch:
+            u0, u1 = _rows(group, "u0"), _rows(group, "u1")
+            dom[idx] = np.stack([u0, u1, np.zeros_like(u0), np.ones_like(u0)], axis=1)
+            mid = (0.5 * (u0 + u1))[:, None]
+            pu = _rows(group, "radius")[:, None] * (
+                -np.sin(mid) * _rows(group, "x_axis") + np.cos(mid) * _rows(group, "y_axis"))
+            pv = _rows(group, "axis")
+        else:
+            for i, s in zip(idx, group):
+                u0, u1, v0, v1 = dom[i] = s.domain()
+                pu, pv = s.partials(0.5 * (u0 + u1), 0.5 * (v0 + v1))
+                norms[i] = np.linalg.norm(pu), np.linalg.norm(pv)
+            continue
+        norms[idx] = np.sqrt(np.stack([np.vecdot(pu, pu), np.vecdot(pv, pv)], axis=1))
+    return dom, norms
+
+
 def pcurve_points(pcurves, t, tangent: bool = False) -> np.ndarray:
     """``point(t)`` (or ``tangent(t)``) of several pcurves at shared t -> (K, T, 2).
 
@@ -478,10 +649,7 @@ def pcurve_points(pcurves, t, tangent: bool = False) -> np.ndarray:
     """
     t = np.asarray(t, dtype=float).reshape(-1)
     out = np.empty((len(pcurves), t.size, 2))
-    by_kind: dict = {}
-    for i, pc in enumerate(pcurves):
-        by_kind.setdefault(type(pc), []).append(i)
-    for kind, idx in by_kind.items():
+    for kind, idx in _by_kind(pcurves).items():
         group = [pcurves[i] for i in idx]
         if kind is Segment2:
             a = np.array([pc.a for pc in group])

@@ -2,9 +2,10 @@
 
 A :class:`BrepModel` is a set of index-addressed tables: vertices, edges
 (each carrying a parametric curve and exactly two half-edges), half-edges,
-loops, faces, and a shell partition.  Models are treated as immutable once
-built; every operation here returns fresh values and never mutates its
-input, so models are safe to share across threads.
+loops and faces; `compute_shells` derives the shell partition from them.
+Models are treated as immutable once built; every operation here returns
+fresh values and never mutates its input, so models are safe to share
+across threads.
 
 Conventions enforced by :class:`ModelBuilder` and assumed throughout:
 
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import GeometryError
+from .geometry import GeometryError, curve_bboxes, curve_points
 
 
 class ModelError(ValueError):
@@ -117,9 +118,9 @@ class ModelBuilder:
     """Incremental constructor that assembles and cross-links the tables.
 
     Face boundaries are given as ordered lists of (edge id, forward flag,
-    pcurve) triples; ``build`` creates half-edges, twin links, loops, and
-    the shell partition, and checks that every edge is used exactly once
-    in each direction.
+    pcurve) triples; ``build`` creates half-edges, twin links and loops,
+    and checks that every edge is used exactly once in each direction and
+    that every loop closes.
     """
 
     def __init__(self):
@@ -448,24 +449,23 @@ def connected_components(model: BrepModel):
     return _union_find(model.num_vertices, ((e.v0, e.v1) for e in model.edges))
 
 
-def halfedge_curve_samples(model: BrepModel, h: int, n: int) -> np.ndarray:
-    """The n interior curve samples of halfedge h, ordered from its origin."""
-    he = model.halfedges[h]
+def halfedge_curve_samples(model: BrepModel, h, n: int) -> np.ndarray:
+    """The n interior curve samples of halfedge h, ordered from its origin:
+    (n, 3), or (K, n, 3) for an array of K half-edge ids."""
+    hes = [model.halfedges[i] for i in np.atleast_1d(h).tolist()]
     u = np.arange(1, n + 1, dtype=float) / (n + 1)
-    return model.edges[he.edge].curve.point(u if he.forward else 1.0 - u)
+    pts = curve_points([model.edges[he.edge].curve for he in hes], u,
+                       [he.forward for he in hes])
+    return pts if np.ndim(h) else pts[0]
 
 
 def model_bbox(model: BrepModel):
     """Axis-aligned bounds covering vertices and all edge curves."""
     if model.num_vertices == 0:
         raise GeometryError("empty model has no bounding box")
-    lo = model.vertices.min(axis=0)
-    hi = model.vertices.max(axis=0)
-    for e in model.edges:
-        clo, chi = e.curve.bbox()
-        lo = np.minimum(lo, clo)
-        hi = np.maximum(hi, chi)
-    return lo, hi
+    lo, hi = curve_bboxes([e.curve for e in model.edges])
+    return (np.concatenate([model.vertices, lo]).min(axis=0),
+            np.concatenate([model.vertices, hi]).max(axis=0))
 
 
 NORMALIZE_MARGIN = 1.0 / 256.0

@@ -15,7 +15,11 @@ from brepcodec.geometry import (
     PolylineCurve,
     Segment2,
     _finite,
+    curve_bboxes,
+    curve_points,
     pcurve_points,
+    surface_midpoint_norms,
+    surface_points,
 )
 
 
@@ -130,6 +134,56 @@ class TestPcurves:
         assert np.array_equal(pcurve_points(pcs, t), np.stack([pc.point(t) for pc in pcs]))
         assert np.array_equal(pcurve_points(pcs, t, tangent=True),
                               np.stack([pc.tangent(t) for pc in pcs]))
+
+
+class TestBatchedEvaluation:
+    """One array pass per kind against each object's own method, bit for bit."""
+
+    def test_curves_match_each_curve_bitwise(self):
+        rng = np.random.default_rng(6)
+        curves = [CircularArc((0, 0, 0), 1.0, (1, 0, 0), (0, 1, 0), 0.0, TAU)]
+        for sweep in (0.7, -2.5, TAU, -TAU, 9.0):
+            x = rng.normal(size=3)
+            x /= np.linalg.norm(x)
+            y = np.cross(x, rng.normal(size=3))
+            t0 = rng.uniform(-TAU, TAU)
+            curves.append(LineSegment(rng.normal(size=3), rng.normal(size=3)))
+            curves.append(CircularArc(rng.normal(size=3), rng.uniform(0.1, 2.0), x, y,
+                                      t0, t0 + sweep))
+            curves.append(PolylineCurve(rng.normal(size=(int(rng.integers(2, 6)), 3))))
+        u = np.concatenate([np.linspace(0.0, 1.0, 33), rng.uniform(0, 1, 7)])
+        for forward in (np.ones(len(curves), bool), np.arange(len(curves)) % 2 == 0):
+            assert np.array_equal(curve_points(curves, u, forward),
+                                  np.stack([c.point(u if f else 1.0 - u)
+                                            for c, f in zip(curves, forward)]))
+        lo, hi = curve_bboxes(curves)
+        assert np.array_equal(lo, np.stack([c.bbox()[0] for c in curves]))
+        assert np.array_equal(hi, np.stack([c.bbox()[1] for c in curves]))
+
+    def test_surfaces_match_each_surface_bitwise(self):
+        rng = np.random.default_rng(7)
+        surfaces = []
+        for _ in range(4):
+            x = rng.normal(size=3)
+            x /= np.linalg.norm(x)
+            y = np.cross(x, rng.normal(size=3))
+            u0 = rng.uniform(-TAU, TAU)
+            surfaces += [Plane(rng.normal(size=3), rng.normal(size=3), rng.normal(size=3)),
+                         CylinderPatch(rng.normal(size=3), rng.uniform(0.1, 2.0), x, y,
+                                       rng.normal(size=3), u0, u0 + rng.uniform(0.5, TAU)),
+                         BicubicPatch(rng.normal(size=(4, 4, 3)))]
+        k = rng.integers(0, len(surfaces), 500)
+        u, v = rng.uniform(-1.0, 7.0, 500), rng.uniform(0.0, 1.0, 500)
+        expect = np.empty((500, 3))
+        for i, s in enumerate(surfaces):
+            expect[k == i] = s.point(u[k == i], v[k == i])
+        assert np.array_equal(surface_points(surfaces, k, u, v), expect)
+        dom, norms = surface_midpoint_norms(surfaces)
+        for s, d, n in zip(surfaces, dom, norms):
+            u0, u1, v0, v1 = s.domain()
+            assert tuple(d) == (u0, u1, v0, v1)
+            pu, pv = s.partials(0.5 * (u0 + u1), 0.5 * (v0 + v1))
+            assert tuple(n) == (np.linalg.norm(pu), np.linalg.norm(pv))
 
 
 # Scalar fields and point lists reject NaN and infinity like vectors do.

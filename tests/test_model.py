@@ -20,6 +20,7 @@ from brepcodec.model import (
 )
 from brepcodec.primitives import box, merge_models, ngon_prism, seam_cylinder, through_hole_box
 from brepcodec.codec import quantize_coord
+from conftest import as_polyline_model
 
 
 def shell_tuples(model):
@@ -129,6 +130,17 @@ class TestSampleCurve:
         pts = halfedge_curve_samples(unit_cube, unit_cube.edges[0].halfedges[0], 1)
         mid = unit_cube.edges[0].curve.point(0.5)
         assert np.allclose(pts[0], mid)
+
+
+class TestBbox:
+    def test_bbox_is_the_per_curve_reduction(self, all_primitives):
+        models = [*all_primitives.values(), as_polyline_model(box(at=(1.0, -2.0, 0.5)))]
+        for m in models:
+            boxes = [e.curve.bbox() for e in m.edges]
+            lo = np.min([m.vertices.min(axis=0), *(b[0] for b in boxes)], axis=0)
+            hi = np.max([m.vertices.max(axis=0), *(b[1] for b in boxes)], axis=0)
+            got_lo, got_hi = model_bbox(m)
+            assert np.array_equal(got_lo, lo) and np.array_equal(got_hi, hi)
 
 
 class TestNormalize:
