@@ -28,7 +28,12 @@ the first failing one 10 times; the tests take the march as the reference.
 All faces of a model share one walk.  ``FaceCharts`` packs every face's
 boundary chords and trim polygons into flat tables, and one kernel runs the
 even-odd trim test and the "nearest half-edge is my owner" test over ragged
-(point x same-face chord) pairs.  The same chart gives each face's
+(point x same-face chord) pairs.  It builds the tables in array passes, with
+no loop over faces: from the loop table (every face's loops, outer first, as
+one array of half-edge ids in traversal order, which also gives each
+half-edge's successor and label), and from `geometry`'s batched evaluators,
+one pass per surface, curve or pcurve kind, which give the same bits as each
+object's own method.  The same chart gives each face's
 ``UV_GRID`` x ``UV_GRID`` cell grid, which ``voronoi_assign`` labels and
 ``metrics.surface_sample`` weights by area.
 """
@@ -38,10 +43,12 @@ import math
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .geometry import GeometryError, Poly2, Segment2, pcurve_points
+from .geometry import (GeometryError, Poly2, Segment2, pcurve_points, surface_midpoint_norms,
+                       surface_points)
 from .model import BrepModel, ModelError, halfedge_curve_samples, validate
 
 
@@ -116,6 +123,25 @@ def _face_errors(face: int):
         raise GeometryError(f"sampling failed on face {face}: {exc}") from exc
 
 
+def _naming_faces(batch, faces, one):
+    """``batch()``; should it fail, ``one(f)`` for each of ``faces`` in turn,
+    so that the error names the first face on which the work fails."""
+    try:
+        return batch()
+    except Exception:
+        for f in faces:
+            with _face_errors(f):
+                one(f)
+        raise
+
+
+def _cyclic_next(lengths) -> np.ndarray:
+    """Index of each entry's successor in back-to-back cycles of ``lengths``."""
+    start = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    i = np.arange(start.size) + 1
+    return np.where(i == start + np.repeat(lengths, lengths), start, i)
+
+
 def _ragged_arange(starts, counts) -> np.ndarray:
     """Concatenated ranges ``starts[i] : starts[i] + counts[i]``."""
     ends = np.cumsum(counts)
@@ -156,40 +182,46 @@ class FaceCharts:
 
     def __init__(self, model: BrepModel):
         self.model = model
-        self.surfaces = []
-        domains, scales, he_lists, loop_lists = [], [], [], []
-        for f in range(len(model.faces)):
-            with _face_errors(f):
-                surf = model.faces[f].surface
-                u0, u1, v0, v1 = surf.domain()
-                pu, pv = surf.partials(0.5 * (u0 + u1), 0.5 * (v0 + v1))
-                lu = float(np.linalg.norm(pu)) * (u1 - u0)
-                lv = float(np.linalg.norm(pv)) * (v1 - v0)
-                lmax = max(lu, lv, 1e-12)
-                hes = sorted(model.face_halfedges(f))
-                for h in hes:
-                    if model.halfedges[h].pcurve is None:
-                        raise GeometryError(f"halfedge {h} has no pcurve on face {f}")
-            self.surfaces.append(surf)
-            domains.append((u0, u1, v0, v1))
-            scales.append((max(lu / lmax, 1e-9), max(lv / lmax, 1e-9)))
-            he_lists.append(hes)
-            loop_lists.append([model.loops[li].halfedges for li in model.face_loops(f)])
-        self.domains = domains
-        dom = np.array(domains, dtype=float).reshape(-1, 4)
+        faces = model.faces
+        self.surfaces = [f.surface for f in faces]
+
+        # the loop table: each face's loops, outer first, each in traversal
+        # order; `extract_vhp` takes its half-edges, successors and labels
+        loop_ids = [li for f in faces for li in (f.outer, *f.inners)]
+        cycles = [model.loops[li].halfedges for li in loop_ids]
+        loop_len = np.array([len(c) for c in cycles], dtype=int)
+        loop_face = np.repeat(np.arange(len(faces)), [1 + len(f.inners) for f in faces])
+        self._loop_he = np.fromiter(chain.from_iterable(cycles), dtype=int,
+                                    count=int(loop_len.sum()))
+        self._loop_next = self._loop_he[_cyclic_next(loop_len)]
+        self._loop_face = np.repeat(loop_face, loop_len)
+        self._loop_outer = np.repeat([model.loops[li].kind == "outer" for li in loop_ids],
+                                     loop_len)
+
+        dom, norms = _naming_faces(lambda: surface_midpoint_norms(self.surfaces),
+                                   range(len(faces)),
+                                   lambda f: surface_midpoint_norms(self.surfaces[f:f + 1]))
+        self.domains = [tuple(d) for d in dom.tolist()]
         self._u0, self._u1, self._v0, self._v1 = dom.T
         self._du, self._dv = dom[:, 1] - dom[:, 0], dom[:, 3] - dom[:, 2]
-        self._su, self._sv = np.array(scales, dtype=float).reshape(-1, 2).T
+        lu, lv = norms[:, 0] * self._du, norms[:, 1] * self._dv
+        lmax = np.maximum(np.maximum(lu, lv), 1e-12)
+        self._su, self._sv = np.maximum(lu / lmax, 1e-9), np.maximum(lv / lmax, 1e-9)
         self._diag = np.hypot(self._su, self._sv)
 
         # half-edge table: face-major, increasing id within a face
-        self._nhe = np.array([len(hes) for hes in he_lists], dtype=int)
+        order = np.lexsort((self._loop_he, self._loop_face))
+        self._he_id, self._he_face = self._loop_he[order], self._loop_face[order]
+        self._nhe = np.bincount(self._loop_face, minlength=len(faces))
         self._he_start = np.cumsum(self._nhe) - self._nhe
-        self._he_id = np.array([h for hes in he_lists for h in hes], dtype=int)
-        self._he_face = np.repeat(np.arange(len(model.faces)), self._nhe)
         self._he_row = np.full(len(model.halfedges), -1)
         self._he_row[self._he_id] = np.arange(self._he_id.size)
-        self._pcurves = [model.halfedges[h].pcurve for h in self._he_id]
+        self._pcurves = [model.halfedges[h].pcurve for h in self._he_id.tolist()]
+        missing = next((r for r, pc in enumerate(self._pcurves) if pc is None), None)
+        if missing is not None:
+            f, h = self._he_face[missing], self._he_id[missing]
+            with _face_errors(f):
+                raise GeometryError(f"halfedge {h} has no pcurve on face {f}")
 
         # polylines: rows off[r] : off[r] + npts[r] of pts belong to table row r
         npts = np.array([_pcurve_knots(pc) for pc in self._pcurves], dtype=int)
@@ -197,8 +229,7 @@ class FaceCharts:
         uv = np.empty((int(npts.sum()), 2))
         for n in np.unique(npts):
             rows = np.flatnonzero(npts == n)
-            uv[_ragged_arange(off[rows], npts[rows])] = self._eval_pcurves(
-                rows, np.linspace(0.0, 1.0, n)).reshape(-1, 2)
+            uv[off[rows, None] + np.arange(n)] = self._eval_pcurves(rows, np.linspace(0.0, 1.0, n))
         x, y = self._to_norm(uv[:, 0], uv[:, 1], np.repeat(self._he_face, npts))
         self._pts = np.stack([x, y], axis=-1)
         self._pts_off, self._npts = off, npts
@@ -214,10 +245,10 @@ class FaceCharts:
         self._he_seg_off = np.cumsum(nch) - nch - np.repeat(self._seg_start, self._nhe)
 
         # trim edges: each loop's chained polylines, closed
-        loop_rows = [self._he_row[list(hes)] for loops in loop_lists for hes in loops]
-        chain = [np.zeros(0, int)] + [_ragged_arange(off[rows], nch[rows]) for rows in loop_rows]
-        a = np.concatenate(chain)
-        b = np.concatenate([np.roll(c, -1) for c in chain])
+        rows = self._he_row[self._loop_he]
+        a = _ragged_arange(off[rows], nch[rows])
+        upto = np.concatenate(([0], np.cumsum(nch[rows])))    # chords before each walk entry
+        b = a[_cyclic_next(np.diff(upto[np.cumsum(loop_len)], prepend=0))]
         self._pax, self._pay = x[a], y[a]
         self._pby = y[b]
         self._pdx, self._pdy = x[b] - self._pax, self._pby - self._pay
@@ -458,11 +489,8 @@ class FaceCharts:
                                (sy[:, None] + step * ny[:, None]).ravel(), pfk)
         np.clip(u, self._u0[pfk], self._u1[pfk], out=u)
         np.clip(v, self._v0[pfk], self._v1[pfk], out=v)
-        pts = np.empty((u.size, 3))
-        for k in np.unique(fk):
-            sel = np.flatnonzero(pfk == k)
-            with _face_errors(k):
-                pts[sel] = self.surfaces[k].point(u[sel], v[sel])
+        pts = _naming_faces(lambda: surface_points(self.surfaces, pfk, u, v), np.unique(fk),
+                            lambda k: self.surfaces[k].point(u[pfk == k], v[pfk == k]))
         samples[:, :, 1:, :] = pts.reshape(he.size, nc, ns - 1, 3)
 
         degenerate = extents.reshape(he.size, nc) < 1e-9
@@ -514,21 +542,15 @@ def extract_vhp(model: BrepModel, cfg: SamplingConfig | None = None,
 
     if charts is None:
         charts = FaceCharts(model)
-    he_ids, labels = [], []
-    on_curve = np.empty((len(model.halfedges), cfg.n_curve, 3))
-    for face in range(len(model.faces)):
-        for li in model.face_loops(face):
-            loop = model.loops[li]
-            for h in loop.halfedges:
-                with _face_errors(face):
-                    on_curve[h] = halfedge_curve_samples(model, h, cfg.n_curve)
-                he_ids.append(h)
-                labels.append(1 if loop.kind == "outer" else 0)
-    he = np.array(he_ids, dtype=int)
+    he, nxt = charts._loop_he, charts._loop_next
     if he.size != len(model.halfedges):
         raise ModelError("some half-edge lies in no face's loops")
-    samples = charts.half_patches(he, on_curve[he], cfg.n_surface)
-    nxt = np.array([model.next_in_loop(h) for h in he_ids], dtype=int)
+    curve = _naming_faces(
+        lambda: halfedge_curve_samples(model, he, cfg.n_curve), np.unique(charts._loop_face),
+        lambda f: halfedge_curve_samples(model, he[charts._loop_face == f], cfg.n_curve))
+    on_curve = np.empty_like(curve)
+    on_curve[he] = curve
+    samples = charts.half_patches(he, curve, cfg.n_surface)
     descs = np.empty((len(model.halfedges), cfg.descriptor_length))
-    descs[he] = _pack(samples, on_curve[nxt, : cfg.n_next], np.array(labels))
+    descs[he] = _pack(samples, on_curve[nxt, : cfg.n_next], charts._loop_outer)
     return descs

@@ -341,6 +341,44 @@ class TestSampleHalfPatch:
                 extract_vhp(bad, CFG)
 
 
+    def test_failing_curve_names_its_face(self, cube_normed):
+        class Failing:       # a curve kind with no batched pass
+            def point(self, u):
+                raise ValueError("cannot evaluate")
+
+        m = cube_normed
+        for k in (0, 3, 5):
+            eid = m.halfedges[m.face_halfedges(k)[1]].edge
+            first = min(m.loops[m.halfedges[h].loop].face for h in m.edges[eid].halfedges)
+            edges = list(m.edges)
+            edges[eid] = dataclasses.replace(edges[eid], curve=Failing())
+            with pytest.raises(GeometryError,
+                               match=rf"sampling failed on face {first}: cannot evaluate"):
+                extract_vhp(dataclasses.replace(m, edges=edges), CFG)
+
+    @pytest.mark.parametrize("fails", ["partials", "point"])
+    def test_failing_surface_names_its_face(self, cube_normed, fails):
+        class Failing:       # a surface kind with no batched pass
+            def __init__(self, plane):
+                self.plane = plane
+
+            def domain(self):
+                return self.plane.domain()
+
+            def partials(self, u, v):
+                if fails == "partials":
+                    raise ValueError("cannot evaluate")
+                return self.plane.partials(u, v)
+
+            def point(self, u, v):
+                raise ValueError("cannot evaluate")
+
+        faces = list(cube_normed.faces)
+        faces[4] = dataclasses.replace(faces[4], surface=Failing(faces[4].surface))
+        with pytest.raises(GeometryError, match=r"sampling failed on face 4: cannot evaluate"):
+            extract_vhp(dataclasses.replace(cube_normed, faces=faces), CFG)
+
+
 def all_rays(m):
     """The chart of ``m`` and every ray of every half-edge, as `_rays` casts them."""
     charts = FaceCharts(m)
