@@ -416,14 +416,15 @@ def tokenize(model: BrepModel, codebook: Codebook, cfg: CodecConfig | None = Non
                 f"range of {layout.pointer_max}")
 
     descs = extract_vhp(model, cfg.sampling)
-    codes = rq_encode_many(descs, codebook) if len(descs) else np.zeros((0, 0), int)
+    codes = (rq_encode_many(descs, codebook) if len(descs)
+             else np.zeros((0, layout.rq_levels), int))
 
     groups = component_edges(model, comps)
     qcoords = quantize_coord(model.vertices) if model.num_vertices else None
 
-    def rq_tokens(he_id):
-        return [layout.rq_token(lvl, codes[he_id, lvl])
-                for lvl in range(layout.rq_levels)]
+    # row h: the quantizer tokens of half-edge h, as `VocabLayout.rq_token` numbers them
+    rq_tokens = (layout.rq_base + np.arange(layout.rq_levels) * layout.rq_level_size
+                 + codes).tolist()
 
     tokens = [layout.start]
     for ci, comp in enumerate(comps):
@@ -434,8 +435,8 @@ def tokenize(model: BrepModel, codebook: Codebook, cfg: CodecConfig | None = Non
             for earlier, eid in groups[ci].get(li, []):
                 h_ij, h_ji = _edge_descriptor_ids(model, eid, comp[earlier])
                 tokens.append(layout.pointer_token(earlier))
-                tokens.extend(rq_tokens(h_ij))
-                tokens.extend(rq_tokens(h_ji))
+                tokens.extend(rq_tokens[h_ij])
+                tokens.extend(rq_tokens[h_ji])
     tokens.append(layout.end)
 
     if len(tokens) > MAX_TOKENS:
