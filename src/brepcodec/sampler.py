@@ -247,7 +247,7 @@ class FaceCharts:
         # trim edges: each loop's chained polylines, closed
         rows = self._he_row[self._loop_he]
         a = _ragged_arange(off[rows], nch[rows])
-        upto = np.concatenate(([0], np.cumsum(nch[rows])))    # chords before each walk entry
+        upto = np.concatenate(([0], np.cumsum(nch[rows])))    # chords before each entry
         b = a[_cyclic_next(np.diff(upto[np.cumsum(loop_len)], prepend=0))]
         self._pax, self._pay = x[a], y[a]
         self._pby = y[b]
