@@ -711,6 +711,9 @@ GOLDEN_DECODES = {
     "corpus": (15, 15, "510a223a6871396485559c03dda065fccec314dc4ddb72638527d48fe73021d2"),
     "sampled": (40, 3, "ea5bc4164d45ed3dba82fab2e76bb9f9ff8a2aa748db7446b1c66cef0a9af0ca"),
 }
+# (decodes, bicubic faces, attached inner loops, digest) of the bicubic-rich corpus.
+GOLDEN_BICUBIC_DECODES = (
+    32, 29, 64, "34d9c07288c847c744b4dbf1197ebb7847432b47b46787bbf080a49059e7edc6")
 
 
 class TestDecodeGolden:
@@ -719,3 +722,17 @@ class TestDecodeGolden:
         decoded = lossy_decodes[sorted(GOLDEN_DECODES).index(part)]
         watertight = sum(report.success for _, report in decoded)
         assert (len(decoded), watertight, decode_digest(decoded)) == GOLDEN_DECODES[part]
+
+    def test_bicubic_rich_decodes_are_pinned(self):
+        # The corpus decodes above hold only 2 bicubic faces and 11 inner
+        # loops.  Cylinders and holed boxes of 1-5 components, under a lossy
+        # 4 x 256 codebook, take the bicubic fit, its projector and the
+        # inner-loop attachment many times over.
+        spec = CorpusSpec(counts={"cylinder": 16, "hole_box": 16}, components=(1, 5), seed=7)
+        normed = [normalize(m)[0] for _, m in synth_corpus(spec)]
+        cb = train_codebook(np.concatenate([model_descriptors(m, CFG.sampling) for m in normed]),
+                            4, 256, seed=0, dim_weights=descriptor_dim_weights(CFG.sampling))
+        decoded = [decode_tokens(tokenize(m, cb, CFG), cb, CFG) for m in normed]
+        bicubic = sum(isinstance(f.surface, BicubicPatch) for m, _ in decoded for f in m.faces)
+        inner = sum(report.inner_loops_attached for _, report in decoded)
+        assert (len(decoded), bicubic, inner, decode_digest(decoded)) == GOLDEN_BICUBIC_DECODES
