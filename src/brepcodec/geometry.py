@@ -91,6 +91,13 @@ def _bernstein3_deriv(t):
     )
 
 
+def _tensor_basis(bu, bv):
+    """The 16 products ``bu[..., i] * bv[..., j]`` of two cubic bases, i-major:
+    (..., 16), the rows that pair with ``BicubicPatch.control.reshape(16, 3)``."""
+    basis = bu[..., :, None] * bv[..., None, :]
+    return basis.reshape(basis.shape[:-2] + (16,))
+
+
 # ---------------------------------------------------------------------------
 # Curves
 # ---------------------------------------------------------------------------
@@ -363,25 +370,27 @@ class BicubicPatch:
     kind = "bicubic"
 
     def __post_init__(self):
-        c = _points(self.control, (4, 4, 3), "control points")
+        # C order: `blend` sums in the order the einsum takes on such an array
+        c = np.ascontiguousarray(_points(self.control, (4, 4, 3), "control points"))
         object.__setattr__(self, "control", c)
 
     def domain(self):
         return (0.0, 1.0, 0.0, 1.0)
 
     def point(self, u, v):
-        bu = _bernstein3(u)
-        bv = _bernstein3(v)
-        return np.einsum("...i,...j,ijk->...k", bu, bv, self.control)
+        return self.blend(_tensor_basis(_bernstein3(u), _bernstein3(v)))
 
     def partials(self, u, v):
         bu = _bernstein3(u)
         bv = _bernstein3(v)
-        dbu = _bernstein3_deriv(u)
-        dbv = _bernstein3_deriv(v)
-        pu = np.einsum("...i,...j,ijk->...k", dbu, bv, self.control)
-        pv = np.einsum("...i,...j,ijk->...k", bu, dbv, self.control)
-        return pu, pv
+        return (self.blend(_tensor_basis(_bernstein3_deriv(u), bv)),
+                self.blend(_tensor_basis(bu, _bernstein3_deriv(v))))
+
+    def blend(self, basis):
+        """Points (..., 3) of 16-term tensor bases (..., 16), as `_tensor_basis`
+        builds them.  Each sums its terms (bu_i bv_j) control_ij in i-major
+        order, bit for bit as np.einsum("...i,...j,ijk->...k") does."""
+        return np.einsum("...i,ik->...k", basis, self.control.reshape(16, 3))
 
     def transformed(self, offset, scale: float) -> "BicubicPatch":
         o = _vec(offset)

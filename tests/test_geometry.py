@@ -5,6 +5,8 @@ from hypothesis import given, strategies as st
 from brepcodec.geometry import (
     TAU,
     Arc2,
+    _bernstein3,
+    _bernstein3_deriv,
     BicubicPatch,
     CircularArc,
     CylinderPatch,
@@ -93,6 +95,27 @@ class TestSurfaces:
         pu, pv = s.partials(0.0, 0.2)
         n = np.cross(pu, pv)
         assert np.allclose(n / np.linalg.norm(n), [1, 0, 0])
+
+    def test_bicubic_matches_the_three_operand_einsum(self):
+        # the reference: each output sums bu_i bv_j control_ij over i, j
+        def reference(bu, bv, control):
+            return np.einsum("...i,...j,ijk->...k", bu, bv, control)
+
+        rng = np.random.default_rng(21)
+        g = np.linspace(0.0, 1.0, 33)
+        grid = np.meshgrid(g, g, indexing="ij")
+        uvs = [(grid[0].ravel(), grid[1].ravel()), (rng.random(100), rng.random(100)),
+               (rng.random((5, 7)), rng.random((5, 7))), (rng.random(1), rng.random(1)),
+               (0.3, 0.7), (0.25, rng.random(9)), (1.0, 0.0)]
+        for scale in (1e-3, 1.0, 1e3):
+            for _ in range(20):
+                s = BicubicPatch(scale * rng.normal(size=(4, 4, 3)))
+                for u, v in uvs:
+                    bu, bv = _bernstein3(u), _bernstein3(v)
+                    assert np.array_equal(s.point(u, v), reference(bu, bv, s.control))
+                    pu, pv = s.partials(u, v)
+                    assert np.array_equal(pu, reference(_bernstein3_deriv(u), bv, s.control))
+                    assert np.array_equal(pv, reference(bu, _bernstein3_deriv(v), s.control))
 
     def test_bicubic_planar_degeneracy(self):
         grid = np.zeros((4, 4, 3))
