@@ -311,127 +311,123 @@ def euler_report(model: BrepModel):
     return [_shell_stats(model, shell) for shell in compute_shells(model)]
 
 
-def validate(model: BrepModel) -> ValidationReport:
-    """Check structural invariants; defects are reported, never raised."""
+def _index_defects(model: BrepModel) -> list:
+    """Indices that point outside their tables."""
+    nv, nh, ne = model.num_vertices, len(model.halfedges), len(model.edges)
+    nl, nf = len(model.loops), len(model.faces)
     defects = []
-    nv = model.num_vertices
-    nh = len(model.halfedges)
-    ne = len(model.edges)
-    nl = len(model.loops)
-    nf = len(model.faces)
-
-    def dangling(cond, msg):
-        if cond:
-            defects.append(msg)
-        return cond
-
-    index_ok = True
     for i, he in enumerate(model.halfedges):
-        if dangling(not (0 <= he.origin < nv), f"halfedge {i}: dangling origin {he.origin}"):
-            index_ok = False
-        if dangling(not (0 <= he.twin < nh), f"halfedge {i}: dangling twin {he.twin}"):
-            index_ok = False
-        if dangling(not (0 <= he.edge < ne), f"halfedge {i}: dangling edge {he.edge}"):
-            index_ok = False
-        if dangling(not (0 <= he.loop < nl), f"halfedge {i}: dangling loop {he.loop}"):
-            index_ok = False
+        for name, ref, n in (("origin", he.origin, nv), ("twin", he.twin, nh),
+                             ("edge", he.edge, ne), ("loop", he.loop, nl)):
+            if not (0 <= ref < n):
+                defects.append(f"halfedge {i}: dangling {name} {ref}")
     for i, loop in enumerate(model.loops):
-        if dangling(not (0 <= loop.face < nf), f"loop {i}: dangling face {loop.face}"):
-            index_ok = False
-        for h in loop.halfedges:
-            if dangling(not (0 <= h < nh), f"loop {i}: dangling halfedge {h}"):
-                index_ok = False
-    for i, face in enumerate(model.faces):
-        for li in model.face_loops(i):
-            if dangling(not (0 <= li < nl), f"face {i}: dangling loop {li}"):
-                index_ok = False
+        if not (0 <= loop.face < nf):
+            defects.append(f"loop {i}: dangling face {loop.face}")
+        defects.extend(f"loop {i}: dangling halfedge {h}" for h in loop.halfedges
+                       if not (0 <= h < nh))
+    for i in range(nf):
+        defects.extend(f"face {i}: dangling loop {li}" for li in model.face_loops(i)
+                       if not (0 <= li < nl))
+    return defects
 
-    if not index_ok:
-        return ValidationReport(False, False, False, False, [], defects)
 
-    twin_ok = True
+def _twin_defects(model: BrepModel) -> list:
+    """Twin pairs and their edges' registration; indices must be in range."""
+    defects = []
     for i, he in enumerate(model.halfedges):
         if model.halfedges[he.twin].twin != i:
-            twin_ok = False
             defects.append(f"halfedge {i}: twin(twin) != self")
         if he.twin == i:
-            twin_ok = False
             defects.append(f"halfedge {i}: twin points to itself")
-        pair = model.edges[he.edge].halfedges
-        if i not in pair:
-            twin_ok = False
+        if i not in model.edges[he.edge].halfedges:
             defects.append(f"halfedge {i}: not registered on edge {he.edge}")
+    return defects
 
-    loops_ok = True
+
+def _loop_defects(model: BrepModel, twins_ok: bool) -> list:
+    """Loop membership and backlinks, and, when ``twins_ok``, closure: each
+    half-edge ends where its successor starts.  Indices must be in range."""
+    defects = []
     owner = {}
     for li, loop in enumerate(model.loops):
         if len(loop.halfedges) == 0:
-            loops_ok = False
             defects.append(f"loop {li}: empty")
             continue
         for h in loop.halfedges:
             if h in owner:
-                loops_ok = False
                 defects.append(f"halfedge {h}: in loops {owner[h]} and {li}")
             owner[h] = li
             if model.halfedges[h].loop != li:
-                loops_ok = False
                 defects.append(f"halfedge {h}: loop backlink != {li}")
-        if twin_ok:
+        if twins_ok:
             cyc = loop.halfedges
             for i, h in enumerate(cyc):
                 nxt = cyc[(i + 1) % len(cyc)]
                 if model.destination(h) != model.halfedges[nxt].origin:
-                    loops_ok = False
                     defects.append(f"loop {li}: open between halfedges {h} and {nxt}")
-    for h in range(nh):
-        if h not in owner:
-            loops_ok = False
-            defects.append(f"halfedge {h}: not in any loop")
+    defects.extend(f"halfedge {h}: not in any loop" for h in range(len(model.halfedges))
+                   if h not in owner)
+    return defects
 
-    manifold_ok = True
+
+def _manifold_defects(model: BrepModel) -> list:
+    """Edge pairs, face-loop backlinks and kinds, and isolated vertices;
+    indices must be in range."""
+    defects = []
     for ei, e in enumerate(model.edges):
         if len(e.halfedges) != 2 or e.halfedges[0] == e.halfedges[1]:
-            manifold_ok = False
             defects.append(f"edge {ei}: needs exactly two distinct halfedges")
             continue
         h0, h1 = e.halfedges
         if model.halfedges[h0].twin != h1:
-            manifold_ok = False
             defects.append(f"edge {ei}: halfedges are not twins")
         if {model.halfedges[h0].forward, model.halfedges[h1].forward} != {True, False}:
-            manifold_ok = False
             defects.append(f"edge {ei}: needs one forward and one reverse halfedge")
     for fi, face in enumerate(model.faces):
         for li in model.face_loops(fi):
             if model.loops[li].face != fi:
-                manifold_ok = False
                 defects.append(f"face {fi}: loop {li} backlink mismatch")
         if model.loops[face.outer].kind != "outer":
-            manifold_ok = False
             defects.append(f"face {fi}: outer loop {face.outer} marked {model.loops[face.outer].kind}")
         for li in face.inners:
             if model.loops[li].kind != "inner":
-                manifold_ok = False
                 defects.append(f"face {fi}: inner loop {li} marked {model.loops[li].kind}")
     used_verts = {he.origin for he in model.halfedges}
-    for v in range(nv):
-        if v not in used_verts:
-            manifold_ok = False
-            defects.append(f"vertex {v}: isolated")
+    defects.extend(f"vertex {v}: isolated" for v in range(model.num_vertices)
+                   if v not in used_verts)
+    return defects
 
-    shells = euler_report(model) if (twin_ok and loops_ok and manifold_ok) else []
+
+def twins_and_loops_ok(model: BrepModel) -> bool:
+    """``validate(model)``'s ``twin_consistent and loops_closed``, without its
+    manifold checks and Euler report."""
+    return not _index_defects(model) and not _twin_defects(model) \
+        and not _loop_defects(model, True)
+
+
+def validate(model: BrepModel) -> ValidationReport:
+    """Check structural invariants; defects are reported, never raised.
+
+    Index checks come first; when they pass, the twin, loop and manifold
+    checks run, and the per-shell Euler report when those pass too."""
+    defects = _index_defects(model)
+    if defects:
+        return ValidationReport(False, False, False, False, [], defects)
+    twin = _twin_defects(model)
+    loops = _loop_defects(model, not twin)
+    manifold = _manifold_defects(model)
+    defects = twin + loops + manifold
+
+    shells = [] if defects else euler_report(model)
     bad_genus = [s for s in shells if not float(s.genus).is_integer() or s.genus < 0]
     for s in bad_genus:
         defects.append(f"shell with V={s.vertices} E={s.edges} F={s.faces}: genus {s.genus}")
-    euler_ok = bool(shells) and not bad_genus
-
-    watertight = twin_ok and loops_ok and manifold_ok and euler_ok
     return ValidationReport(
-        twin_consistent=twin_ok,
-        loops_closed=loops_ok,
-        manifold=manifold_ok,
-        watertight=watertight,
+        twin_consistent=not twin,
+        loops_closed=not loops,
+        manifold=not manifold,
+        watertight=bool(shells) and not bad_genus,
         shells=shells,
         defects=defects,
     )

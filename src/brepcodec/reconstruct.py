@@ -11,19 +11,24 @@ The drafts of a model are arrays (`Drafts`) indexed by draft id, one
 unpack of the parsed descriptor matrices: drafts ``2k`` and ``2k + 1`` are
 edge ``k``'s two directions, so the twin of draft ``d`` is ``d ^ 1``.
 The numerics run as array passes over a whole model: `star_problems`
-prices every pair of every vertex star at once and `solve_next_map`
+gathers every vertex star from two stable argsorts of the drafts' origins
+and destinations and prices every pair at once, `solve_next_map`
 matches every star of degree at most 4 in one pass over its permutations
 (larger stars, near ties and non-finite costs go one by one through
 `solve_square`), `fit_faces` fits the planes of all outer loops at once
 (only loops above the plane gate get a bicubic, one by one), and
 `attach_inner_loops` measures each inner loop against every planar face at
-once.  The report times each stage.
+once.  The report times each stage and counts planar, bicubic and refused
+bicubic faces.
 
 One projector, ``_project``, finds the parameters of points on a fitted
 surface: it places interior samples in a bicubic fit, measures the
 distance of an inner loop to each bicubic face, and gives inner loops
 their pcurves.  A plane inverts exactly; a bicubic patch takes the nearest
-node of a ``UV_PROBE_GRID`` x ``UV_PROBE_GRID`` grid.
+node of a ``UV_PROBE_GRID`` x ``UV_PROBE_GRID`` grid.  One BLAS product
+scores every node against a block of points; only the nodes that score
+within a rounding margin of the best get exact probes and exact distances,
+so the answer is the exact grid search's, bit for bit.
 
 "Too large" is measured against the noise of the decoded samples, not a
 fixed tolerance.  Two sources add to it: vertices are rounded to the
@@ -45,13 +50,14 @@ import time
 from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import chain, permutations
+from itertools import permutations
 
 import numpy as np
 
 from .assignment import InfeasibleAssignmentError, solve_square
 from .codec import COORD_BINS, VertexRecordSet
-from .geometry import BicubicPatch, Plane, Poly2, PolylineCurve, _bernstein3, frame_for_normal
+from .geometry import (BicubicPatch, Plane, Poly2, PolylineCurve, _bernstein3, _tensor_basis,
+                       frame_for_normal)
 from .model import BrepModel, Edge, Face, HalfEdge, Loop, ValidationReport, validate
 from .sampler import SamplingConfig, unpack_descriptor
 
@@ -69,8 +75,9 @@ BOUNDARY_WEIGHT = 10.0
 ELEVATED_COST = 0.8
 # Per-axis node count of the grid `_project` searches on a bicubic patch.
 UV_PROBE_GRID = 33
-# Points per block of that search: a block's distance arrays hold
-# PROJECT_BLOCK x UV_PROBE_GRID**2 doubles (2.2 MB) each.
+# Points per block of that search: a block's score array holds
+# PROJECT_BLOCK x UV_PROBE_GRID**2 doubles (2.2 MB); only the nodes within the
+# rounding margin of a point's best score get exact distances.
 PROJECT_BLOCK = 256
 
 
@@ -100,6 +107,9 @@ class ReconstructionReport:
     elevated_cost_vertices: list = field(default_factory=list)
     loop_count: int = 0
     faces_built: int = 0
+    planar_faces: int = 0
+    bicubic_faces: int = 0
+    bicubic_rejected: int = 0      # planar faces whose bicubic fit was refused
     inner_loops_attached: int = 0
     notes: list = field(default_factory=list)
     validation: ValidationReport | None = None
@@ -151,16 +161,6 @@ def materialize_half_edges(records: VertexRecordSet, cfg: SamplingConfig | None 
 # Stage 2: successor assignment per vertex
 # ---------------------------------------------------------------------------
 
-def vertex_stars(drafts) -> dict:
-    """vertex -> (incoming, outgoing) draft ids, each in ascending draft order."""
-    stars = {}
-    origin = drafts.origin.tolist()
-    for d, v in enumerate(origin):
-        stars.setdefault(origin[d ^ 1], ([], []))[0].append(d)
-        stars.setdefault(v, ([], []))[1].append(d)
-    return stars
-
-
 # A vertex, its incoming and outgoing draft ids, and (degree, degree) costs and
 # forbidden flags (the outgoing draft is the incoming one's twin), incoming-major.
 Star = namedtuple("Star", "vertex incoming outgoing cost forbidden")
@@ -194,21 +194,28 @@ def _offsets(sizes: np.ndarray):
     return owner, np.arange(len(owner)) - (np.cumsum(sizes) - sizes)[owner]
 
 
-def star_problems(drafts, n_next: int, stars: dict) -> Stars:
-    """The `Stars` of ``stars`` (`vertex_stars` output) with an incoming draft,
-    every pair priced in one pass: the summed distance of the incoming draft's
-    ``next`` samples to the outgoing draft's first ``n_next`` on-curve samples."""
-    vertex = [v for v in sorted(stars) if stars[v][0]]
-    degree = np.array([len(stars[v][0]) for v in vertex], dtype=int)
-    incoming, outgoing = (np.fromiter(chain.from_iterable(stars[v][i] for v in vertex),
-                                      int, degree.sum()) for i in (0, 1))
+def star_problems(drafts, n_next: int, n_vertices: int | None = None) -> Stars:
+    """The `Stars` of every vertex (below ``n_vertices``, if given) with an
+    incoming draft, every pair priced in one pass: the summed distance of the
+    incoming draft's ``next`` samples to the outgoing draft's first ``n_next``
+    on-curve samples.
+
+    A vertex's outgoing drafts start at it and its incoming ones end at it,
+    each in ascending draft order: two stable argsorts, of the origins and of
+    the destinations.  A draft's twin is a draft, so the two counts agree."""
+    origin = drafts.origin
+    vertex, degree = np.unique(origin, return_counts=True)
+    if n_vertices is not None:
+        vertex, degree = vertex[vertex < n_vertices], degree[vertex < n_vertices]
+    rows = degree.sum()                 # the kept vertices' drafts sort first
+    outgoing = np.argsort(origin, kind="stable")[:rows]
+    incoming = np.argsort(origin[np.arange(len(origin)) ^ 1], kind="stable")[:rows]
     start, first = np.cumsum(degree) - degree, np.cumsum(degree**2) - degree**2
     owner, pair = _offsets(degree**2)
     a, b = np.divmod(pair, degree[owner])
     ins, outs = incoming[start[owner] + a], outgoing[start[owner] + b]
     cost = np.linalg.norm(drafts.next[ins] - drafts.curve[outs, 1: 1 + n_next], axis=2).sum(axis=1)
-    return Stars(np.array(vertex, dtype=int), degree, start, first, incoming, outgoing,
-                 cost, (ins ^ 1) == outs)
+    return Stars(vertex, degree, start, first, incoming, outgoing, cost, (ins ^ 1) == outs)
 
 
 # Stars of up to this degree are matched together, over all permutations.
@@ -263,8 +270,7 @@ def solve_next_map(drafts, n_vertices: int, cfg: SamplingConfig):
     vertex star, twins forbidden unless that leaves no matching: (next map,
     total cost in ascending vertex order, infeasible vertices, vertices
     costing more than ``ELEVATED_COST``)."""
-    stars = star_problems(drafts, cfg.n_next,
-                          {v: s for v, s in vertex_stars(drafts).items() if v < n_vertices})
+    stars = star_problems(drafts, cfg.n_next, n_vertices)
     cost, infeasible, column = _match_small_stars(stars)
     for s in np.flatnonzero(np.isnan(cost)).tolist():
         star, rows = stars[s], stars.start[s] + np.arange(stars.degree[s])
@@ -313,30 +319,75 @@ def classify_loops(loops, drafts) -> None:
 # Projection onto a fitted surface
 # ---------------------------------------------------------------------------
 
-# The nodes of the probe grid, (UV_PROBE_GRID**2, 2), u-major.
+# The nodes of the probe grid, (UV_PROBE_GRID**2, 2), u-major, and their
+# 16-term tensor Bernstein bases, (UV_PROBE_GRID**2, 16).
 _PROBE_UV = np.stack([a.ravel() for a in np.meshgrid(
     np.linspace(0.0, 1.0, UV_PROBE_GRID), np.linspace(0.0, 1.0, UV_PROBE_GRID),
     indexing="ij")], axis=-1)
+_PROBE_BASIS = _tensor_basis(_bernstein3(_PROBE_UV[:, 0]), _bernstein3(_PROBE_UV[:, 1]))
+# Relative width of the band of nodes `_project` settles exactly: about 9,000
+# units in the last place, over 20 times what rounding can part two scores.
+_PROJECT_MARGIN = 1e-12
 
 
 def _project(points: np.ndarray, surface) -> np.ndarray:
     """Parameters (N, 2) of the points of ``surface`` nearest ``points`` (N, 3).
 
     A Plane inverts exactly and unclipped; a bicubic patch (the only other
-    surface ``fit_faces`` builds) takes the nearest node of the
-    ``UV_PROBE_GRID`` x ``UV_PROBE_GRID`` grid over [0, 1]^2, searched
-    ``PROJECT_BLOCK`` points at a time.
+    surface ``fit_faces`` builds) takes the node of the ``UV_PROBE_GRID`` x
+    ``UV_PROBE_GRID`` grid over [0, 1]^2 whose probe ``surface.point``
+    minimizes ``sum((p_c - probe_c) ** 2)``, the lowest node on ties.
+
+    The search runs ``PROJECT_BLOCK`` points at a time.  One BLAS product
+    scores every node by ``|q|^2 - 2 p.q``, over approximate probes ``q``
+    (the basis times the control points, also by BLAS).  A point takes its
+    best-scoring node when no other node scores within the margin
+    ``_PROJECT_MARGIN * (|p|^2 + M^2)``, M the longest control point;
+    otherwise the nodes within it get exact probes and exact distances, and
+    the least wins.  A probe is a convex combination of control points, so
+    rounding parts ``|p|^2`` plus a score from the exact distance by at most
+    about 200 units in the last place of ``|p|^2 + M^2`` (the two probe sums
+    about 170 of them), and the nearest node always lies in the band.
+    Points of NaN, infinite or near-overflow scale search every node.
     """
     if isinstance(surface, Plane):
         return surface.uv_of_point(points)
-    probes = surface.point(_PROBE_UV[:, 0], _PROBE_UV[:, 1])
+    with np.errstate(over="ignore", invalid="ignore"):    # such points search every node
+        return _PROBE_UV[_nearest_nodes(points, surface)]
+
+
+def _nearest_nodes(points, surface):
+    """`_project`'s search on a bicubic patch: each point's row of ``_PROBE_UV``."""
+    control = surface.control.reshape(16, 3)
+    lead = np.empty((4, len(_PROBE_UV)))      # -2 q and |q|^2, against (p, 1)
+    lead[:3] = control.T @ _PROBE_BASIS.T
+    lead[3] = np.square(lead[:3]).sum(axis=0)
+    lead[:3] *= -2.0
+    reach = np.square(control).sum(axis=1).max()
+    lifted = np.ones((len(points), 4))
+    lifted[:, :3] = points
     nearest = np.empty(len(points), dtype=np.intp)
     for i in range(0, len(points), PROJECT_BLOCK):
-        block = points[i: i + PROJECT_BLOCK, None, :]
-        # x, y, z in turn: the same sums as ((block - probes) ** 2).sum(axis=-1)
-        d = sum((block[..., c] - probes[:, c]) ** 2 for c in range(3))
-        nearest[i: i + len(block)] = d.argmin(axis=1)
-    return _PROBE_UV[nearest]
+        block = points[i: i + PROJECT_BLOCK]
+        rows = np.arange(len(block))
+        score = lifted[i: i + PROJECT_BLOCK] @ lead
+        scale = np.square(block).sum(axis=1) + reach
+        pick = score.argmin(axis=1)
+        bound = score[rows, pick] + _PROJECT_MARGIN * scale + 1e-300   # 1e-300: subnormals
+        score[rows, pick] = np.inf                    # the runner-up decides
+        wide = ~(scale < 1e300)                       # NaN, infinite or near overflow
+        tied = np.flatnonzero((score.min(axis=1) <= bound) | wide)
+        if tied.size:
+            score[tied, pick[tied]] = -np.inf
+            near = (score[tied] <= bound[tied, None]) | wide[tied, None]
+            row, node = np.nonzero(near)
+            exact = surface.blend(_PROBE_BASIS[node])
+            d = np.full(near.shape, np.inf)
+            # x, y, z in turn: the same sums as ((p - exact) ** 2).sum(axis=-1)
+            d[row, node] = sum((block[tied[row], c] - exact[:, c]) ** 2 for c in range(3))
+            pick[tied] = d.argmin(axis=1)
+        nearest[i: i + len(block)] = pick
+    return nearest
 
 
 # ---------------------------------------------------------------------------
@@ -428,10 +479,7 @@ def _bicubic_face(loop_ids, runs, interior):
     if pts.shape[0] < 16:
         return None
 
-    bu = _bernstein3(uvs[:, 0])
-    bv = _bernstein3(uvs[:, 1])
-    a = (bu[:, :, None] * bv[:, None, :]).reshape(len(uvs), 16)
-    aw = a * w[:, None]
+    aw = _tensor_basis(_bernstein3(uvs[:, 0]), _bernstein3(uvs[:, 1])) * w[:, None]
     sol, *_ = np.linalg.lstsq(aw, pts * w[:, None], rcond=None)
     patch = BicubicPatch(sol.reshape(4, 4, 3))
     rms = float(np.sqrt(np.mean(
@@ -605,6 +653,10 @@ def reconstruct(records: VertexRecordSet, cfg: SamplingConfig | None = None):
         with _stage(report, "fit"):
             faces = fit_faces(outer, drafts)
         report.faces_built = len(faces)
+        report.planar_faces = sum(f.planar for f in faces)
+        report.bicubic_faces = len(faces) - report.planar_faces
+        # fit_faces notes a planar face only when it refused the face's bicubic
+        report.bicubic_rejected = sum(f.planar and bool(f.notes) for f in faces)
         report.notes.extend(note for f in faces for note in f.notes)
 
         with _stage(report, "attach"):

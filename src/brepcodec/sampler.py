@@ -49,7 +49,7 @@ import numpy as np
 
 from .geometry import (GeometryError, Poly2, Segment2, pcurve_points, surface_midpoint_norms,
                        surface_points)
-from .model import BrepModel, ModelError, halfedge_curve_samples, validate
+from .model import BrepModel, ModelError, halfedge_curve_samples, twins_and_loops_ok, validate
 
 
 # Voronoi grid resolution per axis; the walk marches UV_GRID // 2 steps.
@@ -536,9 +536,8 @@ def extract_vhp(model: BrepModel, cfg: SamplingConfig | None = None,
     model's `FaceCharts` if the caller has built it.
     """
     cfg = cfg or SamplingConfig()
-    report = validate(model)
-    if not (report.twin_consistent and report.loops_closed):
-        raise ModelError(f"model fails twin/loop validation: {report.defects[:3]}")
+    if not twins_and_loops_ok(model):
+        raise ModelError(f"model fails twin/loop validation: {validate(model).defects[:3]}")
 
     if charts is None:
         charts = FaceCharts(model)

@@ -31,7 +31,6 @@ from brepcodec.reconstruct import (
     materialize_half_edges,
     solve_next_map,
     star_problems,
-    vertex_stars,
 )
 from brepcodec.rq import encoding_errors, train_codebook
 from brepcodec.synth import CorpusSpec, synth_corpus
@@ -140,7 +139,7 @@ def test_criterion_3_next_map_noise_robustness(corpus):
         drafts, verts = materialize_half_edges(records, CFG.sampling)
         clean, *_ = solve_next_map(drafts, verts.shape[0], CFG.sampling)
         nn = CFG.sampling.n_next
-        for problem in star_problems(drafts, nn, vertex_stars(drafts)):
+        for problem in star_problems(drafts, nn):
             cands = [drafts.curve[j, 1:1 + nn] for j in problem.outgoing]
             dmin = min(np.linalg.norm(a - b, axis=1).sum()
                        for a, b in itertools.combinations(cands, 2))

@@ -345,6 +345,11 @@ class TestCli:
         for res in reports.values():
             assert res["ok"]
             assert set(res["report"]["stage_ms"]) == STAGES
+            rep = res["report"]
+            assert rep["planar_faces"] + rep["bicubic_faces"] == rep["faces_built"]
+            assert rep["bicubic_rejected"] <= rep["planar_faces"]
+        # the corpus holds a cylinder, whose wall is the one bicubic face
+        assert sum(res["report"]["bicubic_faces"] for res in reports.values()) >= 1
 
     def test_detokenize_and_corruption_exit_2(self, workspace, tmp_path):
         out = tmp_path / "rebuilt"

@@ -16,6 +16,7 @@ from brepcodec.model import (
     halfedge_curve_samples,
     model_bbox,
     normalize,
+    twins_and_loops_ok,
     validate,
 )
 from brepcodec.primitives import box, merge_models, ngon_prism, seam_cylinder, through_hole_box
@@ -59,6 +60,35 @@ class TestValidate:
         rep = validate(bad)
         assert not rep.watertight
         assert any("dangling origin" in d for d in rep.defects)
+
+
+    @pytest.mark.parametrize("mutate", ["none", "twin", "origin", "open", "kind", "isolated"])
+    def test_twin_and_loop_checks_alone_agree_with_validate(self, unit_cube, mutate):
+        from brepcodec.model import ModelError
+        from brepcodec.sampler import extract_vhp
+
+        m = BrepModel(vertices=unit_cube.vertices, edges=list(unit_cube.edges),
+                      halfedges=list(unit_cube.halfedges),
+                      loops=list(unit_cube.loops), faces=list(unit_cube.faces))
+        if mutate == "twin":
+            m.halfedges[0] = dataclasses.replace(m.halfedges[0], twin=0)
+        elif mutate == "origin":
+            m.halfedges[3] = dataclasses.replace(m.halfedges[3], origin=999)
+        elif mutate == "open":
+            m.loops[2] = dataclasses.replace(m.loops[2], halfedges=m.loops[2].halfedges[::-1])
+        elif mutate == "kind":      # a manifold defect only
+            m.loops[1] = dataclasses.replace(m.loops[1], kind="inner")
+        elif mutate == "isolated":  # a manifold defect only
+            m.vertices = np.vstack([m.vertices, [[5.0, 5.0, 5.0]]])
+        rep = validate(m)
+        assert twins_and_loops_ok(m) == (rep.twin_consistent and rep.loops_closed)
+        assert rep.watertight == (mutate == "none")
+        if twins_and_loops_ok(m):
+            extract_vhp(m)
+        else:               # the message quotes the full validate's first defects
+            with pytest.raises(ModelError) as err:
+                extract_vhp(m)
+            assert str(err.value) == f"model fails twin/loop validation: {rep.defects[:3]}"
 
 
 class TestEuler:

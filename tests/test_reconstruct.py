@@ -9,7 +9,7 @@ import brepcodec.io as bio
 from brepcodec.assignment import InfeasibleAssignmentError, solve_square
 from brepcodec.codec import CodecConfig, VocabLayout, parse, tokenize
 from brepcodec.model import euler_report, normalize, validate
-from brepcodec.geometry import BicubicPatch, Plane, frame_for_normal
+from brepcodec.geometry import BicubicPatch, Plane, _bernstein3, frame_for_normal
 from brepcodec.pipeline import decode_tokens, encode_model, lossless_codebook, roundtrip_check
 from brepcodec.primitives import (
     box,
@@ -22,6 +22,7 @@ from brepcodec.primitives import (
 from brepcodec.reconstruct import (
     ELEVATED_COST,
     PROJECT_BLOCK,
+    UV_PROBE_GRID,
     Drafts,
     LoopDraft,
     _PROBE_UV,
@@ -36,7 +37,6 @@ from brepcodec.reconstruct import (
     solve_next_map,
     star_problems,
     trace_loops,
-    vertex_stars,
 )
 from brepcodec.lm import SamplerConfig, fit_ngram, sample_sequence
 from brepcodec.rq import train_codebook
@@ -231,7 +231,7 @@ class TestAssignmentAtVertices:
             drafts, verts = materialize_half_edges(rs, CFG.sampling)
             clean, *_ = solve_next_map(drafts, verts.shape[0], CFG.sampling)
             nn = CFG.sampling.n_next
-            for problem in star_problems(drafts, nn, vertex_stars(drafts)):
+            for problem in star_problems(drafts, nn):
                 cands = [drafts.curve[j, 1:1 + nn] for j in problem.outgoing]
                 dmin = min(
                     np.linalg.norm(a - b, axis=1).sum()
@@ -248,8 +248,7 @@ def per_star_next_map(drafts, n_vertices, n_next):
     """`solve_next_map` by `solve_square`, one star at a time in ascending
     vertex order: twins forbidden, allowed back when that is infeasible."""
     next_map, total, infeasible, elevated = {}, 0.0, [], []
-    stars = {v: s for v, s in vertex_stars(drafts).items() if v < n_vertices}
-    for p in star_problems(drafts, n_next, stars):
+    for p in star_problems(drafts, n_next, n_vertices):
         try:
             cols, cost = solve_square(np.where(p.forbidden, np.inf, p.cost))
         except InfeasibleAssignmentError:
@@ -515,13 +514,15 @@ class TestBatchedFit:
         loops = trace_loops(solve_next_map(drafts, verts.shape[0], CFG.sampling)[0])
         assert {len(l.drafts) for l in loops} >= {1, 4}
         nn = CFG.sampling.n_next
-        stars = vertex_stars(drafts)
-        problems = star_problems(drafts, nn, stars)
+        # vertex -> (incoming, outgoing) draft ids, each ascending, draft by draft
+        stars = {}
+        for d, v in enumerate(drafts.origin.tolist()):
+            stars.setdefault(int(drafts.origin[d ^ 1]), ([], []))[0].append(d)
+            stars.setdefault(v, ([], []))[1].append(d)
+        problems = star_problems(drafts, nn)
         assert [p.vertex for p in problems] == sorted(stars)
         for p in problems:
-            one, = star_problems(drafts, nn, {p.vertex: stars[p.vertex]})
-            assert np.array_equal(one.cost, p.cost)
-            assert np.array_equal(one.forbidden, p.forbidden)
+            assert (p.incoming, p.outgoing) == stars[p.vertex]
             for a, di in enumerate(p.incoming):
                 for b, dj in enumerate(p.outgoing):
                     ref = np.linalg.norm(drafts.next[di] - drafts.curve[dj][1:1 + nn],
@@ -530,7 +531,68 @@ class TestBatchedFit:
                     assert p.forbidden[a, b] == ((di ^ 1) == dj)   # di's twin
 
 
+def dense_nearest_node(points, patch):
+    """The probe-grid search written out: every node's probe by the three-operand
+    einsum, every squared distance summed x, y, z in turn, the lowest node on ties."""
+    bu, bv = _bernstein3(_PROBE_UV[:, 0]), _bernstein3(_PROBE_UV[:, 1])
+    probes = np.einsum("...i,...j,ijk->...k", bu, bv, patch.control)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = sum((points[:, None, c] - probes[None, :, c]) ** 2 for c in range(3))
+    return _PROBE_UV[d.argmin(axis=1)] if len(points) else np.zeros((0, 2))
+
+
+def lattice_patch(z):
+    """A patch whose x, y run over [0, 1]^2 with u, v, lifted by ``z`` (4, 4)."""
+    g = np.linspace(0.0, 1.0, 4)
+    return BicubicPatch(np.stack([*np.meshgrid(g, g, indexing="ij"), z], axis=-1))
+
+
 class TestProject:
+    @pytest.mark.parametrize("case", ["random", "nodes", "midpoints", "flat", "degenerate",
+                                      "non-finite", "huge", "tiny", "blocks", "empty"])
+    def test_equals_the_dense_grid_search(self, case):
+        rng = np.random.default_rng(5)
+        patch = lattice_patch(rng.random((4, 4)))
+        points = rng.random((60, 3))
+        if case == "nodes":           # exactly on probes, also the grid's corners
+            probes = patch.point(_PROBE_UV[:, 0], _PROBE_UV[:, 1])
+            points = probes[rng.integers(len(probes), size=60)]
+            points[:4] = patch.control[[0, 0, 3, 3], [0, 3, 0, 3]]
+        elif case == "midpoints":     # on the flat lattice, equidistant from 2 or 4 nodes
+            patch = lattice_patch(np.zeros((4, 4)))
+            k = rng.integers(0, UV_PROBE_GRID - 1, size=(60, 2)) + rng.integers(0, 2, (60, 2)) * 0.5
+            points = np.concatenate([k / (UV_PROBE_GRID - 1), rng.random((60, 1))], axis=1)
+        elif case == "flat":
+            patch = lattice_patch(np.full((4, 4), 0.25))
+        elif case == "degenerate":    # every probe is one point: all nodes tie
+            patch = BicubicPatch(np.broadcast_to(rng.random(3), (4, 4, 3)))
+        elif case == "non-finite":
+            points[[3, 10, 11]] = [[np.nan, 0, 0], [np.inf, 0.5, 0.5], [-np.inf, np.inf, 0]]
+            points[20] = [1e200, 0, 0]
+        elif case == "huge":
+            patch = BicubicPatch(patch.control * 1e150)
+            points *= 1e150
+        elif case == "tiny":
+            patch = BicubicPatch(patch.control * 1e-160)
+            points *= 1e-160
+        elif case == "blocks":
+            points = rng.normal(size=(3 * PROJECT_BLOCK + 5, 3))
+        elif case == "empty":
+            points = points[:0]
+        assert np.array_equal(_project(points, patch), dense_nearest_node(points, patch))
+
+    def test_equals_the_dense_grid_search_on_random_patches(self):
+        rng = np.random.default_rng(8)
+        for k in range(200):
+            scale = 10.0 ** rng.integers(-4, 5)
+            control = scale * rng.normal(size=(4, 4, 3))
+            if k % 3 == 0:
+                control = np.round(control / scale * 2) / 2 * scale    # coarse: many ties
+            patch = BicubicPatch(control)
+            points = scale * rng.normal(size=(int(rng.integers(1, 90)), 3))
+            points[: len(points) // 3] = np.round(points[: len(points) // 3] / scale) * scale
+            assert np.array_equal(_project(points, patch), dense_nearest_node(points, patch))
+
     def test_blocked_search_equals_one_block(self):
         rng = np.random.default_rng(3)
         grid = np.stack(np.meshgrid(np.linspace(0, 1, 4), np.linspace(0, 1, 4),
@@ -658,6 +720,36 @@ class TestReconstructPipeline:
         model, report = reconstruct(rs, CFG.sampling)
         assert report.elevated_cost_vertices
         assert model is not None
+
+    def test_round_trip_runs_two_euler_reports(self, monkeypatch):
+        # one for the source's shells and one in the rebuild's validate: the
+        # encode's extract_vhp runs only the twin and loop checks
+        import brepcodec.model as model_mod
+        import brepcodec.pipeline as pipeline_mod
+
+        src = through_hole_box()
+        cb = lossless_codebook(normalize(src)[0])
+        calls, original = [], model_mod.euler_report
+        counted = lambda model: calls.append(model) or original(model)   # noqa: E731
+        monkeypatch.setattr(model_mod, "euler_report", counted)
+        monkeypatch.setattr(pipeline_mod, "euler_report", counted)
+        assert roundtrip_check(src, cb).ok
+        assert len(calls) == 2
+
+    def test_report_counts_face_kinds(self, monkeypatch):
+        import brepcodec.reconstruct as rec
+
+        rs, _ = records_for(merge_models([box(), seam_cylinder(at=(2.0, 0, 0))]))
+        model, report = reconstruct(rs, CFG.sampling)
+        planes = sum(isinstance(f.surface, Plane) for f in model.faces)
+        assert (report.planar_faces, report.bicubic_faces, report.bicubic_rejected) \
+            == (planes, len(model.faces) - planes, 0)
+        assert report.bicubic_faces == 1                  # the cylinder's wall
+        # a refused bicubic leaves the wall on its plane, counted as refused
+        monkeypatch.setattr(rec, "_bicubic_face", lambda *args: None)
+        model, report = reconstruct(rs, CFG.sampling)
+        assert (report.planar_faces, report.bicubic_faces, report.bicubic_rejected) \
+            == (len(model.faces), 0, 1)
 
     def test_report_times_every_stage(self):
         rs, _ = records_for(through_hole_box())
