@@ -206,7 +206,8 @@ def star_problems(drafts, n_next: int, n_vertices: int | None = None) -> Stars:
     origin = drafts.origin
     vertex, degree = np.unique(origin, return_counts=True)
     if n_vertices is not None:
-        vertex, degree = vertex[vertex < n_vertices], degree[vertex < n_vertices]
+        keep = vertex < n_vertices
+        vertex, degree = vertex[keep], degree[keep]
     rows = degree.sum()                 # the kept vertices' drafts sort first
     outgoing = np.argsort(origin, kind="stable")[:rows]
     incoming = np.argsort(origin[np.arange(len(origin)) ^ 1], kind="stable")[:rows]
@@ -345,14 +346,14 @@ def _project(points: np.ndarray, surface) -> np.ndarray:
     ``_PROJECT_MARGIN * (|p|^2 + M^2)``, M the longest control point;
     otherwise the nodes within it get exact probes and exact distances, and
     the least wins.  A probe is a convex combination of control points, so
-    rounding parts ``|p|^2`` plus a score from the exact distance by at most
-    about 200 units in the last place of ``|p|^2 + M^2`` (the two probe sums
-    about 170 of them), and the nearest node always lies in the band.
-    Points of NaN, infinite or near-overflow scale search every node.
+    rounding parts a score plus ``|p|^2`` from the exact distance by under
+    200 units in the last place of ``|p|^2 + M^2``, and the nearest node
+    always lies in the band.  Points of NaN, infinite or near-overflow scale
+    search every node.
     """
     if isinstance(surface, Plane):
         return surface.uv_of_point(points)
-    with np.errstate(over="ignore", invalid="ignore"):    # such points search every node
+    with np.errstate(over="ignore", invalid="ignore"):    # non-finite points search all nodes
         return _PROBE_UV[_nearest_nodes(points, surface)]
 
 
@@ -373,7 +374,8 @@ def _nearest_nodes(points, surface):
         score = lifted[i: i + PROJECT_BLOCK] @ lead
         scale = np.square(block).sum(axis=1) + reach
         pick = score.argmin(axis=1)
-        bound = score[rows, pick] + _PROJECT_MARGIN * scale + 1e-300   # 1e-300: subnormals
+        # 1e-300 covers the rounding of subnormal scores
+        bound = score[rows, pick] + _PROJECT_MARGIN * scale + 1e-300
         score[rows, pick] = np.inf                    # the runner-up decides
         wide = ~(scale < 1e300)                       # NaN, infinite or near overflow
         tied = np.flatnonzero((score.min(axis=1) <= bound) | wide)
