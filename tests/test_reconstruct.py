@@ -538,7 +538,7 @@ def dense_nearest_node(points, patch):
     probes = np.einsum("...i,...j,ijk->...k", bu, bv, patch.control)
     with np.errstate(over="ignore", invalid="ignore"):
         d = sum((points[:, None, c] - probes[None, :, c]) ** 2 for c in range(3))
-    return _PROBE_UV[d.argmin(axis=1)] if len(points) else np.zeros((0, 2))
+    return _PROBE_UV[d.argmin(axis=1)]
 
 
 def lattice_patch(z):
