@@ -39,7 +39,9 @@ from brepcodec.reconstruct import (
     trace_loops,
 )
 from brepcodec.lm import SamplerConfig, fit_ngram, sample_sequence
+from brepcodec.metrics import surface_sample
 from brepcodec.rq import train_codebook
+from brepcodec.sampler import extract_vhp
 from brepcodec.synth import FAMILIES, CorpusSpec, synth_corpus
 from brepcodec.codec import model_descriptors, descriptor_dim_weights
 
@@ -808,6 +810,29 @@ GOLDEN_BICUBIC_DECODES = (
     32, 29, 64, "34d9c07288c847c744b4dbf1197ebb7847432b47b46787bbf080a49059e7edc6")
 
 
+@pytest.fixture(scope="module")
+def bicubic_decodes():
+    """Cylinders and holed boxes of 1-5 components under a lossy 4 x 256
+    codebook, each decoded.  The corpus decodes above hold only 2 bicubic
+    faces and 11 inner loops; these take the bicubic fit, its projector and
+    the inner-loop attachment many times over."""
+    spec = CorpusSpec(counts={"cylinder": 16, "hole_box": 16}, components=(1, 5), seed=7)
+    normed = [normalize(m)[0] for _, m in synth_corpus(spec)]
+    cb = train_codebook(np.concatenate([model_descriptors(m, CFG.sampling) for m in normed]),
+                        4, 256, seed=0, dim_weights=descriptor_dim_weights(CFG.sampling))
+    return [decode_tokens(tokenize(m, cb, CFG), cb, CFG) for m in normed]
+
+
+# sha256 of the half-patch descriptors and of a 2,000-point surface cloud of
+# the 32 watertight bicubic-rich decodes: rebuilt geometry (Poly2 pcurves,
+# polyline curves, planar and bicubic faces) evaluated as the sampler and the
+# metrics evaluate it.  Rebuilt faces walk to zero depth at some half-edges,
+# which the sampler warns about.
+GOLDEN_REBUILT_EVALUATION = (
+    "c382b2a185cbacaab8e37fcd46999397df822ec348d84184f66cb568e6d5a3b8",
+    "4560e9168c09cc383cf47a81bd6b1c72b0471c9c14b6a2f2bfbea3bcc0e0e742")
+
+
 class TestDecodeGolden:
     @pytest.mark.parametrize("part", sorted(GOLDEN_DECODES))
     def test_decodes_are_pinned(self, lossy_decodes, part):
@@ -815,16 +840,18 @@ class TestDecodeGolden:
         watertight = sum(report.success for _, report in decoded)
         assert (len(decoded), watertight, decode_digest(decoded)) == GOLDEN_DECODES[part]
 
-    def test_bicubic_rich_decodes_are_pinned(self):
-        # The corpus decodes above hold only 2 bicubic faces and 11 inner
-        # loops.  Cylinders and holed boxes of 1-5 components, under a lossy
-        # 4 x 256 codebook, take the bicubic fit, its projector and the
-        # inner-loop attachment many times over.
-        spec = CorpusSpec(counts={"cylinder": 16, "hole_box": 16}, components=(1, 5), seed=7)
-        normed = [normalize(m)[0] for _, m in synth_corpus(spec)]
-        cb = train_codebook(np.concatenate([model_descriptors(m, CFG.sampling) for m in normed]),
-                            4, 256, seed=0, dim_weights=descriptor_dim_weights(CFG.sampling))
-        decoded = [decode_tokens(tokenize(m, cb, CFG), cb, CFG) for m in normed]
+    def test_bicubic_rich_decodes_are_pinned(self, bicubic_decodes):
+        decoded = bicubic_decodes
         bicubic = sum(isinstance(f.surface, BicubicPatch) for m, _ in decoded for f in m.faces)
         inner = sum(report.inner_loops_attached for _, report in decoded)
         assert (len(decoded), bicubic, inner, decode_digest(decoded)) == GOLDEN_BICUBIC_DECODES
+
+    @pytest.mark.filterwarnings("ignore::brepcodec.sampler.ZeroDepthWarning")
+    def test_rebuilt_geometry_evaluation_is_pinned(self, bicubic_decodes):
+        rebuilt = [m for m, report in bicubic_decodes if report.success]
+        assert len(rebuilt) == 32
+        vhp, cloud = hashlib.sha256(), hashlib.sha256()
+        for m in rebuilt:
+            vhp.update(extract_vhp(m, CFG.sampling).tobytes())
+            cloud.update(surface_sample(m, 2000, seed=3).tobytes())
+        assert (vhp.hexdigest(), cloud.hexdigest()) == GOLDEN_REBUILT_EVALUATION
