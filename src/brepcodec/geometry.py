@@ -11,9 +11,16 @@ All variants support an exact similarity transform ``transformed(offset,
 scale)`` mapping points p to (p - offset) * scale without touching
 parameter domains, so model normalization never invalidates pcurves.
 
+Each kind's arithmetic is written once, as a private kernel over field
+arrays that broadcast over leading axes.  An object's methods pass it their
+own fields; the batched evaluators (``curve_points``, ``curve_bboxes``,
+``surface_points``, ``surface_midpoint_norms``, ``pcurve_points``) pass it
+the stacked fields of every object of one kind.  So the two agree bit for
+bit.
+
 ``KINDS`` maps each variant's ``kind`` tag to its class; it is the one
 list of the kinds that exist.  Constructors reject non-finite numbers
-with GeometryError.
+and degenerate geometry (zero sweeps, zero spans) with GeometryError.
 """
 from __future__ import annotations
 
@@ -99,6 +106,149 @@ def _tensor_basis(bu, bv):
 
 
 # ---------------------------------------------------------------------------
+# Kernels: each kind's arithmetic, once.  A kernel takes the parameters, then
+# the kind's fields in declaration order (a point list as its points, first
+# row and segment count; trailing fields it does not read go to ``*_``).  A
+# scalar field broadcasts as the parameters do, a vector field as the
+# parameters with a trailing coordinate axis.
+# ---------------------------------------------------------------------------
+
+def _linear(t, a, b):
+    """a + t (b - a): LineSegment and Segment2 points."""
+    return a + np.asarray(t, dtype=float)[..., None] * (b - a)
+
+
+def _constant(vec, *params):
+    """A new array of ``vec`` repeated over the broadcast shape of ``params``."""
+    out = np.empty(np.broadcast(*params).shape + vec.shape[-1:])
+    out[...] = vec
+    return out
+
+
+def _linear_tangent(t, a, b):
+    return _constant(b - a, t)
+
+
+def _bbox(pts):
+    """(lo, hi) over the candidate points (..., C, 3), NaN candidates skipped."""
+    return np.fmin.reduce(pts, axis=-2), np.fmax.reduce(pts, axis=-2)
+
+
+def _linear_bbox(a, b):
+    return _bbox(np.stack([a, b], axis=-2))
+
+
+def _segment(t, nseg):
+    """t in segment units, clamped to [0, nseg], and the segment it falls in."""
+    s = np.clip(np.asarray(t, dtype=float), 0.0, 1.0) * nseg
+    return s, np.clip(np.floor(s).astype(int), 0, nseg - 1)
+
+
+def _piecewise(t, pts, first, nseg):
+    """Points of polylines stored back to back in ``pts``, each ``nseg``
+    segments from row ``first``, t uniform in segment index: PolylineCurve
+    and Poly2."""
+    s, i = _segment(t, nseg)
+    j = first + i
+    return pts[j] + (s - i)[..., None] * (pts[j + 1] - pts[j])
+
+
+def _piecewise_tangent(t, pts, first, nseg):
+    j = first + _segment(t, nseg)[1]
+    return (pts[j + 1] - pts[j]) * np.asarray(nseg)[..., None]
+
+
+def _piecewise_bbox(pts, first, *_):
+    at = np.ravel(first)
+    return tuple(f.reduceat(pts, at).reshape(np.shape(first) + pts.shape[-1:])
+                 for f in (np.minimum, np.maximum))
+
+
+def _circle(th, center, radius, x, y):
+    """center + r (cos th) x + r (sin th) y, summed as written."""
+    r = np.asarray(radius)[..., None]
+    return center + r * (np.cos(th)[..., None] * x) + r * (np.sin(th)[..., None] * y)
+
+
+def _arc_points(u, center, radius, x, y, theta0, theta1):
+    return _circle(theta0 + np.asarray(u, dtype=float) * (theta1 - theta0), center, radius, x, y)
+
+
+def _arc_bbox(center, radius, x, y, theta0, theta1):
+    """Over the two ends and, per coordinate c_i + A_i cos(theta - phi_i),
+    every extremum within the sweep (the candidates in that order)."""
+    radius, theta0, theta1 = (np.asarray(f)[..., None] for f in (radius, theta0, theta1))
+    ends = _arc_points(np.array([0.0, 1.0]), center[..., None, :], radius,
+                       x[..., None, :], y[..., None, :], theta0, theta1)
+    axis_ok = ~((np.abs(x) < 1e-15) & (np.abs(y) < 1e-15))[..., None]
+    phi = np.arctan2(y, x)
+    th = np.stack([phi, phi + np.pi], axis=-1)            # (..., axis, extremum)
+    lo_t, hi_t = np.minimum(theta0, theta1)[..., None], np.maximum(theta0, theta1)[..., None]
+    th = th + np.ceil((lo_t - th) / TAU) * TAU
+    per_arc = (center[..., None, None, :], radius[..., None], x[..., None, None, :],
+               y[..., None, None, :], theta0[..., None], theta1[..., None])
+    found = []
+    while (keep := axis_ok & (th <= hi_t + 1e-15)).any():
+        u = (th - theta0[..., None]) / (theta1 - theta0)[..., None]
+        found.append(np.where(keep[..., None], _arc_points(np.clip(u, 0.0, 1.0), *per_arc),
+                              np.nan))
+        th = th + TAU
+    if found:
+        extremes = np.stack(found, axis=-2)               # (..., axis, extremum, turn, 3)
+        ends = np.concatenate([ends, extremes.reshape(ends.shape[:-2] + (-1, 3))], axis=-2)
+    return _bbox(ends)
+
+
+def _plane_points(u, v, origin, u_vec, v_vec):
+    return (origin + np.asarray(u, dtype=float)[..., None] * u_vec
+            + np.asarray(v, dtype=float)[..., None] * v_vec)
+
+
+def _plane_partials(u, v, _origin, u_vec, v_vec):
+    return _constant(u_vec, u, v), _constant(v_vec, u, v)
+
+
+def _cylinder_points(u, v, center, radius, x, y, axis, *_):
+    return (_circle(np.asarray(u, dtype=float), center, radius, x, y)
+            + np.asarray(v, dtype=float)[..., None] * axis)
+
+
+def _cylinder_partials(u, v, _center, radius, x, y, axis, *_):
+    u = np.asarray(u, dtype=float)
+    pu = np.asarray(radius)[..., None] * (-np.sin(u)[..., None] * x + np.cos(u)[..., None] * y)
+    return pu, _constant(axis, u, v)
+
+
+def _blend(basis, control):
+    """Points (..., 3) of 16-term tensor bases (..., 16), as `_tensor_basis`
+    builds them, on control nets (..., 4, 4, 3).  Each sums its terms
+    (bu_i bv_j) control_ij in i-major order, bit for bit as
+    np.einsum("...i,...j,ijk->...k") does on one net."""
+    return np.einsum("...i,...ik->...k", basis, control.reshape(control.shape[:-3] + (16, 3)))
+
+
+def _bicubic_points(u, v, control):
+    return _blend(_tensor_basis(_bernstein3(u), _bernstein3(v)), control)
+
+
+def _bicubic_partials(u, v, control):
+    bu, bv = _bernstein3(u), _bernstein3(v)
+    return (_blend(_tensor_basis(_bernstein3_deriv(u), bv), control),
+            _blend(_tensor_basis(bu, _bernstein3_deriv(v)), control))
+
+
+def _arc2_points(t, center, radius, phi0, phi1):
+    phi = phi0 + np.asarray(t, dtype=float) * (phi1 - phi0)
+    return center + np.asarray(radius)[..., None] * np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+
+
+def _arc2_tangents(t, _center, radius, phi0, phi1):
+    dphi = phi1 - phi0
+    phi = phi0 + np.asarray(t, dtype=float) * dphi
+    return np.asarray(radius * dphi)[..., None] * np.stack([-np.sin(phi), np.cos(phi)], axis=-1)
+
+
+# ---------------------------------------------------------------------------
 # Curves
 # ---------------------------------------------------------------------------
 
@@ -116,15 +266,10 @@ class LineSegment:
         object.__setattr__(self, "p1", _vec(self.p1))
 
     def point(self, u):
-        u = np.asarray(u, dtype=float)
-        return self.p0 + np.multiply.outer(u, self.p1 - self.p0)
-
-    def length(self) -> float:
-        return float(np.linalg.norm(self.p1 - self.p0))
+        return _linear(u, self.p0, self.p1)
 
     def bbox(self):
-        pts = np.stack([self.p0, self.p1])
-        return pts.min(axis=0), pts.max(axis=0)
+        return _linear_bbox(self.p0, self.p1)
 
     def transformed(self, offset, scale: float) -> "LineSegment":
         o = _vec(offset)
@@ -160,39 +305,13 @@ class CircularArc:
         if abs(np.dot(self.x_axis, self.y_axis)) > 1e-9:
             raise GeometryError("arc frame axes must be orthogonal")
 
-    def _theta(self, u):
-        u = np.asarray(u, dtype=float)
-        return self.theta0 + u * (self.theta1 - self.theta0)
-
     def point(self, u):
-        th = self._theta(u)
-        return (
-            self.center
-            + self.radius * np.multiply.outer(np.cos(th), self.x_axis)
-            + self.radius * np.multiply.outer(np.sin(th), self.y_axis)
-        )
-
-    def length(self) -> float:
-        return abs(self.radius * (self.theta1 - self.theta0))
+        return _arc_points(u, self.center, self.radius, self.x_axis, self.y_axis,
+                           self.theta0, self.theta1)
 
     def bbox(self):
-        lo_t, hi_t = sorted((self.theta0, self.theta1))
-        pts = [self.point(0.0), self.point(1.0)]
-        # per-coordinate extrema of c_i + A_i * cos(theta - phi_i)
-        for i in range(3):
-            xi, yi = self.x_axis[i], self.y_axis[i]
-            if abs(xi) < 1e-15 and abs(yi) < 1e-15:
-                continue
-            phi = np.arctan2(yi, xi)
-            for extremum in (phi, phi + np.pi):
-                k0 = np.ceil((lo_t - extremum) / TAU)
-                th = extremum + k0 * TAU
-                while th <= hi_t + 1e-15:
-                    u = (th - self.theta0) / (self.theta1 - self.theta0)
-                    pts.append(self.point(float(np.clip(u, 0.0, 1.0))))
-                    th += TAU
-        pts = np.stack(pts)
-        return pts.min(axis=0), pts.max(axis=0)
+        return _arc_bbox(self.center, self.radius, self.x_axis, self.y_axis,
+                         self.theta0, self.theta1)
 
     def transformed(self, offset, scale: float) -> "CircularArc":
         o = _vec(offset)
@@ -221,18 +340,10 @@ class PolylineCurve:
         object.__setattr__(self, "points", p)
 
     def point(self, u):
-        u = np.asarray(u, dtype=float)
-        nseg = self.points.shape[0] - 1
-        s = np.clip(u, 0.0, 1.0) * nseg
-        i = np.clip(np.floor(s).astype(int), 0, nseg - 1)
-        f = s - i
-        return self.points[i] + f[..., None] * (self.points[i + 1] - self.points[i])
-
-    def length(self) -> float:
-        return float(np.linalg.norm(np.diff(self.points, axis=0), axis=1).sum())
+        return _piecewise(u, self.points, 0, self.points.shape[0] - 1)
 
     def bbox(self):
-        return self.points.min(axis=0), self.points.max(axis=0)
+        return _piecewise_bbox(self.points, 0)
 
     def transformed(self, offset, scale: float) -> "PolylineCurve":
         o = _vec(offset)
@@ -257,25 +368,19 @@ class Plane:
         object.__setattr__(self, "origin", _vec(self.origin))
         object.__setattr__(self, "u_vec", _vec(self.u_vec))
         object.__setattr__(self, "v_vec", _vec(self.v_vec))
+        (a1, a2, a3), (b1, b2, b3) = self.u_vec.tolist(), self.v_vec.tolist()
+        if (math.hypot(a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
+                <= 1e-9 * math.hypot(a1, a2, a3) * math.hypot(b1, b2, b3)):
+            raise GeometryError("plane spans must be non-zero and not parallel")
 
     def domain(self):
         return (0.0, 1.0, 0.0, 1.0)
 
     def point(self, u, v):
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        return (
-            self.origin
-            + np.multiply.outer(u, self.u_vec)
-            + np.multiply.outer(v, self.v_vec)
-        )
+        return _plane_points(u, v, self.origin, self.u_vec, self.v_vec)
 
     def partials(self, u, v):
-        u = np.asarray(u, dtype=float)
-        shape = np.broadcast(u, np.asarray(v, dtype=float)).shape
-        pu = np.broadcast_to(self.u_vec, shape + (3,)).copy()
-        pv = np.broadcast_to(self.v_vec, shape + (3,)).copy()
-        return pu, pv
+        return _plane_partials(u, v, self.origin, self.u_vec, self.v_vec)
 
     def uv_of_point(self, p):
         """Exact inverse for points in the plane (least squares otherwise)."""
@@ -323,30 +428,21 @@ class CylinderPatch:
         _set_reals(self, "radius", "u0", "u1")
         if self.radius <= 0:
             raise GeometryError("cylinder radius must be positive")
+        if not self.axis.any():
+            raise GeometryError("cylinder axis must be non-zero")
+        if self.u1 == self.u0:
+            raise GeometryError("cylinder sweep must be non-zero")
 
     def domain(self):
         return (self.u0, self.u1, 0.0, 1.0)
 
     def point(self, u, v):
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        return (
-            self.center
-            + self.radius * np.multiply.outer(np.cos(u), self.x_axis)
-            + self.radius * np.multiply.outer(np.sin(u), self.y_axis)
-            + np.multiply.outer(v, self.axis)
-        )
+        return _cylinder_points(u, v, self.center, self.radius, self.x_axis, self.y_axis,
+                                self.axis)
 
     def partials(self, u, v):
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        pu = self.radius * (
-            np.multiply.outer(-np.sin(u), self.x_axis)
-            + np.multiply.outer(np.cos(u), self.y_axis)
-        )
-        shape = np.broadcast(u, v).shape
-        pv = np.broadcast_to(self.axis, shape + (3,)).copy()
-        return pu, pv
+        return _cylinder_partials(u, v, self.center, self.radius, self.x_axis, self.y_axis,
+                                  self.axis)
 
     def transformed(self, offset, scale: float) -> "CylinderPatch":
         o = _vec(offset)
@@ -370,7 +466,7 @@ class BicubicPatch:
     kind = "bicubic"
 
     def __post_init__(self):
-        # C order: `blend` sums in the order the einsum takes on such an array
+        # C order: `_blend` sums in the order the einsum takes on such an array
         c = np.ascontiguousarray(_points(self.control, (4, 4, 3), "control points"))
         object.__setattr__(self, "control", c)
 
@@ -378,19 +474,14 @@ class BicubicPatch:
         return (0.0, 1.0, 0.0, 1.0)
 
     def point(self, u, v):
-        return self.blend(_tensor_basis(_bernstein3(u), _bernstein3(v)))
+        return _bicubic_points(u, v, self.control)
 
     def partials(self, u, v):
-        bu = _bernstein3(u)
-        bv = _bernstein3(v)
-        return (self.blend(_tensor_basis(_bernstein3_deriv(u), bv)),
-                self.blend(_tensor_basis(bu, _bernstein3_deriv(v))))
+        return _bicubic_partials(u, v, self.control)
 
     def blend(self, basis):
-        """Points (..., 3) of 16-term tensor bases (..., 16), as `_tensor_basis`
-        builds them.  Each sums its terms (bu_i bv_j) control_ij in i-major
-        order, bit for bit as np.einsum("...i,...j,ijk->...k") does."""
-        return np.einsum("...i,ik->...k", basis, self.control.reshape(16, 3))
+        """Points (..., 3) of 16-term tensor bases (..., 16); see `_blend`."""
+        return _blend(basis, self.control)
 
     def transformed(self, offset, scale: float) -> "BicubicPatch":
         o = _vec(offset)
@@ -413,12 +504,10 @@ class Segment2:
         object.__setattr__(self, "b", _vec(self.b, 2))
 
     def point(self, t):
-        t = np.asarray(t, dtype=float)
-        return self.a + np.multiply.outer(t, self.b - self.a)
+        return _linear(t, self.a, self.b)
 
     def tangent(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.broadcast_to(self.b - self.a, t.shape + (2,)).copy()
+        return _linear_tangent(t, self.a, self.b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -437,17 +526,14 @@ class Arc2:
         _set_reals(self, "radius", "phi0", "phi1")
         if self.radius <= 0:
             raise GeometryError("arc radius must be positive")
+        if self.phi1 == self.phi0:
+            raise GeometryError("arc sweep must be non-zero")
 
     def point(self, t):
-        t = np.asarray(t, dtype=float)
-        phi = self.phi0 + t * (self.phi1 - self.phi0)
-        return self.center + self.radius * np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+        return _arc2_points(t, self.center, self.radius, self.phi0, self.phi1)
 
     def tangent(self, t):
-        t = np.asarray(t, dtype=float)
-        phi = self.phi0 + t * (self.phi1 - self.phi0)
-        dphi = self.phi1 - self.phi0
-        return self.radius * dphi * np.stack([-np.sin(phi), np.cos(phi)], axis=-1)
+        return _arc2_tangents(t, self.center, self.radius, self.phi0, self.phi1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -463,223 +549,10 @@ class Poly2:
         object.__setattr__(self, "points", p)
 
     def point(self, t):
-        t = np.asarray(t, dtype=float)
-        nseg = self.points.shape[0] - 1
-        s = np.clip(t, 0.0, 1.0) * nseg
-        i = np.clip(np.floor(s).astype(int), 0, nseg - 1)
-        f = s - i
-        return self.points[i] + f[..., None] * (self.points[i + 1] - self.points[i])
+        return _piecewise(t, self.points, 0, self.points.shape[0] - 1)
 
     def tangent(self, t):
-        t = np.asarray(t, dtype=float)
-        nseg = self.points.shape[0] - 1
-        s = np.clip(t, 0.0, 1.0) * nseg
-        i = np.clip(np.floor(s).astype(int), 0, nseg - 1)
-        return (self.points[i + 1] - self.points[i]) * nseg
-
-
-# ---------------------------------------------------------------------------
-# Batched evaluation: one array pass per kind, bit-identical to each object's
-# own method (the same operations on the same operands, in the same order)
-# ---------------------------------------------------------------------------
-
-def _by_kind(objs) -> dict:
-    """class -> indices of ``objs`` of that class, in first-seen order."""
-    out: dict = {}
-    for i, o in enumerate(objs):
-        out.setdefault(type(o), []).append(i)
-    return out
-
-
-def _rows(group, name: str) -> np.ndarray:
-    """Field ``name`` of every object of ``group``, stacked as floats."""
-    return np.array([getattr(o, name) for o in group], dtype=float)
-
-
-def _arc_points(group, u) -> np.ndarray:
-    """``point`` of each CircularArc of ``group`` at its row of ``u``:
-    (K, ...) -> (K, ..., 3)."""
-    theta0 = _rows(group, "theta0")
-    sweep = _rows(group, "theta1") - theta0
-    lead = (slice(None),) + (None,) * (np.ndim(u) - 1)
-    th = theta0[lead] + u * sweep[lead]
-    center, x, y = (_rows(group, f)[lead] for f in ("center", "x_axis", "y_axis"))
-    radius = _rows(group, "radius")[lead + (None,)]
-    return (center + radius * (np.cos(th)[..., None] * x)
-            + radius * (np.sin(th)[..., None] * y))
-
-
-def curve_points(curves, u, forward) -> np.ndarray:
-    """``point(u)`` of several curves at shared u -> (K, T, 3); curve i runs
-    at ``1.0 - u`` where ``forward[i]`` is false, as a reverse half-edge does.
-
-    LineSegment, CircularArc and PolylineCurve curves are evaluated one array
-    pass per kind; other kinds are called one by one.
-    """
-    u = np.asarray(u, dtype=float).reshape(-1)
-    fwd = np.asarray(forward, dtype=bool)
-    out = np.empty((len(curves), u.size, 3))
-    for kind, idx in _by_kind(curves).items():
-        group = [curves[i] for i in idx]
-        uu = np.where(fwd[idx, None], u, 1.0 - u)
-        if kind is LineSegment:
-            p0 = _rows(group, "p0")[:, None]
-            out[idx] = p0 + uu[..., None] * (_rows(group, "p1")[:, None] - p0)
-        elif kind is CircularArc:
-            out[idx] = _arc_points(group, uu)
-        elif kind is PolylineCurve:
-            n = np.array([c.points.shape[0] for c in group])
-            pts = np.concatenate([c.points for c in group])
-            nseg = (n - 1)[:, None]
-            s = np.clip(uu, 0.0, 1.0) * nseg
-            i = np.clip(np.floor(s).astype(int), 0, nseg - 1)
-            f = s - i
-            j = (np.cumsum(n) - n)[:, None] + i
-            out[idx] = pts[j] + f[..., None] * (pts[j + 1] - pts[j])
-        else:
-            out[idx] = [c.point(w) for c, w in zip(group, uu)]
-    return out
-
-
-def _arc_bbox_points(group) -> np.ndarray:
-    """The points `CircularArc.bbox` reduces, for each arc of ``group``, in its
-    order, -> (K, C, 3); a candidate that arc skips is NaN."""
-    theta0, theta1 = _rows(group, "theta0"), _rows(group, "theta1")
-    lo_t, hi_t = np.minimum(theta0, theta1), np.maximum(theta0, theta1)
-    x, y = _rows(group, "x_axis"), _rows(group, "y_axis")
-    axis_ok = ~((np.abs(x) < 1e-15) & (np.abs(y) < 1e-15))
-    phi = np.arctan2(y, x)
-    th = np.stack([phi, phi + np.pi], axis=-1)            # (K, axis, extremum)
-    th = th + np.ceil((lo_t[:, None, None] - th) / TAU) * TAU
-    found = []
-    while True:
-        keep = axis_ok[..., None] & (th <= hi_t[:, None, None] + 1e-15)
-        if not keep.any():
-            break
-        u = (th - theta0[:, None, None]) / (theta1 - theta0)[:, None, None]
-        found.append(np.where(keep[..., None], _arc_points(group, np.clip(u, 0.0, 1.0)), np.nan))
-        th = th + TAU
-    ends = _arc_points(group, np.array([[0.0, 1.0]] * len(group)))
-    extremes = np.stack(found, axis=3) if found else np.empty((len(group), 3, 2, 0, 3))
-    return np.concatenate([ends, extremes.reshape(len(group), -1, 3)], axis=1)
-
-
-def curve_bboxes(curves):
-    """``bbox()`` of several curves -> (lo, hi), each (K, 3).
-
-    LineSegment, CircularArc and PolylineCurve curves take one array pass per
-    kind; other kinds are called one by one.
-    """
-    lo, hi = np.empty((len(curves), 3)), np.empty((len(curves), 3))
-    for kind, idx in _by_kind(curves).items():
-        group = [curves[i] for i in idx]
-        if kind is PolylineCurve:
-            n = np.array([c.points.shape[0] for c in group])
-            pts, first = np.concatenate([c.points for c in group]), np.cumsum(n) - n
-            lo[idx], hi[idx] = np.minimum.reduceat(pts, first), np.maximum.reduceat(pts, first)
-        elif kind in (LineSegment, CircularArc):
-            pts = (np.stack([_rows(group, "p0"), _rows(group, "p1")], axis=1)
-                   if kind is LineSegment else _arc_bbox_points(group))
-            lo[idx], hi[idx] = np.fmin.reduce(pts, axis=1), np.fmax.reduce(pts, axis=1)
-        else:
-            lo[idx], hi[idx] = zip(*(c.bbox() for c in group))
-    return lo, hi
-
-
-def surface_points(surfaces, k, u, v) -> np.ndarray:
-    """``surfaces[k[i]].point(u[i], v[i])`` for every i -> (N, 3).
-
-    Plane and CylinderPatch points take one array pass per kind; other
-    kinds are called surface by surface.
-    """
-    k = np.asarray(k, dtype=int)
-    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-    out = np.empty((k.size, 3))
-    slot = np.empty(len(surfaces), dtype=int)
-    for kind, idx in _by_kind(surfaces).items():
-        group = [surfaces[i] for i in idx]
-        slot[idx] = np.arange(len(idx))
-        sel = np.flatnonzero(np.isin(k, idx))
-        g, su, sv = slot[k[sel]], u[sel, None], v[sel, None]
-        if kind is Plane:
-            out[sel] = (_rows(group, "origin")[g] + su * _rows(group, "u_vec")[g]
-                        + sv * _rows(group, "v_vec")[g])
-        elif kind is CylinderPatch:
-            radius = _rows(group, "radius")[g, None]
-            out[sel] = (_rows(group, "center")[g]
-                        + radius * (np.cos(su) * _rows(group, "x_axis")[g])
-                        + radius * (np.sin(su) * _rows(group, "y_axis")[g])
-                        + sv * _rows(group, "axis")[g])
-        else:
-            for i in idx:
-                at = np.flatnonzero(k == i)
-                if at.size:
-                    out[at] = surfaces[i].point(u[at], v[at])
-    return out
-
-
-def surface_midpoint_norms(surfaces):
-    """``domain()`` of each surface, (S, 4), and the norms of its ``partials``
-    at the domain's midpoint, (S, 2).
-
-    Plane and CylinderPatch surfaces take one array pass per kind, with
-    norms as ``np.linalg.norm`` takes them (one dot product per vector);
-    other kinds are called one by one.
-    """
-    dom, norms = np.empty((len(surfaces), 4)), np.empty((len(surfaces), 2))
-    for kind, idx in _by_kind(surfaces).items():
-        group = [surfaces[i] for i in idx]
-        if kind is Plane:
-            dom[idx] = (0.0, 1.0, 0.0, 1.0)
-            pu, pv = _rows(group, "u_vec"), _rows(group, "v_vec")
-        elif kind is CylinderPatch:
-            u0, u1 = _rows(group, "u0"), _rows(group, "u1")
-            dom[idx] = np.stack([u0, u1, np.zeros_like(u0), np.ones_like(u0)], axis=1)
-            mid = (0.5 * (u0 + u1))[:, None]
-            pu = _rows(group, "radius")[:, None] * (
-                -np.sin(mid) * _rows(group, "x_axis") + np.cos(mid) * _rows(group, "y_axis"))
-            pv = _rows(group, "axis")
-        else:
-            for i, s in zip(idx, group):
-                u0, u1, v0, v1 = dom[i] = s.domain()
-                pu, pv = s.partials(0.5 * (u0 + u1), 0.5 * (v0 + v1))
-                norms[i] = np.linalg.norm(pu), np.linalg.norm(pv)
-            continue
-        norms[idx] = np.sqrt(np.stack([np.vecdot(pu, pu), np.vecdot(pv, pv)], axis=1))
-    return dom, norms
-
-
-def pcurve_points(pcurves, t, tangent: bool = False) -> np.ndarray:
-    """``point(t)`` (or ``tangent(t)``) of several pcurves at shared t -> (K, T, 2).
-
-    Segment2 and Arc2 curves are evaluated together, one array pass per
-    kind, with the same arithmetic as their own methods, so every value is
-    bit-identical to the per-curve call; other kinds are called one by one.
-    """
-    t = np.asarray(t, dtype=float).reshape(-1)
-    out = np.empty((len(pcurves), t.size, 2))
-    for kind, idx in _by_kind(pcurves).items():
-        group = [pcurves[i] for i in idx]
-        if kind is Segment2:
-            a = np.array([pc.a for pc in group])
-            d = np.array([pc.b for pc in group]) - a
-            out[idx] = d[:, None, :] if tangent else a[:, None, :] + t[:, None] * d[:, None, :]
-        elif kind is Arc2:
-            phi0 = np.array([pc.phi0 for pc in group])
-            dphi = np.array([pc.phi1 for pc in group]) - phi0
-            phi = phi0[:, None] + t * dphi[:, None]
-            if tangent:
-                scale = np.array([pc.radius for pc in group]) * dphi
-                out[idx, :, 0] = scale[:, None] * -np.sin(phi)
-                out[idx, :, 1] = scale[:, None] * np.cos(phi)
-            else:
-                center = np.array([pc.center for pc in group])
-                radius = np.array([pc.radius for pc in group])[:, None]
-                out[idx, :, 0] = center[:, :1] + radius * np.cos(phi)
-                out[idx, :, 1] = center[:, 1:] + radius * np.sin(phi)
-        else:
-            out[idx] = [pc.tangent(t) if tangent else pc.point(t) for pc in group]
-    return out
+        return _piecewise_tangent(t, self.points, 0, self.points.shape[0] - 1)
 
 
 # kind -> class, for every geometry a model file may name.  The dataclass
@@ -687,3 +560,114 @@ def pcurve_points(pcurves, t, tangent: bool = False) -> np.ndarray:
 KINDS = {cls.kind: cls for cls in (LineSegment, CircularArc, PolylineCurve,
                                    Plane, CylinderPatch, BicubicPatch,
                                    Segment2, Arc2, Poly2)}
+
+
+# ---------------------------------------------------------------------------
+# Batched evaluation: each kind's kernel, once, on the stacked fields of all
+# its objects; an object outside KINDS is called one row at a time
+# ---------------------------------------------------------------------------
+
+_POINTS = {LineSegment: _linear, CircularArc: _arc_points, PolylineCurve: _piecewise,
+           Plane: _plane_points, CylinderPatch: _cylinder_points, BicubicPatch: _bicubic_points,
+           Segment2: _linear, Arc2: _arc2_points, Poly2: _piecewise}
+_TANGENTS = {Segment2: _linear_tangent, Arc2: _arc2_tangents, Poly2: _piecewise_tangent}
+_PARTIALS = {Plane: _plane_partials, CylinderPatch: _cylinder_partials,
+             BicubicPatch: _bicubic_partials}
+_BBOXES = {LineSegment: _linear_bbox, CircularArc: _arc_bbox, PolylineCurve: _piecewise_bbox}
+
+
+def _groups(objs):
+    """(indices, objects) of each class of ``objs``, in first-seen order."""
+    by: dict = {}
+    for i, o in enumerate(objs):
+        by.setdefault(type(o), []).append(i)
+    return [(idx, [objs[i] for i in idx]) for idx in by.values()]
+
+
+def _stack(group, per_t: bool) -> list:
+    """The fields of the objects of ``group`` (one class of KINDS), in
+    declaration order, as arrays (K, field shape); ``per_t`` puts a unit axis
+    after K, against parameters (K, T).  A point list, whose length varies,
+    comes as the lists back to back, then each object's first row and
+    segment count."""
+    out = []
+    for name in type(group[0]).__dataclass_fields__:
+        vals = [getattr(o, name) for o in group]
+        if name == "points":
+            n = np.array([len(p) for p in vals])
+            out.append(np.concatenate(vals))
+            per_object = [np.cumsum(n) - n, n - 1]
+        else:
+            per_object = [np.array(vals, dtype=float)]
+        out += [a[:, None] for a in per_object] if per_t else per_object
+    return out
+
+
+def _each(kernels: dict, method: str, group, *params, rows=None):
+    """``method`` of the objects of ``group`` (one class) at each row of
+    ``params``, stacked: row i belongs to object ``rows[i]``, or to object i
+    if ``rows`` is None.  A class of ``kernels`` takes one kernel call; any
+    other is called row by row, its tuples of outputs stacked per entry."""
+    kernel = kernels.get(type(group[0]))
+    if kernel is not None:
+        fields = _stack(group, bool(params) and np.ndim(params[0]) == 2)
+        return kernel(*params, *(fields if rows is None else [f[rows] for f in fields]))
+    out = [getattr(group[r], method)(*(p[i] for p in params))
+           for i, r in enumerate(range(len(group)) if rows is None else rows)]
+    return tuple(map(np.array, zip(*out))) if isinstance(out[0], tuple) else np.array(out)
+
+
+def curve_points(curves, u, forward) -> np.ndarray:
+    """``point(u)`` of several curves at shared u -> (K, T, 3); curve i runs
+    at ``1.0 - u`` where ``forward[i]`` is false, as a reverse half-edge does."""
+    u = np.asarray(u, dtype=float).reshape(-1)
+    fwd = np.asarray(forward, dtype=bool)
+    out = np.empty((len(curves), u.size, 3))
+    for idx, group in _groups(curves):
+        out[idx] = _each(_POINTS, "point", group, np.where(fwd[idx, None], u, 1.0 - u))
+    return out
+
+
+def curve_bboxes(curves):
+    """``bbox()`` of several curves -> (lo, hi), each (K, 3)."""
+    lo, hi = np.empty((len(curves), 3)), np.empty((len(curves), 3))
+    for idx, group in _groups(curves):
+        lo[idx], hi[idx] = _each(_BBOXES, "bbox", group)
+    return lo, hi
+
+
+def surface_points(surfaces, k, u, v) -> np.ndarray:
+    """``surfaces[k[i]].point(u[i], v[i])`` for every i -> (N, 3)."""
+    k = np.asarray(k, dtype=int)
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    out = np.empty((k.size, 3))
+    slot = np.empty(len(surfaces), dtype=int)
+    for idx, group in _groups(surfaces):
+        slot[idx] = np.arange(len(idx))
+        sel = np.flatnonzero(np.isin(k, idx))
+        if sel.size:
+            out[sel] = _each(_POINTS, "point", group, u[sel], v[sel], rows=slot[k[sel]])
+    return out
+
+
+def surface_midpoint_norms(surfaces):
+    """``domain()`` of each surface, (S, 4), and the norms of its ``partials``
+    at the domain's midpoint, (S, 2), as ``np.linalg.norm`` takes them (one
+    dot product per vector)."""
+    dom = np.array([s.domain() for s in surfaces], dtype=float).reshape(-1, 4)
+    mid = 0.5 * (dom[:, 0::2] + dom[:, 1::2])
+    norms = np.empty((len(surfaces), 2))
+    for idx, group in _groups(surfaces):
+        pu, pv = _each(_PARTIALS, "partials", group, mid[idx, 0], mid[idx, 1])
+        norms[idx] = np.sqrt(np.stack([np.vecdot(pu, pu), np.vecdot(pv, pv)], axis=1))
+    return dom, norms
+
+
+def pcurve_points(pcurves, t, tangent: bool = False) -> np.ndarray:
+    """``point(t)`` (or ``tangent(t)``) of several pcurves at shared t -> (K, T, 2)."""
+    t = np.asarray(t, dtype=float).reshape(-1)
+    out = np.empty((len(pcurves), t.size, 2))
+    kernels, method = (_TANGENTS, "tangent") if tangent else (_POINTS, "point")
+    for idx, group in _groups(pcurves):
+        out[idx] = _each(kernels, method, group, t[None].repeat(len(idx), axis=0))
+    return out

@@ -25,19 +25,221 @@ from brepcodec.geometry import (
 )
 
 
+# ---------------------------------------------------------------------------
+# Reference: each kind's per-object formulas as written before the object
+# methods and the batched evaluators came to share one kernel per kind, kept
+# verbatim (``self`` is the object) as an independent bit-for-bit oracle for
+# both paths.
+# ---------------------------------------------------------------------------
+
+def line_point(self, u):
+    u = np.asarray(u, dtype=float)
+    return self.p0 + np.multiply.outer(u, self.p1 - self.p0)
+
+
+def line_bbox(self):
+    pts = np.stack([self.p0, self.p1])
+    return pts.min(axis=0), pts.max(axis=0)
+
+
+def arc_theta(self, u):
+    u = np.asarray(u, dtype=float)
+    return self.theta0 + u * (self.theta1 - self.theta0)
+
+
+def arc_point(self, u):
+    th = arc_theta(self, u)
+    return (
+        self.center
+        + self.radius * np.multiply.outer(np.cos(th), self.x_axis)
+        + self.radius * np.multiply.outer(np.sin(th), self.y_axis)
+    )
+
+
+def arc_bbox(self):
+    lo_t, hi_t = sorted((self.theta0, self.theta1))
+    pts = [arc_point(self, 0.0), arc_point(self, 1.0)]
+    # per-coordinate extrema of c_i + A_i * cos(theta - phi_i)
+    for i in range(3):
+        xi, yi = self.x_axis[i], self.y_axis[i]
+        if abs(xi) < 1e-15 and abs(yi) < 1e-15:
+            continue
+        phi = np.arctan2(yi, xi)
+        for extremum in (phi, phi + np.pi):
+            k0 = np.ceil((lo_t - extremum) / TAU)
+            th = extremum + k0 * TAU
+            while th <= hi_t + 1e-15:
+                u = (th - self.theta0) / (self.theta1 - self.theta0)
+                pts.append(arc_point(self, float(np.clip(u, 0.0, 1.0))))
+                th += TAU
+    pts = np.stack(pts)
+    return pts.min(axis=0), pts.max(axis=0)
+
+
+def polyline_point(self, u):
+    u = np.asarray(u, dtype=float)
+    nseg = self.points.shape[0] - 1
+    s = np.clip(u, 0.0, 1.0) * nseg
+    i = np.clip(np.floor(s).astype(int), 0, nseg - 1)
+    f = s - i
+    return self.points[i] + f[..., None] * (self.points[i + 1] - self.points[i])
+
+
+def polyline_bbox(self):
+    return self.points.min(axis=0), self.points.max(axis=0)
+
+
+def plane_point(self, u, v):
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    return (
+        self.origin
+        + np.multiply.outer(u, self.u_vec)
+        + np.multiply.outer(v, self.v_vec)
+    )
+
+
+def plane_partials(self, u, v):
+    u = np.asarray(u, dtype=float)
+    shape = np.broadcast(u, np.asarray(v, dtype=float)).shape
+    pu = np.broadcast_to(self.u_vec, shape + (3,)).copy()
+    pv = np.broadcast_to(self.v_vec, shape + (3,)).copy()
+    return pu, pv
+
+
+def cylinder_point(self, u, v):
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    return (
+        self.center
+        + self.radius * np.multiply.outer(np.cos(u), self.x_axis)
+        + self.radius * np.multiply.outer(np.sin(u), self.y_axis)
+        + np.multiply.outer(v, self.axis)
+    )
+
+
+def cylinder_partials(self, u, v):
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    pu = self.radius * (
+        np.multiply.outer(-np.sin(u), self.x_axis)
+        + np.multiply.outer(np.cos(u), self.y_axis)
+    )
+    shape = np.broadcast(u, v).shape
+    pv = np.broadcast_to(self.axis, shape + (3,)).copy()
+    return pu, pv
+
+
+def bicubic_point(self, u, v):
+    # the three-operand einsum: each output sums bu_i bv_j control_ij over i, j
+    return np.einsum("...i,...j,ijk->...k", _bernstein3(u), _bernstein3(v), self.control)
+
+
+def bicubic_partials(self, u, v):
+    bu = _bernstein3(u)
+    bv = _bernstein3(v)
+    return (np.einsum("...i,...j,ijk->...k", _bernstein3_deriv(u), bv, self.control),
+            np.einsum("...i,...j,ijk->...k", bu, _bernstein3_deriv(v), self.control))
+
+
+def seg2_point(self, t):
+    t = np.asarray(t, dtype=float)
+    return self.a + np.multiply.outer(t, self.b - self.a)
+
+
+def seg2_tangent(self, t):
+    t = np.asarray(t, dtype=float)
+    return np.broadcast_to(self.b - self.a, t.shape + (2,)).copy()
+
+
+def arc2_point(self, t):
+    t = np.asarray(t, dtype=float)
+    phi = self.phi0 + t * (self.phi1 - self.phi0)
+    return self.center + self.radius * np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+
+
+def arc2_tangent(self, t):
+    t = np.asarray(t, dtype=float)
+    phi = self.phi0 + t * (self.phi1 - self.phi0)
+    dphi = self.phi1 - self.phi0
+    return self.radius * dphi * np.stack([-np.sin(phi), np.cos(phi)], axis=-1)
+
+
+def poly2_tangent(self, t):
+    t = np.asarray(t, dtype=float)
+    nseg = self.points.shape[0] - 1
+    s = np.clip(t, 0.0, 1.0) * nseg
+    i = np.clip(np.floor(s).astype(int), 0, nseg - 1)
+    return (self.points[i + 1] - self.points[i]) * nseg
+
+
+REF_POINT = {LineSegment: line_point, CircularArc: arc_point, PolylineCurve: polyline_point,
+             Plane: plane_point, CylinderPatch: cylinder_point, BicubicPatch: bicubic_point,
+             Segment2: seg2_point, Arc2: arc2_point, Poly2: polyline_point}
+REF_BBOX = {LineSegment: line_bbox, CircularArc: arc_bbox, PolylineCurve: polyline_bbox}
+REF_PARTIALS = {Plane: plane_partials, CylinderPatch: cylinder_partials,
+                BicubicPatch: bicubic_partials}
+REF_TANGENT = {Segment2: seg2_tangent, Arc2: arc2_tangent, Poly2: poly2_tangent}
+
+
+def bitwise(a, b) -> bool:
+    """Same shape and the same bits (signed zeros and NaN payloads too)."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def random_frame(rng):
+    x = rng.normal(size=3)
+    x /= np.linalg.norm(x)
+    return x, np.cross(x, rng.normal(size=3))
+
+
+def random_curves(rng):
+    curves = [CircularArc((0, 0, 0), 1.0, (1, 0, 0), (0, 1, 0), 0.0, TAU),
+              CircularArc((0, 0, 0), 1.0, (1, 0, 0), (0, 0, 1), 0.0, 0.5)]
+    for sweep in (0.7, -2.5, TAU, -TAU, 9.0):
+        x, y = random_frame(rng)
+        t0 = rng.uniform(-TAU, TAU)
+        curves.append(LineSegment(rng.normal(size=3), rng.normal(size=3)))
+        curves.append(CircularArc(rng.normal(size=3), rng.uniform(0.1, 2.0), x, y,
+                                  t0, t0 + sweep))
+        curves.append(PolylineCurve(rng.normal(size=(int(rng.integers(2, 6)), 3))))
+    return curves
+
+
+def random_surfaces(rng):
+    surfaces = []
+    for _ in range(4):
+        x, y = random_frame(rng)
+        u0 = rng.uniform(-TAU, TAU)
+        surfaces += [Plane(rng.normal(size=3), rng.normal(size=3), rng.normal(size=3)),
+                     CylinderPatch(rng.normal(size=3), rng.uniform(0.1, 2.0), x, y,
+                                   rng.normal(size=3), u0, u0 + rng.uniform(0.5, TAU)),
+                     BicubicPatch(10.0 ** rng.uniform(-3, 3) * rng.normal(size=(4, 4, 3)))]
+    return surfaces
+
+
+def random_pcurves(rng):
+    pcs = []
+    for _ in range(6):
+        pcs.append(Segment2(rng.normal(size=2), rng.normal(size=2)))
+        pcs.append(Arc2(rng.normal(size=2), rng.uniform(0.1, 2.0),
+                        rng.uniform(-TAU, TAU), rng.uniform(-TAU, TAU)))
+        pcs.append(Poly2(rng.normal(size=(int(rng.integers(2, 6)), 2))))
+    return pcs
+
+
 class TestCurves:
     def test_line_evaluation(self):
         c = LineSegment((0, 0, 0), (2, 0, 0))
         assert np.allclose(c.point(0.25), [0.5, 0, 0])
         assert np.allclose(c.point([0.0, 1.0]), [[0, 0, 0], [2, 0, 0]])
-        assert c.length() == 2.0
 
     def test_arc_quarter_circle(self):
         c = CircularArc((0, 0, 0), 1.0, (1, 0, 0), (0, 1, 0), 0.0, np.pi / 2)
         assert np.allclose(c.point(0.0), [1, 0, 0])
         assert np.allclose(c.point(1.0), [0, 1, 0])
         assert np.allclose(c.point(0.5), [np.sqrt(0.5), np.sqrt(0.5), 0])
-        assert np.isclose(c.length(), np.pi / 2)
 
     def test_arc_points_exactly_on_circle(self):
         c = CircularArc((1, 2, 3), 0.7, (1, 0, 0), (0, 0, 1), 0.3, 5.1)
@@ -60,7 +262,6 @@ class TestCurves:
         c = PolylineCurve([(0, 0, 0), (1, 0, 0), (1, 1, 0)])
         assert np.allclose(c.point(0.25), [0.5, 0, 0])
         assert np.allclose(c.point(0.75), [1, 0.5, 0])
-        assert c.length() == 2.0
 
     def test_degenerate_inputs_raise(self):
         with pytest.raises(GeometryError):
@@ -74,6 +275,17 @@ class TestCurves:
         for radius in (0.0, -0.25):
             with pytest.raises(GeometryError, match="radius must be positive"):
                 Arc2((0.5, 0.5), radius, 0.0, 1.0)
+        with pytest.raises(GeometryError, match="sweep must be non-zero"):
+            Arc2((0.5, 0.5), 0.25, 1.5, 1.5)
+        for u_vec, v_vec in [((0, 0, 0), (0, 1, 0)), ((1, 2, 0), (1, 2, 0)),
+                             ((1, 0, 0), (-3, 0, 0)), ((1, 0, 0), (1, 1e-10, 0))]:
+            with pytest.raises(GeometryError, match="plane spans"):
+                Plane((0, 0, 0), u_vec, v_vec)
+        Plane((0, 0, 0), (1e-10, 0, 0), (0, 1e-10, 0))      # tiny but square spans stand
+        with pytest.raises(GeometryError, match="axis must be non-zero"):
+            CylinderPatch((0, 0, 0), 1.0, (1, 0, 0), (0, 1, 0), (0, 0, 0), 0.0, TAU)
+        with pytest.raises(GeometryError, match="sweep must be non-zero"):
+            CylinderPatch((0, 0, 0), 1.0, (1, 0, 0), (0, 1, 0), (0, 0, 1), 2.0, 2.0)
 
     def test_transform_exactness(self):
         c = CircularArc((1, 1, 1), 2.0, (1, 0, 0), (0, 1, 0), 0.2, 1.2)
@@ -147,66 +359,88 @@ class TestPcurves:
 
     def test_batched_points_match_each_curve_bitwise(self):
         rng = np.random.default_rng(5)
-        pcs = []
-        for _ in range(6):
-            pcs.append(Segment2(rng.normal(size=2), rng.normal(size=2)))
-            pcs.append(Arc2(rng.normal(size=2), rng.uniform(0.1, 2.0),
-                            rng.uniform(-TAU, TAU), rng.uniform(-TAU, TAU)))
-            pcs.append(Poly2(rng.normal(size=(int(rng.integers(2, 6)), 2))))
+        pcs = random_pcurves(rng)
         t = np.concatenate([np.linspace(0.0, 1.0, 33), rng.uniform(0, 1, 7)])
-        assert np.array_equal(pcurve_points(pcs, t), np.stack([pc.point(t) for pc in pcs]))
-        assert np.array_equal(pcurve_points(pcs, t, tangent=True),
-                              np.stack([pc.tangent(t) for pc in pcs]))
+        assert bitwise(pcurve_points(pcs, t), np.stack([REF_POINT[type(pc)](pc, t) for pc in pcs]))
+        assert bitwise(pcurve_points(pcs, t, tangent=True),
+                       np.stack([REF_TANGENT[type(pc)](pc, t) for pc in pcs]))
 
 
 class TestBatchedEvaluation:
-    """One array pass per kind against each object's own method, bit for bit."""
+    """The object methods and the batched evaluators, which share one kernel
+    per kind, against the reference formulas above, bit for bit."""
 
     def test_curves_match_each_curve_bitwise(self):
         rng = np.random.default_rng(6)
-        curves = [CircularArc((0, 0, 0), 1.0, (1, 0, 0), (0, 1, 0), 0.0, TAU)]
-        for sweep in (0.7, -2.5, TAU, -TAU, 9.0):
-            x = rng.normal(size=3)
-            x /= np.linalg.norm(x)
-            y = np.cross(x, rng.normal(size=3))
-            t0 = rng.uniform(-TAU, TAU)
-            curves.append(LineSegment(rng.normal(size=3), rng.normal(size=3)))
-            curves.append(CircularArc(rng.normal(size=3), rng.uniform(0.1, 2.0), x, y,
-                                      t0, t0 + sweep))
-            curves.append(PolylineCurve(rng.normal(size=(int(rng.integers(2, 6)), 3))))
+        curves = random_curves(rng)
         u = np.concatenate([np.linspace(0.0, 1.0, 33), rng.uniform(0, 1, 7)])
         for forward in (np.ones(len(curves), bool), np.arange(len(curves)) % 2 == 0):
-            assert np.array_equal(curve_points(curves, u, forward),
-                                  np.stack([c.point(u if f else 1.0 - u)
-                                            for c, f in zip(curves, forward)]))
+            assert bitwise(curve_points(curves, u, forward),
+                           np.stack([REF_POINT[type(c)](c, u if f else 1.0 - u)
+                                     for c, f in zip(curves, forward)]))
+        expect = [REF_BBOX[type(c)](c) for c in curves]
+        assert all(bitwise(c.bbox(), box) for c, box in zip(curves, expect))
         lo, hi = curve_bboxes(curves)
-        assert np.array_equal(lo, np.stack([c.bbox()[0] for c in curves]))
-        assert np.array_equal(hi, np.stack([c.bbox()[1] for c in curves]))
+        assert bitwise(lo, [box[0] for box in expect]) and bitwise(hi, [box[1] for box in expect])
 
     def test_surfaces_match_each_surface_bitwise(self):
         rng = np.random.default_rng(7)
-        surfaces = []
-        for _ in range(4):
-            x = rng.normal(size=3)
-            x /= np.linalg.norm(x)
-            y = np.cross(x, rng.normal(size=3))
-            u0 = rng.uniform(-TAU, TAU)
-            surfaces += [Plane(rng.normal(size=3), rng.normal(size=3), rng.normal(size=3)),
-                         CylinderPatch(rng.normal(size=3), rng.uniform(0.1, 2.0), x, y,
-                                       rng.normal(size=3), u0, u0 + rng.uniform(0.5, TAU)),
-                         BicubicPatch(rng.normal(size=(4, 4, 3)))]
+        surfaces = random_surfaces(rng)
         k = rng.integers(0, len(surfaces), 500)
         u, v = rng.uniform(-1.0, 7.0, 500), rng.uniform(0.0, 1.0, 500)
         expect = np.empty((500, 3))
         for i, s in enumerate(surfaces):
-            expect[k == i] = s.point(u[k == i], v[k == i])
-        assert np.array_equal(surface_points(surfaces, k, u, v), expect)
+            expect[k == i] = REF_POINT[type(s)](s, u[k == i], v[k == i])
+        assert bitwise(surface_points(surfaces, k, u, v), expect)
         dom, norms = surface_midpoint_norms(surfaces)
         for s, d, n in zip(surfaces, dom, norms):
             u0, u1, v0, v1 = s.domain()
             assert tuple(d) == (u0, u1, v0, v1)
-            pu, pv = s.partials(0.5 * (u0 + u1), 0.5 * (v0 + v1))
-            assert tuple(n) == (np.linalg.norm(pu), np.linalg.norm(pv))
+            pu, pv = REF_PARTIALS[type(s)](s, 0.5 * (u0 + u1), 0.5 * (v0 + v1))
+            assert bitwise(n, [np.linalg.norm(pu), np.linalg.norm(pv)])
+
+    @pytest.mark.parametrize("shape", [(), (1,), (9,), (5, 7)], ids=["scalar", "one", "1d", "2d"])
+    def test_object_methods_keep_their_shapes(self, shape):
+        rng = np.random.default_rng(8)
+        u, v = rng.random(shape), rng.random(shape)
+        if not shape:
+            u, v = float(u), float(v)
+        for obj in random_curves(rng) + random_surfaces(rng) + random_pcurves(rng):
+            kind = type(obj)
+            params = (u, v) if kind in REF_PARTIALS else (u,)
+            assert bitwise(obj.point(*params), REF_POINT[kind](obj, *params)), kind
+            if kind in REF_PARTIALS:
+                assert all(map(bitwise, obj.partials(u, v), REF_PARTIALS[kind](obj, u, v)))
+                # one parameter scalar, the other an array
+                assert all(map(bitwise, obj.partials(0.5, v), REF_PARTIALS[kind](obj, 0.5, v)))
+            if kind in REF_TANGENT:
+                assert bitwise(obj.tangent(u), REF_TANGENT[kind](obj, u)), kind
+        expect = shape + (3,)
+        assert LineSegment((0, 0, 0), (1, 1, 1)).point(u).shape == expect
+
+    def test_other_classes_are_called_object_by_object(self):
+        class Wrapped:       # a class outside KINDS, delegating to one inside
+            def __init__(self, inner):
+                self.inner = inner
+
+            def __getattr__(self, name):
+                return getattr(self.inner, name)
+
+        rng = np.random.default_rng(9)
+        curves = [LineSegment(rng.normal(size=3), rng.normal(size=3)) for _ in range(3)]
+        pcs = [Segment2(rng.normal(size=2), rng.normal(size=2)) for _ in range(3)]
+        planes = [Plane(rng.normal(size=3), rng.normal(size=3), rng.normal(size=3))
+                  for _ in range(3)]
+        wrap = lambda objs: [objs[0], Wrapped(objs[1]), objs[2]]
+        u, fwd, k = rng.random(11), [True, False, True], rng.integers(0, 3, 40)
+        assert bitwise(curve_points(wrap(curves), u, fwd), curve_points(curves, u, fwd))
+        assert all(map(bitwise, curve_bboxes(wrap(curves)), curve_bboxes(curves)))
+        for tangent in (False, True):
+            assert bitwise(pcurve_points(wrap(pcs), u, tangent), pcurve_points(pcs, u, tangent))
+        uv = rng.random((2, 40))
+        assert bitwise(surface_points(wrap(planes), k, *uv), surface_points(planes, k, *uv))
+        assert all(map(bitwise, surface_midpoint_norms(wrap(planes)),
+                       surface_midpoint_norms(planes)))
 
 
 # Scalar fields and point lists reject NaN and infinity like vectors do.
