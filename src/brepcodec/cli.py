@@ -199,9 +199,15 @@ def cmd_fit_lm(args) -> int:
     return EXIT_OK
 
 
+def _at_least_one(**counts) -> None:
+    """Refuse a count option below 1 up front, naming it."""
+    for name, n in counts.items():
+        if n < 1:
+            raise ValueError(f"--{name} must be at least 1, not {n}")
+
+
 def cmd_generate(args) -> int:
-    if args.count < 1:
-        raise ValueError(f"--count must be at least 1, not {args.count}")
+    _at_least_one(count=args.count)
     lm, cb, layout = _load_lm_and_codebook(args)
     # configs first: a refused count or temperature leaves no --out directory
     cfgs = [SamplerConfig(seed=args.seed + i, temperature=args.temperature)
@@ -255,6 +261,7 @@ def cmd_autocomplete(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _at_least_one(points=args.points, voxels=args.voxels)
     gen = _load_models([args.gen])
     ref = _load_models([args.ref])
     rng_base = args.seed
@@ -314,6 +321,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_export_obj(args) -> int:
+    _at_least_one(resolution=args.resolution)
     model, _ = bio.load_model(args.model)
     bio.export_obj(model, args.out, resolution=args.resolution)
     print(f"wrote {args.out}")

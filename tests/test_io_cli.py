@@ -135,6 +135,32 @@ class TestModelFiles:
         with pytest.raises(bio.FormatError, match="sweep must be non-zero"):
             bio.load_model(path)
 
+    # each case: a model, an edit of one geometry record, and its refusal
+    DEGENERATE = {
+        "plane with a zero u_vec": (through_hole_box, "faces", "surface", "plane",
+                                    lambda g: g.update(u_vec=[0.0, 0.0, 0.0]), "plane spans"),
+        "plane with v_vec = u_vec": (through_hole_box, "faces", "surface", "plane",
+                                     lambda g: g.update(v_vec=g["u_vec"]), "plane spans"),
+        "cylinder with a zero axis": (seam_cylinder, "faces", "surface", "cylinder",
+                                      lambda g: g.update(axis=[0.0, 0.0, 0.0]), "axis must be"),
+        "cylinder with u1 = u0": (seam_cylinder, "faces", "surface", "cylinder",
+                                  lambda g: g.update(u1=g["u0"]), "sweep must be non-zero"),
+        "arc2 with phi1 = phi0": (seam_cylinder, "halfedges", "pcurve", "arc2",
+                                  lambda g: g.update(phi1=g["phi0"]), "sweep must be non-zero"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(DEGENERATE))
+    def test_degenerate_geometry_is_a_format_error(self, tmp_path, capsys, case):
+        maker, table, field, kind, edit, phrase = self.DEGENERATE[case]
+        d = bio.model_to_dict(maker())
+        edit(next(r[field] for r in d[table] if r[field]["kind"] == kind))
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(d))
+        capsys.readouterr()
+        assert main(["validate", str(path)]) == 2
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "format" and phrase in err["message"]
+
     def test_wrong_format_tag(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"format": "something-else"}))
@@ -613,6 +639,23 @@ class TestCli:
         (tmp_path / "spec.json").write_text(json.dumps(spec))
         assert main(["synth", "--spec", str(tmp_path / "spec.json"),
                      "--out", str(tmp_path / "x")]) == 3
+
+    @pytest.mark.parametrize("value", ["0", "-1", "-5"])
+    @pytest.mark.parametrize("command, option", [("export-obj", "--resolution"),
+                                                 ("eval", "--points"), ("eval", "--voxels")])
+    def test_count_options_refuse_values_below_one(self, workspace, tmp_path, capsys,
+                                                   command, option, value):
+        model = sorted((workspace / "corpus").glob("*.json"))[0]
+        out = tmp_path / "out"
+        args = ([command, str(model), "--out", str(out)] if command == "export-obj" else
+                [command, "--gen", str(workspace / "corpus"), "--ref", str(workspace / "corpus"),
+                 "--report", str(out)])
+        capsys.readouterr()
+        assert main(args + [option, value]) == 1
+        err = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert err["error"] == "validation"
+        assert err["message"] == f"{option} must be at least 1, not {value}"
+        assert not out.exists()
 
     def test_export_commands(self, workspace, tmp_path):
         model = sorted((workspace / "corpus").glob("*.json"))[0]
