@@ -415,8 +415,6 @@ class TestBatchedEvaluation:
                 assert all(map(bitwise, obj.partials(0.5, v), REF_PARTIALS[kind](obj, 0.5, v)))
             if kind in REF_TANGENT:
                 assert bitwise(obj.tangent(u), REF_TANGENT[kind](obj, u)), kind
-        expect = shape + (3,)
-        assert LineSegment((0, 0, 0), (1, 1, 1)).point(u).shape == expect
 
     def test_other_classes_are_called_object_by_object(self):
         class Wrapped:       # a class outside KINDS, delegating to one inside
