@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components as csgraph_components
 
+import brepcodec.io as bio
 from brepcodec.geometry import GeometryError, LineSegment
 from brepcodec.model import (
     BrepModel,
@@ -216,6 +219,30 @@ class TestNormalize:
         # curved geometry stays inside the unit box
         lo, hi = model_bbox(m2)
         assert lo.min() >= 0.0 and hi.max() < 1.0
+
+
+def normalized_digest(model) -> str:
+    """sha256 of the model file of ``normalize(model)``, its transform included."""
+    normed, record = normalize(model)
+    return hashlib.sha256(json.dumps(bio.model_to_dict(normed, record)).encode()).hexdigest()
+
+
+# Every field of every normalized curve, surface and pcurve, bit for bit: lines,
+# arcs, planes and a cylinder wall here; polylines and bicubic patches in
+# `test_reconstruct.py` (the rebuilt bicubic-rich decodes).
+GOLDEN_NORMALIZED = {
+    "box": "60854ce886f8fff4bb0fb07e075370b8e42ccdbd3f40c82a1897c1911f5a7a15",
+    "cylinder": "95baf35b4d9ebabba0d30db536f76e2cf5e6c557cb875373d443ac61c65b1013",
+    "hole_box": "800d0c4d7fd470a6d8e2bc8e647d7e5413f733cf459c3243b3e356d2cf458141",
+    "l_bracket": "e9ccd6fd961d2da519816be5e8416d3c50152f287aa5520ed59ab6f8f0dd6173",
+    "prism": "ae62345f76ee97752976e4c23e6b6f62e91b4892e236f3733519bd1bd24ea656",
+    "two_cubes": "904ca8c0c872da97b685af6809bcf5ae6a5f0d56ae3955ea6d2e71419dbe2093",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_NORMALIZED))
+def test_normalized_geometry_is_pinned(all_primitives, name):
+    assert normalized_digest(all_primitives[name]) == GOLDEN_NORMALIZED[name]
 
 
 class TestCorpusInvariants:

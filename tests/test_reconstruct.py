@@ -833,6 +833,12 @@ GOLDEN_REBUILT_EVALUATION = (
     "4560e9168c09cc383cf47a81bd6b1c72b0471c9c14b6a2f2bfbea3bcc0e0e742")
 
 
+# sha256 over the model files of the normalized rebuilt bicubic-rich decodes,
+# transforms included: polyline curves, bicubic and planar faces, Poly2 pcurves.
+GOLDEN_NORMALIZED_REBUILT = (
+    "f289999b00324ce4b7820ac4eea8adf57e89e0b8023977892ac386a0f07b1ce1")
+
+
 class TestDecodeGolden:
     @pytest.mark.parametrize("part", sorted(GOLDEN_DECODES))
     def test_decodes_are_pinned(self, lossy_decodes, part):
@@ -855,3 +861,10 @@ class TestDecodeGolden:
             vhp.update(extract_vhp(m, CFG.sampling).tobytes())
             cloud.update(surface_sample(m, 2000, seed=3).tobytes())
         assert (vhp.hexdigest(), cloud.hexdigest()) == GOLDEN_REBUILT_EVALUATION
+
+    def test_normalized_rebuilt_geometry_is_pinned(self, bicubic_decodes):
+        h = hashlib.sha256()
+        for m, _ in bicubic_decodes:
+            normed, record = normalize(m)
+            h.update(json.dumps(bio.model_to_dict(normed, record)).encode())
+        assert h.hexdigest() == GOLDEN_NORMALIZED_REBUILT
