@@ -489,6 +489,10 @@ def parse(seq, codebook: Codebook | None = None, cfg: CodecConfig | None = None,
     are decoded into one matrix; the codebook's width must be the
     descriptor length of ``cfg.sampling`` (CodecError otherwise).  Without
     one they stay None.
+
+    A sequence is checked and decoded in array passes over all its tokens
+    (`_parse_arrays`).  Only a sequence those passes refuse goes through the
+    grammar token by token (`_parse_steps`), which raises its error.
     """
     cfg = cfg or CodecConfig()
     if codebook is not None and codebook.dim != cfg.sampling.descriptor_length:
@@ -508,7 +512,79 @@ def parse(seq, codebook: Codebook | None = None, cfg: CodecConfig | None = None,
                            reason="missing-start")
     if len(tokens) == 2 and tokens[1] == layout.end:
         return VertexRecordSet(components=[], header=header)
+    comps = _parse_arrays(tokens, codebook, layout)
+    if comps is None:
+        comps = _parse_steps(tokens, codebook, layout)
+    return VertexRecordSet(components=comps, header=header)
 
+
+def _parse_arrays(tokens, codebook, layout):
+    """`_parse_steps`'s components of ``tokens`` (<start> first), or None
+    where the grammar may refuse them.
+
+    The grammar as array expressions: <end> last and nowhere else, no second
+    <start>; every pointer followed by ``2 * rq_levels`` codes at levels 0,
+    1, .., 0, 1, .. and no other code; with the codes set aside, each
+    component opens with a coordinate, its coordinates come in runs of whole
+    vertices, it holds at most ``pointer_max`` of them, and each pointer
+    names one of the vertices completed before it.  All components' codes
+    decode in one `rq_decode` call.
+    """
+    try:
+        body = np.array(tokens[1:-1])
+    except (ValueError, TypeError, OverflowError):
+        return None
+    if body.dtype.kind not in "iu" or body.ndim != 1 or tokens[-1] != layout.end:
+        return None
+    sep = body == layout.sep
+    if not (((body >= 0) & (body < layout.start)) | sep).all():
+        return None
+    depth, group = layout.rq_levels, 2 * layout.rq_levels
+    is_rq = body >= layout.rq_base
+    is_rq &= ~sep
+    ptr = np.flatnonzero((body >= layout.pointer_base) & ~is_rq & ~sep)
+    codes = body[is_rq] - layout.rq_base
+    at = ptr[:, None] + np.arange(1, group + 1)
+    if codes.size != group * ptr.size or (ptr.size and (
+            at[-1, -1] >= body.size or not is_rq[at].all()
+            or (codes.reshape(-1, group) // layout.rq_level_size
+                != np.arange(group) % depth).any())):
+        return None
+
+    rest = body[~is_rq]                          # coordinates, pointers and <sep>s
+    is_coord = rest < COORD_BINS
+    is_sep = rest == layout.sep
+    is_ptr = ~is_coord & ~is_sep
+    comp = np.cumsum(is_sep)                     # component of each token
+    opens = np.flatnonzero(np.concatenate([[True], is_sep[:-1]]))
+    flips = np.flatnonzero(np.diff(is_coord, prepend=False, append=False))
+    runs = flips[1::2] - flips[0::2]             # lengths of the coordinate runs
+    before = (np.cumsum(is_coord) - is_coord) // 3   # whole vertices before each token
+    at_open = before[opens]
+    vertices = np.diff(np.append(at_open, np.count_nonzero(is_coord) // 3))
+    count = before[is_ptr] - at_open[comp[is_ptr]]   # the component's, at each pointer
+    target = rest[is_ptr] - layout.pointer_base
+    if is_sep[-1] or not is_coord[opens].all() or (runs % 3).any() \
+            or (vertices > layout.pointer_max).any() or (target >= count).any():
+        return None
+
+    positions = np.split(dequantize_coord(rest[is_coord].reshape(-1, 3)),
+                         np.cumsum(vertices)[:-1])
+    per_comp = np.bincount(comp[is_ptr], minlength=len(opens))
+    ends = np.cumsum(per_comp).tolist()
+    edges = list(map(ParsedEdge, target.tolist(), (count - 1).tolist()))
+    edges = [edges[e - k: e] for e, k in zip(ends, per_comp.tolist())]
+    descriptors = [None] * len(opens)
+    if codebook is not None:
+        descriptors = np.split(rq_decode((codes % layout.rq_level_size).reshape(-1, depth),
+                                         codebook), 2 * np.array(ends[:-1], dtype=int))
+    return [ParsedComponent(positions=p, edges=e, descriptors=d)
+            for p, e, d in zip(positions, edges, descriptors)]
+
+
+def _parse_steps(tokens, codebook, layout):
+    """The components of ``tokens`` (<start> first), stepping the grammar one
+    token at a time: the definition of what `parse` refuses, and how."""
     state = initial_state()
     comps, coords, edges, codes = [], [], [], []
     for pos in range(1, len(tokens)):
@@ -531,7 +607,7 @@ def parse(seq, codebook: Codebook | None = None, cfg: CodecConfig | None = None,
                 if pos != len(tokens) - 1:
                     raise GrammarError("tokens after <end>", position=pos + 1,
                                        reason="trailing-token")
-                return VertexRecordSet(components=comps, header=header)
+                return comps
         state = nxt
     raise GrammarError("sequence ended without <end>", position=len(tokens),
                        reason="incomplete-vertex" if state.mode == MODE_RQ

@@ -7,9 +7,10 @@ trace a half-edge's image inside its face's parameter rectangle and use
 the same [0, 1] parameter convention, running along the half-edge
 direction.
 
-All variants support an exact similarity transform ``transformed(offset,
-scale)`` mapping points p to (p - offset) * scale without touching
-parameter domains, so model normalization never invalidates pcurves.
+``similarity`` maps curves and surfaces by p -> (p - offset) * scale, one
+pass per kind over the stacked fields of all its objects: points and
+centres shift and scale; radii, spans and axes scale; unit axes, angles and
+parameter domains stay, so model normalization never invalidates pcurves.
 
 Each kind's arithmetic is written once, as a private kernel over field
 arrays that broadcast over leading axes.  An object's methods pass it their
@@ -21,6 +22,9 @@ bit.
 ``KINDS`` maps each variant's ``kind`` tag to its class; it is the one
 list of the kinds that exist.  Constructors reject non-finite numbers
 and degenerate geometry (zero sweeps, zero spans) with GeometryError.
+Code that holds a kind's fields as arrays already (``similarity``, the
+rebuild) makes its objects through ``_build``, which checks each of the
+constructor's rules once per array, vectorized, instead of once per object.
 """
 from __future__ import annotations
 
@@ -80,7 +84,9 @@ def frame_for_normal(n) -> tuple:
     u = np.eye(3)[np.argmax(a <= a.min(axis=-1, keepdims=True) + _AXIS_TIE, axis=-1)]
     u -= (u * n).sum(axis=-1, keepdims=True) * n
     u /= np.linalg.norm(u, axis=-1, keepdims=True)
-    return u, np.cross(n, u)
+    # n x u, term by term as np.cross takes it
+    (n1, n2, n3), (u1, u2, u3) = np.moveaxis(n, -1, 0), np.moveaxis(u, -1, 0)
+    return u, np.stack([n2 * u3 - n3 * u2, n3 * u1 - n1 * u3, n1 * u2 - n2 * u1], axis=-1)
 
 
 def _bernstein3(t):
@@ -176,27 +182,27 @@ def _arc_points(u, center, radius, x, y, theta0, theta1):
 
 def _arc_bbox(center, radius, x, y, theta0, theta1):
     """Over the two ends and, per coordinate c_i + A_i cos(theta - phi_i),
-    every extremum within the sweep (the candidates in that order)."""
+    every extremum within the sweep (the candidates in that order).
+
+    Each extremum is tried at its first angle from the sweep's start and one
+    turn later: a sweep under two turns meets it no more often, and a longer
+    one meets every extremum in its first turn.  So the work is bounded for
+    any finite angles, also where adding 2 pi no longer changes them."""
     radius, theta0, theta1 = (np.asarray(f)[..., None] for f in (radius, theta0, theta1))
     ends = _arc_points(np.array([0.0, 1.0]), center[..., None, :], radius,
                        x[..., None, :], y[..., None, :], theta0, theta1)
-    axis_ok = ~((np.abs(x) < 1e-15) & (np.abs(y) < 1e-15))[..., None]
+    axis_ok = ~((np.abs(x) < 1e-15) & (np.abs(y) < 1e-15))[..., None, None]
     phi = np.arctan2(y, x)
     th = np.stack([phi, phi + np.pi], axis=-1)            # (..., axis, extremum)
     lo_t, hi_t = np.minimum(theta0, theta1)[..., None], np.maximum(theta0, theta1)[..., None]
-    th = th + np.ceil((lo_t - th) / TAU) * TAU
-    per_arc = (center[..., None, None, :], radius[..., None], x[..., None, None, :],
-               y[..., None, None, :], theta0[..., None], theta1[..., None])
-    found = []
-    while (keep := axis_ok & (th <= hi_t + 1e-15)).any():
-        u = (th - theta0[..., None]) / (theta1 - theta0)[..., None]
-        found.append(np.where(keep[..., None], _arc_points(np.clip(u, 0.0, 1.0), *per_arc),
-                              np.nan))
-        th = th + TAU
-    if found:
-        extremes = np.stack(found, axis=-2)               # (..., axis, extremum, turn, 3)
-        ends = np.concatenate([ends, extremes.reshape(ends.shape[:-2] + (-1, 3))], axis=-2)
-    return _bbox(ends)
+    th = (th + np.ceil((lo_t - th) / TAU) * TAU)[..., None] + np.array([0.0, TAU])
+    keep = axis_ok & (th <= hi_t[..., None] + 1e-15)      # (..., axis, extremum, turn)
+    theta0, theta1 = theta0[..., None, None], theta1[..., None, None]
+    u = (th - theta0) / (theta1 - theta0)
+    extremes = np.where(keep[..., None], _arc_points(
+        np.clip(u, 0.0, 1.0), center[..., None, None, None, :], radius[..., None, None],
+        x[..., None, None, None, :], y[..., None, None, None, :], theta0, theta1), np.nan)
+    return _bbox(np.concatenate([ends, extremes.reshape(ends.shape[:-2] + (-1, 3))], axis=-2))
 
 
 def _plane_points(u, v, origin, u_vec, v_vec):
@@ -271,9 +277,6 @@ class LineSegment:
     def bbox(self):
         return _linear_bbox(self.p0, self.p1)
 
-    def transformed(self, offset, scale: float) -> "LineSegment":
-        o = _vec(offset)
-        return LineSegment((self.p0 - o) * scale, (self.p1 - o) * scale)
 
 
 @dataclass(frozen=True, eq=False)
@@ -313,16 +316,6 @@ class CircularArc:
         return _arc_bbox(self.center, self.radius, self.x_axis, self.y_axis,
                          self.theta0, self.theta1)
 
-    def transformed(self, offset, scale: float) -> "CircularArc":
-        o = _vec(offset)
-        return CircularArc(
-            (self.center - o) * scale,
-            self.radius * scale,
-            self.x_axis,
-            self.y_axis,
-            self.theta0,
-            self.theta1,
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -345,9 +338,6 @@ class PolylineCurve:
     def bbox(self):
         return _piecewise_bbox(self.points, 0)
 
-    def transformed(self, offset, scale: float) -> "PolylineCurve":
-        o = _vec(offset)
-        return PolylineCurve((self.points - o) * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -396,9 +386,6 @@ class Plane:
         sol = np.linalg.solve(g, rhs[..., None])[..., 0]
         return sol
 
-    def transformed(self, offset, scale: float) -> "Plane":
-        o = _vec(offset)
-        return Plane((self.origin - o) * scale, self.u_vec * scale, self.v_vec * scale)
 
 
 @dataclass(frozen=True, eq=False)
@@ -444,17 +431,6 @@ class CylinderPatch:
         return _cylinder_partials(u, v, self.center, self.radius, self.x_axis, self.y_axis,
                                   self.axis)
 
-    def transformed(self, offset, scale: float) -> "CylinderPatch":
-        o = _vec(offset)
-        return CylinderPatch(
-            (self.center - o) * scale,
-            self.radius * scale,
-            self.x_axis,
-            self.y_axis,
-            self.axis * scale,
-            self.u0,
-            self.u1,
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -483,9 +459,6 @@ class BicubicPatch:
         """Points (..., 3) of 16-term tensor bases (..., 16); see `_blend`."""
         return _blend(basis, self.control)
 
-    def transformed(self, offset, scale: float) -> "BicubicPatch":
-        o = _vec(offset)
-        return BicubicPatch((self.control - o) * scale)
 
 
 # ---------------------------------------------------------------------------
@@ -670,4 +643,116 @@ def pcurve_points(pcurves, t, tangent: bool = False) -> np.ndarray:
     kernels, method = (_TANGENTS, "tangent") if tangent else (_POINTS, "point")
     for idx, group in _groups(pcurves):
         out[idx] = _each(kernels, method, group, t[None].repeat(len(idx), axis=0))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Objects from stacked fields, and the similarity transform over them
+# ---------------------------------------------------------------------------
+
+def _refuse(bad, message: str) -> None:
+    """GeometryError ``message`` when any entry of ``bad`` is true."""
+    if np.any(bad):
+        raise GeometryError(message)
+
+
+# Each kind's constructor rules beyond finiteness, row by row over the
+# stacked fields of its objects (unit axes already unit).
+
+def _arc_rules(_center, radius, x, y, theta0, theta1):
+    _refuse(radius <= 0, "arc radius must be positive")
+    _refuse(theta1 == theta0, "arc sweep must be non-zero")
+    _refuse(np.abs(np.vecdot(x, y)) > 1e-9, "arc frame axes must be orthogonal")
+
+
+def _plane_rules(_origin, u_vec, v_vec):
+    (a1, a2, a3), (b1, b2, b3) = u_vec.T, v_vec.T
+    cross = np.hypot(np.hypot(a2 * b3 - a3 * b2, a3 * b1 - a1 * b3), a1 * b2 - a2 * b1)
+    _refuse(cross <= 1e-9 * np.hypot(np.hypot(a1, a2), a3) * np.hypot(np.hypot(b1, b2), b3),
+            "plane spans must be non-zero and not parallel")
+
+
+def _cylinder_rules(_center, radius, _x, _y, axis, u0, u1):
+    _refuse(radius <= 0, "cylinder radius must be positive")
+    _refuse(~axis.any(axis=-1), "cylinder axis must be non-zero")
+    _refuse(u1 == u0, "cylinder sweep must be non-zero")
+
+
+def _arc2_rules(_center, radius, phi0, phi1):
+    _refuse(radius <= 0, "arc radius must be positive")
+    _refuse(phi1 == phi0, "arc sweep must be non-zero")
+
+
+_RULES = {CircularArc: _arc_rules, Plane: _plane_rules, CylinderPatch: _cylinder_rules,
+          Arc2: _arc2_rules}
+
+
+def _unit_rows(v) -> np.ndarray:
+    """`_unit` of each row of ``v`` (K, 3), bit for bit: np.linalg.norm takes
+    a vector's norm as the root of one dot product, as np.vecdot does."""
+    _refuse(~np.isfinite(v), "non-finite coordinates")
+    n = np.sqrt(np.vecdot(v, v))[:, None]
+    _refuse(n < 1e-12, "zero-length direction vector")
+    return v / n
+
+
+def _build(cls, fields) -> list:
+    """Objects of ``cls`` (a class of KINDS) from its ``fields`` stacked as
+    `_stack` lays them out (no parameter axis): object k takes row k of each
+    array, a point list its own run of rows, as views.  Each rule of the
+    constructor is checked once per array; the objects are made without it."""
+    names = tuple(cls.__dataclass_fields__)
+    fields = iter(fields)
+    cols = []
+    for name in names:
+        a = next(fields)
+        if name in ("x_axis", "y_axis"):
+            a = _unit_rows(a)
+        else:
+            _refuse(~np.isfinite(a), f"non-finite {name}")
+        if name == "points":
+            first, nseg = next(fields), next(fields)
+            _refuse(nseg < 1, f"{cls.kind} needs at least 2 points")
+            a = [a[f: f + n + 1] for f, n in zip(first.tolist(), nseg.tolist())]
+        elif name == "control":
+            a = np.ascontiguousarray(a)     # as the constructor stores it
+        cols.append(a)
+    if cls in _RULES:
+        _RULES[cls](*cols)
+    objs = []
+    scalar = [isinstance(a, np.ndarray) and a.ndim == 1 for a in cols]
+    for row in zip(*(a.tolist() if one else a for a, one in zip(cols, scalar))):
+        obj = object.__new__(cls)
+        obj.__dict__.update(zip(names, row))
+        objs.append(obj)
+    return objs
+
+
+# How p -> (p - offset) * scale moves a field; fields not named here stay.
+_SHIFTED = frozenset({"p0", "p1", "center", "points", "origin", "control"})
+_SCALED = frozenset({"radius", "u_vec", "v_vec", "axis"})
+
+
+def similarity(objs, offset, scale: float) -> list:
+    """Each curve or surface of ``objs`` (classes of KINDS) mapped by
+    p -> (p - offset) * scale, one pass per kind over its stacked fields.
+    Parameter domains stay, so pcurves stay valid."""
+    if not objs:
+        return []
+    offset, scale = _vec(offset), _finite(float(scale), "scale")
+    out = [None] * len(objs)
+    for idx, group in _groups(objs):
+        cls = type(group[0])
+        if KINDS.get(getattr(cls, "kind", None)) is not cls:
+            raise GeometryError(f"cannot transform {cls.__name__}")
+        fields = iter(_stack(group, False))
+        moved = []
+        for name in cls.__dataclass_fields__:
+            a = next(fields)
+            moved.append((a - offset) * scale if name in _SHIFTED else
+                         a * scale if name in _SCALED else a)
+            if name == "points":                 # its first rows and segment counts
+                moved += [next(fields), next(fields)]
+        for i, obj in zip(idx, _build(cls, moved)):
+            out[i] = obj
     return out

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import GeometryError, curve_bboxes, curve_points
+from .geometry import GeometryError, curve_bboxes, curve_points, similarity
 
 
 class ModelError(ValueError):
@@ -472,8 +472,8 @@ def normalize(model: BrepModel):
 
     The longest axis maps its minimum to 0; the other axes are centered at
     0.5.  Returns (normalized model, TransformRecord); the record inverts
-    the mapping exactly.  Geometry parameters are rescaled consistently
-    and pcurves are untouched.
+    the mapping exactly.  Vertices, curves and surfaces move by the same
+    map, in one `similarity` pass per geometry kind; pcurves are untouched.
     """
     lo, hi = model_bbox(model)
     extent = hi - lo
@@ -490,21 +490,15 @@ def normalize(model: BrepModel):
             offset[i] = 0.5 * (lo[i] + hi[i]) - 0.5 / scale
     record = TransformRecord(offset=tuple(float(o) for o in offset), scale=scale)
 
-    new_edges = [
-        Edge(curve=e.curve.transformed(offset, scale), v0=e.v0, v1=e.v1,
-             halfedges=e.halfedges)
-        for e in model.edges
-    ]
-    new_faces = [
-        Face(surface=f.surface.transformed(offset, scale), outer=f.outer,
-             inners=f.inners)
-        for f in model.faces
-    ]
+    curves = similarity([e.curve for e in model.edges], offset, scale)
+    surfaces = similarity([f.surface for f in model.faces], offset, scale)
     out = BrepModel(
         vertices=(model.vertices - offset) * scale,
-        edges=new_edges,
+        edges=[Edge(curve=c, v0=e.v0, v1=e.v1, halfedges=e.halfedges)
+               for e, c in zip(model.edges, curves)],
         halfedges=list(model.halfedges),
         loops=list(model.loops),
-        faces=new_faces,
+        faces=[Face(surface=s, outer=f.outer, inners=f.inners)
+               for f, s in zip(model.faces, surfaces)],
     )
     return out, record

@@ -23,7 +23,8 @@ from .model import BrepModel, ModelBuilder, ModelError
 
 def _signed_area(uv: np.ndarray) -> float:
     x, y = uv[:, 0], uv[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    x1, y1 = np.concatenate([x[1:], x[:1]]), np.concatenate([y[1:], y[:1]])   # next vertex
+    return 0.5 * float(np.sum(x * y1 - x1 * y))
 
 
 PLANE_MARGIN = 0.1   # plane domain padding, as a fraction of the loop's longer UV side
@@ -40,34 +41,28 @@ def add_planar_face(b: ModelBuilder, cycle, outward, inners=()):
     u0, v0 = frame_for_normal(outward)
     base = b._vertices[cycle[0]]
 
-    def st(vid):
-        d = b._vertices[vid] - base
-        return np.array([d @ u0, d @ v0])
-
+    # each vertex's in-plane (s, t), once per face
     all_vids = list(cycle)
     for inner in inners:
         all_vids.extend(inner)
-    pts = np.array([st(v) for v in all_vids])
+    row = {v: i for i, v in enumerate(all_vids)}
+    pts = np.array([(d @ u0, d @ v0) for d in (b._vertices[v] - base for v in all_vids)])
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
     pad = PLANE_MARGIN * max(hi[0] - lo[0], hi[1] - lo[1], 1e-9)
     span = hi - lo + 2 * pad
     origin3 = base + (lo[0] - pad) * u0 + (lo[1] - pad) * v0
     plane = Plane(origin3, span[0] * u0, span[1] * v0)
-
-    def uv(vid):
-        s = st(vid)
-        return (s - lo + pad) / span
+    uv = (pts - lo + pad) / span
 
     def loop_refs(vids, want_ccw):
-        uvs = np.array([uv(v) for v in vids])
-        if (_signed_area(uvs) > 0) != want_ccw:
+        if (_signed_area(uv[[row[v] for v in vids]]) > 0) != want_ccw:
             vids = list(reversed(vids))
         refs = []
         for i, va in enumerate(vids):
             vb = vids[(i + 1) % len(vids)]
             eid, along = b.line_between(va, vb)
-            refs.append((eid, along, Segment2(uv(va), uv(vb))))
+            refs.append((eid, along, Segment2(uv[row[va]], uv[row[vb]])))
         return refs
 
     return b.face(plane, loop_refs(list(cycle), True),

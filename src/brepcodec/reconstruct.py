@@ -50,14 +50,14 @@ import time
 from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import islice, permutations
 
 import numpy as np
 
 from .assignment import InfeasibleAssignmentError, solve_square
 from .codec import COORD_BINS, VertexRecordSet
-from .geometry import (BicubicPatch, Plane, Poly2, PolylineCurve, _bernstein3, _tensor_basis,
-                       frame_for_normal)
+from .geometry import (BicubicPatch, Plane, Poly2, PolylineCurve, _bernstein3, _build,
+                       _tensor_basis, frame_for_normal)
 from .model import BrepModel, Edge, Face, HalfEdge, Loop, ValidationReport, validate
 from .sampler import SamplingConfig, unpack_descriptor
 
@@ -489,13 +489,23 @@ def _bicubic_face(loop_ids, runs, interior):
 
     # per-draft pcurves from the boundary UV assignment
     if one_side_per_draft:
-        pcurves = dict(zip(loop_ids, map(Poly2, side_point_uvs)))
+        runs_uv = np.concatenate(side_point_uvs)
+        steps = np.array([len(uv) - 1 for uv in side_point_uvs])
     else:
         flat_uv = np.concatenate([uv[:-1] for uv in side_point_uvs])
-        steps = [len(run) - 1 for run in runs]
-        pcurves = {d: Poly2(flat_uv[(start + np.arange(n + 1)) % len(flat_uv)])
-                   for d, n, start in zip(loop_ids, steps, np.cumsum([0] + steps))}
+        steps = np.array([len(run) - 1 for run in runs])
+        start = np.cumsum(steps) - steps
+        runs_uv = flat_uv[np.concatenate([s + np.arange(n + 1) for s, n in zip(start, steps)])
+                          % len(flat_uv)]
+    pcurves = dict(zip(loop_ids, _point_runs(Poly2, runs_uv, steps)))
     return FittedFace(surface=patch, pcurves=pcurves, rms=rms, planar=False)
+
+
+def _point_runs(cls, points, steps) -> list:
+    """``cls`` objects (`PolylineCurve` or `Poly2`) of the point runs stored
+    back to back in ``points``, run k ``steps[k]`` segments long."""
+    steps = np.asarray(steps)
+    return _build(cls, [points, np.cumsum(steps + 1) - steps - 1, steps])
 
 
 def plane_gate(noise):
@@ -547,8 +557,7 @@ def _loop_planes(loops, drafts):
     origin[flip] += span[flip, 1:] * v[flip]
     v_axis = np.where(flip[:, None], -1.0, 1.0) * span[:, 1:] * v
     uv[flip[owner], :, 1] = 1.0 - uv[flip[owner], :, 1]
-    planes = [Plane(origin[i], span[i, 0] * u[i], v_axis[i]) for i in range(len(loops))]
-    return rms, planes, uv
+    return rms, _build(Plane, [origin, span[:, :1] * u, v_axis]), uv
 
 
 def fit_faces(loops, drafts) -> list:
@@ -561,21 +570,29 @@ def fit_faces(loops, drafts) -> list:
         return []
     rms, planes, uv = _loop_planes(loops, drafts)
     gate = plane_gate(drafts.noise)
-    first = np.cumsum([0] + [len(loop.drafts) for loop in loops])
-    faces = []
+    faces, notes = [], []
     for i, loop in enumerate(loops):
-        notes = []
+        fitted, note = None, []
         if rms[i] > gate:
             fitted = _bicubic_face(loop.drafts, drafts.curve[loop.drafts],
                                    drafts.surface[loop.drafts].reshape(-1, 3))
-            if fitted is not None and fitted.rms <= rms[i]:
-                faces.append(fitted)
-                continue
-            notes = (["bicubic fit under-determined"] if fitted is None else []) \
-                + ["bicubic fit rejected; plane kept"]
-        pcurves = {d: Poly2(uv[r]) for r, d in enumerate(loop.drafts, first[i])}
-        faces.append(FittedFace(surface=planes[i], pcurves=pcurves, rms=float(rms[i]),
-                                planar=True, notes=notes))
+            if fitted is None or fitted.rms > rms[i]:
+                note = (["bicubic fit under-determined"] if fitted is None else []) \
+                    + ["bicubic fit rejected; plane kept"]
+                fitted = None
+        faces.append(fitted)
+        notes.append(note)
+    # the loops that keep their plane: every pcurve of theirs from one pass over uv
+    planar = [i for i, f in enumerate(faces) if f is None]
+    sizes = np.array([len(loop.drafts) for loop in loops])
+    keep = np.repeat([f is None for f in faces], sizes)
+    pcurves = iter(_point_runs(Poly2, uv[keep].reshape(-1, 2),
+                               np.full(keep.sum(), uv.shape[1] - 1)))
+    for i in planar:
+        drafts_i = loops[i].drafts
+        faces[i] = FittedFace(surface=planes[i],
+                              pcurves=dict(zip(drafts_i, islice(pcurves, len(drafts_i)))),
+                              rms=float(rms[i]), planar=True, notes=notes[i])
     return faces
 
 
@@ -712,8 +729,11 @@ def _assemble(drafts, verts, outer, inner, faces, attach):
     halfedges = [HalfEdge(origin=v, twin=d ^ 1, edge=d // 2, loop=loop_of_draft.get(d, -1),
                           forward=(d % 2 == 0), pcurve=pcurve_of.get(d))
                  for d, v in enumerate(origin)]
-    edges = [Edge(curve=PolylineCurve(drafts.curve[d]), v0=origin[d], v1=origin[d + 1],
-                  halfedges=(d, d + 1)) for d in range(0, len(origin), 2)]
+    forward = drafts.curve[0::2]
+    curves = _point_runs(PolylineCurve, forward.reshape(-1, 3),
+                         np.full(len(forward), forward.shape[1] - 1))
+    edges = [Edge(curve=c, v0=origin[d], v1=origin[d + 1], halfedges=(d, d + 1))
+             for c, d in zip(curves, range(0, len(origin), 2))]
 
     return BrepModel(vertices=verts, edges=edges, halfedges=halfedges,
                      loops=loop_objs, faces=face_objs)

@@ -1,10 +1,12 @@
 import hashlib
 from collections import Counter
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from brepcodec import codec
 from brepcodec.codec import (
     COORD_BINS,
     MAX_TOKENS,
@@ -26,13 +28,14 @@ from brepcodec.codec import (
     sequence_token_count,
     step,
     tokenize,
+    transitions,
     validity_mask,
 )
 from brepcodec.geometry import LineSegment
 from brepcodec.model import BrepModel, Edge, normalize
 from brepcodec.pipeline import lossless_codebook
 from brepcodec.primitives import box, merge_models, ngon_prism, through_hole_box
-from brepcodec.rq import Codebook
+from brepcodec.rq import Codebook, rq_decode
 from brepcodec.sampler import SamplingConfig, _pack, unpack_descriptor
 
 LAYOUT = VocabLayout()  # 128 coords, 256 pointers, 4 x 257 rq, 3 specials
@@ -380,3 +383,170 @@ class TestEncodeGolden:
             h.update(np.asarray(seq.tokens, dtype=np.int64).tobytes())
         assert h.hexdigest() == (
             "cb004151626a7c796c57d7a9ffdc97963f68c169405153153d3461cdde89df3e")
+
+
+# ---------------------------------------------------------------------------
+# The array-pass parse against the grammar stepped token by token
+# ---------------------------------------------------------------------------
+
+def parse_outcome(tokens, cb, layout, steps_only=False):
+    """``parse``'s records, or its exception as (type, message, position,
+    reason, expected, found); ``steps_only`` parses by the step loop alone."""
+    try:
+        if steps_only:
+            with patch.object(codec, "_parse_arrays", lambda *args: None):
+                return parse(tokens, cb, layout=layout)
+        return parse(tokens, cb, layout=layout)
+    except Exception as exc:
+        return (type(exc), str(exc), *(getattr(exc, k, None)
+                                       for k in ("position", "reason", "expected", "found")))
+
+
+def same_outcome(a, b) -> bool:
+    if isinstance(a, tuple) or isinstance(b, tuple):
+        return a == b
+    return len(a.components) == len(b.components) and all(
+        x.edges == y.edges and all(map(same_bits, (x.positions, x.descriptors),
+                                       (y.positions, y.descriptors)))
+        for x, y in zip(a.components, b.components))
+
+
+def same_bits(a, b) -> bool:
+    if a is None or b is None:
+        return a is b
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def mutations(tokens, layout, rng, n):
+    """``n`` random edits of ``tokens``: substitutions (also off-vocabulary
+    and negative ids), deletions, insertions, truncations, a second <start>,
+    tokens after <end> and misplaced delimiters."""
+    v = layout.vocab_size
+    for _ in range(n):
+        t = list(tokens)
+        at = int(rng.integers(1, len(t)))
+        kind = int(rng.integers(9))
+        if kind == 0:
+            t[at] = int(rng.integers(v))
+        elif kind == 1:
+            del t[at]
+        elif kind == 2:
+            t.insert(at, int(rng.integers(v)))
+        elif kind == 3:
+            t = t[:at]
+        elif kind == 4:
+            t[at] = int(rng.choice([-1, -7, v, v + 5]))
+        elif kind == 5:
+            t.insert(at, layout.start)
+        elif kind == 6:
+            t += [int(rng.integers(v)) for _ in range(int(rng.integers(1, 3)))]
+        elif kind == 7:                        # a delimiter, also one opening a component
+            t.insert(int(rng.choice([1, at])), int(rng.choice([layout.sep, layout.end])))
+        else:                                  # a token of a neighbouring kind
+            t[at] = t[at] + int(rng.choice([-1, 1, layout.rq_level_size]))
+        yield t
+
+
+def relayout(tokens, src: VocabLayout, dst: VocabLayout) -> list:
+    """``tokens`` of ``src`` spelled in ``dst``, kind and offsets kept."""
+    out = []
+    for tok in tokens:
+        kind = src.classify(tok)
+        out.append({"coord": lambda: tok, "pointer": lambda: dst.pointer_token(kind[1]),
+                    "rq": lambda: dst.rq_token(kind[1], kind[2]), "start": lambda: dst.start,
+                    "sep": lambda: dst.sep, "end": lambda: dst.end}[kind[0]]())
+    return out
+
+
+def grammar_walk(layout, rng, length: int) -> list:
+    """A random grammatical sequence: legal tokens drawn from `transitions`,
+    closed with <end> once ``length`` tokens are out and <end> is legal."""
+    tokens, state = [layout.start], initial_state()
+    while state.mode != MODE_DONE:
+        legal = transitions(state, layout)
+        ends = [r for r in legal if r[0] == layout.end]
+        lo, hi, state = ends[0] if ends and len(tokens) >= length else \
+            legal[int(rng.integers(len(legal)))]
+        tokens.append(int(rng.integers(lo, hi)))
+    return tokens
+
+
+@pytest.fixture(scope="module")
+def parse_corpus():
+    """Tokens of a stratified corpus (1-3 components) under a 4 x 32 codebook,
+    and 30 order-2 n-gram samples of them, some of them truncated."""
+    from brepcodec.lm import SamplerConfig, fit_ngram, sample_sequence
+    from brepcodec.rq import train_codebook
+    from brepcodec.synth import FAMILIES, CorpusSpec, synth_corpus
+
+    spec = CorpusSpec(counts={f: 2 for f in FAMILIES}, components=(1, 3), seed=5)
+    normed = [normalize(m)[0] for _, m in synth_corpus(spec)]
+    cb = train_codebook(np.concatenate([model_descriptors(m, SamplingConfig()) for m in normed]),
+                        4, 32, seed=0, dim_weights=descriptor_dim_weights(SamplingConfig()))
+    seqs = [tokenize(m, cb).tokens for m in normed]
+    layout = VocabLayout.for_codebook(cb)
+    lm = fit_ngram(seqs, order=2, vocab_size=layout.vocab_size)
+    samples = [sample_sequence(lm, layout, SamplerConfig(seed=s, temperature=0.7)).tokens
+               for s in range(30)]
+    return cb, layout, seqs + samples
+
+
+class TestArrayParse:
+    def test_grammatical_sequences_take_the_array_pass(self, parse_corpus):
+        cb, layout, seqs = parse_corpus
+        for tokens in seqs:
+            want = parse_outcome(tokens, cb, layout, steps_only=True)
+            if isinstance(want, tuple):        # a truncated sample
+                assert want[3] in ("incomplete-sequence", "incomplete-vertex")
+                continue
+            assert codec._parse_arrays(tokens, cb, layout) is not None
+            assert same_outcome(parse_outcome(tokens, cb, layout), want)
+            assert same_outcome(parse_outcome(np.array(tokens, dtype=np.int32), cb, layout),
+                                want)
+
+    def test_mutated_sequences_match_the_step_loop(self, parse_corpus):
+        cb, layout, seqs = parse_corpus
+        rng = np.random.default_rng(3)
+        reasons = Counter()
+        walks = [grammar_walk(layout, rng, int(rng.integers(4, 200))) for _ in range(20)]
+        for tokens in seqs + walks:
+            for t in mutations(tokens, layout, rng, 40):
+                want = parse_outcome(t, cb, layout, steps_only=True)
+                assert same_outcome(parse_outcome(t, cb, layout), want), t
+                if isinstance(want, tuple):
+                    reasons[want[3] if want[0] is GrammarError else want[0].__name__] += 1
+                else:
+                    reasons["parsed"] += 1
+                    assert codec._parse_arrays(t, cb, layout) is not None
+        # every outcome the grammar has, and sequences that still parse
+        assert {"parsed", "CodecError", "misplaced-start", "trailing-token",
+                "forward-reference", "expected-rq", "expected-coordinate",
+                "expected-adjacency", "delimiter-position", "empty-component",
+                "incomplete-sequence", "incomplete-vertex"} <= set(reasons)
+
+    def test_component_capacity_matches_the_step_loop(self, parse_corpus):
+        cb, layout, seqs = parse_corpus
+        small = VocabLayout(pointer_max=2, rq_levels=layout.rq_levels,
+                            rq_level_size=layout.rq_level_size)
+        rng = np.random.default_rng(4)
+        reasons = Counter()
+        walks = [grammar_walk(small, rng, int(rng.integers(4, 60))) for _ in range(30)]
+        for t in [relayout(tokens, layout, small) for tokens in seqs] + walks:
+            for m in [t, *mutations(t, small, rng, 5)]:
+                want = parse_outcome(m, cb, small, steps_only=True)
+                assert same_outcome(parse_outcome(m, cb, small), want), m
+                reasons[want[3] if isinstance(want, tuple) else "parsed"] += 1
+        assert reasons["component-capacity"] and reasons["parsed"]
+
+    def test_one_decode_call_equals_one_per_component(self, parse_corpus):
+        cb, layout, seqs = parse_corpus
+        rng = np.random.default_rng(5)
+        codes = rng.integers(cb.level_size, size=(60, cb.depth))
+        parts = np.split(codes, [0, 8, 8, 30, 59])
+        assert same_bits(np.concatenate([rq_decode(p, cb) for p in parts]), rq_decode(codes, cb))
+        for tokens in seqs[:10]:
+            rs = parse(tokens, cb, layout=layout)
+            rq = [t for t in tokens if layout.rq_base <= t < layout.start]
+            flat = rq_decode((np.array(rq) - layout.rq_base).reshape(-1, cb.depth)
+                             % layout.rq_level_size, cb)
+            assert same_bits(np.concatenate([c.descriptors for c in rs.components]), flat)

@@ -1,3 +1,6 @@
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -16,10 +19,13 @@ from brepcodec.geometry import (
     Poly2,
     PolylineCurve,
     Segment2,
+    _build,
     _finite,
+    _stack,
     curve_bboxes,
     curve_points,
     pcurve_points,
+    similarity,
     surface_midpoint_norms,
     surface_points,
 )
@@ -182,6 +188,25 @@ REF_PARTIALS = {Plane: plane_partials, CylinderPatch: cylinder_partials,
 REF_TANGENT = {Segment2: seg2_tangent, Arc2: arc2_tangent, Poly2: poly2_tangent}
 
 
+def transformed(g, offset, scale):
+    """``g`` mapped by p -> (p - offset) * scale through its constructor, as
+    each kind's own transform method made it before `similarity` batched it."""
+    o = np.asarray(offset, dtype=float)
+    if isinstance(g, LineSegment):
+        return LineSegment((g.p0 - o) * scale, (g.p1 - o) * scale)
+    if isinstance(g, CircularArc):
+        return CircularArc((g.center - o) * scale, g.radius * scale, g.x_axis, g.y_axis,
+                           g.theta0, g.theta1)
+    if isinstance(g, PolylineCurve):
+        return PolylineCurve((g.points - o) * scale)
+    if isinstance(g, Plane):
+        return Plane((g.origin - o) * scale, g.u_vec * scale, g.v_vec * scale)
+    if isinstance(g, CylinderPatch):
+        return CylinderPatch((g.center - o) * scale, g.radius * scale, g.x_axis, g.y_axis,
+                             g.axis * scale, g.u0, g.u1)
+    return BicubicPatch((g.control - o) * scale)
+
+
 def bitwise(a, b) -> bool:
     """Same shape and the same bits (signed zeros and NaN payloads too)."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
@@ -289,9 +314,34 @@ class TestCurves:
 
     def test_transform_exactness(self):
         c = CircularArc((1, 1, 1), 2.0, (1, 0, 0), (0, 1, 0), 0.2, 1.2)
-        t = c.transformed((1, 1, 1), 0.5)
+        [t] = similarity([c], (1, 1, 1), 0.5)
         u = np.linspace(0, 1, 17)
         assert np.allclose(t.point(u), (c.point(u) - np.array([1, 1, 1])) * 0.5)
+
+
+class TestSimilarity:
+    def test_matches_each_constructor_bitwise(self):
+        rng = np.random.default_rng(11)
+        objs = random_curves(rng) + random_surfaces(rng)
+        rng.shuffle(objs)
+        offset, scale = rng.normal(size=3), float(rng.uniform(0.01, 3.0))
+        got = similarity(objs, offset, scale)
+        for g, want in zip(got, (transformed(o, offset, scale) for o in objs)):
+            assert type(g) is type(want)
+            for name in type(g).__dataclass_fields__:
+                a, b = getattr(g, name), getattr(want, name)
+                assert type(a) is type(b) and bitwise(a, b), name
+            if isinstance(g, BicubicPatch):
+                assert g.control.flags.c_contiguous
+
+    def test_empty_and_foreign_objects(self):
+        assert similarity([], (0, 0, 0), 1.0) == []
+
+        class Foreign:
+            pass
+
+        with pytest.raises(GeometryError, match="cannot transform"):
+            similarity([Foreign()], (0, 0, 0), 1.0)
 
 
 class TestSurfaces:
@@ -494,3 +544,101 @@ def test_bicubic_interpolates_corners_badly_never(u, v):
     flat = grid.reshape(16, 3)
     assert np.all(p >= flat.min(axis=0) - 1e-12)
     assert np.all(p <= flat.max(axis=0) + 1e-12)
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """TimeoutError when the block runs longer than ``seconds``."""
+    def expire(*_):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestArcBboxEnds:
+    def test_angles_too_large_to_turn(self):
+        # th + 2 pi == th at 1e17: the bbox once looped here for ever
+        arc = CircularArc((0, 0, 0), 1, (1, 0, 0), (0, 1, 0), 1e17, 1e17 + 64)
+        with time_limit(5.0):
+            lo, hi = arc.bbox()
+            (lo2, hi2), = zip(*curve_bboxes([arc]))
+        assert np.isfinite(lo).all() and (lo <= hi).all()
+        assert bitwise(lo, lo2) and bitwise(hi, hi2)
+
+    def test_many_turns_cost_two(self):
+        arc = CircularArc((0, 0, 0), 1, (1, 0, 0), (0, 1, 0), 0.0, 2e5)
+        with time_limit(5.0):
+            lo, hi = arc.bbox()
+        assert np.allclose(lo, [-1, -1, 0]) and np.allclose(hi, [1, 1, 0])
+
+    def test_such_a_record_loads_and_normalizes(self):
+        import brepcodec.io as bio
+        from brepcodec.model import model_bbox, normalize
+        from brepcodec.primitives import seam_cylinder
+
+        record = bio.model_to_dict(seam_cylinder())
+        arc = next(e["curve"] for e in record["edges"] if e["curve"]["kind"] == "arc")
+        arc["theta0"], arc["theta1"] = 1e17, 1e17 + 64
+        model, _ = bio.model_from_dict(record)
+        with time_limit(5.0):
+            model_bbox(model)
+            normalize(model)
+
+
+def unchecked(cls, *fields):
+    """An object of ``cls`` holding ``fields`` as given, past every rule."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(zip(cls.__dataclass_fields__,
+                            (np.asarray(f, dtype=float) if np.ndim(f) else float(f)
+                             for f in fields)))
+    return obj
+
+
+X, Y, Z, O = (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)
+# (class, fields that stand, fields that break one rule, the rule's message)
+RULE_CASES = [
+    (LineSegment, (O, X), (O, (np.nan, 0, 0)), "non-finite"),
+    (CircularArc, (O, 1, X, Y, 0, 1), (O, 0.0, X, Y, 0, 1), "radius must be positive"),
+    (CircularArc, (O, 1, X, Y, 0, 1), (O, -2, X, Y, 0, 1), "radius must be positive"),
+    (CircularArc, (O, 1, X, Y, 0, 1), (O, 1, X, Y, 1, 1), "sweep must be non-zero"),
+    (CircularArc, (O, 1, X, Y, 0, 1), (O, 1, X, (1, 1, 0), 0, 1), "orthogonal"),
+    (CircularArc, (O, 1, X, Y, 0, 1), (O, 1, O, Y, 0, 1), "zero-length direction"),
+    (CircularArc, (O, 1, X, Y, 0, 1), (O, 1, X, Y, 0, np.inf), "non-finite"),
+    (PolylineCurve, ([O, X],), ([O],), "at least 2 points"),
+    (PolylineCurve, ([O, X],), ([O, (np.inf, 0, 0)],), "non-finite"),
+    (Plane, (O, X, Y), (O, X, (2, 0, 0)), "plane spans"),
+    (Plane, (O, X, Y), (O, X, (1, 1e-10, 0)), "plane spans"),
+    (Plane, (O, X, Y), (O, O, Y), "plane spans"),
+    (Plane, (O, X, Y), ((0, np.nan, 0), X, Y), "non-finite"),
+    (CylinderPatch, (O, 1, X, Y, Z, 0, 1), (O, 0.0, X, Y, Z, 0, 1), "radius must be positive"),
+    (CylinderPatch, (O, 1, X, Y, Z, 0, 1), (O, 1, X, Y, O, 0, 1), "axis must be non-zero"),
+    (CylinderPatch, (O, 1, X, Y, Z, 0, 1), (O, 1, X, Y, Z, 2, 2), "sweep must be non-zero"),
+    (BicubicPatch, (np.zeros((4, 4, 3)),), (np.full((4, 4, 3), np.nan),), "non-finite"),
+    (Segment2, ((0, 0), (1, 0)), ((0, 0), (np.nan, 0)), "non-finite"),
+    (Arc2, ((0, 0), 1, 0, 1), ((0, 0), -0.25, 0, 1), "radius must be positive"),
+    (Arc2, ((0, 0), 1, 0, 1), ((0, 0), 1, 1.5, 1.5), "sweep must be non-zero"),
+    (Poly2, ([(0, 0), (1, 0)],), ([(0, 0)],), "at least 2 points"),
+    (Poly2, ([(0, 0), (1, 0)],), ([(0, 0), (np.nan, 1)],), "non-finite"),
+]
+
+
+@pytest.mark.parametrize("cls, good, bad, match", RULE_CASES,
+                         ids=[f"{c[0].kind}-{i}" for i, c in enumerate(RULE_CASES)])
+def test_each_rule_is_refused_both_ways(cls, good, bad, match):
+    """A rule the constructor enforces, `_build` enforces on stacked rows, and
+    rows that keep every rule make the constructor's objects, bit for bit."""
+    with pytest.raises(GeometryError, match=match):
+        cls(*bad)
+    with pytest.raises(GeometryError, match=match):
+        _build(cls, _stack([unchecked(cls, *good), unchecked(cls, *bad)], False))
+    built = _build(cls, _stack([unchecked(cls, *good)] * 2, False))
+    for obj in built:
+        want = cls(*good)
+        for name in cls.__dataclass_fields__:
+            a, b = getattr(obj, name), getattr(want, name)
+            assert type(a) is type(b) and bitwise(a, b), name
