@@ -17,8 +17,10 @@ the curve-forward half-edge first.
 
 The grammar is one transition table per `VocabLayout`: `transitions` maps
 a `GrammarState` to the ascending token-id ranges legal there, each with
-the state it leads to.  `step`, `validity_mask`, `parse` and the sampler
-all read that table.
+the state it leads to.  `step`, `validity_mask` and the sampler read that
+table.  `parse` checks a whole sequence in array passes that accept what
+the table accepts, and steps through the table token by token only where
+they refuse, so that the table's walk raises the error.
 """
 from __future__ import annotations
 
@@ -520,7 +522,7 @@ def parse(seq, codebook: Codebook | None = None, cfg: CodecConfig | None = None,
 
 def _parse_arrays(tokens, codebook, layout):
     """`_parse_steps`'s components of ``tokens`` (<start> first), or None
-    where the grammar may refuse them.
+    where the grammar refuses them.
 
     The grammar as array expressions: <end> last and nowhere else, no second
     <start>; every pointer followed by ``2 * rq_levels`` codes at levels 0,
@@ -540,9 +542,8 @@ def _parse_arrays(tokens, codebook, layout):
     if not (((body >= 0) & (body < layout.start)) | sep).all():
         return None
     depth, group = layout.rq_levels, 2 * layout.rq_levels
-    is_rq = body >= layout.rq_base
-    is_rq &= ~sep
-    ptr = np.flatnonzero((body >= layout.pointer_base) & ~is_rq & ~sep)
+    is_rq = (body >= layout.rq_base) & ~sep
+    ptr = np.flatnonzero((body >= layout.pointer_base) & (body < layout.rq_base))
     codes = body[is_rq] - layout.rq_base
     at = ptr[:, None] + np.arange(1, group + 1)
     if codes.size != group * ptr.size or (ptr.size and (

@@ -278,7 +278,6 @@ class LineSegment:
         return _linear_bbox(self.p0, self.p1)
 
 
-
 @dataclass(frozen=True, eq=False)
 class CircularArc:
     """Arc of a circle; theta runs linearly from theta0 (u=0) to theta1 (u=1).
@@ -317,7 +316,6 @@ class CircularArc:
                          self.theta0, self.theta1)
 
 
-
 @dataclass(frozen=True, eq=False)
 class PolylineCurve:
     """Piecewise-linear curve; u is uniform in segment index."""
@@ -337,7 +335,6 @@ class PolylineCurve:
 
     def bbox(self):
         return _piecewise_bbox(self.points, 0)
-
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +384,6 @@ class Plane:
         return sol
 
 
-
 @dataclass(frozen=True, eq=False)
 class CylinderPatch:
     """Cylinder wall P(u, v) = c + r(cos u X + sin u Y) + v * axis.
@@ -432,7 +428,6 @@ class CylinderPatch:
                                   self.axis)
 
 
-
 @dataclass(frozen=True, eq=False)
 class BicubicPatch:
     """Bicubic tensor-product Bezier patch over [0,1]^2."""
@@ -458,7 +453,6 @@ class BicubicPatch:
     def blend(self, basis):
         """Points (..., 3) of 16-term tensor bases (..., 16); see `_blend`."""
         return _blend(basis, self.control)
-
 
 
 # ---------------------------------------------------------------------------
@@ -701,30 +695,28 @@ def _build(cls, fields) -> list:
     `_stack` lays them out (no parameter axis): object k takes row k of each
     array, a point list its own run of rows, as views.  Each rule of the
     constructor is checked once per array; the objects are made without it."""
-    names = tuple(cls.__dataclass_fields__)
     fields = iter(fields)
-    cols = []
-    for name in names:
+    cols = {}
+    for name in cls.__dataclass_fields__:
         a = next(fields)
         if name in ("x_axis", "y_axis"):
             a = _unit_rows(a)
-        else:
-            _refuse(~np.isfinite(a), f"non-finite {name}")
+        elif not np.isfinite(a).all():
+            raise GeometryError(f"non-finite {name}")
         if name == "points":
             first, nseg = next(fields), next(fields)
             _refuse(nseg < 1, f"{cls.kind} needs at least 2 points")
             a = [a[f: f + n + 1] for f, n in zip(first.tolist(), nseg.tolist())]
         elif name == "control":
             a = np.ascontiguousarray(a)     # as the constructor stores it
-        cols.append(a)
+        cols[name] = a
     if cls in _RULES:
-        _RULES[cls](*cols)
-    objs = []
-    scalar = [isinstance(a, np.ndarray) and a.ndim == 1 for a in cols]
-    for row in zip(*(a.tolist() if one else a for a, one in zip(cols, scalar))):
-        obj = object.__new__(cls)
-        obj.__dict__.update(zip(names, row))
-        objs.append(obj)
+        _RULES[cls](*cols.values())
+    objs = [object.__new__(cls) for _ in range(len(next(iter(cols.values()))))]
+    for name, a in cols.items():
+        scalar = isinstance(a, np.ndarray) and a.ndim == 1
+        for obj, value in zip(objs, a.tolist() if scalar else a):
+            obj.__dict__[name] = value
     return objs
 
 

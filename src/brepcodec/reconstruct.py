@@ -508,6 +508,12 @@ def _point_runs(cls, points, steps) -> list:
     return _build(cls, [points, np.cumsum(steps + 1) - steps - 1, steps])
 
 
+def _polylines(cls, runs) -> list:
+    """``cls`` objects, one per row of ``runs`` (K, M, d)."""
+    return _point_runs(cls, runs.reshape(-1, runs.shape[-1]),
+                       np.full(len(runs), runs.shape[1] - 1))
+
+
 def plane_gate(noise):
     """Largest plane residual ``fit_faces`` takes for noise: ``PLANE_GATE``
     times the quadrature sum of vertex rounding and the RQ noise ``noise``."""
@@ -582,17 +588,15 @@ def fit_faces(loops, drafts) -> list:
                 fitted = None
         faces.append(fitted)
         notes.append(note)
-    # the loops that keep their plane: every pcurve of theirs from one pass over uv
-    planar = [i for i, f in enumerate(faces) if f is None]
-    sizes = np.array([len(loop.drafts) for loop in loops])
-    keep = np.repeat([f is None for f in faces], sizes)
-    pcurves = iter(_point_runs(Poly2, uv[keep].reshape(-1, 2),
-                               np.full(keep.sum(), uv.shape[1] - 1)))
-    for i in planar:
-        drafts_i = loops[i].drafts
-        faces[i] = FittedFace(surface=planes[i],
-                              pcurves=dict(zip(drafts_i, islice(pcurves, len(drafts_i)))),
-                              rms=float(rms[i]), planar=True, notes=notes[i])
+    # the pcurves of every loop that keeps its plane, in one pass
+    keep = np.repeat([f is None for f in faces], [len(loop.drafts) for loop in loops])
+    pcurves = iter(_polylines(Poly2, uv[keep]))
+    for i, loop in enumerate(loops):
+        if faces[i] is None:
+            faces[i] = FittedFace(surface=planes[i], rms=float(rms[i]), planar=True,
+                                  pcurves=dict(zip(loop.drafts,
+                                                   islice(pcurves, len(loop.drafts)))),
+                                  notes=notes[i])
     return faces
 
 
@@ -716,8 +720,9 @@ def _assemble(drafts, verts, outer, inner, faces, attach):
         for il in inners_per_face[fi]:
             inner_ids.append(len(ordered_loops))
             ordered_loops.append((il, "inner", fi))
-            pcurve_of.update({d: Poly2(_project(drafts.curve[d], fitted.surface))
-                              for d in il.drafts})
+            curve = drafts.curve[il.drafts]     # the loop's pcurves from one projection
+            uv = _project(curve.reshape(-1, 3), fitted.surface).reshape(curve.shape[:2] + (2,))
+            pcurve_of.update(zip(il.drafts, _polylines(Poly2, uv)))
         face_objs.append(Face(surface=fitted.surface, outer=outer_id,
                               inners=tuple(inner_ids)))
 
@@ -729,9 +734,7 @@ def _assemble(drafts, verts, outer, inner, faces, attach):
     halfedges = [HalfEdge(origin=v, twin=d ^ 1, edge=d // 2, loop=loop_of_draft.get(d, -1),
                           forward=(d % 2 == 0), pcurve=pcurve_of.get(d))
                  for d, v in enumerate(origin)]
-    forward = drafts.curve[0::2]
-    curves = _point_runs(PolylineCurve, forward.reshape(-1, 3),
-                         np.full(len(forward), forward.shape[1] - 1))
+    curves = _polylines(PolylineCurve, drafts.curve[0::2])
     edges = [Edge(curve=c, v0=origin[d], v1=origin[d + 1], halfedges=(d, d + 1))
              for c, d in zip(curves, range(0, len(origin), 2))]
 
