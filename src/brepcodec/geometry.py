@@ -672,13 +672,7 @@ def _cylinder_rules(_center, radius, _x, _y, axis, u0, u1):
     _refuse(u1 == u0, "cylinder sweep must be non-zero")
 
 
-def _arc2_rules(_center, radius, phi0, phi1):
-    _refuse(radius <= 0, "arc radius must be positive")
-    _refuse(phi1 == phi0, "arc sweep must be non-zero")
-
-
-_RULES = {CircularArc: _arc_rules, Plane: _plane_rules, CylinderPatch: _cylinder_rules,
-          Arc2: _arc2_rules}
+_RULES = {CircularArc: _arc_rules, Plane: _plane_rules, CylinderPatch: _cylinder_rules}
 
 
 def _unit_rows(v) -> np.ndarray:
@@ -691,10 +685,11 @@ def _unit_rows(v) -> np.ndarray:
 
 
 def _build(cls, fields) -> list:
-    """Objects of ``cls`` (a class of KINDS) from its ``fields`` stacked as
-    `_stack` lays them out (no parameter axis): object k takes row k of each
-    array, a point list its own run of rows, as views.  Each rule of the
-    constructor is checked once per array; the objects are made without it."""
+    """Objects of ``cls`` (a curve or surface class, or `Poly2`) from its
+    ``fields`` stacked as `_stack` lays them out (no parameter axis): object
+    k takes row k of each array, a point list its own run of rows, as views.
+    Each rule of the constructor is checked once per array; the objects are
+    made without it."""
     fields = iter(fields)
     cols = {}
     for name in cls.__dataclass_fields__:
@@ -735,8 +730,6 @@ def similarity(objs, offset, scale: float) -> list:
     out = [None] * len(objs)
     for idx, group in _groups(objs):
         cls = type(group[0])
-        if KINDS.get(getattr(cls, "kind", None)) is not cls:
-            raise GeometryError(f"cannot transform {cls.__name__}")
         fields = iter(_stack(group, False))
         moved = []
         for name in cls.__dataclass_fields__:
