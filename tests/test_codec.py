@@ -417,6 +417,28 @@ def same_bits(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def outcome_kind(out) -> str:
+    if not isinstance(out, tuple):
+        return "parsed"
+    return out[3] if out[0] is GrammarError else out[0].__name__
+
+
+def outcome_digest(outcomes) -> str:
+    """sha256 of ``parse_outcome``s: each component's ``repr(edges)`` (so the
+    type of every id shows), positions and descriptors, or the refusal."""
+    h = hashlib.sha256()
+    for out in outcomes:
+        h.update(b"|")
+        if isinstance(out, tuple):
+            h.update(repr((out[0].__name__,) + out[1:]).encode())
+            continue
+        for c in out.components:
+            h.update(repr(c.edges).encode())
+            h.update(c.positions.tobytes())
+            h.update(c.descriptors.tobytes())
+    return h.hexdigest()
+
+
 def mutations(tokens, layout, rng, n):
     """``n`` random edits of ``tokens``: substitutions (also off-vocabulary
     and negative ids), deletions, insertions, truncations, a second <start>,
@@ -492,6 +514,50 @@ def parse_corpus():
 
 
 class TestArrayParse:
+    # parse's outcome on every sequence of three corpora, pinned: records bit
+    # for bit, or the refusal's type, message, position, reason, expected and
+    # found.  Each corpus also asserts which grammar outcomes it reaches.
+
+    def test_corpus_outcomes_are_pinned(self, parse_corpus):
+        cb, layout, seqs = parse_corpus
+        outcomes = [parse_outcome(t, cb, layout) for tokens in seqs
+                    for t in (tokens, np.array(tokens, dtype=np.int32))]
+        for out in outcomes:
+            if isinstance(out, tuple):         # a truncated sample
+                assert out[3] in ("incomplete-sequence", "incomplete-vertex")
+            else:                              # ids stay Python ints for array input
+                assert all(type(k) is int for c in out.components for e in c.edges for k in e)
+        assert outcome_digest(outcomes) == (
+            "cd86b6e115c6e7c826228d10aacc24d1771966890a22984336a55a5d4b13947f")
+
+    def test_mutated_outcomes_are_pinned(self, parse_corpus):
+        cb, layout, seqs = parse_corpus
+        rng = np.random.default_rng(3)
+        walks = [grammar_walk(layout, rng, int(rng.integers(4, 200))) for _ in range(20)]
+        outcomes = [parse_outcome(t, cb, layout) for tokens in seqs + walks
+                    for t in mutations(tokens, layout, rng, 40)]
+        # every outcome the grammar has, and sequences that still parse
+        assert {"parsed", "CodecError", "misplaced-start", "trailing-token",
+                "forward-reference", "expected-rq", "expected-coordinate",
+                "expected-adjacency", "delimiter-position", "empty-component",
+                "incomplete-sequence", "incomplete-vertex"} <= set(map(outcome_kind, outcomes))
+        assert outcome_digest(outcomes) == (
+            "59b6cdc697b80025b9d7aedb0b8184567fd048f1d8e7aafc37923abb44d216b3")
+
+    def test_capacity_outcomes_are_pinned(self, parse_corpus):
+        cb, layout, seqs = parse_corpus
+        small = VocabLayout(pointer_max=2, rq_levels=layout.rq_levels,
+                            rq_level_size=layout.rq_level_size)
+        rng = np.random.default_rng(4)
+        walks = [grammar_walk(small, rng, int(rng.integers(4, 60))) for _ in range(30)]
+        outcomes = [parse_outcome(m, cb, small)
+                    for t in [relayout(tokens, layout, small) for tokens in seqs] + walks
+                    for m in [t, *mutations(t, small, rng, 5)]]
+        reasons = Counter(map(outcome_kind, outcomes))
+        assert reasons["component-capacity"] and reasons["parsed"]
+        assert outcome_digest(outcomes) == (
+            "f799fa9554d905270cfac91ffc54d5a523dacd292ec48069617e05a92b7518d5")
+
     def test_grammatical_sequences_take_the_array_pass(self, parse_corpus):
         cb, layout, seqs = parse_corpus
         for tokens in seqs:
