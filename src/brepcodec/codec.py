@@ -17,10 +17,8 @@ the curve-forward half-edge first.
 
 The grammar is one transition table per `VocabLayout`: `transitions` maps
 a `GrammarState` to the ascending token-id ranges legal there, each with
-the state it leads to.  `step`, `validity_mask` and the sampler read that
-table.  `parse` checks a whole sequence in array passes that accept what
-the table accepts, and steps through the table token by token only where
-they refuse, so that the table's walk raises the error.
+the state it leads to.  `step`, `validity_mask`, the sampler and `parse`
+read that table, and `_rejection` explains why a token is refused.
 """
 from __future__ import annotations
 
@@ -410,6 +408,7 @@ def tokenize(model: BrepModel, codebook: Codebook, cfg: CodecConfig | None = Non
     if model.num_vertices and (model.vertices.min() < 0.0 or model.vertices.max() >= 1.0):
         raise CodecError("model must be normalized into the unit box before tokenizing")
 
+    descs = extract_vhp(model, cfg.sampling)   # its check refuses a dangling index first
     flat_order, comps = canonical_order(model)
     for comp in comps:
         if len(comp) > layout.pointer_max:
@@ -417,7 +416,6 @@ def tokenize(model: BrepModel, codebook: Codebook, cfg: CodecConfig | None = Non
                 f"component with {len(comp)} vertices exceeds the pointer "
                 f"range of {layout.pointer_max}")
 
-    descs = extract_vhp(model, cfg.sampling)
     codes = (rq_encode_many(descs, codebook) if len(descs)
              else np.zeros((0, layout.rq_levels), int))
 
@@ -473,15 +471,6 @@ class VertexRecordSet:
     header: SequenceHeader | None = None
 
 
-def _finish_component(coords, edges, codes, codebook, depth):
-    coords_q = np.array(coords, dtype=int).reshape(-1, 3)
-    positions = dequantize_coord(coords_q) if coords_q.size else coords_q.astype(float)
-    descriptors = None
-    if codebook is not None:   # one call for every half-edge of the component
-        descriptors = rq_decode(np.array(codes, dtype=int).reshape(-1, depth), codebook)
-    return ParsedComponent(positions=positions, edges=edges, descriptors=descriptors)
-
-
 def parse(seq, codebook: Codebook | None = None, cfg: CodecConfig | None = None,
           layout: VocabLayout | None = None) -> VertexRecordSet:
     """Decode a token sequence into per-component vertex records.
@@ -492,16 +481,17 @@ def parse(seq, codebook: Codebook | None = None, cfg: CodecConfig | None = None,
     descriptor length of ``cfg.sampling`` (CodecError otherwise).  Without
     one they stay None.
 
-    A sequence is checked and decoded in array passes over all its tokens
-    (`_parse_arrays`).  Only a sequence those passes refuse goes through the
-    grammar token by token (`_parse_steps`), which raises its error.
+    The sequence is checked in one walk of the grammar table (`_walk`),
+    which collects coordinates, pointers and codes as it goes.  An ndarray
+    of token ids is read as Python ints, so the records hold ints.
     """
     cfg = cfg or CodecConfig()
     if codebook is not None and codebook.dim != cfg.sampling.descriptor_length:
         raise CodecError(f"codebook dimension {codebook.dim} != descriptor length "
                          f"{cfg.sampling.descriptor_length}")
     header = seq.header if isinstance(seq, TokenSequence) else None
-    tokens = list(seq.tokens) if isinstance(seq, TokenSequence) else list(seq)
+    tokens = seq.tokens if isinstance(seq, TokenSequence) else seq
+    tokens = tokens.tolist() if isinstance(tokens, np.ndarray) else list(tokens)
     if layout is None:
         layout = (VocabLayout.for_codebook(codebook) if codebook is not None else
                   _shared_layout(VocabLayout.rq_levels, VocabLayout.rq_level_size))
@@ -514,105 +504,53 @@ def parse(seq, codebook: Codebook | None = None, cfg: CodecConfig | None = None,
                            reason="missing-start")
     if len(tokens) == 2 and tokens[1] == layout.end:
         return VertexRecordSet(components=[], header=header)
-    comps = _parse_arrays(tokens, codebook, layout)
-    if comps is None:
-        comps = _parse_steps(tokens, codebook, layout)
-    return VertexRecordSet(components=comps, header=header)
+    return VertexRecordSet(components=_walk(tokens, codebook, layout), header=header)
 
 
-def _parse_arrays(tokens, codebook, layout):
-    """`_parse_steps`'s components of ``tokens`` (<start> first), or None
-    where the grammar refuses them.
-
-    The grammar as array expressions: <end> last and nowhere else, no second
-    <start>; every pointer followed by ``2 * rq_levels`` codes at levels 0,
-    1, .., 0, 1, .. and no other code; with the codes set aside, each
-    component opens with a coordinate, its coordinates come in runs of whole
-    vertices, it holds at most ``pointer_max`` of them, and each pointer
-    names one of the vertices completed before it.  All components' codes
-    decode in one `rq_decode` call.
-    """
-    try:
-        body = np.array(tokens[1:-1])
-    except (ValueError, TypeError, OverflowError):
-        return None
-    if body.dtype.kind not in "iu" or body.ndim != 1 or tokens[-1] != layout.end:
-        return None
-    sep = body == layout.sep
-    if not (((body >= 0) & (body < layout.start)) | sep).all():
-        return None
-    depth, group = layout.rq_levels, 2 * layout.rq_levels
-    is_rq = (body >= layout.rq_base) & ~sep
-    ptr = np.flatnonzero((body >= layout.pointer_base) & (body < layout.rq_base))
-    codes = body[is_rq] - layout.rq_base
-    at = ptr[:, None] + np.arange(1, group + 1)
-    if codes.size != group * ptr.size or (ptr.size and (
-            at[-1, -1] >= body.size or not is_rq[at].all()
-            or (codes.reshape(-1, group) // layout.rq_level_size
-                != np.arange(group) % depth).any())):
-        return None
-
-    rest = body[~is_rq]                          # coordinates, pointers and <sep>s
-    is_coord = rest < COORD_BINS
-    is_sep = rest == layout.sep
-    is_ptr = ~is_coord & ~is_sep
-    comp = np.cumsum(is_sep)                     # component of each token
-    opens = np.flatnonzero(np.concatenate([[True], is_sep[:-1]]))
-    flips = np.flatnonzero(np.diff(is_coord, prepend=False, append=False))
-    runs = flips[1::2] - flips[0::2]             # lengths of the coordinate runs
-    before = (np.cumsum(is_coord) - is_coord) // 3   # whole vertices before each token
-    at_open = before[opens]
-    vertices = np.diff(np.append(at_open, np.count_nonzero(is_coord) // 3))
-    count = before[is_ptr] - at_open[comp[is_ptr]]   # the component's, at each pointer
-    target = rest[is_ptr] - layout.pointer_base
-    if is_sep[-1] or not is_coord[opens].all() or (runs % 3).any() \
-            or (vertices > layout.pointer_max).any() or (target >= count).any():
-        return None
-
-    positions = np.split(dequantize_coord(rest[is_coord].reshape(-1, 3)),
-                         np.cumsum(vertices)[:-1])
-    per_comp = np.bincount(comp[is_ptr], minlength=len(opens))
-    ends = np.cumsum(per_comp).tolist()
-    edges = list(map(ParsedEdge, target.tolist(), (count - 1).tolist()))
-    edges = [edges[e - k: e] for e, k in zip(ends, per_comp.tolist())]
-    descriptors = [None] * len(opens)
-    if codebook is not None:
-        descriptors = np.split(rq_decode((codes % layout.rq_level_size).reshape(-1, depth),
-                                         codebook), 2 * np.array(ends[:-1], dtype=int))
-    return [ParsedComponent(positions=p, edges=e, descriptors=d)
-            for p, e, d in zip(positions, edges, descriptors)]
-
-
-def _parse_steps(tokens, codebook, layout):
-    """The components of ``tokens`` (<start> first), stepping the grammar one
-    token at a time: the definition of what `parse` refuses, and how."""
+def _walk(tokens, codebook, layout):
+    """The components of ``tokens`` (<start> first), walking the grammar
+    table once; a refused token raises `_rejection`'s error at its position.
+    All components' codes decode in one `rq_decode` call."""
+    table, rq_base, start = layout._transitions, layout.rq_base, layout.start
     state = initial_state()
-    comps, coords, edges, codes = [], [], [], []
+    coords, edges, codes, ends = [], [], [], []
     for pos in range(1, len(tokens)):
         tok = tokens[pos]
-        try:
-            nxt = step(state, tok, layout)
-        except GrammarError as err:
+        for lo, hi, nxt in table.get(state) or transitions(state, layout):
+            if lo <= tok < hi:
+                break
+        else:
+            err = _rejection(state, tok, layout)
             err.position = pos
-            raise
-        if state.mode == MODE_RQ:
-            codes.append((tok - layout.rq_base) % layout.rq_level_size)
-        elif nxt.mode == MODE_RQ:            # a pointer opens an edge group
-            edges.append(ParsedEdge(tok - layout.pointer_base, state.count - 1))
-        elif tok < COORD_BINS:
+            raise err
+        if tok < COORD_BINS:
             coords.append(tok)
+        elif tok < rq_base:                  # a pointer opens an edge group
+            edges.append(ParsedEdge(tok - COORD_BINS, state.count - 1))
+        elif tok < start:
+            codes.append(tok)
         else:                                # <sep> or <end> closes a component
-            comps.append(_finish_component(coords, edges, codes, codebook, layout.rq_levels))
-            coords, edges, codes = [], [], []
+            ends.append((len(coords) // 3, len(edges)))
             if nxt.mode == MODE_DONE:
                 if pos != len(tokens) - 1:
                     raise GrammarError("tokens after <end>", position=pos + 1,
                                        reason="trailing-token")
-                return comps
+                break
         state = nxt
-    raise GrammarError("sequence ended without <end>", position=len(tokens),
-                       reason="incomplete-vertex" if state.mode == MODE_RQ
-                       else "incomplete-sequence")
+    else:
+        raise GrammarError("sequence ended without <end>", position=len(tokens),
+                           reason="incomplete-vertex" if state.mode == MODE_RQ
+                           else "incomplete-sequence")
+
+    vertex_ends, edge_ends = zip(*ends)
+    positions = np.split(dequantize_coord(np.array(coords).reshape(-1, 3)), vertex_ends[:-1])
+    descriptors = [None] * len(ends)
+    if codebook is not None:
+        codes = (np.array(codes, dtype=int) - rq_base) % layout.rq_level_size
+        descriptors = np.split(rq_decode(codes.reshape(-1, layout.rq_levels), codebook),
+                               2 * np.array(edge_ends[:-1], dtype=int))
+    return [ParsedComponent(positions=p, edges=edges[a:b], descriptors=d)
+            for p, a, b, d in zip(positions, (0,) + edge_ends, edge_ends, descriptors)]
 
 
 def sequence_token_count(n_vertices: int, n_edges: int, rq_levels: int = 4,

@@ -1,12 +1,10 @@
 import hashlib
 from collections import Counter
-from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from brepcodec import codec
 from brepcodec.codec import (
     COORD_BINS,
     MAX_TOKENS,
@@ -386,34 +384,20 @@ class TestEncodeGolden:
 
 
 # ---------------------------------------------------------------------------
-# The array-pass parse against the grammar stepped token by token
+# Parse outcomes on token corpora
 # ---------------------------------------------------------------------------
 
-def parse_outcome(tokens, cb, layout, steps_only=False):
+def parse_outcome(tokens, cb, layout):
     """``parse``'s records, or its exception as (type, message, position,
-    reason, expected, found); ``steps_only`` parses by the step loop alone."""
+    reason, expected, found)."""
     try:
-        if steps_only:
-            with patch.object(codec, "_parse_arrays", lambda *args: None):
-                return parse(tokens, cb, layout=layout)
         return parse(tokens, cb, layout=layout)
     except Exception as exc:
         return (type(exc), str(exc), *(getattr(exc, k, None)
                                        for k in ("position", "reason", "expected", "found")))
 
 
-def same_outcome(a, b) -> bool:
-    if isinstance(a, tuple) or isinstance(b, tuple):
-        return a == b
-    return len(a.components) == len(b.components) and all(
-        x.edges == y.edges and all(map(same_bits, (x.positions, x.descriptors),
-                                       (y.positions, y.descriptors)))
-        for x, y in zip(a.components, b.components))
-
-
 def same_bits(a, b) -> bool:
-    if a is None or b is None:
-        return a is b
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
@@ -557,52 +541,6 @@ class TestArrayParse:
         assert reasons["component-capacity"] and reasons["parsed"]
         assert outcome_digest(outcomes) == (
             "f799fa9554d905270cfac91ffc54d5a523dacd292ec48069617e05a92b7518d5")
-
-    def test_grammatical_sequences_take_the_array_pass(self, parse_corpus):
-        cb, layout, seqs = parse_corpus
-        for tokens in seqs:
-            want = parse_outcome(tokens, cb, layout, steps_only=True)
-            if isinstance(want, tuple):        # a truncated sample
-                assert want[3] in ("incomplete-sequence", "incomplete-vertex")
-                continue
-            assert codec._parse_arrays(tokens, cb, layout) is not None
-            assert same_outcome(parse_outcome(tokens, cb, layout), want)
-            assert same_outcome(parse_outcome(np.array(tokens, dtype=np.int32), cb, layout),
-                                want)
-
-    def test_mutated_sequences_match_the_step_loop(self, parse_corpus):
-        cb, layout, seqs = parse_corpus
-        rng = np.random.default_rng(3)
-        reasons = Counter()
-        walks = [grammar_walk(layout, rng, int(rng.integers(4, 200))) for _ in range(20)]
-        for tokens in seqs + walks:
-            for t in mutations(tokens, layout, rng, 40):
-                want = parse_outcome(t, cb, layout, steps_only=True)
-                assert same_outcome(parse_outcome(t, cb, layout), want), t
-                if isinstance(want, tuple):
-                    reasons[want[3] if want[0] is GrammarError else want[0].__name__] += 1
-                else:
-                    reasons["parsed"] += 1
-                    assert codec._parse_arrays(t, cb, layout) is not None
-        # every outcome the grammar has, and sequences that still parse
-        assert {"parsed", "CodecError", "misplaced-start", "trailing-token",
-                "forward-reference", "expected-rq", "expected-coordinate",
-                "expected-adjacency", "delimiter-position", "empty-component",
-                "incomplete-sequence", "incomplete-vertex"} <= set(reasons)
-
-    def test_component_capacity_matches_the_step_loop(self, parse_corpus):
-        cb, layout, seqs = parse_corpus
-        small = VocabLayout(pointer_max=2, rq_levels=layout.rq_levels,
-                            rq_level_size=layout.rq_level_size)
-        rng = np.random.default_rng(4)
-        reasons = Counter()
-        walks = [grammar_walk(small, rng, int(rng.integers(4, 60))) for _ in range(30)]
-        for t in [relayout(tokens, layout, small) for tokens in seqs] + walks:
-            for m in [t, *mutations(t, small, rng, 5)]:
-                want = parse_outcome(m, cb, small, steps_only=True)
-                assert same_outcome(parse_outcome(m, cb, small), want), m
-                reasons[want[3] if isinstance(want, tuple) else "parsed"] += 1
-        assert reasons["component-capacity"] and reasons["parsed"]
 
     def test_one_decode_call_equals_one_per_component(self, parse_corpus):
         cb, layout, seqs = parse_corpus
