@@ -59,11 +59,20 @@ def _geom_to_dict(g) -> dict:
     return d
 
 
-def _geom_from_dict(d: dict):
+# the kinds each geometry slot of a model file takes; a pcurve may also be null
+SLOT_KINDS = {"curve": ("line", "arc", "polyline"), "surface": ("plane", "cylinder", "bicubic"),
+              "pcurve": ("seg2", "arc2", "poly2")}
+
+
+def _geom_from_dict(d: dict, slot: str | None = None):
+    """The geometry of record ``d``; with ``slot``, only a kind that slot takes."""
     try:
         cls = G.KINDS.get(d["kind"])
         if cls is None:
             raise FormatError(f"unknown geometry kind {d['kind']!r}")
+        if slot is not None and cls.kind not in SLOT_KINDS[slot]:
+            raise FormatError(f"{slot} kind {cls.kind!r} is not one of "
+                              f"{', '.join(SLOT_KINDS[slot])}")
         return cls(*[d[f.name] for f in dataclasses.fields(cls)])
     except KeyError as exc:
         raise FormatError(f"geometry record missing field {exc}") from exc
@@ -105,25 +114,58 @@ def model_to_dict(model: BrepModel, transform: TransformRecord | None = None) ->
     }
 
 
+def _id(value) -> int:
+    if type(value) is not int:               # a JSON integer; bools are refused
+        raise FormatError(f"id {value!r} is not an integer")
+    return value
+
+
+def _ids(values) -> tuple:
+    return tuple(map(_id, values))
+
+
+def _flag(value) -> bool:
+    if type(value) is not bool:
+        raise FormatError(f"forward {value!r} is not true or false")
+    return value
+
+
+def _table(d: dict, key: str, make) -> list:
+    """``make(record)`` for each record of table ``key``; an error names the record."""
+    out = []
+    for i, r in enumerate(d[key]):
+        try:
+            out.append(make(r))
+        except KeyError as exc:
+            raise FormatError(f"{key[:-1]} {i}: missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"{key[:-1]} {i}: {exc}") from exc
+    return out
+
+
 def model_from_dict(d: dict) -> tuple:
-    """A model and its transform; a stored ``shells`` list is ignored."""
+    """A model and its transform; a stored ``shells`` list is ignored.
+
+    Ids must be integers, ``forward`` a bool, and each geometry of a kind
+    its slot takes (`SLOT_KINDS`); FormatError names the refused record."""
     fmt = d.get("format") if isinstance(d, dict) else None
     if fmt != MODEL_FORMAT:
         raise FormatError(f"not a model file (format={fmt!r})")
     try:
         model = BrepModel(
             vertices=np.array(d["vertices"], dtype=float).reshape(-1, 3),
-            edges=[Edge(curve=_geom_from_dict(e["curve"]), v0=e["v0"], v1=e["v1"],
-                        halfedges=tuple(e["halfedges"])) for e in d["edges"]],
-            halfedges=[HalfEdge(origin=h["origin"], twin=h["twin"], edge=h["edge"],
-                                loop=h["loop"], forward=h["forward"],
-                                pcurve=None if h["pcurve"] is None
-                                else _geom_from_dict(h["pcurve"]))
-                       for h in d["halfedges"]],
-            loops=[Loop(halfedges=tuple(l["halfedges"]), kind=l["kind"],
-                        face=l["face"]) for l in d["loops"]],
-            faces=[Face(surface=_geom_from_dict(f["surface"]), outer=f["outer"],
-                        inners=tuple(f["inners"])) for f in d["faces"]],
+            edges=_table(d, "edges", lambda e: Edge(
+                curve=_geom_from_dict(e["curve"], "curve"), v0=_id(e["v0"]),
+                v1=_id(e["v1"]), halfedges=_ids(e["halfedges"]))),
+            halfedges=_table(d, "halfedges", lambda h: HalfEdge(
+                origin=_id(h["origin"]), twin=_id(h["twin"]), edge=_id(h["edge"]),
+                loop=_id(h["loop"]), forward=_flag(h["forward"]),
+                pcurve=None if h["pcurve"] is None else _geom_from_dict(h["pcurve"], "pcurve"))),
+            loops=_table(d, "loops", lambda l: Loop(
+                halfedges=_ids(l["halfedges"]), kind=l["kind"], face=_id(l["face"]))),
+            faces=_table(d, "faces", lambda f: Face(
+                surface=_geom_from_dict(f["surface"], "surface"), outer=_id(f["outer"]),
+                inners=_ids(f["inners"]))),
         )
         transform = transform_from_dict(d.get("transform"))
     except (KeyError, TypeError, ValueError) as exc:

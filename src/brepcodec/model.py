@@ -316,6 +316,11 @@ def _index_defects(model: BrepModel) -> list:
     nv, nh, ne = model.num_vertices, len(model.halfedges), len(model.edges)
     nl, nf = len(model.loops), len(model.faces)
     defects = []
+    for i, e in enumerate(model.edges):
+        defects.extend(f"edge {i}: dangling vertex {v}" for v in (e.v0, e.v1)
+                       if not (0 <= v < nv))
+        defects.extend(f"edge {i}: dangling halfedge {h}" for h in e.halfedges
+                       if not (0 <= h < nh))
     for i, he in enumerate(model.halfedges):
         for name, ref, n in (("origin", he.origin, nv), ("twin", he.twin, nh),
                              ("edge", he.edge, ne), ("loop", he.loop, nl)):
@@ -333,15 +338,21 @@ def _index_defects(model: BrepModel) -> list:
 
 
 def _twin_defects(model: BrepModel) -> list:
-    """Twin pairs and their edges' registration; indices must be in range."""
+    """Twin pairs and their edges' registration: each half-edge is listed on
+    its edge and starts at the edge's v0 (forward) or v1 (reverse).  Indices
+    must be in range."""
     defects = []
     for i, he in enumerate(model.halfedges):
         if model.halfedges[he.twin].twin != i:
             defects.append(f"halfedge {i}: twin(twin) != self")
         if he.twin == i:
             defects.append(f"halfedge {i}: twin points to itself")
-        if i not in model.edges[he.edge].halfedges:
+        e = model.edges[he.edge]
+        if i not in e.halfedges:
             defects.append(f"halfedge {i}: not registered on edge {he.edge}")
+        elif he.origin != (e.v0 if he.forward else e.v1):
+            defects.append(f"edge {he.edge}: halfedge {i} starts at {he.origin}, not at "
+                           f"the edge's {'v0' if he.forward else 'v1'}")
     return defects
 
 

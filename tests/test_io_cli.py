@@ -186,6 +186,78 @@ class TestModelFiles:
         assert json.loads((tmp_path / "back.json").read_text())["shells"] == truth
 
 
+@pytest.fixture(scope="module")
+def box_codebook(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cb") / "cb.json"
+    bio.save_codebook(lossless_codebook(normalize(box())[0]), path)
+    return str(path)
+
+
+def _first_pcurve(kind):
+    return lambda d: next(h["pcurve"] for h in d["halfedges"] if h["pcurve"]["kind"] == kind)
+
+
+class TestCorruptedModelFiles:
+    # case -> (where in box()'s model dict, the value put there, exit code,
+    # a phrase of the format error or of the defect report)
+    CASES = {
+        "edge curve is a plane": (("edges", 0, "curve"), lambda d: d["faces"][0]["surface"],
+                                  2, "edge 0: curve kind 'plane'"),
+        "edge curve is a seg2": (("edges", 0, "curve"), _first_pcurve("seg2"),
+                                 2, "edge 0: curve kind 'seg2'"),
+        "pcurve is a line": (("halfedges", 0, "pcurve"), lambda d: d["edges"][0]["curve"],
+                             2, "halfedge 0: pcurve kind 'line'"),
+        "surface is a seg2": (("faces", 0, "surface"), _first_pcurve("seg2"),
+                              2, "face 0: surface kind 'seg2'"),
+        "surface is a line": (("faces", 0, "surface"), lambda d: d["edges"][0]["curve"],
+                              2, "face 0: surface kind 'line'"),
+        "origin is a string": (("halfedges", 0, "origin"), lambda d: "a",
+                               2, "halfedge 0: id 'a' is not an integer"),
+        "origin is a float": (("halfedges", 0, "origin"), lambda d: 1.5,
+                              2, "halfedge 0: id 1.5 is not an integer"),
+        "origin is a bool": (("halfedges", 0, "origin"), lambda d: True,
+                             2, "halfedge 0: id True is not an integer"),
+        "outer loop is null": (("faces", 0, "outer"), lambda d: None,
+                               2, "face 0: id None is not an integer"),
+        "inner loop is a string": (("faces", 0, "inners"), lambda d: ["1"],
+                                   2, "face 0: id '1' is not an integer"),
+        "loop face is a float": (("loops", 0, "face"), lambda d: 0.0,
+                                 2, "loop 0: id 0.0 is not an integer"),
+        "forward is a number": (("halfedges", 0, "forward"), lambda d: 1,
+                                2, "halfedge 0: forward 1 is not true or false"),
+        "edge halfedge dangles": (("edges", 0, "halfedges"),
+                                  lambda d: [999, d["edges"][0]["halfedges"][1]],
+                                  1, "edge 0: dangling halfedge 999"),
+        "edge vertex dangles": (("edges", 0, "v0"), lambda d: 999,
+                                1, "edge 0: dangling vertex 999"),
+        "edge ends on one vertex": (("edges", 0, "v0"), lambda d: d["edges"][0]["v1"],
+                                    1, "edge 0: halfedge 0 starts at 4, not at the edge's v0"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_every_command_ends_in_a_typed_error(self, tmp_path, capsys, box_codebook, case):
+        # a format error (exit 2) or a defect report (exit 1), never an
+        # exception out of main
+        (table, i, key), value, code, phrase = self.CASES[case]
+        d = bio.model_to_dict(box())
+        d[table][i][key] = value(d)
+        path, report = str(tmp_path / "m.json"), tmp_path / "report.json"
+        with open(path, "w") as f:
+            json.dump(d, f)
+        for argv in (["validate", path, "--report", str(report)],
+                     ["tokenize", path, "--codebook", box_codebook,
+                      "--out", str(tmp_path / "t.tokens")],
+                     ["roundtrip", path]):
+            capsys.readouterr()
+            assert main(argv) == code, argv
+            err = json.loads(capsys.readouterr().err.splitlines()[-1])
+            assert err["error"] == ("format" if code == 2 else "validation")
+            if argv[0] == "validate" and code == 1:
+                assert json.loads(report.read_text())[path]["defects"] == [phrase]
+            else:
+                assert phrase in err["message"], argv
+
+
 class TestTokenFiles:
     def test_roundtrip_with_transforms(self, tmp_path):
         cb = lossless_codebook(normalize(box())[0])

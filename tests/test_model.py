@@ -65,7 +65,8 @@ class TestValidate:
         assert any("dangling origin" in d for d in rep.defects)
 
 
-    @pytest.mark.parametrize("mutate", ["none", "twin", "origin", "open", "kind", "isolated"])
+    @pytest.mark.parametrize("mutate", ["none", "twin", "origin", "open", "kind", "isolated",
+                                        "edge halfedge", "edge vertex", "edge ends"])
     def test_twin_and_loop_checks_alone_agree_with_validate(self, unit_cube, mutate):
         from brepcodec.model import ModelError
         from brepcodec.sampler import extract_vhp
@@ -83,6 +84,12 @@ class TestValidate:
             m.loops[1] = dataclasses.replace(m.loops[1], kind="inner")
         elif mutate == "isolated":  # a manifold defect only
             m.vertices = np.vstack([m.vertices, [[5.0, 5.0, 5.0]]])
+        elif mutate == "edge halfedge":
+            m.edges[0] = dataclasses.replace(m.edges[0], halfedges=(999, m.edges[0].halfedges[1]))
+        elif mutate == "edge vertex":
+            m.edges[0] = dataclasses.replace(m.edges[0], v0=999)
+        elif mutate == "edge ends":  # both ends on one vertex: a self-loop its half-edges deny
+            m.edges[0] = dataclasses.replace(m.edges[0], v0=m.edges[0].v1)
         rep = validate(m)
         assert twins_and_loops_ok(m) == (rep.twin_consistent and rep.loops_closed)
         assert rep.watertight == (mutate == "none")
@@ -92,6 +99,10 @@ class TestValidate:
             with pytest.raises(ModelError) as err:
                 extract_vhp(m)
             assert str(err.value) == f"model fails twin/loop validation: {rep.defects[:3]}"
+        want = {"edge halfedge": "edge 0: dangling halfedge 999",
+                "edge vertex": "edge 0: dangling vertex 999",
+                "edge ends": "edge 0: halfedge 0 starts at 4, not at the edge's v0"}
+        assert mutate not in want or rep.defects == [want[mutate]]
 
 
 class TestEuler:
