@@ -64,13 +64,13 @@ SLOT_KINDS = {"curve": ("line", "arc", "polyline"), "surface": ("plane", "cylind
               "pcurve": ("seg2", "arc2", "poly2")}
 
 
-def _geom_from_dict(d: dict, slot: str | None = None):
-    """The geometry of record ``d``; with ``slot``, only a kind that slot takes."""
+def _geom_from_dict(d: dict, slot: str):
+    """The geometry of record ``d``, of a kind that ``slot`` takes."""
     try:
         cls = G.KINDS.get(d["kind"])
         if cls is None:
             raise FormatError(f"unknown geometry kind {d['kind']!r}")
-        if slot is not None and cls.kind not in SLOT_KINDS[slot]:
+        if cls.kind not in SLOT_KINDS[slot]:
             raise FormatError(f"{slot} kind {cls.kind!r} is not one of "
                               f"{', '.join(SLOT_KINDS[slot])}")
         return cls(*[d[f.name] for f in dataclasses.fields(cls)])

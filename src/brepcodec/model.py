@@ -316,16 +316,21 @@ def _index_defects(model: BrepModel) -> list:
     nv, nh, ne = model.num_vertices, len(model.halfedges), len(model.edges)
     nl, nf = len(model.loops), len(model.faces)
     defects = []
+    # each record is tested in one expression; it is spelled out only when it fails
     for i, e in enumerate(model.edges):
-        defects.extend(f"edge {i}: dangling vertex {v}" for v in (e.v0, e.v1)
-                       if not (0 <= v < nv))
-        defects.extend(f"edge {i}: dangling halfedge {h}" for h in e.halfedges
-                       if not (0 <= h < nh))
+        if not (0 <= e.v0 < nv and 0 <= e.v1 < nv and e.halfedges
+                and 0 <= min(e.halfedges) and max(e.halfedges) < nh):
+            defects.extend(f"edge {i}: dangling vertex {v}" for v in (e.v0, e.v1)
+                           if not (0 <= v < nv))
+            defects.extend(f"edge {i}: dangling halfedge {h}" for h in e.halfedges
+                           if not (0 <= h < nh))
     for i, he in enumerate(model.halfedges):
-        for name, ref, n in (("origin", he.origin, nv), ("twin", he.twin, nh),
-                             ("edge", he.edge, ne), ("loop", he.loop, nl)):
-            if not (0 <= ref < n):
-                defects.append(f"halfedge {i}: dangling {name} {ref}")
+        if not (0 <= he.origin < nv and 0 <= he.twin < nh and 0 <= he.edge < ne
+                and 0 <= he.loop < nl):
+            for name, ref, n in (("origin", he.origin, nv), ("twin", he.twin, nh),
+                                 ("edge", he.edge, ne), ("loop", he.loop, nl)):
+                if not (0 <= ref < n):
+                    defects.append(f"halfedge {i}: dangling {name} {ref}")
     for i, loop in enumerate(model.loops):
         if not (0 <= loop.face < nf):
             defects.append(f"loop {i}: dangling face {loop.face}")

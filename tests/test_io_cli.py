@@ -92,7 +92,8 @@ class TestModelFiles:
         assert sorted(g.kind for g, _ in PINNED_RECORDS) == sorted(G.KINDS)
         for g, text in PINNED_RECORDS:
             assert json.dumps(bio._geom_to_dict(g)) == text
-            back = bio._geom_from_dict(json.loads(text))
+            slot = next(s for s, kinds in bio.SLOT_KINDS.items() if g.kind in kinds)
+            back = bio._geom_from_dict(json.loads(text), slot)
             assert type(back) is type(g)
             assert json.dumps(bio._geom_to_dict(back)) == text
 
