@@ -264,11 +264,15 @@ def cmd_eval(args) -> int:
     _at_least_one(points=args.points, voxels=args.voxels)
     gen = _load_models([args.gen])
     ref = _load_models([args.ref])
+    # a generated model that `validate` refuses counts against Valid only
+    sampled = [i for i, (_, m) in enumerate(gen) if validate(m).watertight]
+    if not sampled:
+        raise ValidationFailure(f"none of the {len(gen)} --gen models is valid")
     rng_base = args.seed
     gen_clouds = []
     ref_clouds = []
-    for i, (_, m) in enumerate(gen):
-        normed, _ = normalize(m)
+    for i in sampled:
+        normed, _ = normalize(gen[i][1])
         gen_clouds.append(surface_sample(normed, args.points, seed=rng_base + i))
     for i, (_, m) in enumerate(ref):
         normed, _ = normalize(m)
@@ -279,9 +283,12 @@ def cmd_eval(args) -> int:
                           n_generated=len(gen), n_reference=len(ref),
                           points_per_cloud=args.points,
                           voxel_resolution=args.voxels, seed=args.seed)
+    if len(sampled) < len(gen):
+        report.notes.append(f"{len(gen) - len(sampled)} --gen models refused by validate: "
+                            f"counted against Valid, left out of COV/MMD/JSD and --csv")
     if args.csv:
         rows = []
-        for (path, m), cloud in zip(gen, gen_clouds):
+        for (path, m), cloud in zip((gen[i] for i in sampled), gen_clouds):
             nearest = min(chamfer(cloud, r) for r in ref_clouds)
             rows.append({"model": os.path.basename(path),
                          "vertices": m.num_vertices, "edges": len(m.edges),

@@ -408,7 +408,7 @@ def tokenize(model: BrepModel, codebook: Codebook, cfg: CodecConfig | None = Non
     if model.num_vertices and (model.vertices.min() < 0.0 or model.vertices.max() >= 1.0):
         raise CodecError("model must be normalized into the unit box before tokenizing")
 
-    descs = extract_vhp(model, cfg.sampling)   # its check refuses a dangling index first
+    descs = extract_vhp(model, cfg.sampling)   # its FaceCharts refuse an invalid model first
     flat_order, comps = canonical_order(model)
     for comp in comps:
         if len(comp) > layout.pointer_max:

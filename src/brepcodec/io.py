@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import tempfile
 
@@ -124,6 +125,13 @@ def _ids(values) -> tuple:
     return tuple(map(_id, values))
 
 
+def _vertex(row) -> list:
+    if not (type(row) is list and len(row) == 3
+            and all(type(x) in (int, float) and math.isfinite(x) for x in row)):
+        raise FormatError(f"{row!r} is not an [x, y, z] row of finite numbers")
+    return row
+
+
 def _flag(value) -> bool:
     if type(value) is not bool:
         raise FormatError(f"forward {value!r} is not true or false")
@@ -132,28 +140,29 @@ def _flag(value) -> bool:
 
 def _table(d: dict, key: str, make) -> list:
     """``make(record)`` for each record of table ``key``; an error names the record."""
-    out = []
+    out, name = [], "vertex" if key == "vertices" else key[:-1]
     for i, r in enumerate(d[key]):
         try:
             out.append(make(r))
         except KeyError as exc:
-            raise FormatError(f"{key[:-1]} {i}: missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise FormatError(f"{key[:-1]} {i}: {exc}") from exc
+            raise FormatError(f"{name} {i}: missing field {exc}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise FormatError(f"{name} {i}: {exc}") from exc
     return out
 
 
 def model_from_dict(d: dict) -> tuple:
     """A model and its transform; a stored ``shells`` list is ignored.
 
-    Ids must be integers, ``forward`` a bool, and each geometry of a kind
-    its slot takes (`SLOT_KINDS`); FormatError names the refused record."""
+    Vertices must be [x, y, z] rows of finite numbers, ids integers,
+    ``forward`` a bool, and each geometry of a kind its slot takes
+    (`SLOT_KINDS`); FormatError names the refused record."""
     fmt = d.get("format") if isinstance(d, dict) else None
     if fmt != MODEL_FORMAT:
         raise FormatError(f"not a model file (format={fmt!r})")
     try:
         model = BrepModel(
-            vertices=np.array(d["vertices"], dtype=float).reshape(-1, 3),
+            vertices=np.array(_table(d, "vertices", _vertex), dtype=float).reshape(-1, 3),
             edges=_table(d, "edges", lambda e: Edge(
                 curve=_geom_from_dict(e["curve"], "curve"), v0=_id(e["v0"]),
                 v1=_id(e["v1"]), halfedges=_ids(e["halfedges"]))),

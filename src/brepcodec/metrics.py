@@ -47,8 +47,6 @@ def surface_sample(model: BrepModel, n: int = POINTS_PER_CLOUD, seed: int = 0) -
     Each face's in-trim cells of the ``FaceCharts.cell_grid`` are weighted
     by area; a sample jitters uniformly within its cell and stays in trim.
     """
-    if not model.faces:
-        raise ValueError("model has no faces to sample")
     charts = FaceCharts(model)
     cells = []
     for f, surf in enumerate(charts.surfaces):

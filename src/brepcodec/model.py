@@ -388,8 +388,8 @@ def _loop_defects(model: BrepModel, twins_ok: bool) -> list:
 
 
 def _manifold_defects(model: BrepModel) -> list:
-    """Edge pairs, face-loop backlinks and kinds, and isolated vertices;
-    indices must be in range."""
+    """Edge pairs and backlinks, face-loop backlinks and kinds, loops not
+    listed exactly once, and isolated vertices; indices must be in range."""
     defects = []
     for ei, e in enumerate(model.edges):
         if len(e.halfedges) != 2 or e.halfedges[0] == e.halfedges[1]:
@@ -398,10 +398,15 @@ def _manifold_defects(model: BrepModel) -> list:
         h0, h1 = e.halfedges
         if model.halfedges[h0].twin != h1:
             defects.append(f"edge {ei}: halfedges are not twins")
+        if model.halfedges[h0].edge != ei or model.halfedges[h1].edge != ei:
+            defects.append(f"edge {ei}: halfedges {h0} and {h1} name edges "
+                           f"{model.halfedges[h0].edge} and {model.halfedges[h1].edge}")
         if {model.halfedges[h0].forward, model.halfedges[h1].forward} != {True, False}:
             defects.append(f"edge {ei}: needs one forward and one reverse halfedge")
+    listed = [0] * len(model.loops)
     for fi, face in enumerate(model.faces):
         for li in model.face_loops(fi):
+            listed[li] += 1
             if model.loops[li].face != fi:
                 defects.append(f"face {fi}: loop {li} backlink mismatch")
         if model.loops[face.outer].kind != "outer":
@@ -409,17 +414,12 @@ def _manifold_defects(model: BrepModel) -> list:
         for li in face.inners:
             if model.loops[li].kind != "inner":
                 defects.append(f"face {fi}: inner loop {li} marked {model.loops[li].kind}")
+    defects.extend(f"loop {li}: listed {n} times by faces" for li, n in enumerate(listed)
+                   if n != 1)
     used_verts = {he.origin for he in model.halfedges}
     defects.extend(f"vertex {v}: isolated" for v in range(model.num_vertices)
                    if v not in used_verts)
     return defects
-
-
-def twins_and_loops_ok(model: BrepModel) -> bool:
-    """``validate(model)``'s ``twin_consistent and loops_closed``, without its
-    manifold checks and Euler report."""
-    return not _index_defects(model) and not _twin_defects(model) \
-        and not _loop_defects(model, True)
 
 
 def validate(model: BrepModel) -> ValidationReport:

@@ -49,7 +49,7 @@ import numpy as np
 
 from .geometry import (GeometryError, Poly2, Segment2, pcurve_points, surface_midpoint_norms,
                        surface_points)
-from .model import BrepModel, ModelError, halfedge_curve_samples, twins_and_loops_ok, validate
+from .model import BrepModel, ModelError, halfedge_curve_samples, validate
 
 
 # Voronoi grid resolution per axis; the walk marches UV_GRID // 2 steps.
@@ -178,9 +178,13 @@ class FaceCharts:
     closed polygons give the same number of trim edges; both sit in rows
     ``seg_start[k]:seg_start[k] + nseg[k]`` of their tables.  Queries take
     points as x and y arrays in normalized UV plus the face of every point.
+    A model that `validate` finds not watertight raises ModelError.
     """
 
     def __init__(self, model: BrepModel):
+        rep = validate(model)
+        if not rep.watertight:
+            raise ModelError(f"model is not watertight: {rep.defects[:3]}")
         self.model = model
         faces = model.faces
         self.surfaces = [f.surface for f in faces]
@@ -536,14 +540,9 @@ def extract_vhp(model: BrepModel, cfg: SamplingConfig | None = None,
     model's `FaceCharts` if the caller has built it.
     """
     cfg = cfg or SamplingConfig()
-    if not twins_and_loops_ok(model):
-        raise ModelError(f"model fails twin/loop validation: {validate(model).defects[:3]}")
-
     if charts is None:
         charts = FaceCharts(model)
     he, nxt = charts._loop_he, charts._loop_next
-    if he.size != len(model.halfedges):
-        raise ModelError("some half-edge lies in no face's loops")
     curve = _naming_faces(
         lambda: halfedge_curve_samples(model, he, cfg.n_curve), np.unique(charts._loop_face),
         lambda f: halfedge_curve_samples(model, he[charts._loop_face == f], cfg.n_curve))

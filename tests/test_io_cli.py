@@ -1,9 +1,12 @@
+import functools
 import hashlib
 import json
+import operator
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import brepcodec.io as bio
 import brepcodec.geometry as G
@@ -199,9 +202,18 @@ def _first_pcurve(kind):
 
 
 class TestCorruptedModelFiles:
-    # case -> (where in box()'s model dict, the value put there, exit code,
+    # case -> (the path in box()'s model dict, the value put there, exit code,
     # a phrase of the format error or of the defect report)
     CASES = {
+        "vertex is NaN": (("vertices", 0, 1), lambda d: float("nan"), 2,
+                          "vertex 0: [0.0, nan, 0.0] is not an [x, y, z] row of finite numbers"),
+        "vertex rows of two numbers": (("vertices",),
+                                       lambda d: np.reshape(d["vertices"], (12, 2)).tolist(), 2,
+                                       "vertex 0: [0.0, 0.0] is not an [x, y, z] row of finite "
+                                       "numbers"),
+        "twin is -1": (("halfedges", 0, "twin"), lambda d: -1, 1, "halfedge 0: dangling twin -1"),
+        "loop kind is sideways": (("loops", 0, "kind"), lambda d: "sideways",
+                                  1, "face 0: outer loop 0 marked sideways"),
         "edge curve is a plane": (("edges", 0, "curve"), lambda d: d["faces"][0]["surface"],
                                   2, "edge 0: curve kind 'plane'"),
         "edge curve is a seg2": (("edges", 0, "curve"), _first_pcurve("seg2"),
@@ -235,28 +247,120 @@ class TestCorruptedModelFiles:
                                     1, "edge 0: halfedge 0 starts at 4, not at the edge's v0"),
     }
 
-    @pytest.mark.parametrize("case", sorted(CASES))
-    def test_every_command_ends_in_a_typed_error(self, tmp_path, capsys, box_codebook, case):
-        # a format error (exit 2) or a defect report (exit 1), never an
-        # exception out of main
-        (table, i, key), value, code, phrase = self.CASES[case]
-        d = bio.model_to_dict(box())
-        d[table][i][key] = value(d)
+    @staticmethod
+    def run_every_command(tmp_path, capsys, codebook, d, code, phrase):
+        """Each model-reading command on model dict ``d`` ends in ``code``, with
+        ``phrase`` among validate's defects or in the error message."""
         path, report = str(tmp_path / "m.json"), tmp_path / "report.json"
         with open(path, "w") as f:
             json.dump(d, f)
         for argv in (["validate", path, "--report", str(report)],
-                     ["tokenize", path, "--codebook", box_codebook,
+                     ["tokenize", path, "--codebook", codebook,
                       "--out", str(tmp_path / "t.tokens")],
-                     ["roundtrip", path]):
+                     ["roundtrip", path],
+                     ["train-codebook", path, "--out", str(tmp_path / "cb.json")],
+                     ["export-obj", path, "--out", str(tmp_path / "m.obj")],
+                     ["export-vhp-debug", path, "--out", str(tmp_path / "dbg.json")]):
             capsys.readouterr()
             assert main(argv) == code, argv
             err = json.loads(capsys.readouterr().err.splitlines()[-1])
             assert err["error"] == ("format" if code == 2 else "validation")
             if argv[0] == "validate" and code == 1:
-                assert json.loads(report.read_text())[path]["defects"] == [phrase]
+                assert phrase in json.loads(report.read_text())[path]["defects"]
             else:
                 assert phrase in err["message"], argv
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_every_command_ends_in_a_typed_error(self, tmp_path, capsys, box_codebook, case):
+        # a format error (exit 2) or a defect report (exit 1), never an
+        # exception out of main
+        (*where, key), value, code, phrase = self.CASES[case]
+        d = bio.model_to_dict(box())
+        functools.reduce(operator.getitem, where, d)[key] = value(d)
+        self.run_every_command(tmp_path, capsys, box_codebook, d, code, phrase)
+        if code == 1:
+            assert validate(bio.load_model(tmp_path / "m.json")[0]).defects == [phrase]
+
+    def test_file_without_faces_or_loops_is_refused(self, tmp_path, capsys, box_codebook):
+        d = bio.model_to_dict(box())
+        d["faces"], d["loops"] = [], []
+        self.run_every_command(tmp_path, capsys, box_codebook, d, 1,
+                               "halfedge 0: dangling loop 0")
+
+
+def _json_paths(node, path=()):
+    """(path, value) of every entry below ``node``, depth first."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield path + (key,), value
+        yield from _json_paths(value, path + (key,))
+
+
+# edit -> the entries it may touch
+EDIT_TARGETS = {
+    "drop": lambda path, value: True,
+    "duplicate": lambda path, value: type(path[-1]) is int,      # a list entry
+    "retype": lambda path, value: True,
+    "out of range": lambda path, value: type(value) is int,
+    "NaN": lambda path, value: type(value) is float,
+}
+
+
+def _edit(doc, data):
+    """One random field edit of a JSON model document, in place."""
+    kinds = [k for k, ok in EDIT_TARGETS.items() if any(ok(*e) for e in _json_paths(doc))]
+    kind = data.draw(st.sampled_from(kinds))
+    path = data.draw(st.sampled_from([p for p, v in _json_paths(doc) if EDIT_TARGETS[kind](p, v)]))
+    parent, key = functools.reduce(operator.getitem, path[:-1], doc), path[-1]
+    if kind == "drop":
+        del parent[key]
+    elif kind == "duplicate":
+        parent.insert(key, json.loads(json.dumps(parent[key])))
+    elif kind == "retype":
+        parent[key] = data.draw(st.sampled_from(["x", 1.5, True, None, [], {}]))
+    elif kind == "out of range":
+        parent[key] = data.draw(st.sampled_from([-1, 999]))
+    else:
+        parent[key] = float("nan")
+
+
+PRIMITIVE_DOCS = {f.__name__: bio.model_to_dict(f()) for f in (box, through_hole_box,
+                                                                 seam_cylinder)}
+
+
+@pytest.fixture(scope="module")
+def edit_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("edited")
+    bio.save_model(box(), path / "ref.json")
+    return path
+
+
+class TestEditedModelFiles:
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_every_command_exits_0_1_or_2(self, edit_dir, box_codebook, data):
+        # one or two random field edits of a primitive's model file; a model
+        # that validate refuses is refused by every other command, with the
+        # same exit code
+        doc = json.loads(json.dumps(PRIMITIVE_DOCS[data.draw(st.sampled_from(
+            sorted(PRIMITIVE_DOCS)))]))
+        for _ in range(data.draw(st.integers(1, 2))):
+            _edit(doc, data)
+        path, out = str(edit_dir / "m.json"), str(edit_dir / "out")
+        with open(path, "w") as f:
+            json.dump(doc, f)
+        codes = {argv[0]: main(argv) for argv in (
+            ["validate", path],
+            ["tokenize", path, "--codebook", box_codebook, "--out", out],
+            ["roundtrip", path, "--codebook", box_codebook],
+            ["export-obj", path, "--out", out, "--resolution", "4"],
+            ["export-vhp-debug", path, "--out", out],
+            ["eval", "--gen", path, "--ref", str(edit_dir / "ref.json"), "--report", out,
+             "--points", "64"])}
+        assert set(codes.values()) <= {0, 1, 2}, codes
+        if codes["validate"] != 0:
+            assert set(codes.values()) == {codes["validate"]}, codes
 
 
 class TestTokenFiles:
@@ -689,6 +793,39 @@ class TestCli:
         lines = csv_path.read_text().splitlines()
         assert lines[0] == "model,vertices,edges,faces,nearest_ref_chamfer"
         assert len(lines) == 1 + rep["n_generated"]
+
+    def test_eval_samples_only_valid_models(self, workspace, tmp_path, capsys):
+        # a --gen model that validate refuses counts against Valid and is
+        # left out of the clouds; with none valid, or a refused --ref, exit 1
+        corpus = sorted((workspace / "corpus").glob("*.json"))
+        good, mixed, bad = (tmp_path / n for n in ("good", "mixed", "bad"))
+        doc = json.loads(corpus[0].read_text())
+        doc["loops"][0]["kind"] = "sideways"
+        for d in (good, mixed, bad):
+            d.mkdir()
+        for p in corpus[:2]:
+            (good / p.name).write_bytes(p.read_bytes())
+            (mixed / p.name).write_bytes(p.read_bytes())
+        (mixed / "zz_bad.json").write_text(json.dumps(doc))
+        (bad / "zz_bad.json").write_text(json.dumps(doc))
+
+        def run(gen, ref=workspace / "corpus"):
+            return main(["eval", "--gen", str(gen), "--ref", str(ref), "--points", "300",
+                         "--report", str(tmp_path / f"{gen.name}.json"),
+                         "--csv", str(tmp_path / f"{gen.name}.csv")])
+
+        assert run(good) == 0 and run(mixed) == 0
+        want, rep = (json.loads((tmp_path / f"{n}.json").read_text()) for n in ("good", "mixed"))
+        assert (want["valid"], rep["valid"]) == (1.0, 2 / 3)
+        assert [rep[k] for k in ("coverage", "mmd", "jsd")] \
+            == [want[k] for k in ("coverage", "mmd", "jsd")]
+        assert (tmp_path / "mixed.csv").read_text() == (tmp_path / "good.csv").read_text()
+        assert any(n.startswith("1 --gen models refused by validate") for n in rep["notes"])
+        capsys.readouterr()
+        assert run(bad) == 1
+        assert "none of the 1 --gen models is valid" in capsys.readouterr().err
+        assert run(good, ref=bad) == 1
+        assert "outer loop 0 marked sideways" in capsys.readouterr().err
 
     def test_synth_seed_override(self, workspace, tmp_path):
         out_a = tmp_path / "a"

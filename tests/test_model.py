@@ -19,7 +19,6 @@ from brepcodec.model import (
     halfedge_curve_samples,
     model_bbox,
     normalize,
-    twins_and_loops_ok,
     validate,
 )
 from brepcodec.primitives import box, merge_models, ngon_prism, seam_cylinder, through_hole_box
@@ -64,6 +63,21 @@ class TestValidate:
         assert not rep.watertight
         assert any("dangling origin" in d for d in rep.defects)
 
+    def test_loop_its_face_drops_is_flagged(self):
+        # without the check, the dropped hole showed only as "genus 0.5"
+        m = through_hole_box()
+        f = next(i for i, face in enumerate(m.faces) if face.inners)
+        faces = list(m.faces)
+        faces[f] = dataclasses.replace(faces[f], inners=())
+        rep = validate(dataclasses.replace(m, faces=faces))
+        assert not rep.watertight
+        assert rep.defects == [f"loop {m.faces[f].inners[0]}: listed 0 times by faces"]
+
+    def test_edge_its_halfedges_do_not_name_is_flagged(self, unit_cube):
+        # a copy of edge 0 appended as edge 12 claims edge 0's half-edges
+        m = dataclasses.replace(unit_cube, edges=[*unit_cube.edges, unit_cube.edges[0]])
+        h0, h1 = unit_cube.edges[0].halfedges
+        assert validate(m).defects == [f"edge 12: halfedges {h0} and {h1} name edges 0 and 0"]
 
     @pytest.mark.parametrize("mutate", ["none", "twin", "origin", "open", "kind", "isolated",
                                         "edge halfedge", "edge vertex", "edge ends"])
@@ -91,14 +105,13 @@ class TestValidate:
         elif mutate == "edge ends":  # both ends on one vertex: a self-loop its half-edges deny
             m.edges[0] = dataclasses.replace(m.edges[0], v0=m.edges[0].v1)
         rep = validate(m)
-        assert twins_and_loops_ok(m) == (rep.twin_consistent and rep.loops_closed)
         assert rep.watertight == (mutate == "none")
-        if twins_and_loops_ok(m):
+        if rep.watertight:
             extract_vhp(m)
-        else:               # the message quotes the full validate's first defects
+        else:               # the message quotes validate's first defects
             with pytest.raises(ModelError) as err:
                 extract_vhp(m)
-            assert str(err.value) == f"model fails twin/loop validation: {rep.defects[:3]}"
+            assert str(err.value) == f"model is not watertight: {rep.defects[:3]}"
         want = {"edge halfedge": "edge 0: dangling halfedge 999",
                 "edge vertex": "edge 0: dangling vertex 999",
                 "edge ends": "edge 0: halfedge 0 starts at 4, not at the edge's v0"}

@@ -724,8 +724,8 @@ class TestReconstructPipeline:
         assert model is not None
 
     def test_round_trip_runs_two_euler_reports(self, monkeypatch):
-        # one for the source's shells and one in the rebuild's validate: the
-        # encode's extract_vhp runs only the twin and loop checks
+        # one for the source's shells, one in the validate of the encode's
+        # FaceCharts and one in the rebuild's validate
         import brepcodec.model as model_mod
         import brepcodec.pipeline as pipeline_mod
 
@@ -736,7 +736,7 @@ class TestReconstructPipeline:
         monkeypatch.setattr(model_mod, "euler_report", counted)
         monkeypatch.setattr(pipeline_mod, "euler_report", counted)
         assert roundtrip_check(src, cb).ok
-        assert len(calls) == 2
+        assert len(calls) == 3
 
     def test_report_counts_face_kinds(self, monkeypatch):
         import brepcodec.reconstruct as rec

@@ -171,12 +171,16 @@ class TestVoronoiAssign:
                               halfedges=(k, k + 4)))
             hes.append(HalfEdge(origin=a, twin=k + 4, edge=k, loop=0, forward=True,
                                 pcurve=Segment2(uv[k], uv[(k + 1) % 4])))
+        # a second face closes the sheet: (x, y) lies at (x, 1 - y) in its UV
+        back = Plane((0, 1, 0), (1, 0, 0), (0, -1, 0))
+        flip = [(u, 1 - v) for u, v in uv]
         for k, (a, b) in enumerate(cycle):
-            hes.append(HalfEdge(origin=b, twin=k, edge=k, loop=-1, forward=False,
-                                pcurve=None))
+            hes.append(HalfEdge(origin=b, twin=k, edge=k, loop=1, forward=False,
+                                pcurve=Segment2(flip[(k + 1) % 4], flip[k])))
         m = BrepModel(vertices=verts, edges=edges, halfedges=hes,
-                      loops=[Loop(halfedges=(0, 1, 2, 3), kind="outer", face=0)],
-                      faces=[Face(surface=plane, outer=0)])
+                      loops=[Loop(halfedges=(0, 1, 2, 3), kind="outer", face=0),
+                             Loop(halfedges=(7, 6, 5, 4), kind="outer", face=1)],
+                      faces=[Face(surface=plane, outer=0), Face(surface=back, outer=1)])
         charts = FaceCharts(m)
         # the exact center is equidistant to all four sides in float arithmetic
         c = to_norm(charts, 0, [0.5, 0.5])
@@ -553,11 +557,13 @@ class TestExtractVhp:
                 assert np.array_equal(nxt, succ[: CFG.n_next]), (name, h)
 
     def test_model_without_faces_has_no_records(self):
-        from brepcodec.model import BrepModel
+        # no shell, so not watertight: the charts refuse it
+        from brepcodec.model import BrepModel, ModelError
 
         empty = BrepModel(vertices=np.zeros((0, 3)), edges=[], halfedges=[], loops=[],
                           faces=[])
-        assert extract_vhp(empty, CFG).shape == (0, CFG.descriptor_length)
+        with pytest.raises(ModelError, match="not watertight"):
+            extract_vhp(empty, CFG)
 
     def test_descriptor_payload_size(self):
         assert CFG.descriptor_length == 85
