@@ -416,11 +416,10 @@ def tokenize(model: BrepModel, codebook: Codebook, cfg: CodecConfig | None = Non
                 f"component with {len(comp)} vertices exceeds the pointer "
                 f"range of {layout.pointer_max}")
 
-    codes = (rq_encode_many(descs, codebook) if len(descs)
-             else np.zeros((0, layout.rq_levels), int))
+    codes = rq_encode_many(descs, codebook)
 
     groups = component_edges(model, comps)
-    qcoords = quantize_coord(model.vertices) if model.num_vertices else None
+    qcoords = quantize_coord(model.vertices)
 
     # row h: the quantizer tokens of half-edge h, as `VocabLayout.rq_token` numbers them
     rq_tokens = (layout.rq_base + np.arange(layout.rq_levels) * layout.rq_level_size

@@ -531,7 +531,7 @@ KINDS = {cls.kind: cls for cls in (LineSegment, CircularArc, PolylineCurve,
 
 # ---------------------------------------------------------------------------
 # Batched evaluation: each kind's kernel, once, on the stacked fields of all
-# its objects; an object outside KINDS is called one row at a time
+# its objects
 # ---------------------------------------------------------------------------
 
 _POINTS = {LineSegment: _linear, CircularArc: _arc_points, PolylineCurve: _piecewise,
@@ -570,18 +570,13 @@ def _stack(group, per_t: bool) -> list:
     return out
 
 
-def _each(kernels: dict, method: str, group, *params, rows=None):
-    """``method`` of the objects of ``group`` (one class) at each row of
-    ``params``, stacked: row i belongs to object ``rows[i]``, or to object i
-    if ``rows`` is None.  A class of ``kernels`` takes one kernel call; any
-    other is called row by row, its tuples of outputs stacked per entry."""
-    kernel = kernels.get(type(group[0]))
-    if kernel is not None:
-        fields = _stack(group, bool(params) and np.ndim(params[0]) == 2)
-        return kernel(*params, *(fields if rows is None else [f[rows] for f in fields]))
-    out = [getattr(group[r], method)(*(p[i] for p in params))
-           for i, r in enumerate(range(len(group)) if rows is None else rows)]
-    return tuple(map(np.array, zip(*out))) if isinstance(out[0], tuple) else np.array(out)
+def _each(kernels: dict, group, *params, rows=None):
+    """The kernel in ``kernels`` of ``group``'s class (one class of KINDS),
+    called once on the stacked fields at each row of ``params``: row i belongs
+    to object ``rows[i]``, or to object i if ``rows`` is None."""
+    fields = _stack(group, bool(params) and np.ndim(params[0]) == 2)
+    kernel = kernels[type(group[0])]
+    return kernel(*params, *(fields if rows is None else [f[rows] for f in fields]))
 
 
 def curve_points(curves, u, forward) -> np.ndarray:
@@ -591,7 +586,7 @@ def curve_points(curves, u, forward) -> np.ndarray:
     fwd = np.asarray(forward, dtype=bool)
     out = np.empty((len(curves), u.size, 3))
     for idx, group in _groups(curves):
-        out[idx] = _each(_POINTS, "point", group, np.where(fwd[idx, None], u, 1.0 - u))
+        out[idx] = _each(_POINTS, group, np.where(fwd[idx, None], u, 1.0 - u))
     return out
 
 
@@ -599,7 +594,7 @@ def curve_bboxes(curves):
     """``bbox()`` of several curves -> (lo, hi), each (K, 3)."""
     lo, hi = np.empty((len(curves), 3)), np.empty((len(curves), 3))
     for idx, group in _groups(curves):
-        lo[idx], hi[idx] = _each(_BBOXES, "bbox", group)
+        lo[idx], hi[idx] = _each(_BBOXES, group)
     return lo, hi
 
 
@@ -613,7 +608,7 @@ def surface_points(surfaces, k, u, v) -> np.ndarray:
         slot[idx] = np.arange(len(idx))
         sel = np.flatnonzero(np.isin(k, idx))
         if sel.size:
-            out[sel] = _each(_POINTS, "point", group, u[sel], v[sel], rows=slot[k[sel]])
+            out[sel] = _each(_POINTS, group, u[sel], v[sel], rows=slot[k[sel]])
     return out
 
 
@@ -625,7 +620,7 @@ def surface_midpoint_norms(surfaces):
     mid = 0.5 * (dom[:, 0::2] + dom[:, 1::2])
     norms = np.empty((len(surfaces), 2))
     for idx, group in _groups(surfaces):
-        pu, pv = _each(_PARTIALS, "partials", group, mid[idx, 0], mid[idx, 1])
+        pu, pv = _each(_PARTIALS, group, mid[idx, 0], mid[idx, 1])
         norms[idx] = np.sqrt(np.stack([np.vecdot(pu, pu), np.vecdot(pv, pv)], axis=1))
     return dom, norms
 
@@ -634,9 +629,9 @@ def pcurve_points(pcurves, t, tangent: bool = False) -> np.ndarray:
     """``point(t)`` (or ``tangent(t)``) of several pcurves at shared t -> (K, T, 2)."""
     t = np.asarray(t, dtype=float).reshape(-1)
     out = np.empty((len(pcurves), t.size, 2))
-    kernels, method = (_TANGENTS, "tangent") if tangent else (_POINTS, "point")
+    kernels = _TANGENTS if tangent else _POINTS
     for idx, group in _groups(pcurves):
-        out[idx] = _each(kernels, method, group, t[None].repeat(len(idx), axis=0))
+        out[idx] = _each(kernels, group, t[None].repeat(len(idx), axis=0))
     return out
 
 

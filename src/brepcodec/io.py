@@ -196,11 +196,6 @@ def load_model(path) -> tuple:
     return model_from_dict(d)
 
 
-def models_equal(a: BrepModel, b: BrepModel) -> bool:
-    """Exact structural and geometric equality (bit-level floats)."""
-    return model_to_dict(a) == model_to_dict(b)
-
-
 # ---------------------------------------------------------------------------
 # Token files
 # ---------------------------------------------------------------------------

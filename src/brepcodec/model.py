@@ -49,7 +49,7 @@ class HalfEdge:
     edge: int
     loop: int
     forward: bool        # True if directed along the edge curve parameter
-    pcurve: object       # 2D curve in the owning face's domain, or None
+    pcurve: object       # 2D curve in the owning face's domain; None is a validate defect
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,19 +76,6 @@ class BrepModel:
 
     def destination(self, h: int) -> int:
         return self.halfedges[self.halfedges[h].twin].origin
-
-    def next_in_loop(self, h: int) -> int:
-        cycle = self.loops[self.halfedges[h].loop].halfedges
-        i = cycle.index(h)
-        return cycle[(i + 1) % len(cycle)]
-
-    def face_halfedges(self, f: int):
-        """All halfedge ids bounding face f (outer loop first)."""
-        face = self.faces[f]
-        out = list(self.loops[face.outer].halfedges)
-        for li in face.inners:
-            out.extend(self.loops[li].halfedges)
-        return out
 
     def face_loops(self, f: int):
         face = self.faces[f]
@@ -362,8 +349,9 @@ def _twin_defects(model: BrepModel) -> list:
 
 
 def _loop_defects(model: BrepModel, twins_ok: bool) -> list:
-    """Loop membership and backlinks, and, when ``twins_ok``, closure: each
-    half-edge ends where its successor starts.  Indices must be in range."""
+    """Loop membership, backlinks and pcurves (the half-patch walk needs one
+    on every half-edge), and, when ``twins_ok``, closure: each half-edge ends
+    where its successor starts.  Indices must be in range."""
     defects = []
     owner = {}
     for li, loop in enumerate(model.loops):
@@ -376,6 +364,8 @@ def _loop_defects(model: BrepModel, twins_ok: bool) -> list:
             owner[h] = li
             if model.halfedges[h].loop != li:
                 defects.append(f"halfedge {h}: loop backlink != {li}")
+            if model.halfedges[h].pcurve is None:
+                defects.append(f"halfedge {h}: no pcurve on face {loop.face}")
         if twins_ok:
             cyc = loop.halfedges
             for i, h in enumerate(cyc):
@@ -389,8 +379,9 @@ def _loop_defects(model: BrepModel, twins_ok: bool) -> list:
 
 def _manifold_defects(model: BrepModel) -> list:
     """Edge pairs and backlinks, face-loop backlinks and kinds, loops not
-    listed exactly once, and isolated vertices; indices must be in range."""
-    defects = []
+    listed exactly once, isolated vertices, and a model with no faces;
+    indices must be in range."""
+    defects = [] if model.faces else ["model has no faces"]
     for ei, e in enumerate(model.edges):
         if len(e.halfedges) != 2 or e.halfedges[0] == e.halfedges[1]:
             defects.append(f"edge {ei}: needs exactly two distinct halfedges")
@@ -443,7 +434,7 @@ def validate(model: BrepModel) -> ValidationReport:
         twin_consistent=not twin,
         loops_closed=not loops,
         manifold=not manifold,
-        watertight=bool(shells) and not bad_genus,
+        watertight=not defects,
         shells=shells,
         defects=defects,
     )

@@ -41,14 +41,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
-from .geometry import (GeometryError, Poly2, Segment2, pcurve_points, surface_midpoint_norms,
-                       surface_points)
+from .geometry import Poly2, Segment2, pcurve_points, surface_midpoint_norms, surface_points
 from .model import BrepModel, ModelError, halfedge_curve_samples, validate
 
 
@@ -114,27 +112,6 @@ _BISECTIONS = 10        # march refinement; its final bracket, diagonal / 2**15,
                         # is also how far the closed-form walk stops short
 
 
-@contextmanager
-def _face_errors(face: int):
-    """Re-raise any failure as a GeometryError naming the face."""
-    try:
-        yield
-    except Exception as exc:
-        raise GeometryError(f"sampling failed on face {face}: {exc}") from exc
-
-
-def _naming_faces(batch, faces, one):
-    """``batch()``; should it fail, ``one(f)`` for each of ``faces`` in turn,
-    so that the error names the first face on which the work fails."""
-    try:
-        return batch()
-    except Exception:
-        for f in faces:
-            with _face_errors(f):
-                one(f)
-        raise
-
-
 def _cyclic_next(lengths) -> np.ndarray:
     """Index of each entry's successor in back-to-back cycles of ``lengths``."""
     start = np.repeat(np.cumsum(lengths) - lengths, lengths)
@@ -185,7 +162,6 @@ class FaceCharts:
         rep = validate(model)
         if not rep.watertight:
             raise ModelError(f"model is not watertight: {rep.defects[:3]}")
-        self.model = model
         faces = model.faces
         self.surfaces = [f.surface for f in faces]
 
@@ -202,9 +178,7 @@ class FaceCharts:
         self._loop_outer = np.repeat([model.loops[li].kind == "outer" for li in loop_ids],
                                      loop_len)
 
-        dom, norms = _naming_faces(lambda: surface_midpoint_norms(self.surfaces),
-                                   range(len(faces)),
-                                   lambda f: surface_midpoint_norms(self.surfaces[f:f + 1]))
+        dom, norms = surface_midpoint_norms(self.surfaces)
         self.domains = [tuple(d) for d in dom.tolist()]
         self._u0, self._u1, self._v0, self._v1 = dom.T
         self._du, self._dv = dom[:, 1] - dom[:, 0], dom[:, 3] - dom[:, 2]
@@ -221,11 +195,6 @@ class FaceCharts:
         self._he_row = np.full(len(model.halfedges), -1)
         self._he_row[self._he_id] = np.arange(self._he_id.size)
         self._pcurves = [model.halfedges[h].pcurve for h in self._he_id.tolist()]
-        missing = next((r for r, pc in enumerate(self._pcurves) if pc is None), None)
-        if missing is not None:
-            f, h = self._he_face[missing], self._he_id[missing]
-            with _face_errors(f):
-                raise GeometryError(f"halfedge {h} has no pcurve on face {f}")
 
         # polylines: rows off[r] : off[r] + npts[r] of pts belong to table row r
         npts = np.array([_pcurve_knots(pc) for pc in self._pcurves], dtype=int)
@@ -244,7 +213,7 @@ class FaceCharts:
         self._ax, self._ay = x[a], y[a]
         self._dx, self._dy = x[a + 1] - self._ax, y[a + 1] - self._ay
         self._inv_l2 = 1.0 / np.maximum(self._dx * self._dx + self._dy * self._dy, 1e-300)
-        self._nseg = np.add.reduceat(nch, self._he_start) if nch.size else nch
+        self._nseg = np.add.reduceat(nch, self._he_start)
         self._seg_start = np.cumsum(self._nseg) - self._nseg
         self._he_seg_off = np.cumsum(nch) - nch - np.repeat(self._seg_start, self._nhe)
 
@@ -257,7 +226,7 @@ class FaceCharts:
         self._pby = y[b]
         self._pdx, self._pdy = x[b] - self._pax, self._pby - self._pay
         cross = self._pax * self._pdy - self._pdx * self._pay   # twice each face's signed area
-        self._area2 = np.add.reduceat(cross, self._seg_start) if cross.size else cross
+        self._area2 = np.add.reduceat(cross, self._seg_start)
 
     def _eval_pcurves(self, rows, t, tangent: bool = False) -> np.ndarray:
         return pcurve_points([self._pcurves[r] for r in rows], t, tangent)
@@ -493,8 +462,7 @@ class FaceCharts:
                                (sy[:, None] + step * ny[:, None]).ravel(), pfk)
         np.clip(u, self._u0[pfk], self._u1[pfk], out=u)
         np.clip(v, self._v0[pfk], self._v1[pfk], out=v)
-        pts = _naming_faces(lambda: surface_points(self.surfaces, pfk, u, v), np.unique(fk),
-                            lambda k: self.surfaces[k].point(u[pfk == k], v[pfk == k]))
+        pts = surface_points(self.surfaces, pfk, u, v)
         samples[:, :, 1:, :] = pts.reshape(he.size, nc, ns - 1, 3)
 
         degenerate = extents.reshape(he.size, nc) < 1e-9
@@ -543,9 +511,7 @@ def extract_vhp(model: BrepModel, cfg: SamplingConfig | None = None,
     if charts is None:
         charts = FaceCharts(model)
     he, nxt = charts._loop_he, charts._loop_next
-    curve = _naming_faces(
-        lambda: halfedge_curve_samples(model, he, cfg.n_curve), np.unique(charts._loop_face),
-        lambda f: halfedge_curve_samples(model, he[charts._loop_face == f], cfg.n_curve))
+    curve = halfedge_curve_samples(model, he, cfg.n_curve)
     on_curve = np.empty_like(curve)
     on_curve[he] = curve
     samples = charts.half_patches(he, curve, cfg.n_surface)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from brepcodec import geometry
 from brepcodec.geometry import (
     TAU,
     Arc2,
@@ -29,6 +30,7 @@ from brepcodec.geometry import (
     surface_midpoint_norms,
     surface_points,
 )
+from brepcodec.io import SLOT_KINDS
 
 
 # ---------------------------------------------------------------------------
@@ -460,29 +462,14 @@ class TestBatchedEvaluation:
             if kind in REF_TANGENT:
                 assert bitwise(obj.tangent(u), REF_TANGENT[kind](obj, u)), kind
 
-    def test_other_classes_are_called_object_by_object(self):
-        class Wrapped:       # a class outside KINDS, delegating to one inside
-            def __init__(self, inner):
-                self.inner = inner
-
-            def __getattr__(self, name):
-                return getattr(self.inner, name)
-
-        rng = np.random.default_rng(9)
-        curves = [LineSegment(rng.normal(size=3), rng.normal(size=3)) for _ in range(3)]
-        pcs = [Segment2(rng.normal(size=2), rng.normal(size=2)) for _ in range(3)]
-        planes = [Plane(rng.normal(size=3), rng.normal(size=3), rng.normal(size=3))
-                  for _ in range(3)]
-        wrap = lambda objs: [objs[0], Wrapped(objs[1]), objs[2]]
-        u, fwd, k = rng.random(11), [True, False, True], rng.integers(0, 3, 40)
-        assert bitwise(curve_points(wrap(curves), u, fwd), curve_points(curves, u, fwd))
-        assert all(map(bitwise, curve_bboxes(wrap(curves)), curve_bboxes(curves)))
-        for tangent in (False, True):
-            assert bitwise(pcurve_points(wrap(pcs), u, tangent), pcurve_points(pcs, u, tangent))
-        uv = rng.random((2, 40))
-        assert bitwise(surface_points(wrap(planes), k, *uv), surface_points(planes, k, *uv))
-        assert all(map(bitwise, surface_midpoint_norms(wrap(planes)),
-                       surface_midpoint_norms(planes)))
+    def test_every_kind_has_its_kernels(self):
+        # the batched evaluators dispatch on a closed table: a kind without
+        # its kernel would fail with a KeyError deep inside sampling
+        kinds = lambda table: sorted(cls.kind for cls in table)
+        assert kinds(geometry._POINTS) == sorted(geometry.KINDS)
+        assert kinds(geometry._BBOXES) == sorted(SLOT_KINDS["curve"])
+        assert kinds(geometry._PARTIALS) == sorted(SLOT_KINDS["surface"])
+        assert kinds(geometry._TANGENTS) == sorted(SLOT_KINDS["pcurve"])
 
 
 # Scalar fields and point lists reject NaN and infinity like vectors do.

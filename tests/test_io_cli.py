@@ -75,7 +75,7 @@ class TestModelFiles:
         bio.save_model(src, path)
         loaded, tr = bio.load_model(path)
         assert tr is None
-        assert bio.models_equal(src, loaded)
+        assert bio.model_to_dict(loaded) == bio.model_to_dict(src)
 
     def test_transform_preserved(self, tmp_path):
         m, rec = normalize(box(size=(2, 1, 1), at=(5, 5, 5)))
@@ -83,7 +83,7 @@ class TestModelFiles:
         bio.save_model(m, path, transform=rec)
         loaded, tr = bio.load_model(path)
         assert tr == rec
-        assert bio.models_equal(m, loaded)
+        assert bio.model_to_dict(loaded) == bio.model_to_dict(m)
 
     def test_malformed_json_reports_location(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -218,6 +218,8 @@ class TestCorruptedModelFiles:
                                   2, "edge 0: curve kind 'plane'"),
         "edge curve is a seg2": (("edges", 0, "curve"), _first_pcurve("seg2"),
                                  2, "edge 0: curve kind 'seg2'"),
+        "pcurve is null": (("halfedges", 3, "pcurve"), lambda d: None, 1,
+                           "halfedge 3: no pcurve on face 0"),
         "pcurve is a line": (("halfedges", 0, "pcurve"), lambda d: d["edges"][0]["curve"],
                              2, "halfedge 0: pcurve kind 'line'"),
         "surface is a seg2": (("faces", 0, "surface"), _first_pcurve("seg2"),
@@ -342,7 +344,7 @@ class TestEditedModelFiles:
     def test_every_command_exits_0_1_or_2(self, edit_dir, box_codebook, data):
         # one or two random field edits of a primitive's model file; a model
         # that validate refuses is refused by every other command, with the
-        # same exit code
+        # same exit code, and one that it accepts is exported
         doc = json.loads(json.dumps(PRIMITIVE_DOCS[data.draw(st.sampled_from(
             sorted(PRIMITIVE_DOCS)))]))
         for _ in range(data.draw(st.integers(1, 2))):
@@ -361,6 +363,8 @@ class TestEditedModelFiles:
         assert set(codes.values()) <= {0, 1, 2}, codes
         if codes["validate"] != 0:
             assert set(codes.values()) == {codes["validate"]}, codes
+        else:
+            assert codes["export-obj"] == codes["export-vhp-debug"] == 0, codes
 
 
 class TestTokenFiles:

@@ -1,13 +1,14 @@
 import dataclasses
 import hashlib
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from brepcodec import sampler
-from brepcodec.geometry import GeometryError, Segment2
-from brepcodec.model import halfedge_curve_samples, normalize
+from brepcodec.geometry import Segment2
+from brepcodec.model import ModelError, halfedge_curve_samples, normalize, validate
 from brepcodec.pipeline import decode_tokens, encode_model, lossless_codebook
 from brepcodec.primitives import box, l_bracket, ngon_prism, seam_cylinder, through_hole_box
 from brepcodec.sampler import (
@@ -28,17 +29,27 @@ def records(m):
     return [unpack_descriptor(desc, CFG) for desc in extract_vhp(m, CFG)]
 
 
+def face_halfedges(m, face):
+    """Half-edge ids bounding ``face``, loop by loop, outer loop first."""
+    return [h for li in m.face_loops(face) for h in m.loops[li].halfedges]
+
+
+def next_in_loop(m, h):
+    cycle = m.loops[m.halfedges[h].loop].halfedges
+    return cycle[(cycle.index(h) + 1) % len(cycle)]
+
+
 def pcurve_polylines(m, face):
     """Each bounding half-edge's pcurve at PCURVE_SAMPLES points, in loop order."""
     t = np.linspace(0.0, 1.0, sampler.PCURVE_SAMPLES)
-    return {h: m.halfedges[h].pcurve.point(t) for h in m.face_halfedges(face)}
+    return {h: m.halfedges[h].pcurve.point(t) for h in face_halfedges(m, face)}
 
 
-def polylines(charts, face):
+def polylines(m, charts, face):
     """Normalized UV polyline of each half-edge of ``face``, read from the
     chart tables, keyed by half-edge id in increasing order."""
     out = {}
-    for h in sorted(charts.model.face_halfedges(face)):
+    for h in sorted(face_halfedges(m, face)):
         r = charts._he_row[h]
         out[h] = charts._pts[charts._pts_off[r]: charts._pts_off[r] + charts._npts[r]]
     return out
@@ -49,9 +60,9 @@ def to_norm(charts, face, uv):
     return np.stack(charts._to_norm(uv[:, 0], uv[:, 1], face), axis=-1)
 
 
-def brute_force_distances(charts, face, pts_norm):
+def brute_force_distances(m, charts, face, pts_norm):
     """Independent distance oracle: per-segment loops, no shared code path."""
-    polys = polylines(charts, face)
+    polys = polylines(m, charts, face)
     out = np.empty((len(pts_norm), len(polys)))
     for i, p in enumerate(pts_norm):
         for k, poly in enumerate(polys.values()):
@@ -64,12 +75,12 @@ def brute_force_distances(charts, face, pts_norm):
     return out
 
 
-def even_odd_oracle(charts, face, p):
+def even_odd_oracle(m, charts, face, p):
     """Plain-loop even-odd test of one point against the face's loop polygons."""
-    polys = polylines(charts, face)
+    polys = polylines(m, charts, face)
     crossings = 0
-    for li in charts.model.face_loops(face):
-        poly = [q for h in charts.model.loops[li].halfedges for q in polys[h][:-1]]
+    for li in m.face_loops(face):
+        poly = [q for h in m.loops[li].halfedges for q in polys[h][:-1]]
         for a, b in zip(poly, poly[1:] + poly[:1]):
             if (a[1] > p[1]) != (b[1] > p[1]):
                 if p[0] < a[0] + (p[1] - a[1]) / (b[1] - a[1]) * (b[0] - a[0]):
@@ -77,21 +88,21 @@ def even_odd_oracle(charts, face, p):
     return crossings % 2 == 1
 
 
-def assert_voronoi_optimal(charts, face, pts_norm, labels, tol=1e-12):
+def assert_voronoi_optimal(m, charts, face, pts_norm, labels, tol=1e-12):
     """Every label attains the minimum oracle distance (up to float noise)."""
-    dists = brute_force_distances(charts, face, pts_norm)
-    he_index = {h: k for k, h in enumerate(sorted(charts.model.face_halfedges(face)))}
+    dists = brute_force_distances(m, charts, face, pts_norm)
+    he_index = {h: k for k, h in enumerate(sorted(face_halfedges(m, face)))}
     dmin = dists.min(axis=1)
     picked = np.array([dists[i, he_index[lab]] for i, lab in enumerate(labels)])
     assert np.all(picked <= dmin + tol)
 
 
-def assert_cells_optimal(charts, face, cells):
+def assert_cells_optimal(m, charts, face, cells):
     """A face's labelled cells (``voronoi_assign``'s grid) pass the distance oracle."""
     uv, _ = charts.cell_grid(face)
     labels = cells.ravel()
     inside = labels >= 0
-    assert_voronoi_optimal(charts, face, to_norm(charts, face, uv)[inside], labels[inside])
+    assert_voronoi_optimal(m, charts, face, to_norm(charts, face, uv)[inside], labels[inside])
 
 
 class TestBoundaryPcurves:
@@ -139,7 +150,7 @@ class TestVoronoiAssign:
     def test_square_face_diagonal_regions(self, cube_normed):
         charts = FaceCharts(cube_normed)
         labels = voronoi_assign(cube_normed, 0, charts)
-        assert_cells_optimal(charts, 0, labels)
+        assert_cells_optimal(cube_normed, charts, 0, labels)
         # four regions, roughly balanced (triangles meeting at the diagonals)
         ids, counts = np.unique(labels[labels >= 0], return_counts=True)
         assert len(ids) == 4
@@ -154,7 +165,8 @@ class TestVoronoiAssign:
             assert np.allclose(uv[:, 0], u0 + (i + 0.5) / sampler.UV_GRID * (u1 - u0))
             assert np.allclose(uv[:, 1], v0 + (j + 0.5) / sampler.UV_GRID * (v1 - v0))
             x = to_norm(charts, face, uv[::97])
-            assert np.array_equal(inside[::97], [even_odd_oracle(charts, face, p) for p in x])
+            assert np.array_equal(inside[::97], [even_odd_oracle(hole_box_normed, charts, face, p)
+                                                for p in x])
 
     def test_exact_tie_breaks_to_lowest_halfedge_id(self):
         from brepcodec.model import BrepModel, Edge, Face, HalfEdge, Loop
@@ -185,7 +197,7 @@ class TestVoronoiAssign:
         # the exact center is equidistant to all four sides in float arithmetic
         c = to_norm(charts, 0, [0.5, 0.5])
         lab = charts.nearest(c[:, 0], c[:, 1], np.zeros(1, dtype=int))
-        assert lab[0] == min(m.face_halfedges(0))
+        assert lab[0] == min(face_halfedges(m, 0))
 
     def test_rectangle_2_to_1_trapezoids(self):
         m, _ = normalize(box(size=(2.0, 1.0, 1.0)))
@@ -198,14 +210,14 @@ class TestVoronoiAssign:
         top2 = sorted(counts)[-2:]
         bot2 = sorted(counts)[:2]
         assert min(top2) > max(bot2)
-        assert_cells_optimal(charts, 4, labels)
+        assert_cells_optimal(m, charts, 4, labels)
 
     def test_square_with_hole_exhaustive(self, hole_box_normed):
         face = next(f for f in range(len(hole_box_normed.faces))
                     if hole_box_normed.faces[f].inners)
         charts = FaceCharts(hole_box_normed)
         labels = voronoi_assign(hole_box_normed, face, charts)
-        assert_cells_optimal(charts, face, labels)
+        assert_cells_optimal(hole_box_normed, charts, face, labels)
         labels = labels.ravel()
         inner_hes = set()
         for li in hole_box_normed.face_loops(face):
@@ -242,7 +254,7 @@ class TestFaceChartsKernel:
             x = rng.uniform(-0.05, charts._su[f] + 0.05, n)
             y = rng.uniform(-0.05, charts._sv[f] + 0.05, n)
             # points on the line of every horizontal chord hit the tie rule
-            flat = [p[0, 1] for p in polylines(charts, f).values()
+            flat = [p[0, 1] for p in polylines(m, charts, f).values()
                     if p.shape[0] == 2 and p[0, 1] == p[1, 1]]
             assert flat
             y[: len(flat) * 3] = np.repeat(flat, 3)
@@ -261,19 +273,19 @@ class TestFaceChartsKernel:
         for f in range(nf):
             sel = fk == f
             pts = np.stack([x[sel], y[sel]], axis=-1)
-            expect = np.array([even_odd_oracle(charts, f, p) for p in pts])
+            expect = np.array([even_odd_oracle(m, charts, f, p) for p in pts])
             assert np.array_equal(trim[sel], expect), f
-            assert_voronoi_optimal(charts, f, pts, near[sel])
+            assert_voronoi_optimal(m, charts, f, pts, near[sel])
             # any half-edge clearly farther than the nearest does not own
-            dists = brute_force_distances(charts, f, pts)
-            far = np.array(sorted(m.face_halfedges(f)))[np.argmax(dists, axis=1)]
+            dists = brute_force_distances(m, charts, f, pts)
+            far = np.array(sorted(face_halfedges(m, f)))[np.argmax(dists, axis=1)]
             clearly = dists.max(axis=1) > dists.min(axis=1) + 1e-9
             assert not charts.in_own_cell(x[sel], y[sel], fk[sel], far)[clearly].any()
 
     def test_exact_tie_owner_is_lowest_id(self):
         m, _ = normalize(box())
         charts = FaceCharts(m)
-        hes = sorted(m.face_halfedges(0))
+        hes = sorted(face_halfedges(m, 0))
         # the centre of the square face is equidistant from all four sides
         c = to_norm(charts, 0, [0.5, 0.5])[0]
         x, y, fk = np.full(4, c[0]), np.full(4, c[1]), np.zeros(4, dtype=int)
@@ -283,7 +295,7 @@ class TestFaceChartsKernel:
 
 class TestSampleHalfPatch:
     def test_planar_face_markers(self, cube_normed):
-        he = min(cube_normed.face_halfedges(0))
+        he = min(face_halfedges(cube_normed, 0))
         patch = records(cube_normed)[he][0]
         assert patch.shape == (6, 4, 3)
         # all samples on the face plane
@@ -305,7 +317,7 @@ class TestSampleHalfPatch:
     def test_cylinder_wall_isoparametric_walk(self, cylinder_normed):
         surf = cylinder_normed.faces[0].surface
         # bottom circle halfedge: the one whose pcurve sits at v = 0
-        he = next(h for h in sorted(cylinder_normed.face_halfedges(0))
+        he = next(h for h in sorted(face_halfedges(cylinder_normed, 0))
                   if np.ptp(cylinder_normed.halfedges[h].pcurve.point(
                       np.linspace(0, 1, 5))[:, 1]) < 1e-12
                   and cylinder_normed.halfedges[h].pcurve.point(0.0)[1] == 0.0)
@@ -334,53 +346,17 @@ class TestSampleHalfPatch:
             extract_vhp(box(size=(1.0, 1e-10, 1.0)), CFG)
         assert sum(issubclass(w.category, ZeroDepthWarning) for w in caught) == 16
 
-    def test_missing_pcurve_names_its_face(self, cube_normed):
+    def test_missing_pcurve_is_a_validation_defect(self, cube_normed):
         m = cube_normed
         for k in (0, 3, 5):
-            h = m.face_halfedges(k)[1]
+            h = face_halfedges(m, k)[1]
             hes = list(m.halfedges)
             hes[h] = dataclasses.replace(hes[h], pcurve=None)
             bad = dataclasses.replace(m, halfedges=hes)
-            with pytest.raises(GeometryError, match=rf"sampling failed on face {k}:"):
+            defect = f"halfedge {h}: no pcurve on face {k}"
+            assert validate(bad).defects == [defect]
+            with pytest.raises(ModelError, match=re.escape(defect)):
                 extract_vhp(bad, CFG)
-
-
-    def test_failing_curve_names_its_face(self, cube_normed):
-        class Failing:       # a curve kind with no batched pass
-            def point(self, u):
-                raise ValueError("cannot evaluate")
-
-        m = cube_normed
-        for k in (0, 3, 5):
-            eid = m.halfedges[m.face_halfedges(k)[1]].edge
-            first = min(m.loops[m.halfedges[h].loop].face for h in m.edges[eid].halfedges)
-            edges = list(m.edges)
-            edges[eid] = dataclasses.replace(edges[eid], curve=Failing())
-            with pytest.raises(GeometryError,
-                               match=rf"sampling failed on face {first}: cannot evaluate"):
-                extract_vhp(dataclasses.replace(m, edges=edges), CFG)
-
-    @pytest.mark.parametrize("fails", ["partials", "point"])
-    def test_failing_surface_names_its_face(self, cube_normed, fails):
-        class Failing:       # a surface kind with no batched pass
-            def __init__(self, plane):
-                self.plane = plane
-
-            def domain(self):
-                return self.plane.domain()
-
-            def partials(self, u, v):
-                if fails == "partials":
-                    raise ValueError("cannot evaluate")
-                return self.plane.partials(u, v)
-
-            def point(self, u, v):
-                raise ValueError("cannot evaluate")
-
-        faces = list(cube_normed.faces)
-        faces[4] = dataclasses.replace(faces[4], surface=Failing(faces[4].surface))
-        with pytest.raises(GeometryError, match=r"sampling failed on face 4: cannot evaluate"):
-            extract_vhp(dataclasses.replace(cube_normed, faces=faces), CFG)
 
 
 def all_rays(m):
@@ -446,7 +422,7 @@ class TestNextPointers:
         # bottom square: from (xmax, ymin, zmin) towards +y
         target = None
         for h in range(len(m.halfedges)):
-            nxt = m.next_in_loop(h)
+            nxt = next_in_loop(m, h)
             o = m.vertices[m.halfedges[nxt].origin]
             d = m.vertices[m.destination(nxt)]
             if np.isclose(o[2], zmin) and np.isclose(d[2], zmin) \
@@ -467,7 +443,7 @@ class TestNextPointers:
         for name, src in all_primitives.items():
             m, _ = normalize(src)
             for h, (_, got, _) in enumerate(records(m)):
-                nxt = m.next_in_loop(h)
+                nxt = next_in_loop(m, h)
                 expect = halfedge_curve_samples(m, nxt, CFG.n_curve)[: CFG.n_next]
                 assert np.array_equal(got, expect), (name, h)
 
@@ -479,7 +455,7 @@ class TestNextPointers:
         recs = records(m)
         for loop in self_loops:
             h = loop.halfedges[0]
-            assert m.next_in_loop(h) == h
+            assert next_in_loop(m, h) == h
             samples = recs[h][1]
             own = halfedge_curve_samples(m, h, CFG.n_curve)
             assert np.array_equal(samples, own[:4])
@@ -520,7 +496,7 @@ class TestExtractVhp:
     def test_coverage_of_column_zero(self, cube_normed):
         recs = records(cube_normed)
         for f in range(len(cube_normed.faces)):
-            hes = cube_normed.face_halfedges(f)
+            hes = face_halfedges(cube_normed, f)
             col0 = np.concatenate([recs[h][0][:, 0, :] for h in hes])
             expected = np.concatenate([
                 halfedge_curve_samples(cube_normed, h, CFG.n_curve) for h in hes])
@@ -553,16 +529,17 @@ class TestExtractVhp:
                 on_curve = halfedge_curve_samples(m, h, CFG.n_curve)
                 one = charts.half_patches([h], on_curve[None], CFG.n_surface)[0]
                 assert np.array_equal(hp, one), (name, h)
-                succ = halfedge_curve_samples(m, m.next_in_loop(h), CFG.n_curve)
+                succ = halfedge_curve_samples(m, next_in_loop(m, h), CFG.n_curve)
                 assert np.array_equal(nxt, succ[: CFG.n_next]), (name, h)
 
     def test_model_without_faces_has_no_records(self):
-        # no shell, so not watertight: the charts refuse it
-        from brepcodec.model import BrepModel, ModelError
+        # validate names the missing faces, and the charts refuse the model
+        from brepcodec.model import BrepModel
 
         empty = BrepModel(vertices=np.zeros((0, 3)), edges=[], halfedges=[], loops=[],
                           faces=[])
-        with pytest.raises(ModelError, match="not watertight"):
+        assert validate(empty).defects == ["model has no faces"]
+        with pytest.raises(ModelError, match="model has no faces"):
             extract_vhp(empty, CFG)
 
     def test_descriptor_payload_size(self):
