@@ -21,7 +21,9 @@ from brepcodec.model import (
     normalize,
     validate,
 )
-from brepcodec.primitives import box, merge_models, ngon_prism, seam_cylinder, through_hole_box
+from brepcodec.primitives import (box, l_bracket, merge_models, ngon_prism, seam_cylinder,
+                                  through_hole_box)
+from brepcodec.synth import FAMILIES, CorpusSpec, synth_corpus
 from brepcodec.codec import quantize_coord
 from conftest import as_polyline_model
 
@@ -267,6 +269,21 @@ GOLDEN_NORMALIZED = {
 @pytest.mark.parametrize("name", sorted(GOLDEN_NORMALIZED))
 def test_normalized_geometry_is_pinned(all_primitives, name):
     assert normalized_digest(all_primitives[name]) == GOLDEN_NORMALIZED[name]
+
+
+# The model files of everything the builder makes for the corpus and the
+# default primitives, bit for bit: twin ids, loop order and pcurves included.
+GOLDEN_BUILDER = "6753e120d4f50c2528ec9730053a3d127c070f4f5b45592592b0e9cf7a834298"
+
+
+def test_builder_output_is_pinned():
+    models = [m for s in range(6) for _, m in synth_corpus(
+        CorpusSpec(counts={f: 6 for f in FAMILIES}, components=(1, 5), seed=s))]
+    models += [box(), ngon_prism(), seam_cylinder(), through_hole_box(), l_bracket()]
+    digest = hashlib.sha256()
+    for m in models:
+        digest.update(json.dumps(bio.model_to_dict(m)).encode())
+    assert digest.hexdigest() == GOLDEN_BUILDER
 
 
 class TestCorpusInvariants:
