@@ -120,7 +120,7 @@ def cmd_validate(args) -> int:
     if args.report:
         bio.save_report(reports, args.report)
     if not all_ok:
-        raise ValidationFailure("one or more models are not watertight")
+        raise ValidationFailure("one or more models are not valid")
     return EXIT_OK
 
 

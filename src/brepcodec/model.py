@@ -7,7 +7,8 @@ Models are treated as immutable once built; every operation here returns
 fresh values and never mutates its input, so models are safe to share
 across threads.
 
-Conventions enforced by :class:`ModelBuilder` and assumed throughout:
+Conventions assumed throughout; `validate` checks the first two, and
+whoever builds a model keeps the third:
 
 * each edge is referenced by exactly one forward and one reverse half-edge
   (the forward one runs along the curve's own parameter direction);
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import GeometryError, curve_bboxes, curve_points, similarity
+from .geometry import GeometryError, LineSegment, curve_bboxes, curve_points, similarity
 
 
 class ModelError(ValueError):
@@ -105,9 +106,9 @@ class ModelBuilder:
     """Incremental constructor that assembles and cross-links the tables.
 
     Face boundaries are given as ordered lists of (edge id, forward flag,
-    pcurve) triples; ``build`` creates half-edges, twin links and loops,
-    and checks that every edge is used exactly once in each direction and
-    that every loop closes.
+    pcurve) triples; ``build`` creates half-edges, twin links and loops.
+    Only `edge` checks anything (that the curve ends on its vertices);
+    the tables' structure is `validate`'s to judge.
     """
 
     def __init__(self):
@@ -135,8 +136,6 @@ class ModelBuilder:
 
         Returns (edge id, True if the stored curve runs v0 -> v1).
         """
-        from .geometry import LineSegment
-
         key = (min(v0, v1), max(v0, v1))
         if key in self._line_cache:
             eid = self._line_cache[key]
@@ -150,69 +149,33 @@ class ModelBuilder:
         return len(self._faces) - 1
 
     def build(self) -> BrepModel:
-        edges_used = {}           # edge id -> {True: he, False: he}
-        halfedges = []
-        loops = []
-        faces = []
-
-        def add_loop(refs, kind, face_id):
-            he_ids = []
-            for eid, forward, pcurve in refs:
-                he_id = len(halfedges)
-                curve, v0, v1 = self._edges[eid]
-                origin = v0 if forward else v1
-                halfedges.append(
-                    dict(origin=origin, edge=eid, forward=forward,
-                         pcurve=pcurve, loop=len(loops))
-                )
-                slot = edges_used.setdefault(eid, {})
-                if forward in slot:
-                    raise ModelError(f"edge {eid} referenced twice with forward={forward}")
-                slot[forward] = he_id
-                he_ids.append(he_id)
-            loops.append(dict(halfedges=tuple(he_ids), kind=kind, face=face_id))
-            return len(loops) - 1
-
+        """The tables, with twins linked through one ``(edge, forward) ->
+        half-edge id`` map.  Nothing is checked here: a direction used twice
+        keeps its last use and a missing one links to -1, and `validate`
+        reports both, as it reports a loop that does not close."""
+        refs, loops, faces = [], [], []   # refs: (edge, forward, pcurve, loop)
         for fid, (surface, outer, inners) in enumerate(self._faces):
-            outer_id = add_loop(outer, "outer", fid)
-            inner_ids = tuple(add_loop(refs, "inner", fid) for refs in inners)
-            faces.append(Face(surface=surface, outer=outer_id, inners=inner_ids))
-
-        # twin linking
-        edges = []
-        for eid, (curve, v0, v1) in enumerate(self._edges):
-            slot = edges_used.get(eid, {})
-            if set(slot) != {True, False}:
-                raise ModelError(f"edge {eid} must be used once per direction, got {sorted(slot)}")
-            hf, hr = slot[True], slot[False]
-            halfedges[hf]["twin"] = hr
-            halfedges[hr]["twin"] = hf
-            edges.append(Edge(curve=curve, v0=v0, v1=v1, halfedges=(hf, hr)))
-
-        he_objs = [
-            HalfEdge(origin=h["origin"], twin=h["twin"], edge=h["edge"],
-                     loop=h["loop"], forward=h["forward"], pcurve=h["pcurve"])
-            for h in halfedges
-        ]
-        loop_objs = [Loop(halfedges=l["halfedges"], kind=l["kind"], face=l["face"])
-                     for l in loops]
-
-        model = BrepModel(
+            first = len(loops)
+            for kind, cycle in (("outer", outer), *(("inner", c) for c in inners)):
+                loops.append(Loop(halfedges=tuple(range(len(refs), len(refs) + len(cycle))),
+                                  kind=kind, face=fid))
+                refs.extend((eid, forward, pcurve, len(loops) - 1)
+                            for eid, forward, pcurve in cycle)
+            faces.append(Face(surface=surface, outer=first,
+                              inners=tuple(range(first + 1, len(loops)))))
+        he_of = {(eid, forward): h for h, (eid, forward, _, _) in enumerate(refs)}
+        return BrepModel(
             vertices=np.array(self._vertices, dtype=float).reshape(-1, 3),
-            edges=edges,
-            halfedges=he_objs,
-            loops=loop_objs,
+            edges=[Edge(curve=curve, v0=v0, v1=v1,
+                        halfedges=(he_of.get((eid, True), -1), he_of.get((eid, False), -1)))
+                   for eid, (curve, v0, v1) in enumerate(self._edges)],
+            halfedges=[HalfEdge(origin=self._edges[eid][1 if forward else 2],
+                                twin=he_of.get((eid, not forward), -1), edge=eid,
+                                loop=li, forward=forward, pcurve=pcurve)
+                       for eid, forward, pcurve, li in refs],
+            loops=loops,
             faces=faces,
         )
-
-        # loop chains must close
-        for li, loop in enumerate(loop_objs):
-            cyc = loop.halfedges
-            for i, h in enumerate(cyc):
-                nxt = cyc[(i + 1) % len(cyc)]
-                if model.destination(h) != he_objs[nxt].origin:
-                    raise ModelError(f"loop {li} breaks between halfedges {h} and {nxt}")
-        return model
 
 
 def _union_find(n: int, pairs) -> list:
@@ -267,10 +230,7 @@ class ShellStats:
 
 @dataclass
 class ValidationReport:
-    twin_consistent: bool
-    loops_closed: bool
-    manifold: bool
-    watertight: bool
+    watertight: bool      # no defects
     shells: list = field(default_factory=list)
     defects: list = field(default_factory=list)
 
@@ -420,24 +380,15 @@ def validate(model: BrepModel) -> ValidationReport:
     checks run, and the per-shell Euler report when those pass too."""
     defects = _index_defects(model)
     if defects:
-        return ValidationReport(False, False, False, False, [], defects)
+        return ValidationReport(False, [], defects)
     twin = _twin_defects(model)
-    loops = _loop_defects(model, not twin)
-    manifold = _manifold_defects(model)
-    defects = twin + loops + manifold
+    defects = twin + _loop_defects(model, not twin) + _manifold_defects(model)
 
     shells = [] if defects else euler_report(model)
     bad_genus = [s for s in shells if not float(s.genus).is_integer() or s.genus < 0]
     for s in bad_genus:
         defects.append(f"shell with V={s.vertices} E={s.edges} F={s.faces}: genus {s.genus}")
-    return ValidationReport(
-        twin_consistent=not twin,
-        loops_closed=not loops,
-        manifold=not manifold,
-        watertight=not defects,
-        shells=shells,
-        defects=defects,
-    )
+    return ValidationReport(watertight=not defects, shells=shells, defects=defects)
 
 
 # ---------------------------------------------------------------------------

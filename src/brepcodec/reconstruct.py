@@ -647,20 +647,19 @@ def attach_inner_loops(inner_loops, faces, drafts):
 # ---------------------------------------------------------------------------
 
 def reconstruct(records: VertexRecordSet, cfg: SamplingConfig | None = None):
-    """Records -> (BrepModel | None, ReconstructionReport); ``cfg`` is the encoder's."""
+    """Records -> (BrepModel | None, ReconstructionReport); ``cfg`` is the encoder's.
+
+    A stage that raises gives no model and the note
+    ``"{stage} failed: {exception type}: {message}"``."""
     cfg = cfg or SamplingConfig()
     report = ReconstructionReport()
     try:
         with _stage(report, "materialize"):
             drafts, verts = materialize_half_edges(records, cfg)
-    except Exception as exc:
-        report.notes.append(f"materialization failed: {exc}")
-        return None, report
-    if not drafts.origin.size:
-        report.notes.append("no edges to reconstruct")
-        return None, report
+        if not drafts.origin.size:
+            report.notes.append("no edges to reconstruct")
+            return None, report
 
-    try:
         with _stage(report, "next_map"):
             next_map, *outcome = solve_next_map(drafts, verts.shape[0], cfg)
         (report.total_assignment_cost, report.infeasible_vertices,
@@ -685,15 +684,12 @@ def reconstruct(records: VertexRecordSet, cfg: SamplingConfig | None = None):
         with _stage(report, "attach"):
             attach = attach_inner_loops(inner, faces, drafts)
         report.inner_loops_attached = len(attach)
-    except Exception as exc:
-        report.notes.append(f"reconstruction failed: {exc}")
-        return None, report
 
-    try:
         with _stage(report, "assemble"):
             model = _assemble(drafts, verts, outer, inner, faces, attach)
-    except Exception as exc:
-        report.notes.append(f"assembly failed: {exc}")
+    except Exception as exc:      # `_stage` has recorded the stage that raised
+        stage = next(reversed(report.stage_ms))
+        report.notes.append(f"{stage} failed: {type(exc).__name__}: {exc}")
         return None, report
 
     with _stage(report, "validate"):

@@ -155,13 +155,13 @@ class FaceCharts:
     closed polygons give the same number of trim edges; both sit in rows
     ``seg_start[k]:seg_start[k] + nseg[k]`` of their tables.  Queries take
     points as x and y arrays in normalized UV plus the face of every point.
-    A model that `validate` finds not watertight raises ModelError.
+    A model that `validate` finds defects in raises ModelError.
     """
 
     def __init__(self, model: BrepModel):
         rep = validate(model)
         if not rep.watertight:
-            raise ModelError(f"model is not watertight: {rep.defects[:3]}")
+            raise ModelError(f"model is not valid: {rep.defects[:3]}")
         faces = model.faces
         self.surfaces = [f.surface for f in faces]
 
@@ -306,16 +306,14 @@ class FaceCharts:
             if d.size != rows.size:   # some half-edge has several chords
                 d = np.minimum.reduceat(d, np.repeat(first, gcnt) + self._he_seg_off[rows])
 
-            if nearest:   # first minimum = lowest id, as np.argmin
-                hit = (d == np.repeat(np.minimum.reduceat(d, gfirst), gcnt)) | np.isnan(d)
-                pick = np.minimum.reduceat(np.where(hit, np.arange(d.size), d.size), gfirst)
-                out[sl] = self._he_id[rows[pick]]
-            else:         # own < every lower id and own <= every higher id
-                own_row = self._he_row[owner[sl]]
-                ref = np.repeat(d[gfirst + own_row - self._he_start[f]], gcnt)
-                own_row = np.repeat(own_row, gcnt)
-                beaten = np.where(rows < own_row, d <= ref, d < ref)
-                out[sl] &= ~np.logical_or.reduceat(beaten, gfirst)
+            # the first minimum = the lowest id, as np.argmin
+            hit = (d == np.repeat(np.minimum.reduceat(d, gfirst), gcnt)) | np.isnan(d)
+            pick = self._he_id[rows[np.minimum.reduceat(
+                np.where(hit, np.arange(d.size), d.size), gfirst)]]
+            if nearest:
+                out[sl] = pick
+            else:
+                out[sl] &= pick == owner[sl]
         return out
 
     def in_trim(self, x, y, fk) -> np.ndarray:

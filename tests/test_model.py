@@ -9,10 +9,11 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components as csgraph_components
 
 import brepcodec.io as bio
-from brepcodec.geometry import GeometryError, LineSegment
+from brepcodec.geometry import GeometryError, LineSegment, Plane, Segment2
 from brepcodec.model import (
     BrepModel,
     Edge,
+    ModelBuilder,
     _union_find,
     connected_components,
     euler_report,
@@ -37,7 +38,6 @@ class TestValidate:
     def test_unit_cube_watertight(self, unit_cube):
         rep = validate(unit_cube)
         assert rep.watertight
-        assert rep.twin_consistent and rep.loops_closed and rep.manifold
         assert shell_tuples(unit_cube) == [(8, 12, 6, 0, 0.0)]
 
     def test_twin_redirected_to_self_is_flagged(self, unit_cube):
@@ -46,7 +46,6 @@ class TestValidate:
                         loops=list(unit_cube.loops), faces=list(unit_cube.faces))
         bad.halfedges[0] = dataclasses.replace(bad.halfedges[0], twin=0)
         rep = validate(bad)
-        assert not rep.twin_consistent
         assert not rep.watertight
         assert any("halfedge 0" in d for d in rep.defects)
 
@@ -81,6 +80,35 @@ class TestValidate:
         h0, h1 = unit_cube.edges[0].halfedges
         assert validate(m).defects == [f"edge 12: halfedges {h0} and {h1} name edges 0 and 0"]
 
+    @pytest.mark.parametrize("misuse", ["none", "twice", "once", "open"])
+    def test_builder_misuse_is_a_validate_defect(self, misuse):
+        # a pillow: one triangle bounding two faces, its edge i running i -> i + 1
+        b = ModelBuilder()
+        corners = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+        vs = [b.vertex((x, y, 0.0)) for x, y in corners]
+        es = [b.line_between(vs[i], vs[(i + 1) % 3])[0] for i in range(3)]
+        up = [(es[i], True, Segment2(corners[i], corners[(i + 1) % 3])) for i in range(3)]
+        down = [(es[i], False, Segment2(corners[(i + 1) % 3], corners[i]))
+                for i in reversed(range(3))]
+        plane = Plane((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+        loops = {"none": [up, down], "twice": [up, down, up], "once": [up],
+                 "open": [up, down[::-1]]}[misuse]
+        for refs in loops:
+            b.face(plane, refs)
+        rep = validate(b.build())
+        assert rep.defects == {
+            "none": [],
+            # the last use of each direction is the edge's; the first is left unpaired
+            "twice": [f"halfedge {h}: {d}" for h in range(3)
+                      for d in ("twin(twin) != self", f"not registered on edge {h}")],
+            # a direction never used links to -1
+            "once": [f"edge {e}: dangling halfedge -1" for e in range(3)]
+                    + [f"halfedge {h}: dangling twin -1" for h in range(3)],
+            "open": [f"loop 1: open between halfedges {h} and {(h - 2) % 3 + 3}"
+                     for h in (3, 4, 5)],
+        }[misuse]
+        assert rep.watertight == (misuse == "none")
+
     @pytest.mark.parametrize("mutate", ["none", "twin", "origin", "open", "kind", "isolated",
                                         "edge halfedge", "edge vertex", "edge ends"])
     def test_twin_and_loop_checks_alone_agree_with_validate(self, unit_cube, mutate):
@@ -113,7 +141,7 @@ class TestValidate:
         else:               # the message quotes validate's first defects
             with pytest.raises(ModelError) as err:
                 extract_vhp(m)
-            assert str(err.value) == f"model is not watertight: {rep.defects[:3]}"
+            assert str(err.value) == f"model is not valid: {rep.defects[:3]}"
         want = {"edge halfedge": "edge 0: dangling halfedge 999",
                 "edge vertex": "edge 0: dangling vertex 999",
                 "edge ends": "edge 0: halfedge 0 starts at 4, not at the edge's v0"}

@@ -9,7 +9,7 @@ import brepcodec.io as bio
 from brepcodec.assignment import InfeasibleAssignmentError, solve_square
 from brepcodec.codec import CodecConfig, VocabLayout, parse, tokenize
 from brepcodec.model import euler_report, normalize, validate
-from brepcodec.geometry import BicubicPatch, Plane, _bernstein3, frame_for_normal
+from brepcodec.geometry import BicubicPatch, Plane, Poly2, _bernstein3, frame_for_normal
 from brepcodec.pipeline import decode_tokens, encode_model, lossless_codebook, roundtrip_check
 from brepcodec.primitives import (
     box,
@@ -379,6 +379,30 @@ def synthetic_square_loop(z=0.3):
         label=np.ones(4, dtype=int))
 
 
+def cylinder_wall_loop():
+    """A half-turn cylinder wall (radius 0.5, height 1) as one loop of six
+    drafts: the bottom arc in two runs, a ruling, the top arc in two runs
+    and the other ruling.  Each draft carries 6 interior curve samples and
+    three rows of wall samples stepping toward the wall's centre."""
+    def wall(a, z):
+        return np.stack([0.5 * np.cos(a), 0.5 * np.sin(a), z], axis=-1)
+
+    corners = [(0.0, 0.0), (np.pi / 2, 0.0), (np.pi, 0.0),
+               (np.pi, 1.0), (np.pi / 2, 1.0), (0.0, 1.0)]     # (angle, height)
+    t = np.arange(8) / 7.0
+    s = np.arange(1, 4)[None, :] / 8.0
+    curve, surface = [], []
+    for (a0, z0), (a1, z1) in zip(corners, corners[1:] + corners[:1]):
+        a, z = a0 + t * (a1 - a0), z0 + t * (z1 - z0)
+        curve.append(wall(a, z))
+        surface.append(wall(a[1:-1, None] + s * (np.pi / 2 - a[1:-1, None]),
+                            z[1:-1, None] + s * (0.5 - z[1:-1, None])))
+    curve = np.array(curve)
+    return LoopDraft(drafts=list(range(6))), Drafts(
+        origin=np.arange(6), curve=curve, surface=np.array(surface), next=curve[:, 1:5],
+        label=np.ones(6, dtype=int))
+
+
 class TestFitFace:
     def test_coplanar_loop_gives_plane(self):
         loop, drafts = synthetic_square_loop(z=0.3)
@@ -414,6 +438,22 @@ class TestFitFace:
         fitted = fit_face(wall, drafts)
         assert not fitted.planar
         assert fitted.rms < plane_rms
+
+    def test_wall_of_six_drafts_gets_a_bicubic_with_chained_pcurves(self):
+        # not four drafts: the loop is regrouped into four sides by arc length
+        loop, drafts = cylinder_wall_loop()
+        pts = np.vstack([drafts.curve[d] for d in loop.drafts]
+                        + [drafts.surface[d].reshape(-1, 3) for d in loop.drafts])
+        _, _, plane_rms = svd_plane_fit(pts)
+        fitted = fit_face(loop, drafts)
+        assert not fitted.planar
+        assert fitted.rms < plane_rms
+        pcurves = [fitted.pcurves[d] for d in loop.drafts]
+        assert all(isinstance(p, Poly2) and len(p.points) == 8 for p in pcurves)
+        for a, b in zip(pcurves, pcurves[1:] + pcurves[:1]):
+            assert np.array_equal(a.points[-1], b.points[0])
+        uv = np.concatenate([p.points for p in pcurves])
+        assert np.all(np.minimum(uv, 1.0 - uv).min(axis=1) == 0.0)
 
     def test_quantized_loop_stays_near_decoded_samples(self):
         # a genuinely lossy codebook; the fitted face tracks the decoded
@@ -760,6 +800,28 @@ class TestReconstructPipeline:
         assert set(report.stage_ms) == {"materialize", "next_map", "loops", "fit",
                                         "attach", "assemble", "validate"}
         assert all(t >= 0.0 for t in report.stage_ms.values())
+
+    def test_records_without_descriptors_fail_in_materialize(self):
+        normed = normalize(box())[0]
+        cb = lossless_codebook(normed)
+        rs = parse(tokenize(normed, cb, CFG), None, CFG, VocabLayout.for_codebook(cb))
+        model, report = reconstruct(rs, CFG.sampling)
+        assert model is None
+        assert report.notes == ["materialize failed: ValueError: records carry no decoded "
+                                "descriptors; parse with a codebook first"]
+        assert list(report.stage_ms) == ["materialize"]
+
+    def test_a_stage_that_raises_is_named_with_its_exception(self, monkeypatch):
+        import brepcodec.reconstruct as rec
+
+        def broken(loops, drafts):
+            raise FloatingPointError("no fit")
+
+        monkeypatch.setattr(rec, "fit_faces", broken)
+        model, report = reconstruct(records_for(box())[0], CFG.sampling)
+        assert model is None
+        assert report.notes == ["fit failed: FloatingPointError: no fit"]
+        assert list(report.stage_ms) == ["materialize", "next_map", "loops", "fit"]
 
     def test_report_always_produced(self):
         from brepcodec.codec import VertexRecordSet
